@@ -24,13 +24,10 @@
  *   --rate 0.5                arrival intensity per server, M req/s
  *   --rate-scale 0.5,1.0,2.0  per-server rate multipliers (cycled)
  *   --arrival poisson|bursty|diurnal
- *   --horizon-ms N            per-epoch-chain horizon (default 1)
+ *   --horizon-ms N            fleet horizon (default 1)
  *   --coord-epoch-ms N        coordination epoch (default 0.2)
  *   --slo-p99-us N            p99 target (default 5)
- *   --scratch DIR             checkpoint-chain scratch directory
  */
-
-#include <sys/stat.h>
 
 #include "bench_common.hh"
 
@@ -102,9 +99,6 @@ main(int argc, char **argv)
     base.policy = "fastcap";
     base.coordEpoch =
         msToTick(conf.getDouble("coord-epoch-ms", 0.2));
-    base.scratchDir =
-        conf.getString("scratch", "/tmp/memscale_fleet_energy");
-    ::mkdir(base.scratchDir.c_str(), 0755);
     base.jobs = checkedJobs(conf.getInt("jobs", 0));
     for (const std::string &v :
          splitList(conf.getString("rate-scale", "")))

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -118,69 +119,124 @@ namespace
 constexpr std::uint64_t fleetHashSeed = 0xF1EE7C0DEull;
 
 std::string
-serverSnapshotPath(const std::string &fleet_path, std::uint32_t k)
+serverSnapshotPath(const std::string &fleet_path, std::size_t k)
 {
     return fleet_path + ".server" + std::to_string(k);
 }
 
+/**
+ * The fleet snapshot's "cluster" section: config fingerprint, epoch
+ * cursor, the last telemetry and cumulative energy per server, and
+ * every completed epoch's power row.
+ */
+struct FleetSection
+{
+    std::uint32_t numServers = 0;
+    std::string policy;
+    Watts capW = 0.0;
+    Tick coordEpoch = 0;
+    std::uint64_t seed = 0;
+    Tick horizon = 0;
+    Tick epochLen = 0;
+    std::vector<double> weights;
+    std::vector<double> rateScale;
+    std::vector<std::uint8_t> demandMix;
+    std::uint32_t epochsDone = 0;
+    std::vector<ServerTelemetry> tele;
+    std::vector<double> energy;
+    std::vector<FleetEpochRow> rows;
+};
+
+/** SectionWriter/SectionReader behind one by-reference interface. */
+struct SaveIO
+{
+    SectionWriter &w;
+    void operator()(std::uint8_t &v) { w.u8(v); }
+    void operator()(std::uint32_t &v) { w.u32(v); }
+    void operator()(std::uint64_t &v) { w.u64(v); }
+    void operator()(double &v) { w.f64(v); }
+    void operator()(bool &v) { w.b(v); }
+    void operator()(std::string &v) { w.str(v); }
+};
+
+struct LoadIO
+{
+    SectionReader &r;
+    void operator()(std::uint8_t &v) { v = r.u8(); }
+    void operator()(std::uint32_t &v) { v = r.u32(); }
+    void operator()(std::uint64_t &v) { v = r.u64(); }
+    void operator()(double &v) { v = r.f64(); }
+    void operator()(bool &v) { v = r.b(); }
+    void operator()(std::string &v) { v = r.str(); }
+};
+
+/** Write or read `f` field by field, in file order. */
+template <typename IO>
 void
-saveTelemetry(SectionWriter &w, const ServerTelemetry &t)
+transfer(FleetSection &f, IO io)
 {
-    w.b(t.valid);
-    w.f64(t.measuredW);
-    w.f64(t.demandW);
-    w.f64(t.minW);
-    w.f64(t.slowdown);
+    auto list = [&io](auto &v) {
+        auto cnt = static_cast<std::uint32_t>(v.size());
+        io(cnt);
+        v.resize(cnt);
+        for (auto &x : v)
+            io(x);
+    };
+    io(f.numServers);
+    io(f.policy);
+    io(f.capW);
+    io(f.coordEpoch);
+    io(f.seed);
+    io(f.horizon);
+    io(f.epochLen);
+    list(f.weights);
+    list(f.rateScale);
+    list(f.demandMix);
+    io(f.epochsDone);
+    f.tele.resize(f.numServers);
+    f.energy.resize(f.numServers);
+    for (std::uint32_t k = 0; k < f.numServers; ++k) {
+        ServerTelemetry &t = f.tele[k];
+        io(t.valid);
+        io(t.measuredW);
+        io(t.demandW);
+        io(t.minW);
+        io(t.slowdown);
+        io(f.energy[k]);
+    }
+    auto nrows = static_cast<std::uint32_t>(f.rows.size());
+    io(nrows);
+    f.rows.resize(nrows);
+    for (FleetEpochRow &row : f.rows) {
+        io(row.epoch);
+        io(row.start);
+        io(row.end);
+        list(row.budgetW);
+        list(row.measuredW);
+        io(row.fleetW);
+        io(row.fleetBudgetW);
+        io(row.capMet);
+        io(row.allocFeasible);
+    }
 }
 
-ServerTelemetry
-restoreTelemetry(SectionReader &r)
+/** The section's config fingerprint for a fleet run. */
+FleetSection
+fleetFingerprint(const ClusterConfig &cfg)
 {
-    ServerTelemetry t;
-    t.valid = r.b();
-    t.measuredW = r.f64();
-    t.demandW = r.f64();
-    t.minW = r.f64();
-    t.slowdown = r.f64();
-    return t;
-}
-
-void
-saveRow(SectionWriter &w, const FleetEpochRow &row)
-{
-    w.u32(row.epoch);
-    w.u64(row.start);
-    w.u64(row.end);
-    w.u32(static_cast<std::uint32_t>(row.budgetW.size()));
-    for (double b : row.budgetW)
-        w.f64(b);
-    w.u32(static_cast<std::uint32_t>(row.measuredW.size()));
-    for (double m : row.measuredW)
-        w.f64(m);
-    w.f64(row.fleetW);
-    w.f64(row.fleetBudgetW);
-    w.b(row.capMet);
-    w.b(row.allocFeasible);
-}
-
-FleetEpochRow
-restoreRow(SectionReader &r)
-{
-    FleetEpochRow row;
-    row.epoch = r.u32();
-    row.start = r.u64();
-    row.end = r.u64();
-    row.budgetW.resize(r.u32());
-    for (double &b : row.budgetW)
-        b = r.f64();
-    row.measuredW.resize(r.u32());
-    for (double &m : row.measuredW)
-        m = r.f64();
-    row.fleetW = r.f64();
-    row.fleetBudgetW = r.f64();
-    row.capMet = r.b();
-    row.allocFeasible = r.b();
-    return row;
+    FleetSection f;
+    f.numServers = cfg.numServers;
+    f.policy = cfg.policy;
+    f.capW = cfg.capW;
+    f.coordEpoch = cfg.coordEpoch;
+    f.seed = cfg.server.seed;
+    f.horizon = cfg.server.serving.horizon;
+    f.epochLen = cfg.server.epochLen;
+    f.weights = cfg.weights;
+    f.rateScale = cfg.rateScale;
+    for (DemandMix m : cfg.demandMix)
+        f.demandMix.push_back(static_cast<std::uint8_t>(m));
+    return f;
 }
 
 } // namespace
@@ -193,32 +249,17 @@ readFleetMeta(const std::string &path)
     if (!snap.has("cluster"))
         return meta;
     SectionReader r = snap.section("cluster");
+    FleetSection f;
+    transfer(f, LoadIO{r});
     meta.valid = true;
-    meta.numServers = r.u32();
-    meta.policy = r.str();
-    meta.capW = r.f64();
-    meta.coordEpoch = r.u64();
-    r.u64();   // fleet seed
-    r.u64();   // horizon
-    r.u64();   // server epoch length
-    for (std::uint32_t i = r.u32(); i > 0; --i)
-        r.f64();   // weights
-    for (std::uint32_t i = r.u32(); i > 0; --i)
-        r.f64();   // rate scales
-    for (std::uint32_t i = r.u32(); i > 0; --i)
-        r.u8();    // demand mixes
-    meta.epochsDone = r.u32();
-    for (std::uint32_t k = 0; k < meta.numServers; ++k) {
-        restoreTelemetry(r);
-        r.f64();   // cumulative energy baseline
-    }
-    const std::uint32_t nrows = r.u32();
-    for (std::uint32_t i = 0; i < nrows; ++i) {
-        FleetEpochRow row = restoreRow(r);
-        if (i + 1 == nrows) {
-            meta.budgetW = row.budgetW;
-            meta.lastFleetW = row.fleetW;
-        }
+    meta.numServers = f.numServers;
+    meta.policy = f.policy;
+    meta.capW = f.capW;
+    meta.coordEpoch = f.coordEpoch;
+    meta.epochsDone = f.epochsDone;
+    if (!f.rows.empty()) {
+        meta.budgetW = f.rows.back().budgetW;
+        meta.lastFleetW = f.rows.back().fleetW;
     }
     return meta;
 }
@@ -237,9 +278,6 @@ ClusterHarness::ClusterHarness(const ClusterConfig &cfg) : cfg_(cfg)
               "least one policy epoch (%0.3f ms)",
               tickToMs(cfg_.coordEpoch),
               tickToMs(cfg_.server.epochLen));
-    if (cfg_.scratchDir.empty())
-        fatal("cluster: scratchDir is required (per-server "
-              "checkpoint chains live there)");
     for (double w : cfg_.weights) {
         if (!(w > 0.0))
             fatal("cluster: fairness weight %g must be positive", w);
@@ -292,18 +330,12 @@ ClusterHarness::run()
         cuts.push_back(t);
     const std::size_t num_epochs = cuts.size() + 1;
 
-    auto weight = [&](std::uint32_t k) {
-        return cfg_.weights.empty()
-                   ? 1.0
-                   : cfg_.weights[k % cfg_.weights.size()];
-    };
-    std::vector<double> weights(n);
-    for (std::uint32_t k = 0; k < n; ++k)
-        weights[k] = weight(k);
+    std::vector<double> weights(n, 1.0);
+    for (std::uint32_t k = 0; k < n && !cfg_.weights.empty(); ++k)
+        weights[k] = cfg_.weights[k % cfg_.weights.size()];
 
     std::vector<ServerTelemetry> tele(n);
     std::vector<double> prev_energy(n, 0.0);
-    std::vector<std::string> chain(n);
     std::vector<FleetEpochRow> rows;
     std::size_t e0 = 0;
 
@@ -313,75 +345,33 @@ ClusterHarness::run()
             fatal("cluster resume: %s has no cluster section",
                   cfg_.snapshot.resumePath.c_str());
         SectionReader r = snap.section("cluster");
-        auto want_u64 = [&r](const char *what, std::uint64_t want) {
-            const std::uint64_t got = r.u64();
-            if (got != want)
-                fatal("cluster resume: snapshot %s %llu does not "
-                      "match run %llu",
-                      what, static_cast<unsigned long long>(got),
-                      static_cast<unsigned long long>(want));
+        FleetSection got;
+        transfer(got, LoadIO{r});
+        const FleetSection want = fleetFingerprint(cfg_);
+        auto check = [](bool same, const char *what) {
+            if (!same)
+                fatal("cluster resume: snapshot %s does not match the "
+                      "run's",
+                      what);
         };
-        const std::uint32_t ns = r.u32();
-        if (ns != n)
-            fatal("cluster resume: snapshot has %u servers, run has "
-                  "%u",
-                  ns, n);
-        const std::string pol = r.str();
-        if (pol != cfg_.policy)
-            fatal("cluster resume: snapshot policy %s does not match "
-                  "run %s",
-                  pol.c_str(), cfg_.policy.c_str());
-        const double cap = r.f64();
-        if (cap != cfg_.capW)
-            fatal("cluster resume: snapshot cap %.17g does not match "
-                  "run %.17g",
-                  cap, cfg_.capW);
-        want_u64("coordination epoch", cfg_.coordEpoch);
-        want_u64("fleet seed", cfg_.server.seed);
-        want_u64("horizon", horizon);
-        want_u64("server epoch length", cfg_.server.epochLen);
-        auto want_list = [&r](const char *what,
-                              const std::vector<double> &want) {
-            const std::uint32_t cnt = r.u32();
-            if (cnt != want.size())
-                fatal("cluster resume: snapshot has %u %s, run has "
-                      "%zu",
-                      cnt, what, want.size());
-            for (std::uint32_t i = 0; i < cnt; ++i) {
-                const double got = r.f64();
-                if (got != want[i])
-                    fatal("cluster resume: snapshot %s[%u] %.17g "
-                          "does not match run %.17g",
-                          what, i, got, want[i]);
-            }
-        };
-        want_list("weights", cfg_.weights);
-        want_list("rate scales", cfg_.rateScale);
-        const std::uint32_t nmix = r.u32();
-        if (nmix != cfg_.demandMix.size())
-            fatal("cluster resume: snapshot has %u demand mixes, run "
-                  "has %zu",
-                  nmix, cfg_.demandMix.size());
-        for (std::uint32_t i = 0; i < nmix; ++i) {
-            const std::uint8_t m = r.u8();
-            if (m != static_cast<std::uint8_t>(cfg_.demandMix[i]))
-                fatal("cluster resume: demand mix[%u] mismatch", i);
-        }
-        const std::uint32_t done = r.u32();
-        if (done == 0 || done > cuts.size())
+        check(got.numServers == want.numServers, "number of servers");
+        check(got.policy == want.policy, "policy");
+        check(got.capW == want.capW, "cap");
+        check(got.coordEpoch == want.coordEpoch, "coordination epoch");
+        check(got.seed == want.seed, "fleet seed");
+        check(got.horizon == want.horizon, "horizon");
+        check(got.epochLen == want.epochLen, "server epoch length");
+        check(got.weights == want.weights, "fairness weights");
+        check(got.rateScale == want.rateScale, "rate scales");
+        check(got.demandMix == want.demandMix, "demand mixes");
+        if (got.epochsDone == 0 || got.epochsDone > cuts.size())
             fatal("cluster resume: snapshot epoch cursor %u out of "
                   "range (run has %zu cuts)",
-                  done, cuts.size());
-        e0 = done;
-        for (std::uint32_t k = 0; k < n; ++k) {
-            tele[k] = restoreTelemetry(r);
-            prev_energy[k] = r.f64();
-            chain[k] =
-                serverSnapshotPath(cfg_.snapshot.resumePath, k);
-        }
-        rows.resize(r.u32());
-        for (FleetEpochRow &row : rows)
-            row = restoreRow(r);
+                  got.epochsDone, cuts.size());
+        e0 = got.epochsDone;
+        tele = got.tele;
+        prev_energy = got.energy;
+        rows = got.rows;
     }
 
     if (cfg_.snapshot.atEpoch > 0) {
@@ -398,8 +388,21 @@ ClusterHarness::run()
                   cfg_.snapshot.atEpoch, e0);
     }
 
+    // N live servers, built once (or resumed from their per-server
+    // snapshots) and stepped epoch by epoch.  Each is touched by one
+    // sweep worker at a time; results are keyed by server index, so
+    // the outcome is bit-identical at any --jobs.
     SweepEngine eng(cfg_.jobs);
-    std::vector<RunResult> results(n);
+    std::vector<std::unique_ptr<Policy>> policies(n);
+    std::vector<std::unique_ptr<System>> servers(n);
+    eng.forEach(n, [&](std::size_t k) {
+        SystemConfig c = serverConfig(static_cast<std::uint32_t>(k));
+        if (e0 > 0)
+            c.snapshot.resumePath =
+                serverSnapshotPath(cfg_.snapshot.resumePath, k);
+        policies[k] = makePolicy(cfg_.policy);
+        servers[k] = std::make_unique<System>(c, *policies[k]);
+    });
     FleetResult out;
 
     for (std::size_t e = e0; e < num_epochs; ++e) {
@@ -431,40 +434,26 @@ ClusterHarness::run()
         const bool fleet_cut = cfg_.snapshot.atEpoch > 0 &&
                                e + 1 == cfg_.snapshot.atEpoch;
 
-        std::vector<SystemConfig> scfgs(n);
-        for (std::uint32_t k = 0; k < n; ++k) {
-            SystemConfig c = serverConfig(k);
-            c.powerCapW =
-                alloc.budgetW.empty() ? 0.0 : alloc.budgetW[k];
-            c.snapshot.resumePath = chain[k];
-            if (e < cuts.size()) {
-                c.snapshot.at = cuts[e];
-                c.snapshot.stopAfter = true;
-                c.snapshot.out =
-                    fleet_cut
-                        ? serverSnapshotPath(cfg_.snapshot.out, k)
-                        : cfg_.scratchDir + "/fleet_s" +
-                              std::to_string(k) + "_e" +
-                              std::to_string(e);
-            }
-            scfgs[k] = c;
-        }
-
-        // One shard per server, fanned out across the sweep pool.
-        // Results and telemetry are keyed by server index, so the
-        // outcome is bit-identical at any --jobs.
         std::vector<ServerTelemetry> new_tele(n);
         eng.forEach(n, [&](std::size_t k) {
-            auto p = makePolicy(cfg_.policy);
-            System sys(scfgs[k], *p);
-            results[k] = sys.run();
+            System &sys = *servers[k];
+            sys.setPowerCap(alloc.budgetW.empty() ? 0.0
+                                                  : alloc.budgetW[k]);
+            sys.advance(end);
+            if (e < cuts.size() && sys.now() != end)
+                fatal("cluster: server %zu stopped at %0.3f ms, short "
+                      "of the epoch cut at %0.3f ms",
+                      k, tickToMs(sys.now()), tickToMs(end));
+            if (fleet_cut)
+                sys.checkpoint(serverSnapshotPath(cfg_.snapshot.out, k));
+            const SystemTelemetry st = sys.telemetry();
+            obsP99Us_[k] = st.serving.p99Us;
             ServerTelemetry t;
             t.valid = true;
-            t.measuredW =
-                (results[k].energy.total() - prev_energy[k]) /
-                dt_sec;
+            t.measuredW = (st.energy.total() - prev_energy[k]) / dt_sec;
+            prev_energy[k] = st.energy.total();
             const auto *fc =
-                dynamic_cast<const FastCapPolicy *>(p.get());
+                dynamic_cast<const FastCapPolicy *>(policies[k].get());
             if (fc != nullptr && fc->telemetry().valid) {
                 t.demandW = fc->telemetry().demandW;
                 t.minW = fc->telemetry().minW;
@@ -474,8 +463,6 @@ ClusterHarness::run()
                 // the coordinator still splits the budget, the server
                 // just won't honour it.
                 t.demandW = t.measuredW;
-                t.minW = 0.0;
-                t.slowdown = 1.0;
             }
             new_tele[k] = t;
         });
@@ -487,14 +474,6 @@ ClusterHarness::run()
         row.budgetW = alloc.budgetW;
         row.allocFeasible = alloc.feasible;
         for (std::uint32_t k = 0; k < n; ++k) {
-            if (e < cuts.size()) {
-                if (!results[k].stoppedAtCheckpoint)
-                    fatal("cluster: server %u ran past the epoch cut "
-                          "at %0.3f ms",
-                          k, tickToMs(cuts[e]));
-                chain[k] = results[k].checkpointsWritten.back();
-            }
-            prev_energy[k] = results[k].energy.total();
             row.measuredW.push_back(new_tele[k].measuredW);
             row.fleetW += new_tele[k].measuredW;
         }
@@ -511,37 +490,17 @@ ClusterHarness::run()
             obsBudgetW_[k] =
                 row.budgetW.empty() ? 0.0 : row.budgetW[k];
             obsPowerW_[k] = row.measuredW[k];
-            obsP99Us_[k] = results[k].serving.p99Us;
             obsSlowdown_[k] = new_tele[k].slowdown;
         }
 
         if (fleet_cut) {
+            FleetSection f = fleetFingerprint(cfg_);
+            f.epochsDone = static_cast<std::uint32_t>(e + 1);
+            f.tele = tele;
+            f.energy = prev_energy;
+            f.rows = rows;
             SnapshotWriter sw;
-            SectionWriter &w = sw.section("cluster");
-            w.u32(n);
-            w.str(cfg_.policy);
-            w.f64(cfg_.capW);
-            w.u64(cfg_.coordEpoch);
-            w.u64(cfg_.server.seed);
-            w.u64(horizon);
-            w.u64(cfg_.server.epochLen);
-            w.u32(static_cast<std::uint32_t>(cfg_.weights.size()));
-            for (double v : cfg_.weights)
-                w.f64(v);
-            w.u32(static_cast<std::uint32_t>(cfg_.rateScale.size()));
-            for (double v : cfg_.rateScale)
-                w.f64(v);
-            w.u32(static_cast<std::uint32_t>(cfg_.demandMix.size()));
-            for (DemandMix m : cfg_.demandMix)
-                w.u8(static_cast<std::uint8_t>(m));
-            w.u32(static_cast<std::uint32_t>(e + 1));
-            for (std::uint32_t k = 0; k < n; ++k) {
-                saveTelemetry(w, tele[k]);
-                w.f64(prev_energy[k]);
-            }
-            w.u32(static_cast<std::uint32_t>(rows.size()));
-            for (const FleetEpochRow &rw : rows)
-                saveRow(w, rw);
+            transfer(f, SaveIO{sw.section("cluster")});
             sw.writeFile(cfg_.snapshot.out);
             out.fleetSnapshotPath = cfg_.snapshot.out;
             if (cfg_.snapshot.stopAfter) {
@@ -551,7 +510,9 @@ ClusterHarness::run()
         }
     }
 
-    out.servers = results;
+    out.servers = eng.map<RunResult>(
+        n, [&](std::size_t k) { return servers[k]->finish(); });
+    const std::vector<RunResult> &results = out.servers;
     out.epochs = rows;
     std::uint64_t h = fleetHashSeed;
     for (const RunResult &r : results)

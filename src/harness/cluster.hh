@@ -3,21 +3,20 @@
  * Fleet simulator: N server instances under a shared rack/PDU power
  * budget, coordinated by a FastCap-style budget divider.
  *
- * Each server is a full System with its own open-loop serving front
+ * Each server is a live System with its own open-loop serving front
  * end, seeded independently via splitmix64 stream derivation
  * (deriveSeed(fleetSeed, k) depends only on the server index, so
- * server k's stream never changes when the fleet grows).  Time
- * advances in lockstep coordination epochs over the PR 5 checkpoint
- * chain: every epoch each server runs one shard (resume previous cut,
- * checkpoint at the next boundary) fanned out across the SweepEngine,
- * then the Coordinator divides the fleet budget for the *next* epoch
- * from the telemetry the shards just reported — stale by exactly one
- * epoch, as a real out-of-band controller would see it.
+ * server k's stream never changes when the fleet grows).  Servers
+ * advance in lockstep coordination epochs, fanned out across the
+ * SweepEngine; after each epoch the Coordinator reads every server's
+ * telemetry and divides the fleet budget for the *next* epoch — stale
+ * by exactly one epoch, as a real out-of-band controller would see it.
  *
  * Fleets cut and resume bit-identically: a fleet snapshot is a
  * container with a "cluster" section (config fingerprint, epoch
  * cursor, telemetry, per-epoch power rows) next to one ordinary
- * per-server snapshot file per server (`<out>.server<k>`).
+ * per-server snapshot file per server (`<out>.server<k>`).  Files are
+ * written only for such an explicit cut.
  */
 
 #ifndef MEMSCALE_HARNESS_CLUSTER_HH
@@ -108,7 +107,7 @@ struct ClusterConfig
     /** Demand-mix override per server, cycled (empty = template's). */
     std::vector<DemandMix> demandMix;
 
-    /** Scratch directory for the per-server checkpoint chains. */
+    /** Ignored: servers stay in memory.  Kept for old callers. */
     std::string scratchDir;
 
     /** Sweep parallelism across servers (0 = hardware default). */

@@ -8,10 +8,10 @@
 #ifndef MEMSCALE_HARNESS_SYSTEM_HH
 #define MEMSCALE_HARNESS_SYSTEM_HH
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "check/protocol_checker.hh"
 #include "common/types.hh"
@@ -55,10 +55,9 @@ struct SystemConfig
 
     /**
      * Server power budget in Watts handed to cap-aware policies
-     * (fastcap); 0 means uncapped.  A runtime knob like threads or
-     * jobs: the cluster coordinator re-assigns it every coordination
-     * epoch, so it is deliberately NOT part of the snapshot
-     * fingerprint — a resumed shard may carry a different budget.
+     * (fastcap); 0 means uncapped.  The initial value of a runtime
+     * knob (System::setPowerCap), so it is deliberately NOT part of
+     * the snapshot fingerprint.
      */
     Watts powerCapW = 0.0;
 
@@ -224,17 +223,106 @@ struct SnapshotMeta
 /** Parse a snapshot file's meta block (fatal on unreadable files). */
 SnapshotMeta readSnapshotMeta(const std::string &path);
 
+/** What finish() would report at the current tick (System::telemetry). */
+struct SystemTelemetry
+{
+    EnergyBreakdown energy;
+    /** Serving runs only (valid is false otherwise). */
+    ServingStats serving;
+};
+
+class Core;
+class MemoryController;
+class StatRegistry;
+class SweepEngine;
+class SyntheticTraceSource;
+class WeaveHub;
+
+/**
+ * One simulated server, built once and then stepped.  The constructor
+ * wires every component, or rebuilds them from
+ * cfg.snapshot.resumePath; advance() runs the event queue forward;
+ * finish() closes the energy integral and collects the RunResult.
+ * advance() stops on an EvEphemeral Sample-class event, the same
+ * mechanism as a checkpoint cut, so a stepped run is bit-identical to
+ * an uninterrupted one.
+ */
 class System
 {
   public:
     System(const SystemConfig &cfg, Policy &policy);
+    ~System();
+    System(const System &) = delete;
+    System &operator=(const System &) = delete;
 
-    /** Run the mix to completion and collect results. */
+    /** Run the mix to completion: advance(maxSimTime), then finish(). */
     RunResult run();
 
+    /**
+     * Run events up to tick `until`: those already pending at `until`
+     * run, those scheduled later at `until` wait for the next call.
+     * Returns early when the workload finishes, a stop-after
+     * checkpoint fires or maxSimTime passes; a no-op after that.
+     */
+    void advance(Tick until);
+
+    /** Re-assign the budget cap-aware policies read (0 = uncapped). */
+    void setPowerCap(Watts w);
+
+    /**
+     * Pure read of the energy and serving stats finish() would report
+     * now.  The open interval is integrated into copies: committing
+     * it would split the energy integral at every read and change its
+     * floating-point rounding.
+     */
+    SystemTelemetry telemetry();
+
+    /** Write a checkpoint of the current state to `path`. */
+    void checkpoint(const std::string &path);
+
+    /** Close the final interval and collect results (ends the run). */
+    RunResult finish();
+
+    Tick now() const { return eq_.now(); }
+
   private:
+    void restore();
+    void accrue(SystemEnergyIntegrator &integ, std::vector<Tick> &stall,
+                const IntervalActivity &cur) const;
+    void closeInterval();
+
     SystemConfig cfg_;
     Policy &policy_;
+    PolicyContext ctx_;
+    EventQueue eq_;
+    std::unique_ptr<MemoryController> mc_;
+    std::unique_ptr<SweepEngine> weaveEngine_;
+    std::unique_ptr<WeaveHub> weaveHub_;
+    std::unique_ptr<StatRegistry> registry_;
+    std::shared_ptr<EpochRecorder> recorder_;
+    std::unique_ptr<ProtocolChecker> checker_;
+
+    // Energy integration: the interval open since lastSample_.
+    // lastStall_ holds each core's stall time (closed loop) or each
+    // serving worker's busy time at lastSample_.
+    SystemEnergyIntegrator integrator_;
+    IntervalActivity last_;
+    Tick lastSample_ = 0;
+    std::vector<Tick> lastStall_;
+
+    std::vector<AppProfile> profiles_;
+    std::vector<std::unique_ptr<SyntheticTraceSource>> sources_;
+    std::vector<std::unique_ptr<Core>> cores_;
+    std::unique_ptr<ServingFrontEnd> fe_;
+    std::unique_ptr<EpochController> epochs_;
+
+    /** Where the run stands; advance() only moves a Running one. */
+    enum class Phase { Running, Complete, Cut, TimeLimit, Finished };
+    Phase phase_ = Phase::Running;
+    std::uint32_t done_ = 0;
+    std::vector<std::string> checkpointsWritten_;
+    std::function<void()> periodic_;
+    std::function<void()> weaveFlush_;
 };
 
 } // namespace memscale

@@ -57,6 +57,9 @@ class EpochController
     /** Epochs completed so far. */
     std::size_t epochs() const { return history_.size(); }
 
+    /** Re-assign the budget passed to cap-aware policies' decisions. */
+    void setPowerCap(Watts w) { ctx_.powerCapW = w; }
+
     /**
      * Hook fired just before the policy's CPU-clock choice is applied
      * to the cores, so energy accounting can close the interval.

@@ -68,6 +68,44 @@ EnergyBreakdown::restoreState(SectionReader &r)
 }
 
 void
+IntervalActivity::saveState(SectionWriter &w) const
+{
+    w.u64(dt);
+    w.u32(busMHz);
+    w.u32(deviceBusMHz);
+    w.u32(ranksPerChannel);
+    w.u32(numDimms);
+    w.u32(static_cast<std::uint32_t>(ranks.size()));
+    for (const RankActivity &ra : ranks)
+        ra.saveState(w);
+    w.u32(static_cast<std::uint32_t>(channelBurst.size()));
+    for (Tick t : channelBurst)
+        w.u64(t);
+    w.u32(static_cast<std::uint32_t>(channelMHz.size()));
+    for (std::uint32_t mhz : channelMHz)
+        w.u32(mhz);
+}
+
+void
+IntervalActivity::restoreState(SectionReader &r)
+{
+    dt = r.u64();
+    busMHz = r.u32();
+    deviceBusMHz = r.u32();
+    ranksPerChannel = r.u32();
+    numDimms = r.u32();
+    ranks.assign(r.u32(), RankActivity{});
+    for (RankActivity &ra : ranks)
+        ra.restoreState(r);
+    channelBurst.assign(r.u32(), 0);
+    for (Tick &t : channelBurst)
+        t = r.u64();
+    channelMHz.assign(r.u32(), 0);
+    for (std::uint32_t &mhz : channelMHz)
+        mhz = r.u32();
+}
+
+void
 SystemEnergyIntegrator::saveState(SectionWriter &w) const
 {
     total_.saveState(w);

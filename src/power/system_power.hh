@@ -85,6 +85,12 @@ struct IntervalActivity
      * means every channel runs at busMHz.
      */
     std::vector<std::uint32_t> channelMHz;
+
+    /** @name Checkpoint/restore (the harness's open-interval baseline) */
+    /// @{
+    void saveState(SectionWriter &w) const;
+    void restoreState(SectionReader &r);
+    /// @}
 };
 
 /**

@@ -11,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
 #include <string>
 #include <vector>
 
@@ -25,14 +23,6 @@ using namespace memscale;
 
 namespace
 {
-
-std::string
-scratch(const std::string &name)
-{
-    std::string dir = "/tmp/memscale_test_cluster_" + name;
-    ::mkdir(dir.c_str(), 0755);
-    return dir;
-}
 
 /** Calibrated per-server template (restWatts computed once). */
 SystemConfig
@@ -60,14 +50,13 @@ serverTemplate()
 }
 
 ClusterConfig
-fleetConfig(const std::string &name, std::uint32_t n)
+fleetConfig(std::uint32_t n)
 {
     ClusterConfig c;
     c.numServers = n;
     c.server = serverTemplate();
     c.policy = "fastcap";
     c.coordEpoch = msToTick(0.2);   // 3 epochs over the 0.6 ms horizon
-    c.scratchDir = scratch(name);
     return c;
 }
 
@@ -85,7 +74,7 @@ meanFleetW(const FleetResult &r)
 
 TEST(Cluster, ServerConfigDerivation)
 {
-    ClusterConfig c = fleetConfig("derive", 4);
+    ClusterConfig c = fleetConfig(4);
     c.rateScale = {1.0, 2.0};
     ClusterHarness h(c);
 
@@ -105,7 +94,7 @@ TEST(Cluster, ServerConfigDerivation)
     EXPECT_DOUBLE_EQ(s0.powerCapW, 0.0);
 
     // Growing the fleet re-derives the same per-server configs.
-    ClusterConfig c2 = fleetConfig("derive", 2);
+    ClusterConfig c2 = fleetConfig(2);
     c2.rateScale = c.rateScale;
     ClusterHarness h2(c2);
     EXPECT_EQ(h2.serverConfig(1).seed, s1.seed);
@@ -113,7 +102,7 @@ TEST(Cluster, ServerConfigDerivation)
 
 TEST(Cluster, RunToRunDeterminism)
 {
-    ClusterConfig c = fleetConfig("det", 2);
+    ClusterConfig c = fleetConfig(2);
     c.capW = 0.0;
     FleetResult a = ClusterHarness(c).run();
     FleetResult b = ClusterHarness(c).run();
@@ -122,6 +111,9 @@ TEST(Cluster, RunToRunDeterminism)
     ASSERT_EQ(a.epochs.size(), 3u);
     EXPECT_EQ(a.fleetHash, b.fleetHash);
     EXPECT_DOUBLE_EQ(a.fleetEnergyJ, b.fleetEnergyJ);
+    // Servers stay in memory between epochs: no checkpoint is written.
+    for (const RunResult &r : a.servers)
+        EXPECT_TRUE(r.checkpointsWritten.empty());
     for (std::size_t e = 0; e < a.epochs.size(); ++e)
         for (std::size_t k = 0; k < 2; ++k)
             EXPECT_DOUBLE_EQ(a.epochs[e].measuredW[k],
@@ -130,7 +122,7 @@ TEST(Cluster, RunToRunDeterminism)
 
 TEST(Cluster, JobsOneVsManyIdentical)
 {
-    ClusterConfig c = fleetConfig("jobs", 3);
+    ClusterConfig c = fleetConfig(3);
     // Any fixed cap works here: the property is bit-identity across
     // thread counts, binding or not.
     c.capW = 3.0 * serverTemplate().restWatts;
@@ -159,8 +151,8 @@ TEST(Cluster, ServerStreamsIndependentOfFleetSize)
     // budgets and no coupling, so their results must be bit-identical
     // across the two fleet sizes — the index-only seed-derivation
     // property that makes fleet scaling experiments comparable.
-    ClusterConfig c2 = fleetConfig("grow2", 2);
-    ClusterConfig c4 = fleetConfig("grow4", 4);
+    ClusterConfig c2 = fleetConfig(2);
+    ClusterConfig c4 = fleetConfig(4);
     FleetResult small = ClusterHarness(c2).run();
     FleetResult big = ClusterHarness(c4).run();
 
@@ -174,7 +166,7 @@ TEST(Cluster, ServerStreamsIndependentOfFleetSize)
 
 TEST(Cluster, ObsPrefixesPerServer)
 {
-    ClusterConfig c = fleetConfig("obs", 4);
+    ClusterConfig c = fleetConfig(4);
     ClusterHarness h(c);
     StatRegistry reg;
     h.registerStats(reg);
@@ -202,17 +194,17 @@ TEST(Cluster, CoordinatedCapMetWhereUncoordinatedViolates)
     // uncoordinated memscale fleet naturally draws.  The cap-aware
     // fastcap coordinator fits budgets and measured power under the
     // cap every epoch; memscale ignores the budgets and violates it.
-    ClusterConfig probe = fleetConfig("probe", 3);
+    ClusterConfig probe = fleetConfig(3);
     probe.capW = 0.0;
     probe.policy = "memscale";
     FleetResult uncapped = ClusterHarness(probe).run();
     const Watts cap = 0.95 * meanFleetW(uncapped);
 
-    ClusterConfig coord = fleetConfig("coord", 3);
+    ClusterConfig coord = fleetConfig(3);
     coord.capW = cap;
     FleetResult fast = ClusterHarness(coord).run();
 
-    ClusterConfig naive = fleetConfig("naive", 3);
+    ClusterConfig naive = fleetConfig(3);
     naive.capW = cap;
     naive.policy = "memscale";
     FleetResult mem = ClusterHarness(naive).run();
@@ -242,12 +234,12 @@ TEST(Cluster, CoordinatedCapMetWhereUncoordinatedViolates)
 
 TEST(Cluster, HeterogeneousFleetStaysFair)
 {
-    ClusterConfig probe = fleetConfig("fairprobe", 3);
+    ClusterConfig probe = fleetConfig(3);
     probe.rateScale = {0.5, 1.0, 2.0};
     probe.capW = 0.0;
     FleetResult uncapped = ClusterHarness(probe).run();
 
-    ClusterConfig c = fleetConfig("fair", 3);
+    ClusterConfig c = fleetConfig(3);
     c.rateScale = probe.rateScale;
     c.capW = 0.85 * meanFleetW(uncapped);
     FleetResult r = ClusterHarness(c).run();
@@ -260,11 +252,11 @@ TEST(Cluster, HeterogeneousFleetStaysFair)
 
 TEST(Cluster, WeightsTiltBudgets)
 {
-    ClusterConfig probe = fleetConfig("weightprobe", 2);
+    ClusterConfig probe = fleetConfig(2);
     probe.capW = 0.0;
     FleetResult uncapped = ClusterHarness(probe).run();
 
-    ClusterConfig c = fleetConfig("weights", 2);
+    ClusterConfig c = fleetConfig(2);
     c.weights = {1.0, 3.0};
     c.capW = 0.8 * meanFleetW(uncapped);
     FleetResult r = ClusterHarness(c).run();

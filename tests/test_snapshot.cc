@@ -26,8 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -98,15 +96,18 @@ struct EquivOutcome
     Tick cut = 0;
     std::uint64_t fullHash = 0;
     std::uint64_t shardedHash = 0;
+    std::uint64_t steppedHash = 0;
     bool fieldsEqual = false;
     bool csvEqual = false;
 };
 
 /**
  * Cut one (mix, policy) run at a seeded-fuzz mid-run tick, resume it
- * from the snapshot, and collect every equivalence signal.  `salt`
- * varies the cut per case so the matrix probes many different resume
- * points, while staying fully deterministic.
+ * from the snapshot, and collect every equivalence signal.  The same
+ * tick also splits a stepped run: one System advanced to the cut, read
+ * through telemetry(), then advanced to the end.  `salt` varies the
+ * cut per case so the matrix probes many different resume points,
+ * while staying fully deterministic.
  */
 EquivOutcome
 checkResume(const SystemConfig &base, const std::string &policy,
@@ -128,16 +129,41 @@ checkResume(const SystemConfig &base, const std::string &policy,
         runPolicySharded(cfg, policy, kRestWatts, {cut}, prefix);
     removeShards(prefix, 1);
 
+    SystemConfig scfg = cfg;
+    scfg.restWatts = kRestWatts;
+    auto p = makePolicy(policy);
+    System sys(scfg, *p);
+    sys.advance(cut);
+    sys.telemetry();
+    sys.advance(scfg.maxSimTime);
+    const RunResult stepped = sys.finish();
+
     EquivOutcome out;
     out.label = cfg.mixName + "/" + policy;
     out.cut = cut;
     out.fullHash = hashRunResult(full);
     out.shardedHash = hashRunResult(sharded);
-    out.fieldsEqual =
-        flattenRunResult(full) == flattenRunResult(sharded);
-    out.csvEqual = full.obs && sharded.obs &&
-                   full.obs->toCsv() == sharded.obs->toCsv();
+    out.steppedHash = hashRunResult(stepped);
+    const auto fields = flattenRunResult(full);
+    out.fieldsEqual = fields == flattenRunResult(sharded) &&
+                      fields == flattenRunResult(stepped);
+    out.csvEqual = full.obs && sharded.obs && stepped.obs &&
+                   full.obs->toCsv() == sharded.obs->toCsv() &&
+                   full.obs->toCsv() == stepped.obs->toCsv();
     return out;
+}
+
+void
+expectEquivalent(const std::vector<EquivOutcome> &outs)
+{
+    for (const EquivOutcome &o : outs) {
+        EXPECT_EQ(o.shardedHash, o.fullHash)
+            << o.label << " cut@" << o.cut;
+        EXPECT_EQ(o.steppedHash, o.fullHash)
+            << o.label << " stepped@" << o.cut;
+        EXPECT_TRUE(o.fieldsEqual) << o.label << " cut@" << o.cut;
+        EXPECT_TRUE(o.csvEqual) << o.label << " cut@" << o.cut;
+    }
 }
 
 } // namespace
@@ -309,12 +335,7 @@ TEST(ResumeEquivalence, AllMixesMidRunCheckpoint)
             return checkResume(snapConfig(mixes[i].name), "memscale",
                                i);
         });
-    for (const EquivOutcome &o : outs) {
-        EXPECT_EQ(o.shardedHash, o.fullHash)
-            << o.label << " cut@" << o.cut;
-        EXPECT_TRUE(o.fieldsEqual) << o.label << " cut@" << o.cut;
-        EXPECT_TRUE(o.csvEqual) << o.label << " cut@" << o.cut;
-    }
+    expectEquivalent(outs);
 }
 
 TEST(ResumeEquivalence, AllPoliciesMidRunCheckpoint)
@@ -331,12 +352,7 @@ TEST(ResumeEquivalence, AllPoliciesMidRunCheckpoint)
             return checkResume(snapConfig("MID3"), policies[i],
                                100 + i);
         });
-    for (const EquivOutcome &o : outs) {
-        EXPECT_EQ(o.shardedHash, o.fullHash)
-            << o.label << " cut@" << o.cut;
-        EXPECT_TRUE(o.fieldsEqual) << o.label << " cut@" << o.cut;
-        EXPECT_TRUE(o.csvEqual) << o.label << " cut@" << o.cut;
-    }
+    expectEquivalent(outs);
 }
 
 namespace
@@ -384,12 +400,7 @@ TEST(ResumeEquivalence, ServingMidRunCheckpoint)
                           arrivalKindName(cases[i].first);
             return checkResume(cfg, cases[i].second, 500 + i);
         });
-    for (const EquivOutcome &o : outs) {
-        EXPECT_EQ(o.shardedHash, o.fullHash)
-            << o.label << " cut@" << o.cut;
-        EXPECT_TRUE(o.fieldsEqual) << o.label << " cut@" << o.cut;
-        EXPECT_TRUE(o.csvEqual) << o.label << " cut@" << o.cut;
-    }
+    expectEquivalent(outs);
 }
 
 TEST(ResumeEquivalence, ServingBurstyChainOfCuts)
@@ -881,8 +892,6 @@ TEST(ResumeEquivalence, FleetMidRunCutAndResume)
     base.policy = "fastcap";
     base.capW = 320.0;   // binding or not, budgets must replay exactly
     base.coordEpoch = msToTick(0.1);   // 5 epochs over the 0.5 ms run
-    base.scratchDir = "/tmp/memscale_test_snapshot_fleet";
-    ::mkdir(base.scratchDir.c_str(), 0755);
 
     FleetResult full = ClusterHarness(base).run();
     ASSERT_EQ(full.epochs.size(), 5u);
@@ -951,8 +960,6 @@ TEST(ResumeEquivalence, FleetResumeRejectsMismatchedConfig)
     base.policy = "fastcap";
     base.capW = 320.0;
     base.coordEpoch = msToTick(0.1);
-    base.scratchDir = "/tmp/memscale_test_snapshot_fleet";
-    ::mkdir(base.scratchDir.c_str(), 0755);
 
     const std::string path = scratch("fleet_mismatch");
     ClusterConfig head_cfg = base;
