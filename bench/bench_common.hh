@@ -50,11 +50,6 @@ benchConfig(int argc, char **argv, Config *out_conf = nullptr)
     cfg.memPowerFraction = conf.getDouble("memfrac", 0.40);
     cfg.power.proportionality = conf.getDouble("proportionality", 0.5);
     cfg.seed = static_cast<std::uint64_t>(conf.getInt("seed", 12345));
-    // Bound/weave kernel: `threads=N` / `--threads N` runs each
-    // simulation's per-channel weave work on N workers (distinct from
-    // jobs=, which parallelizes *across* independent runs).  Results
-    // are bit-identical at any thread count.
-    cfg.threads = checkedJobs(conf.getInt("threads", 1));
     // Observability rides along whenever an export was requested
     // (`--trace-out f.json`, `--stats-out f.csv`, or observe=1); the
     // recording path never changes simulation results.

@@ -20,7 +20,6 @@
 #include "mem/controller.hh"
 #include "memscale/policies/policy.hh"
 #include "sim/event_queue.hh"
-#include "sim/weave.hh"
 #include "workload/mixes.hh"
 #include "workload/openloop.hh"
 #include "workload/trace_source.hh"
@@ -241,49 +240,14 @@ BM_FullSystem(benchmark::State &state)
 BENCHMARK(BM_FullSystem);
 
 /**
- * End-to-end run under the bound/weave kernel on an 8-channel system;
- * the thread-count argument is the ISSUE's speedup gate (serial vs 4
- * workers).  Results are bit-identical at every arg by construction
- * (test_parallel_kernel pins it); only wall-clock should move.
+ * Request service on one channel's worth of traffic with the protocol
+ * checker attached, so every DRAM command is validated inline as it
+ * issues: the per-request cost of a protocolCheck run.
  */
-void
-BM_FullSystemThreads(benchmark::State &state)
-{
-    SystemConfig cfg;
-    cfg.mixName = "MID1";
-    cfg.instrBudget = 100000;
-    cfg.epochLen = msToTick(0.25);
-    cfg.profileLen = usToTick(25.0);
-    cfg.mem.numChannels = 8;
-    cfg.threads = static_cast<unsigned>(state.range(0));
-    std::uint64_t cores = 0;
-    for (auto _ : state) {
-        auto policy = makePolicy("memscale");
-        System sys(cfg, *policy);
-        RunResult r = sys.run();
-        cores = r.coreCpi.size();
-        benchmark::DoNotOptimize(r.runtime);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(cfg.instrBudget * cores));
-}
-BENCHMARK(BM_FullSystemThreads)->Arg(1)->Arg(4);
-
-/**
- * The two phases of the weave kernel in isolation, on one channel's
- * worth of traffic with the protocol checker attached (the dominant
- * deferred consumer).  BoundPhase times request service with command
- * validation deferred into the weave shards (draining them untimed);
- * WeavePhase times only the shard drain (replay into the checker +
- * rank-residency integration), i.e. the work a barrier hands to each
- * worker.  Together they bound the per-channel parallel speedup the
- * full-system numbers can reach.
- */
-constexpr int kWeaveBenchRequests = 5000;
+constexpr int kCheckedRequests = 5000;
 
 void
-weavePhases(benchmark::State &state, bool time_bound)
+BM_ChannelChecked(benchmark::State &state)
 {
     for (auto _ : state) {
         state.PauseTiming();
@@ -292,45 +256,18 @@ weavePhases(benchmark::State &state, bool time_bound)
         MemoryController mc(eq, cfg);
         ProtocolChecker checker(false);
         mc.setCommandObserver(&checker);
-        WeaveHub hub;
-        mc.attachWeave(&hub);
         std::uint64_t done = 0;
         FnClient client([&done](Tick) { ++done; });
-        auto bound = [&] {
-            for (int i = 0; i < kWeaveBenchRequests; ++i)
-                mc.read(static_cast<Addr>(i) * 64 * 97, 0, &client);
-            eq.runUntil();
-        };
-        if (time_bound) {
-            state.ResumeTiming();
-            bound();
-            state.PauseTiming();
-            hub.barrier();
-            state.ResumeTiming();
-        } else {
-            bound();
-            state.ResumeTiming();
-            hub.barrier();
-            benchmark::DoNotOptimize(checker.commandsChecked());
-        }
+        state.ResumeTiming();
+        for (int i = 0; i < kCheckedRequests; ++i)
+            mc.read(static_cast<Addr>(i) * 64 * 97, 0, &client);
+        eq.runUntil();
+        benchmark::DoNotOptimize(checker.commandsChecked());
         benchmark::DoNotOptimize(done);
     }
-    state.SetItemsProcessed(state.iterations() * kWeaveBenchRequests);
+    state.SetItemsProcessed(state.iterations() * kCheckedRequests);
 }
-
-void
-BM_BoundPhase(benchmark::State &state)
-{
-    weavePhases(state, true);
-}
-BENCHMARK(BM_BoundPhase);
-
-void
-BM_WeavePhase(benchmark::State &state)
-{
-    weavePhases(state, false);
-}
-BENCHMARK(BM_WeavePhase);
+BENCHMARK(BM_ChannelChecked);
 
 } // namespace
 

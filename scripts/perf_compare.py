@@ -24,12 +24,6 @@ shift results by 10-20% — so the report flags the mismatch loudly.
 --report-only prints the comparison but always exits 0 (the CI perf
 smoke step runs in this mode: visibility without flakiness).
 
-Parameterized benchmarks are keyed by their full run name, so the
-bound/weave kernel's thread-count sweep (BM_FullSystemThreads/1,
-BM_FullSystemThreads/4, ...) gets an independent baseline entry per
-thread count — a regression in the parallel path can't hide behind a
-fast serial run or vice versa.
-
 Regenerating the baseline after an intentional perf change (the perf
 analogue of MEMSCALE_REGEN_GOLDENS, see README "Validating a change"):
 

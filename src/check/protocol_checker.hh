@@ -63,12 +63,7 @@ class ProtocolChecker : public CommandObserver
 
     /**
      * Validate one command.  All mutable state is per-channel
-     * (ev.channel selects the shard), so the weave kernel may invoke
-     * this concurrently from different channels' drain workers; the
-     * per-channel replay order equals the serial delivery order, so
-     * every verdict and tally is identical to a serial run.  The
-     * channel slot must already exist (onTimingChange pre-sizes it at
-     * observer attach) — concurrent first-touch resizing would race.
+     * (ev.channel selects the slot).
      */
     void onCommand(const DramCmdEvent &ev) override;
     void onTimingChange(std::uint32_t channel, Tick effective,
@@ -179,7 +174,10 @@ class ProtocolChecker : public CommandObserver
         Tick lastBurstEnd = 0;
         std::vector<RankState> ranks;
 
-        /** @name Tallies — per channel so drain workers never race. */
+        /**
+         * @name Tallies.  Kept per channel because the `checker`
+         * snapshot section stores them channel by channel.
+         */
         /// @{
         std::uint64_t violations = 0;
         std::uint64_t commands = 0;

@@ -33,61 +33,9 @@ Core::start()
 }
 
 void
-Core::setPrefetch(std::size_t chunks)
-{
-    prefetchDepth_ = chunks;
-    prefetch_.clear();
-    prefetchHead_ = 0;
-    if (chunks > 0)
-        prefetch_.reserve(chunks);
-}
-
-void
-Core::refillPrefetch()
-{
-    if (prefetchDepth_ == 0 || srcExhausted_)
-        return;
-    if (prefetchHead_ > 0) {
-        prefetch_.erase(prefetch_.begin(),
-                        prefetch_.begin() +
-                            static_cast<std::ptrdiff_t>(prefetchHead_));
-        prefetchHead_ = 0;
-    }
-    while (prefetch_.size() < prefetchDepth_) {
-        TraceChunk c;
-        if (!source_.next(c)) {
-            srcExhausted_ = true;
-            break;
-        }
-        prefetch_.push_back(c);
-    }
-}
-
-bool
-Core::nextChunk()
-{
-    if (prefetchDepth_ == 0)
-        return source_.next(chunk_);
-    // FIFO first, then inline fallback between barriers; either way
-    // the chunks are consumed in exact generation order, and the
-    // exhaustion point lands on the same chunk index as a serial run.
-    if (prefetchHead_ < prefetch_.size()) {
-        chunk_ = prefetch_[prefetchHead_++];
-        return true;
-    }
-    if (srcExhausted_)
-        return false;
-    if (!source_.next(chunk_)) {
-        srcExhausted_ = true;
-        return false;
-    }
-    return true;
-}
-
-void
 Core::beginChunk()
 {
-    if (!nextChunk()) {
+    if (!source_.next(chunk_)) {
         halted_ = true;
         if (doneAt_ == MaxTick) {
             doneAt_ = eq_.now();

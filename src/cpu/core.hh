@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "common/types.hh"
 #include "cpu/sampler.hh"
@@ -86,27 +85,6 @@ class Core final : public MemClient, public CpuSampler
     /** Callback fired when the instruction budget is reached. */
     void setOnDone(std::function<void()> fn) { onDone_ = std::move(fn); }
 
-    /**
-     * @name Trace prefetch (bound/weave kernel).
-     *
-     * Trace generation is libm-heavy (exponential inter-miss gaps)
-     * and consumed strictly in sequence, so a weave worker can run
-     * the generator ahead of the core: refillPrefetch() — registered
-     * as a hub task — tops up a per-core FIFO of up to `chunks`
-     * entries, and beginChunk() pops from it, falling back to inline
-     * generation when the FIFO runs dry between barriers.  The
-     * consumed chunk sequence (and its exhaustion point) is identical
-     * to serial generation, so results are bit-identical.  Must stay
-     * disabled when checkpointing: the source RNG would be ahead of
-     * the consumption point, changing the snapshot.
-     */
-    /// @{
-    void setPrefetch(std::size_t chunks);
-
-    /** Top up the FIFO from the trace source (weave worker). */
-    void refillPrefetch();
-    /// @}
-
     /** @name Checkpoint/restore */
     /// @{
     void saveState(SectionWriter &w) const;
@@ -118,7 +96,6 @@ class Core final : public MemClient, public CpuSampler
 
   private:
     void beginChunk();
-    bool nextChunk();
     void issueMiss();
 
     EventQueue &eq_;
@@ -143,11 +120,6 @@ class Core final : public MemClient, public CpuSampler
     Tick startedAt_ = 0;
     Tick doneAt_ = MaxTick;
     std::function<void()> onDone_;
-
-    std::size_t prefetchDepth_ = 0;      ///< 0 = prefetch off
-    std::vector<TraceChunk> prefetch_;   ///< FIFO buffer
-    std::size_t prefetchHead_ = 0;       ///< consumed prefix
-    bool srcExhausted_ = false;          ///< source_.next returned false
 };
 
 } // namespace memscale

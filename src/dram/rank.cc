@@ -154,10 +154,6 @@ RankActivity::restoreState(SectionReader &r)
 void
 Rank::saveState(SectionWriter &w) const
 {
-    if (!deferLog_.empty())
-        panic("Rank: saveState with %zu undrained deferred "
-              "transitions; weave barrier missing",
-              deferLog_.size());
     activity_.saveState(w);
     w.u64(lastUpdate_);
     w.u32(openBanks_);
@@ -187,7 +183,7 @@ Rank::restoreState(SectionReader &r)
 }
 
 void
-Rank::integrate(Tick now, std::uint32_t open_banks, RankIdleState state)
+Rank::sync(Tick now)
 {
     if (now < lastUpdate_)
         panic("Rank accounting timestamp regressed (%llu < %llu)",
@@ -198,8 +194,8 @@ Rank::integrate(Tick now, std::uint32_t open_banks, RankIdleState state)
     if (dt == 0)
         return;
     activity_.totalTime += dt;
-    if (open_banks == 0) {
-        switch (state) {
+    if (openBanks_ == 0) {
+        switch (idle_) {
           case RankIdleState::Up:
             activity_.preStandbyTime += dt;
             break;
@@ -224,7 +220,7 @@ Rank::integrate(Tick now, std::uint32_t open_banks, RankIdleState state)
             break;
         }
     } else {
-        if (state != RankIdleState::Up)
+        if (idle_ != RankIdleState::Up)
             activity_.actPowerdownTime += dt;
         else
             activity_.actStandbyTime += dt;
@@ -232,44 +228,9 @@ Rank::integrate(Tick now, std::uint32_t open_banks, RankIdleState state)
 }
 
 void
-Rank::sync(Tick now)
-{
-    integrate(now, openBanks_, idle_);
-}
-
-void
-Rank::noteTransition(Tick at)
-{
-    // Record the *pre*-transition state; the drain replays exactly
-    // the branch sync() would have taken here.
-    deferLog_.push_back({at, openBanks_, idle_});
-}
-
-void
-Rank::setDeferAccounting(bool on)
-{
-    if (!on && !deferLog_.empty())
-        panic("Rank: leaving deferred mode with %zu undrained "
-              "transitions",
-              deferLog_.size());
-    defer_ = on;
-}
-
-void
-Rank::drainDeferred()
-{
-    for (const DeferredTransition &t : deferLog_)
-        integrate(t.at, t.openBanks, t.state);
-    deferLog_.clear();
-}
-
-void
 Rank::bankOpened(Tick at)
 {
-    if (defer_)
-        noteTransition(at);
-    else
-        sync(at);
+    sync(at);
     ++openBanks_;
 }
 
@@ -278,10 +239,7 @@ Rank::bankClosed(Tick at)
 {
     if (openBanks_ == 0)
         panic("Rank: bankClosed with no open banks");
-    if (defer_)
-        noteTransition(at);
-    else
-        sync(at);
+    sync(at);
     --openBanks_;
 }
 
@@ -306,10 +264,7 @@ Rank::setIdleState(Tick at, RankIdleState s)
 {
     if (s == idle_)
         return;
-    if (defer_)
-        noteTransition(at);
-    else
-        sync(at);
+    sync(at);
     if (idle_ != RankIdleState::Up && s == RankIdleState::Up)
         ++activity_.pdExits;
     idle_ = s;
@@ -364,10 +319,6 @@ Rank::recordAct(Tick when)
 const RankActivity &
 Rank::sample(Tick now)
 {
-    if (defer_ && !deferLog_.empty())
-        panic("Rank: sample with %zu undrained deferred transitions; "
-              "weave barrier missing",
-              deferLog_.size());
     sync(now);
     return activity_;
 }
@@ -404,7 +355,6 @@ Rank::reset()
     idle_ = RankIdleState::Up;
     recentActs_ = {};
     numRecentActs_ = 0;
-    deferLog_.clear();
 }
 
 } // namespace memscale

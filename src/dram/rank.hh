@@ -17,7 +17,6 @@
 #include <cstdint>
 
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "dram/timing.hh"
@@ -152,30 +151,6 @@ class Rank
     const RankActivity &sample(Tick now);
 
     /**
-     * @name Deferred accounting (bound/weave kernel).
-     *
-     * In deferred mode the state-change notifications above still
-     * update the *live* flags immediately (openBanks_/idle state drive
-     * scheduling decisions and must stay current), but the
-     * time-in-state integration is postponed: each transition is
-     * appended to a log together with the pre-transition state, and
-     * drainDeferred() — run on a weave worker — replays the log
-     * through exactly the same attribution branches sync() would have
-     * taken.  Every bucket is an integer Tick sum, so the replay is
-     * bit-identical to inline integration regardless of when the
-     * drain happens.
-     */
-    /// @{
-    void setDeferAccounting(bool on);
-    bool deferAccounting() const { return defer_; }
-
-    /** Replay and clear the transition log (weave worker). */
-    void drainDeferred();
-
-    bool deferredEmpty() const { return deferLog_.empty(); }
-    /// @}
-
-    /**
      * Publish this rank's cumulative activity counters under `prefix`
      * (e.g. "mc0.chan1.rank0").  Registers pointers only; the
      * time-in-state values read as of the last sample() flush.
@@ -210,25 +185,12 @@ class Rank
     /// @}
 
   private:
-    /** One postponed transition: timestamp + pre-transition state. */
-    struct DeferredTransition
-    {
-        Tick at;
-        std::uint32_t openBanks;
-        RankIdleState state;
-    };
-
     void sync(Tick now);
-    void integrate(Tick now, std::uint32_t open_banks,
-                   RankIdleState state);
-    void noteTransition(Tick at);
 
     RankActivity activity_;
     Tick lastUpdate_ = 0;
     std::uint32_t openBanks_ = 0;
     RankIdleState idle_ = RankIdleState::Up;
-    bool defer_ = false;
-    std::vector<DeferredTransition> deferLog_;
 
     /**
      * Recent ACT issue times kept sorted ascending; enough history for

@@ -294,21 +294,6 @@ DifferentialHarness::kernelDiff(SystemConfig cfg,
                            fast, ref);
 }
 
-DiffReport
-DifferentialHarness::threadDiff(SystemConfig cfg,
-                                const std::string &policy,
-                                unsigned threads)
-{
-    cfg.threads = 1;
-    ComparisonResult serial = compare(cfg, policy);
-    cfg.threads = threads;
-    ComparisonResult woven = compare(cfg, policy);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "threads1v%u:", threads);
-    return diffComparisons(buf + cfg.mixName + "/" + policy, serial,
-                           woven);
-}
-
 std::vector<DiffReport>
 DifferentialHarness::sweepDiff(const std::vector<SweepCase> &cases)
 {
@@ -333,7 +318,6 @@ DifferentialHarness::runAll(const SystemConfig &cfg)
 {
     std::vector<DiffReport> reports;
     reports.push_back(kernelDiff(cfg, "memscale"));
-    reports.push_back(threadDiff(cfg, "memscale"));
     std::vector<SweepCase> cases;
     for (const char *policy : {"memscale", "fastpd"}) {
         SweepCase c;

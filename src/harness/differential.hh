@@ -92,15 +92,6 @@ class DifferentialHarness
      */
     DiffReport kernelDiff(SystemConfig cfg, const std::string &policy);
 
-    /**
-     * Run cfg under `policy` with the serial kernel (threads=1) and
-     * again under the bound/weave kernel at `threads` workers; diff.
-     * The parallel kernel's contract is bit-identity, so this is the
-     * same oracle shape as kernelDiff().
-     */
-    DiffReport threadDiff(SystemConfig cfg, const std::string &policy,
-                          unsigned threads = 4);
-
     /** compareCases() at jobs=1 vs jobs=N; one report per case. */
     std::vector<DiffReport>
     sweepDiff(const std::vector<SweepCase> &cases);

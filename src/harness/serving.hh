@@ -15,9 +15,8 @@
  *
  * Workers implement CpuSampler, so the unchanged epoch controller
  * profiles them and dynamic policies (memscale, slo) re-clock the bus
- * under open-loop load.  Everything runs on the bound thread, which
- * makes results bit-identical across `--threads` for free; all state
- * checkpoints through a dedicated "serving" snapshot section.
+ * under open-loop load.  All state checkpoints through a dedicated
+ * "serving" snapshot section.
  */
 
 #ifndef MEMSCALE_HARNESS_SERVING_HH

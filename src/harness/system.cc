@@ -5,11 +5,9 @@
 
 #include "common/log.hh"
 #include "cpu/core.hh"
-#include "harness/sweep.hh"
 #include "mem/controller.hh"
 #include "sim/event_kinds.hh"
 #include "sim/event_queue.hh"
-#include "sim/weave.hh"
 #include "snapshot/serializer.hh"
 #include "workload/mixes.hh"
 #include "workload/trace_source.hh"
@@ -164,23 +162,10 @@ System::System(const SystemConfig &cfg, Policy &policy)
     const bool resuming = !cfg_.snapshot.resumePath.empty();
     MemoryController &mc = *mc_;
 
-    // Bound/weave kernel (threads > 1): a worker pool drains the
-    // per-channel weave shards at barriers while the bound thread
-    // blocks, so worker/bound accesses are temporally disjoint.
-    const unsigned weave_threads =
-        checkedJobs(cfg_.threads == 0 ? 1 : cfg_.threads);
-    if (weave_threads > 1) {
-        weaveEngine_ = std::make_unique<SweepEngine>(weave_threads);
-        weaveHub_ = std::make_unique<WeaveHub>();
-        weaveHub_->setRunner(
-            [eng = weaveEngine_.get()](
-                std::size_t n, const std::function<void(std::size_t)> &fn) {
-                eng->forEach(n, fn);
-            });
-        // A checkpoint cut through a half-woven interval would snapshot
-        // stale channel accounting; the guard makes that loud.
-        eq_.setExportGuard([&mc] { return mc.weaveDrained(); });
-    }
+    if (cfg_.threads != 1)
+        fatal("threads=%u is not supported: each System runs "
+              "serially (parallelise across runs with jobs=)",
+              cfg_.threads);
 
     // Observability: registry + recorder exist only for observe runs;
     // both are pure readers of state the simulation maintains anyway.
@@ -200,11 +185,6 @@ System::System(const SystemConfig &cfg, Policy &policy)
             cfg_.strictCheck || ProtocolChecker::strictDefault());
         mc.setCommandObserver(checker_.get());
     }
-
-    // Attach after the observer so the checker's per-channel slots are
-    // pre-sized (serially) before any concurrent drain can touch them.
-    if (weaveHub_)
-        mc.attachWeave(weaveHub_.get());
 
     // Energy integration: close a constant-frequency interval before
     // every frequency change and once more at the end of the run.
@@ -262,22 +242,6 @@ System::System(const SystemConfig &cfg, Policy &policy)
             cores_.push_back(std::make_unique<Core>(
                 eq_, i, *sources_.back(), mc, cp));
             samplers.push_back(cores_.back().get());
-        }
-    }
-
-    // Trace pre-generation rides the weave pool too, but only when no
-    // checkpoint is in play in either direction: a prefetched source's
-    // RNG sits ahead of the consumption point, which would change what
-    // saveState() captures.
-    const bool snapshot_active =
-        !cfg_.snapshot.out.empty() || resuming ||
-        cfg_.snapshot.every > 0 || cfg_.snapshot.at > 0;
-    if (weaveHub_ && !snapshot_active) {
-        constexpr std::size_t PrefetchChunks = 64;
-        for (auto &c : cores_) {
-            Core *cp = c.get();
-            cp->setPrefetch(PrefetchChunks);
-            weaveHub_->addTask([cp] { cp->refillPrefetch(); });
         }
     }
 
@@ -373,23 +337,6 @@ System::System(const SystemConfig &cfg, Policy &policy)
                          eq_.stop();
                      },
                      EventClass::Sample, {EvEphemeral});
-    }
-
-    // Periodic weave flush: static policies never hit an epoch
-    // barrier, so without this the shards would grow for the whole
-    // run.  A barrier is behaviour-free at any bound-side point, and
-    // EvEphemeral Sample-class events shift later insertion sequences
-    // uniformly, so scheduling it cannot perturb results.
-    if (weaveHub_) {
-        const Tick flush_period =
-            std::max<Tick>(1, std::min(cfg_.epochLen, msToTick(1.0)));
-        weaveFlush_ = [this, flush_period] {
-            mc_->weaveBarrier();
-            eq_.scheduleIn(flush_period, [this] { weaveFlush_(); },
-                           EventClass::Sample, {EvEphemeral});
-        };
-        eq_.scheduleIn(flush_period, [this] { weaveFlush_(); },
-                       EventClass::Sample, {EvEphemeral});
     }
 }
 
@@ -633,11 +580,6 @@ System::telemetry()
 void
 System::checkpoint(const std::string &path)
 {
-    // Drain the weave shards before cutting: every saveState() below
-    // (and exportPending()'s guard) requires fully-integrated
-    // accounting.  MemoryController::saveState is const and cannot
-    // barrier itself.
-    mc_->weaveBarrier();
     const std::vector<PendingEvent> pend = eq_.exportPending();
     std::uint32_t relocks = 0;
     std::uint32_t refreshes = 0;

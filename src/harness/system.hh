@@ -89,15 +89,9 @@ struct SystemConfig
     KernelMode kernelMode = KernelMode::Fast;
 
     /**
-     * Bound/weave worker threads (sim/weave).  1 (the default) runs
-     * today's purely serial kernel; N > 1 keeps the global event loop
-     * serial (the "bound" phase, which fixes all timing) but defers
-     * per-channel accounting — command-stream validation, rank
-     * residency integration, trace pre-generation — to a worker pool
-     * that drains it at policy/sampling barriers (the "weave" phase).
-     * Results are bit-identical at every thread count; the goldens and
-     * the differential harness's threadDiff() pin this.  Not part of
-     * the result identity (flattenRunResult ignores it).
+     * Must be 1; any other value is fatal.  System runs serially (runs
+     * parallelise across the sweep engine's jobs= instead).  Kept only
+     * because perfbench assigns it; not part of the result identity.
      */
     unsigned threads = 1;
 
@@ -234,9 +228,7 @@ struct SystemTelemetry
 class Core;
 class MemoryController;
 class StatRegistry;
-class SweepEngine;
 class SyntheticTraceSource;
-class WeaveHub;
 
 /**
  * One simulated server, built once and then stepped.  The constructor
@@ -296,8 +288,6 @@ class System
     PolicyContext ctx_;
     EventQueue eq_;
     std::unique_ptr<MemoryController> mc_;
-    std::unique_ptr<SweepEngine> weaveEngine_;
-    std::unique_ptr<WeaveHub> weaveHub_;
     std::unique_ptr<StatRegistry> registry_;
     std::shared_ptr<EpochRecorder> recorder_;
     std::unique_ptr<ProtocolChecker> checker_;
@@ -322,7 +312,6 @@ class System
     std::uint32_t done_ = 0;
     std::vector<std::string> checkpointsWritten_;
     std::function<void()> periodic_;
-    std::function<void()> weaveFlush_;
 };
 
 } // namespace memscale

@@ -44,9 +44,6 @@ void
 Channel::setCommandObserver(CommandObserver *obs,
                             std::uint32_t chan_id)
 {
-    // Never hand buffered commands to a different (or no) observer.
-    if (weave_)
-        weaveDrain();
     obs_ = obs;
     chanId_ = chan_id;
     if (obs_)
@@ -54,47 +51,9 @@ Channel::setCommandObserver(CommandObserver *obs,
 }
 
 void
-Channel::setWeave(bool on)
-{
-    if (weave_ && !on)
-        weaveDrain();
-    weave_ = on;
-    for (Rank &rk : ranks_)
-        rk.setDeferAccounting(on);
-}
-
-void
-Channel::weaveDrain()
-{
-    if (obs_) {
-        for (const DramCmdEvent &ev : weaveCmds_)
-            obs_->onCommand(ev);
-    }
-    weaveCmds_.clear();
-    for (Rank &rk : ranks_)
-        rk.drainDeferred();
-}
-
-bool
-Channel::weaveEmpty() const
-{
-    if (!weaveCmds_.empty())
-        return false;
-    for (const Rank &rk : ranks_) {
-        if (!rk.deferredEmpty())
-            return false;
-    }
-    return true;
-}
-
-void
 Channel::emit(DramCmdEvent ev)
 {
     ev.channel = chanId_;
-    if (weave_) {
-        weaveCmds_.push_back(ev);
-        return;
-    }
     obs_->onCommand(ev);
 }
 
@@ -673,14 +632,8 @@ Channel::applyFrequency(const TimingParams &tp)
 
     tp_ = tp;
     if (obs_) {
-        // The observer learns about the new timing immediately (it is
-        // not a replayable command), so the Relock must reach it first
-        // to preserve the serial stream order: drain anything buffered
-        // and announce both directly.  applyFrequency runs on the
-        // bound thread with no weave workers in flight, so the inline
-        // drain is race-free.
-        if (weave_)
-            weaveDrain();
+        // Announce the re-lock window, then the timing that takes
+        // effect at its end.
         DramCmdEvent ev;
         ev.cmd = DramCmd::Relock;
         ev.at = quiesce;
@@ -795,10 +748,6 @@ Channel::rebuildEvent(std::uint32_t kind, std::uint64_t a,
 void
 Channel::saveState(SectionWriter &w) const
 {
-    if (!weaveCmds_.empty())
-        panic("Channel %u: saveState with %zu unreplayed commands; "
-              "weave barrier missing",
-              id_, weaveCmds_.size());
     counters_.saveState(w);
     tp_.saveState(w);
     w.u64(ranks_.size());

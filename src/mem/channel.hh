@@ -96,30 +96,6 @@ class Channel
     void setCommandObserver(CommandObserver *obs,
                             std::uint32_t chan_id);
 
-    /**
-     * @name Bound/weave accounting shard.
-     *
-     * With weave mode on, observer announcements are appended to a
-     * per-channel command shard instead of being delivered inline,
-     * and the ranks defer their time-in-state integration; both are
-     * replayed in emission order by weaveDrain(), which the
-     * controller registers as this channel's weave task.  Shards of
-     * different channels are disjoint, so all channels can drain
-     * concurrently.  Replay order equals serial delivery order per
-     * channel, and the checker keeps per-channel state only, so the
-     * observable results are bit-identical to the serial kernel.
-     */
-    /// @{
-    void setWeave(bool on);
-    bool weaveOn() const { return weave_; }
-
-    /** Replay the command shard and rank logs (weave worker). */
-    void weaveDrain();
-
-    /** True when nothing is buffered (safe to snapshot/sample). */
-    bool weaveEmpty() const;
-    /// @}
-
     /** Begin issuing per-rank auto-refresh (staggered). */
     void startRefresh();
 
@@ -158,17 +134,6 @@ class Channel
      */
     void setId(std::uint32_t id) { id_ = id; }
     std::uint32_t id() const { return id_; }
-
-    /**
-     * EventQueue lane this channel's service events ride in: tagged
-     * channel-kind events route by owner, so the lane is a pure
-     * function of the id.  Recorded with the weave task so a worker
-     * can later be pointed at the matching per-channel sub-queue.
-     */
-    std::uint32_t laneId() const
-    {
-        return id_ & (EventQueue::MaxLanes - 1);
-    }
 
     /** @name Checkpoint/restore */
     /// @{
@@ -298,9 +263,6 @@ class Channel
     CommandObserver *obs_ = nullptr;
     std::uint32_t chanId_ = 0;
     std::uint32_t id_ = 0;     ///< event-tag owner id (setId)
-
-    bool weave_ = false;
-    std::vector<DramCmdEvent> weaveCmds_;  ///< undelivered commands
 };
 
 } // namespace memscale

@@ -5,7 +5,6 @@
 #include "common/log.hh"
 #include "obs/stat_registry.hh"
 #include "sim/event_kinds.hh"
-#include "sim/weave.hh"
 #include "snapshot/serializer.hh"
 
 namespace memscale
@@ -78,7 +77,6 @@ MemoryController::setFrequency(FreqIndex idx)
         change |= (f != idx);
     if (!change)
         return eq_.now();
-    weaveBarrier();
     if (beforeFreqChange_)
         beforeFreqChange_();
     freqTransitions_ += 1;
@@ -103,7 +101,6 @@ MemoryController::setChannelFrequency(std::uint32_t channel,
         fatal("MemoryController: bad channel %u", channel);
     if (chanFreq_[channel] == idx)
         return eq_.now();
-    weaveBarrier();
     if (beforeFreqChange_)
         beforeFreqChange_();
     freqTransitions_ += 1;
@@ -228,41 +225,9 @@ MemoryController::rebuildMigrationEvent()
     return [this] { evMigrate(); };
 }
 
-void
-MemoryController::attachWeave(WeaveHub *hub)
-{
-    weaveHub_ = hub;
-    for (auto &ch : channels_) {
-        ch->setWeave(hub != nullptr);
-        if (hub) {
-            Channel *c = ch.get();
-            hub->addTask([c] { c->weaveDrain(); },
-                         WeaveScope::Accounting, c->laneId());
-        }
-    }
-}
-
-void
-MemoryController::weaveBarrier()
-{
-    if (weaveHub_)
-        weaveHub_->barrier();
-}
-
-bool
-MemoryController::weaveDrained() const
-{
-    for (const auto &ch : channels_) {
-        if (!ch->weaveEmpty())
-            return false;
-    }
-    return true;
-}
-
 McCounters
 MemoryController::sampleCounters()
 {
-    weaveBarrier();
     McCounters out;
     for (auto &ch : channels_) {
         const McCounters &c = ch->counters();
@@ -294,7 +259,6 @@ MemoryController::sampleChannelCounters(std::uint32_t ch)
 {
     if (ch >= channels_.size())
         fatal("MemoryController: bad channel %u", ch);
-    weaveBarrier();
     McCounters out = channels_[ch]->counters();
     addRankTimes(out, *channels_[ch]);
     return out;
@@ -303,7 +267,6 @@ MemoryController::sampleChannelCounters(std::uint32_t ch)
 IntervalActivity
 MemoryController::sampleActivity()
 {
-    weaveBarrier();
     IntervalActivity ia;
     ia.busMHz = busMHz();
     ia.deviceBusMHz = decoupledMHz_;

@@ -35,7 +35,6 @@ namespace memscale
 class SectionReader;
 class SectionWriter;
 class StatRegistry;
-class WeaveHub;
 
 class MemoryController
 {
@@ -110,28 +109,6 @@ class MemoryController
      * controller's channel indices.
      */
     void setCommandObserver(CommandObserver *obs);
-
-    /**
-     * @name Bound/weave parallel accounting.
-     *
-     * attachWeave(hub) switches every channel into weave mode and
-     * registers one drain task per channel with the hub; nullptr
-     * detaches (draining first).  Every sampling or frequency entry
-     * point below runs a weaveBarrier() before touching state the
-     * shards feed, so the policy and the power integrator always
-     * observe fully merged accounting — these are the deterministic
-     * epoch-edge barriers of the bound/weave kernel.  saveState() is
-     * const and therefore cannot barrier itself: checkpoint writers
-     * must call weaveBarrier() first (the EventQueue export guard
-     * makes forgetting that fatal, not silent).
-     */
-    /// @{
-    void attachWeave(WeaveHub *hub);
-    void weaveBarrier();
-
-    /** True when every channel's shard and rank log is empty. */
-    bool weaveDrained() const;
-    /// @}
 
     /** Start refresh engines (call once at simulation start). */
     void startRefresh();
@@ -232,7 +209,6 @@ class MemoryController
     Tick relockStall_ = 0;
     std::uint32_t decoupledMHz_ = 0;
     std::function<void()> beforeFreqChange_;
-    WeaveHub *weaveHub_ = nullptr;
     std::unique_ptr<PageMigrator> migrator_;
     bool migrateArmed_ = false;
 

@@ -13,9 +13,8 @@ namespace
 {
 
 /**
- * The hierarchy never compares entries across sub-queues except at
- * the ladder, so these two comparators are the whole ordering story:
- * Lt for sorts/sorted-inserts, Gt to turn std::*_heap into min-heaps.
+ * These two comparators are the whole ordering story: Lt for
+ * sorts/sorted-inserts, Gt to turn std::*_heap into min-heaps.
  */
 struct Lt
 {
@@ -67,21 +66,6 @@ EventQueue::releaseSlot(std::uint32_t idx)
     freeHead_ = idx;
 }
 
-std::uint32_t
-EventQueue::laneFor(const EventTag &tag)
-{
-    // Channel-local kinds are a contiguous run in event_kinds.hh
-    // (plus the appended idle-ladder demotion kind); owner is the
-    // channel index.  Aliasing (owner & 63) keeps the lane table
-    // bounded and is order-neutral: the ladder always pops the global
-    // (when, class, seq) minimum.
-    if (tag.kind - EvChanBankClosed <=
-            EvChanRefreshDone - EvChanBankClosed ||
-        tag.kind == EvChanPdDemote)
-        return tag.owner & (MaxLanes - 1);
-    return NoLane;
-}
-
 EventId
 EventQueue::schedule(Tick when, EventCallback fn, EventClass cls,
                      EventTag tag)
@@ -107,65 +91,19 @@ EventQueue::schedule(Tick when, EventCallback fn, EventClass cls,
             std::upper_bound(heap_.begin(), heap_.end(), e, Gt{});
         heap_.insert(pos, e);
     } else {
-        // Adaptive routing (placement only — order is the global
-        // (when, class, seq) minimum wherever an entry sits).  Lanes
-        // win when channel traffic has the queue to itself: the
-        // calendar stays empty, the ladder degenerates to the lane
-        // tops, and a pop is a cursor bump.  Once the calendar is
-        // busy (core issue / epoch / arrival events), splitting the
-        // same population across both structures just adds ladder
-        // bookkeeping to every pop, so channel events share the
-        // calendar instead — unless the backlog is large enough that
-        // the lanes' O(1) append/pop beats bucket sorting outright.
-        std::uint32_t lane = (calEntries_ <= CalBusyMax ||
-                              pending_ >= laneThreshold_)
-                                 ? laneFor(tag)
-                                 : NoLane;
-        s.lane = lane;
-        if (lane != NoLane) {
-            placeLane(lane, e);
-        } else {
-            placeCalendar(e);
-            ++calEntries_;
-        }
+        placeCalendar(e);
     }
     ++pending_;
     return e.id;
 }
 
 void
-EventQueue::placeLane(std::uint32_t lane, const Entry &e)
-{
-    if (lane >= lanes_.size())
-        lanes_.resize(lane + 1);
-    Lane &L = lanes_[lane];
-    if (L.v.empty() || !Lt{}(e, L.v.back())) {
-        // Common case: channel service events arrive in near-increasing
-        // time order, so the new entry is the latest and appends.
-        L.v.push_back(e);
-    } else {
-        auto pos = std::upper_bound(L.v.begin() + L.head, L.v.end(),
-                                    e, Lt{});
-        L.v.insert(pos, e);
-    }
-    std::uint64_t bit = std::uint64_t(1) << lane;
-    if (!(laneMask_ & bit) || Lt{}(e, laneTop_[lane])) {
-        laneTop_[lane] = e;
-        // New head: it can only take the cached tournament win by
-        // beating the current winner (same-lane updates keep it).
-        if (laneWinValid_ && Lt{}(e, laneTop_[laneWinLane_]))
-            laneWinLane_ = lane;
-    }
-    laneMask_ |= bit;
-}
-
-void
 EventQueue::placeCalendar(const Entry &e)
 {
-    // Ladder invalidation rule 1: an insert can only change the
-    // calendar minimum by *becoming* it, so the cached head stays
-    // valid across inserts (bucket ranges are disjoint and ordered,
-    // hence an entry in an earlier bucket always compares lower).
+    // Head-cache rule 1: an insert can only change the calendar
+    // minimum by *becoming* it, so the cached head stays valid across
+    // inserts (bucket ranges are disjoint and ordered, hence an entry
+    // in an earlier bucket always compares lower).
     if (calHeadValid_ && Lt{}(e, calHead_))
         calHead_ = e;
     std::uint64_t x = (e.when >> Shift0) ^ (wheelNow_ >> Shift0);
@@ -203,9 +141,8 @@ EventQueue::placeCalendar(const Entry &e)
 const EventQueue::Entry *
 EventQueue::calendarHead()
 {
-    // Ladder invalidation rule 2: validity implies liveness — the
-    // cancel path invalidates on an id match and lane-routed events
-    // can never alias a calendar entry — so a valid rung needs no
+    // Head-cache rule 2: validity implies liveness — the cancel path
+    // invalidates on an id match — so a valid head needs no
     // slot-generation re-check here.
     if (calHeadValid_)
         return &calHead_;
@@ -227,7 +164,6 @@ EventQueue::scanCalendar(Entry &out)
             while (curPos_ < v.size() && !liveEntry(v[curPos_])) {
                 ++curPos_;
                 --stale_;
-                --calEntries_;
             }
             if (curPos_ < v.size()) {
                 out = v[curPos_];
@@ -245,7 +181,6 @@ EventQueue::scanCalendar(Entry &out)
             if (found)
                 return true;
             stale_ -= v.size();
-            calEntries_ -= v.size();
         }
         // Exhausted (or all-stale leftovers): retire the bucket.
         v.clear();
@@ -288,7 +223,6 @@ EventQueue::scanCalendar(Entry &out)
                 break;
             // All-stale bucket: reclaim it on the way past.
             stale_ -= v.size();
-            calEntries_ -= v.size();
             v.clear();
             w.occ &= ~(std::uint64_t(1) << idx);
         }
@@ -301,7 +235,6 @@ EventQueue::scanCalendar(Entry &out)
         std::pop_heap(overflow_.begin(), overflow_.end(), Gt{});
         overflow_.pop_back();
         --stale_;
-        --calEntries_;
     }
     if (!overflow_.empty() &&
         (!found || Lt{}(overflow_.front(), out))) {
@@ -319,7 +252,6 @@ EventQueue::popCalendar(const Entry &head)
     if (!overflow_.empty() && overflow_.front().id == head.id) {
         std::pop_heap(overflow_.begin(), overflow_.end(), Gt{});
         overflow_.pop_back();
-        --calEntries_;
         return;
     }
     for (;;) {
@@ -339,18 +271,16 @@ EventQueue::popCalendar(const Entry &head)
             while (curPos_ < v.size() && !liveEntry(v[curPos_])) {
                 ++curPos_;
                 --stale_;
-                --calEntries_;
             }
             // head is the wheel minimum, so it is the first live entry.
             ++curPos_;
-            --calEntries_;
             if (curPos_ >= v.size()) {
                 v.clear();
                 wheels_[0].occ &= ~(std::uint64_t(1) << curIdx);
                 curSorted_ = false;
                 curPos_ = 0;
             } else if (liveEntry(v[curPos_])) {
-                // Refresh the ladder rung without a rescan.
+                // Refresh the cached head without a rescan.
                 calHead_ = v[curPos_];
                 calHeadValid_ = true;
             }
@@ -383,95 +313,11 @@ EventQueue::popCalendar(const Entry &head)
                 placeCalendar(e);  // touches only levels < lvl
             } else {
                 --stale_;  // scatter drops corpses for free
-                --calEntries_;
             }
         }
         v.clear();
         w.occ &= ~(std::uint64_t(1) << idx);
     }
-}
-
-void
-EventQueue::popLane(std::uint32_t lane)
-{
-    ++lanes_[lane].head;
-    purgeLane(lane);
-}
-
-void
-EventQueue::purgeLane(std::uint32_t lane)
-{
-    // The head of this lane is changing (pop or cancelled corpse);
-    // if it held the cached tournament win, force a rescan.  Heads of
-    // other lanes only ever grow here, which cannot steal the win.
-    if (laneWinValid_ && lane == laneWinLane_)
-        laneWinValid_ = false;
-    Lane &L = lanes_[lane];
-    while (L.head < L.v.size() && !liveEntry(L.v[L.head])) {
-        // A skipped corpse is never revisited: the cursor consumes it.
-        ++L.head;
-        --stale_;
-    }
-    if (L.head >= L.v.size()) {
-        L.v.clear();
-        L.head = 0;
-        laneMask_ &= ~(std::uint64_t(1) << lane);
-        return;
-    }
-    if (L.head >= 64 && L.head * 2 >= L.v.size()) {
-        L.v.erase(L.v.begin(), L.v.begin() + L.head);
-        L.head = 0;
-    }
-    laneTop_[lane] = L.v[L.head];
-}
-
-EventQueue::Source
-EventQueue::findMin()
-{
-    // The tournament reads only trusted-live heads: the calendar rung
-    // is invalidated on cancel and every lane purges corpses off its
-    // top as they appear (cancel of a head, pop exposing one), so no
-    // slot generations are consulted here.
-    Source src;
-    if (calEntries_ != 0) {
-        if (const Entry *c = calendarHead()) {
-            src.kind = Source::Calendar;
-            src.e = *c;
-        }
-    }
-    if (laneMask_ != 0) {
-        if (!laneWinValid_) {
-            std::uint64_t mask = laneMask_;
-            std::uint32_t best = NoLane;
-            while (mask) {
-                unsigned l =
-                    static_cast<unsigned>(std::countr_zero(mask));
-                mask &= mask - 1;
-                if (best == NoLane ||
-                    Lt{}(laneTop_[l], laneTop_[best])) {
-                    best = l;
-                }
-            }
-            laneWinLane_ = best;
-            laneWinValid_ = true;
-        }
-        const Entry &top = laneTop_[laneWinLane_];
-        if (src.kind == Source::None || Lt{}(top, src.e)) {
-            src.kind = Source::InLane;
-            src.lane = laneWinLane_;
-            src.e = top;
-        }
-    }
-    return src;
-}
-
-void
-EventQueue::popSource(const Source &src)
-{
-    if (src.kind == Source::Calendar)
-        popCalendar(src.e);
-    else
-        popLane(src.lane);
 }
 
 bool
@@ -499,18 +345,11 @@ EventQueue::cancel(EventId id)
     // (the generation bump marks the ordering entry stale); the entry
     // itself is skipped when the cursor or a heap top reaches it, or
     // reclaimed wholesale by the sweep.
-    std::uint32_t lane = slots_[slot].lane;
     releaseSlot(slot);
     --pending_;
     ++stale_;
-    if (lane != NoLane) {
-        // Keep the "lane tops are live" invariant the ladder relies
-        // on: if the corpse is the lane head, purge it (and any
-        // corpses it was shadowing) right now.
-        purgeLane(lane);
-    } else if (calHeadValid_ && calHead_.id == id) {
+    if (calHeadValid_ && calHead_.id == id)
         calHeadValid_ = false;
-    }
     maybeSweep();
     return true;
 }
@@ -519,9 +358,9 @@ void
 EventQueue::maybeSweep()
 {
     // After heavy cancel churn stale entries can dominate; one pass
-    // over every sub-queue is O(n) and keeps memory bounded by the
-    // live event count.  Erasure preserves relative order (and heaps
-    // are rebuilt), so pop order is unaffected.
+    // over the wheels and the overflow heap is O(n) and keeps memory
+    // bounded by the live event count.  Erasure preserves relative
+    // order (and the heap is rebuilt), so pop order is unaffected.
     if (stale_ < 64 || stale_ * 2 < pending_ + stale_)
         return;
     sweep();
@@ -531,7 +370,6 @@ void
 EventQueue::sweep()
 {
     auto dead = [this](const Entry &e) { return !liveEntry(e); };
-    std::size_t cal = 0;
     for (Wheel &w : wheels_) {
         if (w.b.empty())
             continue;
@@ -539,10 +377,8 @@ EventQueue::sweep()
         for (unsigned i = 0; i < BucketsPerLevel; ++i) {
             auto &v = w.b[i];
             std::erase_if(v, dead);
-            if (!v.empty()) {
+            if (!v.empty())
                 occ |= std::uint64_t(1) << i;
-                cal += v.size();
-            }
         }
         w.occ = occ;
     }
@@ -550,23 +386,8 @@ EventQueue::sweep()
     // corpses (popped slots are dead too), and erase_if keeps the
     // remaining live region sorted, so the cursor restarts at 0.
     curPos_ = 0;
-    std::uint64_t mask = 0;
-    for (std::size_t l = 0; l < lanes_.size(); ++l) {
-        Lane &L = lanes_[l];
-        L.v.erase(L.v.begin(), L.v.begin() + L.head);
-        L.head = 0;
-        // erase_if preserves order, so the live region stays sorted.
-        std::erase_if(L.v, dead);
-        if (!L.v.empty()) {
-            mask |= std::uint64_t(1) << l;
-            laneTop_[l] = L.v.front();
-        }
-    }
-    laneMask_ = mask;
-    laneWinValid_ = false;
     std::erase_if(overflow_, dead);
     std::make_heap(overflow_.begin(), overflow_.end(), Gt{});
-    calEntries_ = cal + overflow_.size();
     stale_ = 0;
     // calHead_ is a value copy of a live entry; it stays the minimum.
 }
@@ -581,11 +402,11 @@ EventQueue::step()
         e = heap_.back();
         heap_.pop_back();
     } else {
-        Source src = findMin();
-        if (src.kind == Source::None)
+        const Entry *h = pending_ != 0 ? calendarHead() : nullptr;
+        if (!h)
             return false;
-        popSource(src);
-        e = src.e;
+        e = *h;
+        popCalendar(e);
     }
     // Release the slot before invoking so the callback can freely
     // schedule new events (possibly reusing this slot) and so
@@ -616,16 +437,15 @@ EventQueue::runUntil(Tick limit)
             ++executed;
         }
     } else {
-        while (!stopped_) {
-            Source src = findMin();
-            if (src.kind == Source::None || src.e.when > limit)
+        while (!stopped_ && pending_ != 0) {
+            const Entry e = *calendarHead();
+            if (e.when > limit)
                 break;
-            popSource(src);
-            EventCallback fn =
-                std::move(slots_[entrySlot(src.e)].fn);
-            releaseSlot(entrySlot(src.e));
+            popCalendar(e);
+            EventCallback fn = std::move(slots_[entrySlot(e)].fn);
+            releaseSlot(entrySlot(e));
             --pending_;
-            now_ = src.e.when;
+            now_ = e.when;
             fn();
             ++executed;
         }
@@ -637,54 +457,26 @@ EventQueue::runUntil(Tick limit)
     return executed;
 }
 
-void
-EventQueue::gatherLive(std::vector<Entry> &out) const
-{
-    for (const Wheel &w : wheels_)
-        for (const auto &v : w.b)
-            for (const Entry &e : v)
-                if (liveEntry(e))
-                    out.push_back(e);
-    for (const Entry &e : overflow_)
-        if (liveEntry(e))
-            out.push_back(e);
-    for (const Lane &l : lanes_)
-        for (std::size_t i = l.head; i < l.v.size(); ++i)
-            if (liveEntry(l.v[i]))
-                out.push_back(l.v[i]);
-}
-
-std::size_t
-EventQueue::lanePending(std::uint32_t lane) const
-{
-    if (lane >= lanes_.size())
-        return 0;
-    const Lane &l = lanes_[lane];
-    std::size_t n = 0;
-    for (std::size_t i = l.head; i < l.v.size(); ++i)
-        if (liveEntry(l.v[i]))
-            ++n;
-    return n;
-}
-
 std::vector<PendingEvent>
 EventQueue::exportPending() const
 {
-    if (exportGuard_ && !exportGuard_())
-        fatal("checkpoint: exportPending inside a half-woven "
-              "interval; drain the weave barrier before cutting");
-    // Collect live entries from every sub-queue, sort by execution
-    // order, then emit their tags: the restore side re-schedules in
-    // this order with fresh sequences, which reproduces every
-    // same-tick tie-break regardless of which sub-queue an event
-    // originally sat in.
+    // Collect live entries, sort by execution order, then emit their
+    // tags: the restore side re-schedules in this order with fresh
+    // sequences, which reproduces every same-tick tie-break.
     std::vector<Entry> live;
     live.reserve(pending_);
     if (mode_ == KernelMode::Reference) {
         for (const Entry &e : heap_)
             live.push_back(e);
     } else {
-        gatherLive(live);
+        for (const Wheel &w : wheels_)
+            for (const auto &v : w.b)
+                for (const Entry &e : v)
+                    if (liveEntry(e))
+                        live.push_back(e);
+        for (const Entry &e : overflow_)
+            if (liveEntry(e))
+                live.push_back(e);
     }
     std::sort(live.begin(), live.end(), Lt{});
     std::vector<PendingEvent> out;
@@ -725,19 +517,9 @@ EventQueue::clearPending()
             if (liveEntry(e))
                 releaseSlot(entrySlot(e));
         overflow_.clear();
-        for (Lane &l : lanes_) {
-            for (std::size_t i = l.head; i < l.v.size(); ++i)
-                if (liveEntry(l.v[i]))
-                    releaseSlot(entrySlot(l.v[i]));
-            l.v.clear();
-            l.head = 0;
-        }
-        laneMask_ = 0;
-        laneWinValid_ = false;
         curPos_ = 0;
         curSorted_ = false;
         calHeadValid_ = false;
-        calEntries_ = 0;
     }
     pending_ = 0;
     stale_ = 0;

@@ -16,34 +16,22 @@
  * EventIds carry a generation so a recycled slot can never be
  * cancelled through a stale id.
  *
- * The Fast kernel is a two-level hierarchical scheduler:
- *
- *  - A **calendar queue** (hierarchical timing wheel): six levels of
- *    64 fixed-width tick buckets with one occupancy bitmask per
- *    level.  Level 0 buckets span 2^12 ticks (~4 ns — on the order of
- *    one DRAM command slot), each higher level is 64x wider, so the
- *    wheel covers ~2^48 ticks (~4.7 simulated minutes) ahead of the
- *    consumption point.  Events beyond that horizon (diurnal arrival
- *    phases, far refresh horizons) fall back to a sorted overflow
- *    min-heap.  The bucket under consumption is sorted once and
- *    consumed through a cursor; far buckets stay unsorted until the
- *    wheel reaches them, and higher-level buckets scatter one level
- *    down as the wheel advances.
- *
- *  - **Per-channel lanes**: channel-local events (bank timers, burst
- *    completions, powerdown/re-lock, refresh) are routed by their
- *    EventTag kind into per-channel sorted sub-queues when the
- *    calendar is quiet or the backlog is deep (routing is placement
- *    only, so the adaptive policy cannot affect order).  The lanes'
- *    earliest deadlines plus the calendar's cached head form a small
- *    top-level *ladder*; the global loop pops from that N-way
- *    tournament instead of sifting one shared heap.  Lanes also give
- *    each channel's pending service events a structure of their own,
- *    which is the hook for draining them from weave workers.
+ * The Fast kernel is a **calendar queue** (hierarchical timing wheel):
+ * six levels of 64 fixed-width tick buckets with one occupancy bitmask
+ * per level.  Level 0 buckets span 2^12 ticks (~4 ns — on the order
+ * of one DRAM command slot), each higher level is 64x wider, so the
+ * wheel covers ~2^48 ticks (~4.7 simulated minutes) ahead of the
+ * consumption point.  Events beyond that horizon (diurnal arrival
+ * phases, far refresh horizons) fall back to a sorted overflow
+ * min-heap.  The bucket under consumption is sorted once and consumed
+ * through a cursor; far buckets stay unsorted until the wheel reaches
+ * them, and higher-level buckets scatter one level down as the wheel
+ * advances.  The earliest live entry is cached, so a run of pops from
+ * the cursor bucket never rescans the wheel.
  *
  * Pop order is exactly (tick, class, seq) in both kernels; the
  * Reference kernel (a sorted list with eager cancel) is the oracle
- * the differential harness checks the hierarchy against.
+ * the differential harness checks the calendar against.
  */
 
 #ifndef MEMSCALE_SIM_EVENT_QUEUE_HH
@@ -51,7 +39,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/types.hh"
@@ -109,8 +96,8 @@ struct PendingEvent
 };
 
 /**
- * Kernel implementation selector.  Fast is the production calendar +
- * lane hierarchy; Reference is a deliberately simple sorted-list
+ * Kernel implementation selector.  Fast is the production calendar
+ * queue; Reference is a deliberately simple sorted-list
  * kernel with eager cancellation that serves as the correctness
  * oracle for the differential harness (harness/differential).  Both
  * modes run events in the identical (tick, class, seq) order, so a
@@ -125,32 +112,6 @@ enum class KernelMode : std::uint8_t
 class EventQueue
 {
   public:
-    /**
-     * Maximum number of per-channel lanes.  Channel owners alias into
-     * this many lanes (owner & (MaxLanes-1)); aliasing is
-     * correctness-neutral because the pop tournament always takes the
-     * global (when, class, seq) minimum.
-     */
-    static constexpr std::uint32_t MaxLanes = 64;
-
-    /**
-     * Adaptive lane-routing parameters.  Routing is placement only —
-     * pop order is the global (when, class, seq) minimum wherever an
-     * entry sits — so the kernel picks the cheaper structure per
-     * event.  Channel-local events route to their per-channel lane
-     * when the calendar holds at most CalBusyMax entries (pure
-     * channel traffic: the ladder degenerates to the lane tops and a
-     * pop is a cursor bump) or when the pending population reaches
-     * LaneMinPending (heavy backlog: lane append/cursor-pop stays
-     * O(1) where bucket maintenance would not); otherwise they share
-     * the calendar, because splitting a small mixed population
-     * across both structures adds ladder bookkeeping to every pop.
-     * setLaneThreshold(0) forces lane routing (tests, per-lane drain
-     * experiments).
-     */
-    static constexpr std::size_t CalBusyMax = 8;
-    static constexpr std::size_t LaneMinPending = 1024;
-
     explicit EventQueue(KernelMode mode = KernelMode::Fast)
         : mode_(mode)
     {}
@@ -163,8 +124,7 @@ class EventQueue
     /**
      * Schedule fn at absolute tick `when` (>= now).  `tag` is the
      * event's serializable identity for checkpointing; untagged events
-     * are legal to run but fatal to checkpoint.  Channel-local kinds
-     * route to the owner's lane, everything else to the calendar.
+     * are legal to run but fatal to checkpoint.
      * @return an id usable with cancel().
      */
     EventId schedule(Tick when, EventCallback fn,
@@ -205,18 +165,6 @@ class EventQueue
     /** Abort the current runUntil() after the in-flight event returns. */
     void stop() { stopped_ = true; }
 
-    /** @name Lane introspection (weave scaffolding, tests) */
-    /// @{
-    /** Override the lane-routing threshold (see LaneMinPending). */
-    void setLaneThreshold(std::size_t n) { laneThreshold_ = n; }
-
-    /** Number of lanes that have ever held an event. */
-    std::size_t laneCount() const { return lanes_.size(); }
-
-    /** Live events currently parked in `lane` (O(lane size)). */
-    std::size_t lanePending(std::uint32_t lane) const;
-    /// @}
-
     /** @name Checkpoint support */
     /// @{
     /**
@@ -227,27 +175,11 @@ class EventQueue
      *
      * Order-stability guarantee: the exported order is the exact
      * order the events would have executed in, independent of kernel
-     * mode, of how many weave barriers have run, and of which
-     * sub-queue (calendar bucket, overflow heap, channel lane) each
-     * event sits in — (when, class, seq) is a total order and seq is
-     * assigned at schedule time on the bound thread only.  Under the
-     * bound/weave kernel the *accounting* state a checkpoint also
-     * captures is only coherent at a drained barrier, so an export
-     * guard (below) makes cutting inside a half-woven interval fatal
-     * rather than silently inconsistent.
+     * mode and of where each event sits (calendar bucket or overflow
+     * heap) — (when, class, seq) is a total order and seq is assigned
+     * at schedule time.
      */
     std::vector<PendingEvent> exportPending() const;
-
-    /**
-     * Install a predicate that must return true for exportPending()
-     * to proceed (e.g. "all weave shards drained").  Exporting while
-     * the guard returns false is fatal: a snapshot cut there would
-     * observe a half-woven interval.  Empty guard disables the check.
-     */
-    void setExportGuard(std::function<bool()> guard)
-    {
-        exportGuard_ = std::move(guard);
-    }
 
     /**
      * Destroy every pending event (restore drops the freshly
@@ -282,14 +214,6 @@ class EventQueue
 
     static constexpr unsigned ClsShift = 56;
 
-    static bool
-    entryLess(const Entry &a, const Entry &b)
-    {
-        if (a.when != b.when)
-            return a.when < b.when;
-        return a.key < b.key;
-    }
-
     static std::uint32_t entrySlot(const Entry &e)
     {
         return static_cast<std::uint32_t>(e.id);
@@ -310,19 +234,10 @@ class EventQueue
         EventTag tag;
         std::uint32_t gen = 1;
         std::uint32_t nextFree = NoSlot;
-        /**
-         * Where the ordering entry was actually placed (NoLane =
-         * calendar).  Routing is adaptive, so cancel must use the
-         * recorded placement — re-deriving it from the tag would
-         * miss the calendar-head invalidation for a channel-tagged
-         * event that was routed below the lane threshold.
-         */
-        std::uint32_t lane = NoLane;
         bool live = false;
     };
 
     static constexpr std::uint32_t NoSlot = ~std::uint32_t(0);
-    static constexpr std::uint32_t NoLane = ~std::uint32_t(0);
 
     /**
      * Calendar geometry.  Level-0 buckets are 2^Shift0 ticks wide;
@@ -341,29 +256,6 @@ class EventQueue
         std::uint64_t occ = 0;              ///< bit i: bucket i non-empty
     };
 
-    /**
-     * Per-channel sub-queue: an ascending-sorted vector consumed
-     * through a head cursor.  Channel service events are scheduled in
-     * near-increasing time order, so inserts almost always append
-     * (out-of-order inserts memmove a short tail of the live region)
-     * and a pop is a cursor bump — both far cheaper than heap sifts
-     * for these small, bursty queues.  The consumed prefix [0, head)
-     * is compacted once it dominates the vector.
-     */
-    struct Lane
-    {
-        std::vector<Entry> v;
-        std::uint32_t head = 0;
-    };
-
-    /** Where the tournament found the next event. */
-    struct Source
-    {
-        enum Kind : std::uint8_t { None, Calendar, InLane } kind = None;
-        std::uint32_t lane = 0;
-        Entry e{};
-    };
-
     bool liveEntry(const Entry &e) const
     {
         const Slot &s = slots_[entrySlot(e)];
@@ -373,12 +265,8 @@ class EventQueue
     std::uint32_t allocSlot();
     void releaseSlot(std::uint32_t idx);
 
-    /** Lane index for a tag, or NoLane for calendar routing. */
-    static std::uint32_t laneFor(const EventTag &tag);
-
     /** Place an entry into wheels/overflow (placement only). */
     void placeCalendar(const Entry &e);
-    void placeLane(std::uint32_t lane, const Entry &e);
 
     /**
      * Earliest live calendar entry (cached), or nullptr.  May purge
@@ -389,25 +277,10 @@ class EventQueue
 
     /** Remove `head` (the current calendar minimum), advancing the wheel. */
     void popCalendar(const Entry &head);
-    void popLane(std::uint32_t lane);
-
-    /**
-     * Re-establish the "lane tops are live" ladder invariant: skip
-     * corpses at the head cursor, retire the lane when drained, and
-     * compact the consumed prefix when it dominates.
-     */
-    void purgeLane(std::uint32_t lane);
-
-    /** N-way tournament over the calendar head and the lane heads. */
-    Source findMin();
-    void popSource(const Source &src);
 
     /** Drop all stale entries when they dominate the structures. */
     void maybeSweep();
     void sweep();
-
-    /** Append every live entry (any sub-queue) to `out`. */
-    void gatherLive(std::vector<Entry> &out) const;
 
     /**
      * Reference mode: kept fully sorted *descending* by (when, cls,
@@ -430,38 +303,12 @@ class EventQueue
     std::uint32_t curPos_ = 0;  ///< consumed prefix of the current bucket
     bool curSorted_ = false;    ///< current bucket sorted & under cursor
     /**
-     * Cached calendar minimum — the calendar's ladder rung.  Validity
-     * implies liveness: every path that kills an event either misses
-     * the calendar (lanes) or invalidates/refreshes the cache, so the
-     * tournament never re-checks the slot generation.
+     * Cached calendar minimum.  Validity implies liveness: every path
+     * that kills an event invalidates or refreshes the cache, so the
+     * pop path never re-checks the slot generation.
      */
     Entry calHead_{};
     bool calHeadValid_ = false;
-    /** Physical entries (live + stale) across wheels_ + overflow_. */
-    std::size_t calEntries_ = 0;
-
-    std::vector<Lane> lanes_;
-    std::uint64_t laneMask_ = 0;  ///< bit l: lanes_[l] non-empty
-    std::size_t laneThreshold_ = LaneMinPending;
-
-    /**
-     * Mirror of each non-empty lane's head entry, indexed by lane.
-     * The ladder tournament reads this flat array (~2 lanes per cache
-     * line) instead of chasing each lane's vector data pointer; slots
-     * whose laneMask_ bit is clear are garbage.
-     */
-    std::array<Entry, MaxLanes> laneTop_{};
-
-    /**
-     * Cached lane-tournament winner: when valid, laneWinLane_ is the
-     * lane whose head is the minimum over all lane heads.  An insert
-     * can only change the winner by beating it (compare-update); a
-     * pop or head purge on the winning lane invalidates.  Runs of
-     * calendar pops — the common case in full-system mixes, where
-     * core issue events dominate — then skip the lane scan entirely.
-     */
-    std::uint32_t laneWinLane_ = 0;
-    bool laneWinValid_ = false;
 
     std::vector<Slot> slots_;
     std::uint32_t freeHead_ = NoSlot;
@@ -472,7 +319,6 @@ class EventQueue
     std::uint64_t nextSeq_ = 1;
     bool stopped_ = false;
     KernelMode mode_ = KernelMode::Fast;
-    std::function<bool()> exportGuard_;
 };
 
 } // namespace memscale

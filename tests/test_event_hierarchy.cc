@@ -1,11 +1,11 @@
 /**
  * @file
- * Edge cases of the hierarchical (calendar + per-channel lane)
- * scheduler that the basic kernel suite (test_sim) does not reach:
- * far-future events beyond the calendar horizon crossing back in as
- * the wheel rolls over, cancel-then-reschedule across bucket and
- * level boundaries, same-tick FIFO interleaved across sub-queues,
- * and exportPending/restore byte-identity with non-empty lanes.
+ * Edge cases of the hierarchical calendar queue (timing wheel plus
+ * overflow heap) that the basic kernel suite (test_sim) does not
+ * reach: far-future events beyond the calendar horizon crossing back
+ * in as the wheel rolls over, cancel-then-reschedule across bucket
+ * and level boundaries, same-tick FIFO across channel and core tags,
+ * and exportPending/restore byte-identity.
  */
 
 #include <gtest/gtest.h>
@@ -24,18 +24,18 @@ namespace
 {
 
 /**
- * Tag helper: a checkpointable channel-local tag (routes to lane
- * `owner & 63`) or a calendar tag (core kind).  `a` carries a caller
- * chosen label so exports can be matched against execution order.
+ * Tag helpers: a checkpointable channel-local tag or a core tag.  `a`
+ * carries a caller chosen label so exports can be matched against
+ * execution order.
  */
 EventTag
-laneTag(std::uint32_t owner, std::uint64_t label)
+chanTag(std::uint32_t owner, std::uint64_t label)
 {
     return EventTag{EvChanBurstDone, owner, label, 0};
 }
 
 EventTag
-calTag(std::uint64_t label)
+coreTag(std::uint64_t label)
 {
     return EventTag{EvCoreIssueMiss, 0, label, 0};
 }
@@ -53,56 +53,25 @@ samePending(const PendingEvent &a, const PendingEvent &b)
 
 } // namespace
 
-TEST(EventHierarchy, AdaptiveRoutingFollowsCalendarOccupancy)
-{
-    // Default routing is composition-based: channel-tagged events
-    // take their lane while the calendar is quiet, but share the
-    // calendar once it is busy (> CalBusyMax entries).  Routing is
-    // placement only, so this is observable through lanePending()
-    // but never through execution order.
-    EventQueue eq;
-    eq.schedule(10, [] {}, EventClass::Hardware, laneTag(0, 0));
-    EXPECT_EQ(eq.lanePending(0), 1u);   // calendar empty -> lane
-
-    for (std::uint64_t i = 0;
-         i <= EventQueue::CalBusyMax; ++i)
-        eq.schedule(50 + i, [] {}, EventClass::Hardware, calTag(i));
-    eq.schedule(90, [] {}, EventClass::Hardware, laneTag(1, 0));
-    EXPECT_EQ(eq.lanePending(1), 0u);   // calendar busy -> calendar
-
-    // Same schedule under forced lane routing: identical order.
-    EventQueue forced;
-    forced.setLaneThreshold(0);
-    std::vector<int> order, forcedOrder;
-    for (int i = 0; i < 4; ++i) {
-        eq.schedule(100, [&order, i] { order.push_back(i); },
-                    EventClass::Hardware, laneTag(i, 0));
-        forced.schedule(100, [&forcedOrder, i] { forcedOrder.push_back(i); },
-                        EventClass::Hardware, laneTag(i, 0));
-    }
-    EXPECT_EQ(forced.lanePending(2), 1u);
-    eq.runUntil();
-    forced.runUntil();
-    EXPECT_EQ(order, forcedOrder);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
 TEST(EventHierarchy, FarFutureBeyondHorizonFiresInOrder)
 {
     // Events past the wheel's span land in the overflow heap and must
     // still interleave correctly with near events as the wheel rolls
-    // forward to meet them.
+    // forward to meet them, whatever their tag kind.
     EventQueue eq;
     std::vector<Tick> fired;
     const Tick whens[] = {
-        10,          20,           (Tick(1) << 30),
-        kHorizon - 1, kHorizon + 5, (Tick(1) << 49),
+        10,           20,           (Tick(1) << 30),
+        kHorizon - 1, kHorizon + 5, kHorizon + 10,
+        kHorizon + 50, kHorizon + 90, (Tick(1) << 49),
         (Tick(1) << 49) + 1,
     };
     // Schedule in scrambled order so placement, not insertion, is
-    // what gets tested.
-    for (int i : {5, 0, 3, 6, 1, 4, 2})
-        eq.schedule(whens[i], [&fired, &eq] { fired.push_back(eq.now()); });
+    // what gets tested; odd positions carry channel tags.
+    for (int i : {5, 0, 3, 9, 6, 1, 8, 4, 7, 2})
+        eq.schedule(whens[i], [&fired, &eq] { fired.push_back(eq.now()); },
+                    EventClass::Hardware,
+                    i % 2 ? chanTag(2, i) : coreTag(i));
     eq.runUntil();
     std::vector<Tick> want(std::begin(whens), std::end(whens));
     EXPECT_EQ(fired, want);
@@ -135,29 +104,13 @@ TEST(EventHierarchy, RolloverThenRescheduleFromAdvancedClock)
                                         base + kHorizon + 7}));
 }
 
-TEST(EventHierarchy, FarFutureLaneEventVsOverflowCalendar)
-{
-    // Lanes have no horizon; a lane event far in the future must
-    // still lose the ladder tournament to every earlier calendar
-    // event, including ones surfacing from the overflow heap.
-    EventQueue eq;
-    eq.setLaneThreshold(0);
-    std::vector<int> order;
-    eq.schedule(kHorizon + 50, [&] { order.push_back(1); },
-                EventClass::Hardware, laneTag(2, 0));
-    eq.schedule(kHorizon + 10, [&] { order.push_back(0); },
-                EventClass::Hardware, calTag(0));
-    eq.schedule(kHorizon + 90, [&] { order.push_back(2); },
-                EventClass::Hardware, calTag(0));
-    eq.runUntil();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
 TEST(EventHierarchy, CancelThenRescheduleAcrossBuckets)
 {
     // Kill an event in one calendar bucket, reschedule the same
-    // logical work in another bucket/level; only the replacement may
-    // fire and the dead id must stay dead (generation check).
+    // logical work in another bucket/level, or earlier than the
+    // corpse (alternating core and channel tags); only the
+    // replacement may fire and the dead id must stay dead
+    // (generation check).
     EventQueue eq;
     int fired = 0;
     const Tick spots[] = {
@@ -166,12 +119,20 @@ TEST(EventHierarchy, CancelThenRescheduleAcrossBuckets)
         (Tick(1) << 25),          // mid level
         (Tick(1) << 44),          // top level
         kHorizon + 1,             // overflow
+        kHorizon + 2,             // overflow, channel tag
+        50,                       // back before the first spot
     };
-    EventId id = eq.schedule(spots[0], [&] { ++fired; });
+    auto tagAt = [](std::size_t i) {
+        return i % 2 ? chanTag(static_cast<std::uint32_t>(i), i)
+                     : coreTag(i);
+    };
+    EventId id = eq.schedule(spots[0], [&] { ++fired; },
+                             EventClass::Hardware, tagAt(0));
     for (std::size_t i = 1; i < std::size(spots); ++i) {
         EXPECT_TRUE(eq.cancel(id));
         EXPECT_FALSE(eq.cancel(id));     // double-cancel is a no-op
-        id = eq.schedule(spots[i], [&] { ++fired; });
+        id = eq.schedule(spots[i], [&] { ++fired; },
+                         EventClass::Hardware, tagAt(i));
         EXPECT_EQ(eq.pending(), 1u);
     }
     const EventId last = id;
@@ -181,59 +142,35 @@ TEST(EventHierarchy, CancelThenRescheduleAcrossBuckets)
     EXPECT_FALSE(eq.cancel(last));       // already fired
 }
 
-TEST(EventHierarchy, CancelThenRescheduleAcrossLanes)
+TEST(EventHierarchy, SameTickFifoAcrossTagKinds)
 {
-    // Same dance inside the lane structures: cancel the head of one
-    // channel's lane and reschedule on another channel; the corpse
-    // must not win the tournament or distort lanePending().
+    // Five events at one tick, channel and core tags interleaved:
+    // insertion order must survive exactly.
     EventQueue eq;
-    eq.setLaneThreshold(0);
-    std::vector<int> order;
-    EventId a = eq.schedule(10, [&] { order.push_back(0); },
-                            EventClass::Hardware, laneTag(0, 0));
-    eq.schedule(20, [&] { order.push_back(1); },
-                EventClass::Hardware, laneTag(1, 0));
-    EXPECT_EQ(eq.lanePending(0), 1u);
-    EXPECT_TRUE(eq.cancel(a));
-    EXPECT_EQ(eq.lanePending(0), 0u);
-    eq.schedule(5, [&] { order.push_back(2); },
-                EventClass::Hardware, laneTag(2, 0));
-    eq.runUntil();
-    EXPECT_EQ(order, (std::vector<int>{2, 1}));
-}
-
-TEST(EventHierarchy, SameTickFifoAcrossSubQueues)
-{
-    // Five events at one tick, interleaved across the calendar and
-    // three distinct lanes (one via owner aliasing, 66 & 63 == 2):
-    // insertion order must survive the ladder merge exactly.
-    EventQueue eq;
-    eq.setLaneThreshold(0);
     std::vector<int> order;
     auto push = [&order](int i) { return [&order, i] { order.push_back(i); }; };
-    eq.schedule(1000, push(0), EventClass::Hardware, laneTag(3, 0));
-    eq.schedule(1000, push(1), EventClass::Hardware, calTag(0));
-    eq.schedule(1000, push(2), EventClass::Hardware, laneTag(7, 0));
-    eq.schedule(1000, push(3), EventClass::Hardware, laneTag(66, 0));
-    eq.schedule(1000, push(4), EventClass::Hardware, calTag(0));
+    eq.schedule(1000, push(0), EventClass::Hardware, chanTag(3, 0));
+    eq.schedule(1000, push(1), EventClass::Hardware, coreTag(0));
+    eq.schedule(1000, push(2), EventClass::Hardware, chanTag(7, 0));
+    eq.schedule(1000, push(3), EventClass::Hardware, chanTag(66, 0));
+    eq.schedule(1000, push(4), EventClass::Hardware, coreTag(0));
     eq.runUntil();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventHierarchy, SameTickClassBeatsSubQueueAndSeq)
+TEST(EventHierarchy, SameTickClassBeatsSeq)
 {
-    // Priority class outranks both insertion order and which
-    // sub-queue an event sits in: a Hardware lane event inserted last
-    // still runs before earlier-inserted Policy/Sample calendar ones.
+    // Priority class outranks insertion order: a Hardware channel
+    // event inserted last still runs before earlier-inserted
+    // Policy/Sample core ones.
     EventQueue eq;
-    eq.setLaneThreshold(0);
     std::vector<int> order;
     eq.schedule(500, [&] { order.push_back(2); }, EventClass::Sample,
-                calTag(0));
+                coreTag(0));
     eq.schedule(500, [&] { order.push_back(1); }, EventClass::Policy,
-                calTag(0));
+                coreTag(0));
     eq.schedule(500, [&] { order.push_back(0); }, EventClass::Hardware,
-                laneTag(1, 0));
+                chanTag(1, 0));
     eq.runUntil();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
@@ -241,11 +178,10 @@ TEST(EventHierarchy, SameTickClassBeatsSubQueueAndSeq)
 TEST(EventHierarchy, ExportPendingMatchesExecutionOrder)
 {
     // exportPending() promises exact execution order regardless of
-    // which sub-queue holds each event.  Label every event through
-    // tag.a and check the exported label sequence against the order
-    // the events actually fire in.
+    // whether an event sits in a wheel bucket or the overflow heap.
+    // Label every event through tag.a and check the exported label
+    // sequence against the order the events actually fire in.
     EventQueue eq;
-    eq.setLaneThreshold(0);
     std::vector<std::uint64_t> fired;
     std::uint64_t label = 0;
     auto sched = [&](Tick when, EventClass cls, EventTag tag) {
@@ -253,13 +189,13 @@ TEST(EventHierarchy, ExportPendingMatchesExecutionOrder)
         std::uint64_t l = label++;
         eq.schedule(when, [&fired, l] { fired.push_back(l); }, cls, tag);
     };
-    sched(300, EventClass::Hardware, laneTag(0, 0));
-    sched(100, EventClass::Sample, calTag(0));
-    sched(100, EventClass::Hardware, laneTag(5, 0));
-    sched(kHorizon + 2, EventClass::Hardware, calTag(0));
-    sched(100, EventClass::Hardware, calTag(0));
-    sched(300, EventClass::Policy, calTag(0));
-    sched(200, EventClass::Hardware, laneTag(0, 0));
+    sched(300, EventClass::Hardware, chanTag(0, 0));
+    sched(100, EventClass::Sample, coreTag(0));
+    sched(100, EventClass::Hardware, chanTag(5, 0));
+    sched(kHorizon + 2, EventClass::Hardware, coreTag(0));
+    sched(100, EventClass::Hardware, coreTag(0));
+    sched(300, EventClass::Policy, coreTag(0));
+    sched(200, EventClass::Hardware, chanTag(0, 0));
 
     std::vector<PendingEvent> exp = eq.exportPending();
     ASSERT_EQ(exp.size(), 7u);
@@ -269,24 +205,23 @@ TEST(EventHierarchy, ExportPendingMatchesExecutionOrder)
         EXPECT_EQ(exp[i].tag.a, fired[i]) << "position " << i;
 }
 
-TEST(EventHierarchy, ExportRestoreByteIdentityWithLanes)
+TEST(EventHierarchy, ExportRestoreByteIdentity)
 {
-    // Round-trip a queue with populated lanes, calendar buckets, and
-    // overflow through export -> clear -> setNow -> re-schedule; the
-    // second export must be byte-identical, including after a cancel
-    // has punched a corpse into a lane (stale entries must not leak
-    // into the export).
+    // Round-trip a queue with channel- and core-tagged events in
+    // calendar buckets and overflow through export -> clear -> setNow
+    // -> re-schedule; the second export must be byte-identical,
+    // including after a cancel has left a corpse in a bucket (stale
+    // entries must not leak into the export).
     EventQueue eq;
-    eq.setLaneThreshold(0);
     auto noop = [] {};
-    eq.schedule(40, noop, EventClass::Hardware, laneTag(1, 11));
-    eq.schedule(40, noop, EventClass::Hardware, laneTag(1, 12));
+    eq.schedule(40, noop, EventClass::Hardware, chanTag(1, 11));
+    eq.schedule(40, noop, EventClass::Hardware, chanTag(1, 12));
     EventId dead = eq.schedule(50, noop, EventClass::Hardware,
-                               laneTag(1, 13));
-    eq.schedule(60, noop, EventClass::Hardware, laneTag(9, 14));
-    eq.schedule(25, noop, EventClass::Policy, calTag(15));
-    eq.schedule(kHorizon + 9, noop, EventClass::Hardware, calTag(16));
-    eq.schedule(25, noop, EventClass::Sample, calTag(17));
+                               chanTag(1, 13));
+    eq.schedule(60, noop, EventClass::Hardware, chanTag(9, 14));
+    eq.schedule(25, noop, EventClass::Policy, coreTag(15));
+    eq.schedule(kHorizon + 9, noop, EventClass::Hardware, coreTag(16));
+    eq.schedule(25, noop, EventClass::Sample, coreTag(17));
     EXPECT_TRUE(eq.cancel(dead));
 
     const std::vector<PendingEvent> before = eq.exportPending();
@@ -310,12 +245,11 @@ TEST(EventHierarchy, ExportRestoreByteIdentityWithLanes)
 
 TEST(EventHierarchy, ExportIdenticalAcrossKernelModes)
 {
-    // The same schedule executed against the Fast hierarchy and the
+    // The same schedule executed against the Fast calendar and the
     // Reference oracle must export the same pending list — export
     // order is defined by (when, class, seq), not by structure.
     EventQueue fast(KernelMode::Fast);
     EventQueue ref(KernelMode::Reference);
-    fast.setLaneThreshold(0);
     auto noop = [] {};
     std::mt19937 rng(2026);
     for (int i = 0; i < 200; ++i) {
@@ -323,8 +257,8 @@ TEST(EventHierarchy, ExportIdenticalAcrossKernelModes)
                                          : (rng() & 0xfffff);
         const auto cls = static_cast<EventClass>(rng() % 3);
         const EventTag tag = (rng() & 1)
-                                 ? laneTag(rng() % 80, i)
-                                 : calTag(i);
+                                 ? chanTag(rng() % 80, i)
+                                 : coreTag(i);
         fast.schedule(when, noop, cls, tag);
         ref.schedule(when, noop, cls, tag);
     }
@@ -338,14 +272,12 @@ TEST(EventHierarchy, ExportIdenticalAcrossKernelModes)
 TEST(EventHierarchy, MirroredFuzzAgainstReference)
 {
     // Randomized schedule/cancel churn mirrored into both kernels,
-    // biased toward lane traffic (including owner aliasing) and
-    // bucket-boundary ticks; firing sequences must match exactly.
+    // biased toward channel traffic and bucket-boundary ticks;
+    // firing sequences must match exactly.
     std::mt19937 rng(777);
     for (int round = 0; round < 5; ++round) {
         EventQueue fast(KernelMode::Fast);
         EventQueue ref(KernelMode::Reference);
-        if (round % 2)          // both routing regimes, same results
-            fast.setLaneThreshold(0);
         std::vector<std::uint64_t> ffired, rfired;
         std::vector<std::pair<EventId, EventId>> ids;
         std::uint64_t label = 0;
@@ -362,7 +294,7 @@ TEST(EventHierarchy, MirroredFuzzAgainstReference)
             if (rng() % 16 == 0)        // or beyond the horizon
                 when += kHorizon;
             const auto cls = static_cast<EventClass>(rng() % 3);
-            const EventTag tag = (rng() % 3) ? laneTag(rng() % 100, 0)
+            const EventTag tag = (rng() % 3) ? chanTag(rng() % 100, 0)
                                              : EventTag{};
             const std::uint64_t l = label++;
             ids.emplace_back(

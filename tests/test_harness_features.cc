@@ -163,6 +163,18 @@ TEST(MultiSeed, ZeroSeedsFatal)
     EXPECT_THROW(compareAveraged(cfg, "memscale", 0), FatalError);
 }
 
+TEST(SystemConfigCheck, ThreadsOtherThanOneFatal)
+{
+    // Each System runs serially; a caller asking for worker threads
+    // must fail loudly rather than silently run serial.
+    for (unsigned threads : {0u, 2u, 4u}) {
+        SystemConfig cfg = smallConfig("MID1");
+        cfg.threads = threads;
+        EXPECT_THROW(runPolicy(cfg, "memscale", 150.0), FatalError)
+            << "threads=" << threads;
+    }
+}
+
 TEST(SelfRefreshPolicy, DeepestIdleStateWorks)
 {
     SystemConfig cfg = smallConfig("ILP2");

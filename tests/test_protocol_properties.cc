@@ -4,15 +4,19 @@
  * through the real memory controller, with frequency re-locks,
  * powerdown-mode flips, and refresh injected at random points, must
  * never trigger the ProtocolChecker.  Every case prints its seed on
- * failure so a regression is reproducible with one number.
+ * failure so a regression is reproducible with one number.  Full
+ * System runs at 4 and 8 channels (closed-loop mixes and open-loop
+ * serving) cover the same property end to end.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "check/protocol_checker.hh"
 #include "common/rng.hh"
+#include "harness/experiment.hh"
 #include "mem/client.hh"
 #include "mem/controller.hh"
 #include "sim/event_queue.hh"
@@ -107,6 +111,20 @@ fuzz(std::uint64_t seed, int ops, bool refresh, bool powerdown)
     return r;
 }
 
+/**
+ * Run cfg under `policy` with the checker attached; the command
+ * stream must be non-empty and violation-free.
+ */
+RunResult
+checkedRun(SystemConfig cfg, const std::string &policy)
+{
+    cfg.protocolCheck = true;
+    RunResult r = runPolicy(cfg, policy, /*rest_watts=*/150.0);
+    EXPECT_GT(r.commandsChecked, 0u);
+    EXPECT_EQ(r.protocolViolations, 0u);
+    return r;
+}
+
 } // namespace
 
 TEST(ProtocolProperties, RandomTrafficWithRelocksNeverViolates)
@@ -151,4 +169,55 @@ TEST(ProtocolProperties, FrequencyTransitionsActuallyExercised)
     // The fuzzer is only meaningful if re-locks really happen.
     FuzzResult r = fuzz(deriveSeed(0xfeed5eed, 0), 400, false, false);
     EXPECT_GT(r.relocks, 0u);
+}
+
+TEST(ProtocolProperties, EpochBoundaryChurnUnderStrictChecker)
+{
+    // Relocks straddling an epoch edge (memscale re-clocks), ranks in
+    // (self-refresh) powerdown (fastpd) and refreshes mid-window, at
+    // 4 and 8 channels; strict mode turns any violation into an abort.
+    for (const char *policy : {"memscale", "fastpd"}) {
+        for (std::uint64_t seed : {7ull, 99ull}) {
+            for (std::uint32_t channels : {4u, 8u}) {
+                SCOPED_TRACE(std::string(policy) +
+                             " seed=" + std::to_string(seed) +
+                             " channels=" + std::to_string(channels));
+                SystemConfig cfg;
+                cfg.mixName = "MID3";
+                cfg.instrBudget = 250'000;
+                cfg.epochLen = msToTick(0.1);
+                cfg.profileLen = usToTick(10.0);
+                cfg.seed = seed;
+                cfg.mem.numChannels = channels;
+                cfg.strictCheck = true;
+                checkedRun(cfg, policy);
+            }
+        }
+    }
+}
+
+TEST(ProtocolProperties, OpenLoopServingAtEightChannelsNeverViolates)
+{
+    for (ArrivalKind kind : {ArrivalKind::Poisson, ArrivalKind::Bursty,
+                             ArrivalKind::Diurnal}) {
+        SCOPED_TRACE(arrivalKindName(kind));
+        SystemConfig cfg;
+        cfg.mixName = "OPENLOOP";
+        cfg.numCores = 8;
+        cfg.epochLen = msToTick(0.1);
+        cfg.profileLen = usToTick(10.0);
+        cfg.seed = 12345;
+        cfg.mem.numChannels = 8;
+        cfg.serving.enabled = true;
+        cfg.serving.arrival.kind = kind;
+        cfg.serving.arrival.ratePerSec = 2.0e6;
+        cfg.serving.horizon = msToTick(0.5);
+        cfg.serving.sloP99Us = 3.0;
+        const ServingStats s = checkedRun(cfg, "slo").serving;
+        ASSERT_TRUE(s.valid);
+        EXPECT_GT(s.arrived, 0u);
+        // Every arrival is completed, dropped, queued or in service.
+        EXPECT_EQ(s.arrived, s.completed + s.dropped + s.queuedAtEnd +
+                                 s.inServiceAtEnd);
+    }
 }
