@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "check/protocol_checker.hh"
+#include "common/rng.hh"
 #include "cpu/core.hh"
 #include "harness/sweep.hh"
 #include "harness/system.hh"
@@ -67,6 +68,58 @@ BM_EventQueueCancel(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_EventQueueCancel);
+
+/**
+ * Steady-state hold model: `depth` events stay pending while every
+ * fired event schedules its successor 2^12-2^18 ticks out, the range
+ * of deltas the simulator produces, so each pop pairs with one insert
+ * at the queue depth real runs keep (tens of events).  BM_EventQueue
+ * and BM_EventQueueCancel instead preload 10,000 events.
+ */
+struct HoldModel
+{
+    EventQueue eq;
+    std::uint64_t draws = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t hops = 0;
+
+    Tick
+    delta()
+    {
+        constexpr Tick lo = Tick(1) << 12, hi = Tick(1) << 18;
+        return lo + splitmix64(++draws) % (hi - lo);
+    }
+};
+
+struct HoldEvent
+{
+    HoldModel *m;
+
+    void
+    operator()() const
+    {
+        if (++m->fired <= m->hops)
+            m->eq.scheduleIn(m->delta(), HoldEvent{m});
+    }
+};
+
+void
+BM_EventQueueHold(benchmark::State &state)
+{
+    const auto depth = static_cast<std::uint64_t>(state.range(0));
+    constexpr std::uint64_t kHops = 100000;
+    for (auto _ : state) {
+        HoldModel m;
+        m.hops = kHops;
+        for (std::uint64_t i = 0; i < depth; ++i)
+            m.eq.schedule(m.delta(), HoldEvent{&m});
+        m.eq.runUntil();
+        benchmark::DoNotOptimize(m.fired);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kHops + depth));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(32)->Arg(128);
 
 void
 BM_SweepEngine(benchmark::State &state)

@@ -306,14 +306,17 @@ void
 Rank::recordAct(Tick when)
 {
     // Keep the window sorted; planning may insert slightly out of
-    // wall-clock order across banks.
+    // wall-clock order across banks, so place `when` with one
+    // insertion step into the already sorted window.
     if (numRecentActs_ == recentActs_.size()) {
         std::copy(recentActs_.begin() + 1, recentActs_.end(),
                   recentActs_.begin());
         --numRecentActs_;
     }
-    recentActs_[numRecentActs_++] = when;
-    std::sort(recentActs_.begin(), recentActs_.begin() + numRecentActs_);
+    std::size_t i = numRecentActs_++;
+    for (; i > 0 && recentActs_[i - 1] > when; --i)
+        recentActs_[i] = recentActs_[i - 1];
+    recentActs_[i] = when;
 }
 
 const RankActivity &

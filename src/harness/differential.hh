@@ -5,8 +5,9 @@
  * Runs the same System configuration under two implementations that
  * must agree bit-for-bit and diffs every observable field:
  *
- *  - kernelDiff(): production slab event kernel (KernelMode::Fast)
- *    vs. the sorted-list reference oracle (KernelMode::Reference);
+ *  - kernelDiff(): production event kernel (KernelMode::Fast, insert
+ *    walked from the soonest end) vs. the reference oracle
+ *    (KernelMode::Reference, binary-search insert);
  *  - sweepDiff(): the sweep engine at jobs=1 vs. jobs=N over the same
  *    case list (catches latent RNG/thread coupling).
  *

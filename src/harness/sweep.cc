@@ -41,11 +41,16 @@ resolveJobs(unsigned requested)
 {
     if (requested > 0)
         return clampJobs(requested);
-    if (const char *env = std::getenv("MEMSCALE_JOBS")) {
-        long v = std::strtol(env, nullptr, 10);
+    const char *env = std::getenv("MEMSCALE_JOBS");
+    if (env && *env) {
+        char *end = nullptr;
+        long long v = std::strtoll(env, &end, 10);
+        if (*end != '\0' || v < 0)
+            fatal("MEMSCALE_JOBS must be a non-negative integer, "
+                  "got '%s'",
+                  env);
         if (v > 0)
             return clampJobs(static_cast<unsigned long long>(v));
-        warn("ignoring invalid MEMSCALE_JOBS='%s'", env);
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

@@ -41,8 +41,9 @@ inline constexpr unsigned MaxJobs = 1024;
 /**
  * Resolve an effective worker count: `requested` if non-zero, else
  * the MEMSCALE_JOBS environment variable, else the number of hardware
- * threads (at least 1).  Values above MaxJobs are clamped with a
- * warning.
+ * threads (at least 1).  An empty or "0" MEMSCALE_JOBS means auto;
+ * anything but a non-negative integer is fatal.  Values above MaxJobs
+ * are clamped with a warning.
  */
 unsigned resolveJobs(unsigned requested = 0);
 

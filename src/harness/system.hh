@@ -83,8 +83,8 @@ struct SystemConfig
 
     /**
      * Event-kernel implementation (sim/event_queue).  Reference is the
-     * simple sorted-list oracle used by the differential harness; both
-     * modes must produce bit-identical results.
+     * binary-search-insert oracle used by the differential harness;
+     * both modes must produce bit-identical results.
      */
     KernelMode kernelMode = KernelMode::Fast;
 

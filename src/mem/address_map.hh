@@ -8,9 +8,10 @@
  * streaming accesses can merge into row hits when they queue up
  * back-to-back), then interleaves across banks and ranks.
  *
- * Mapping uses division/modulo rather than bit slicing so that
- * non-power-of-two channel counts (the 3-channel point of Fig. 13)
- * work unchanged.
+ * The mapping is defined by division/modulo so that non-power-of-two
+ * channel counts (the 3-channel point of Fig. 13) work unchanged.
+ * When every geometry factor is a power of two (the default
+ * configuration), decode() computes the same fields by shift/mask.
  */
 
 #ifndef MEMSCALE_MEM_ADDRESS_MAP_HH
@@ -38,6 +39,9 @@ class AddressMap
     std::uint64_t capacity() const { return capacity_; }
 
   private:
+    /** Shift/mask decode; valid only when pow2_ is set. */
+    DecodedAddr decodePow2(Addr addr) const;
+
     std::uint64_t lineBytes_;
     std::uint64_t channels_;
     std::uint64_t colLow_;
@@ -46,6 +50,14 @@ class AddressMap
     std::uint64_t colHigh_;
     std::uint64_t rows_;
     std::uint64_t capacity_;
+
+    /**
+     * Set by the constructor when capacity and every factor above is
+     * a power of two; shifts_ then holds log2 of lineBytes_,
+     * channels_, colLow_, banks_, ranks_ and colHigh_, in that order.
+     */
+    bool pow2_ = false;
+    unsigned shifts_[6] = {};
 };
 
 } // namespace memscale

@@ -1,8 +1,9 @@
 /**
  * @file
- * Address-mapping tests: decode/encode round-trips (property sweep
- * across configurations including the non-power-of-two 3-channel
- * case), interleaving behaviour, and field ranges.
+ * Address-mapping tests: decode against the defining division
+ * formula on both decode paths, decode/encode round-trips (property
+ * sweep across configurations including the non-power-of-two
+ * 3-channel case), interleaving behaviour, and field ranges.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +25,56 @@ cfgWithChannels(std::uint32_t channels)
     return cfg;
 }
 
+/**
+ * The mapping's defining division chain, written out independently of
+ * AddressMap so the shift/mask fast path has something to match.
+ */
+DecodedAddr
+divisionDecode(const MemConfig &cfg, Addr addr)
+{
+    const std::uint64_t col_high_n = cfg.linesPerRow() / cfg.colLowLines;
+    std::uint64_t line = (addr % cfg.totalBytes()) / cfg.lineBytes;
+    DecodedAddr d;
+    d.channel = static_cast<std::uint32_t>(line % cfg.numChannels);
+    line /= cfg.numChannels;
+    const std::uint64_t col_low = line % cfg.colLowLines;
+    line /= cfg.colLowLines;
+    d.bank = static_cast<std::uint32_t>(line % cfg.banksPerRank);
+    line /= cfg.banksPerRank;
+    d.rank = static_cast<std::uint32_t>(line % cfg.ranksPerChannel());
+    line /= cfg.ranksPerChannel();
+    const std::uint64_t col_high = line % col_high_n;
+    line /= col_high_n;
+    d.row = line % cfg.rowsPerBank();
+    d.column = col_high * cfg.colLowLines + col_low;
+    return d;
+}
+
 } // namespace
+
+TEST(AddressMap, DecodeMatchesDivisionFormula)
+{
+    // The default geometry is all powers of two (shift/mask path);
+    // 3 channels forces the division chain.  Both must agree with the
+    // formula field by field, on line-aligned and unaligned addresses
+    // and past the capacity wrap.
+    for (std::uint32_t channels : {4u, 3u}) {
+        MemConfig cfg = cfgWithChannels(channels);
+        AddressMap map(cfg);
+        Rng rng(channels * 77 + 5);
+        for (int i = 0; i < 20000; ++i) {
+            const Addr a = i % 8 == 0 ? rng.next()
+                                      : rng.next() % cfg.totalBytes();
+            const DecodedAddr got = map.decode(a);
+            const DecodedAddr want = divisionDecode(cfg, a);
+            ASSERT_EQ(got.channel, want.channel) << channels << " " << a;
+            ASSERT_EQ(got.rank, want.rank) << channels << " " << a;
+            ASSERT_EQ(got.bank, want.bank) << channels << " " << a;
+            ASSERT_EQ(got.row, want.row) << channels << " " << a;
+            ASSERT_EQ(got.column, want.column) << channels << " " << a;
+        }
+    }
+}
 
 TEST(AddressMap, FieldRanges)
 {

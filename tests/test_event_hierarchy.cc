@@ -1,11 +1,13 @@
 /**
  * @file
- * Edge cases of the hierarchical calendar queue (timing wheel plus
- * overflow heap) that the basic kernel suite (test_sim) does not
- * reach: far-future events beyond the calendar horizon crossing back
- * in as the wheel rolls over, cancel-then-reschedule across bucket
- * and level boundaries, same-tick FIFO across channel and core tags,
- * and exportPending/restore byte-identity.
+ * Edge cases of the event kernel's sorted event array that the basic
+ * kernel suite (test_sim) does not reach: far-future events more than
+ * 2^48 ticks out interleaving with near ones, cancel-then-reschedule
+ * across tick ranges many orders of magnitude apart, same-tick FIFO
+ * across channel and core tags, exportPending/restore byte-identity,
+ * and mirrored fuzzing of the Fast kernel against the Reference
+ * oracle, both with everything scheduled up front and with callbacks
+ * that schedule and cancel while the queue runs.
  */
 
 #include <gtest/gtest.h>
@@ -40,8 +42,8 @@ coreTag(std::uint64_t label)
     return EventTag{EvCoreIssueMiss, 0, label, 0};
 }
 
-/** The calendar horizon: 6 levels of 64 buckets, 2^12-tick level 0. */
-constexpr Tick kHorizon = Tick(1) << (12 + 6 * 6);
+/** A far-future distance: 2^48 ticks, ~4.7 simulated minutes. */
+constexpr Tick kHorizon = Tick(1) << 48;
 
 bool
 samePending(const PendingEvent &a, const PendingEvent &b)
@@ -55,9 +57,9 @@ samePending(const PendingEvent &a, const PendingEvent &b)
 
 TEST(EventHierarchy, FarFutureBeyondHorizonFiresInOrder)
 {
-    // Events past the wheel's span land in the overflow heap and must
-    // still interleave correctly with near events as the wheel rolls
-    // forward to meet them, whatever their tag kind.
+    // Events more than 2^48 ticks out must still interleave correctly
+    // with near events as the clock advances to meet them, whatever
+    // their tag kind.
     EventQueue eq;
     std::vector<Tick> fired;
     const Tick whens[] = {
@@ -66,8 +68,8 @@ TEST(EventHierarchy, FarFutureBeyondHorizonFiresInOrder)
         kHorizon + 50, kHorizon + 90, (Tick(1) << 49),
         (Tick(1) << 49) + 1,
     };
-    // Schedule in scrambled order so placement, not insertion, is
-    // what gets tested; odd positions carry channel tags.
+    // Schedule in scrambled order so the insert point, not insertion
+    // order, is what gets tested; odd positions carry channel tags.
     for (int i : {5, 0, 3, 9, 6, 1, 8, 4, 7, 2})
         eq.schedule(whens[i], [&fired, &eq] { fired.push_back(eq.now()); },
                     EventClass::Hardware,
@@ -80,9 +82,9 @@ TEST(EventHierarchy, FarFutureBeyondHorizonFiresInOrder)
 
 TEST(EventHierarchy, RolloverThenRescheduleFromAdvancedClock)
 {
-    // After consuming past the first horizon the wheel's consumption
-    // point has rolled far forward; fresh near *and* far events
-    // scheduled from the advanced clock must still order globally.
+    // After consuming past the first far event the clock has jumped
+    // more than 2^48 ticks; fresh near *and* far events scheduled
+    // from the advanced clock must still order globally.
     EventQueue eq;
     std::vector<Tick> fired;
     auto rec = [&fired, &eq] { fired.push_back(eq.now()); };
@@ -95,7 +97,7 @@ TEST(EventHierarchy, RolloverThenRescheduleFromAdvancedClock)
     fired.clear();
     const Tick base = eq.now();
     eq.schedule(base + 3, rec);
-    eq.schedule(base + kHorizon + 7, rec);   // overflow again
+    eq.schedule(base + kHorizon + 7, rec);   // far again
     eq.schedule(base + 1, rec);
     eq.schedule(base + (Tick(1) << 20), rec);
     eq.runUntil();
@@ -106,20 +108,19 @@ TEST(EventHierarchy, RolloverThenRescheduleFromAdvancedClock)
 
 TEST(EventHierarchy, CancelThenRescheduleAcrossBuckets)
 {
-    // Kill an event in one calendar bucket, reschedule the same
-    // logical work in another bucket/level, or earlier than the
-    // corpse (alternating core and channel tags); only the
-    // replacement may fire and the dead id must stay dead
-    // (generation check).
+    // Kill an event at one tick, reschedule the same logical work at
+    // a tick orders of magnitude away, or earlier than the cancelled
+    // one (alternating core and channel tags); only the replacement
+    // may fire and the dead id must stay dead (generation check).
     EventQueue eq;
     int fired = 0;
     const Tick spots[] = {
-        100,                      // level 0
-        (Tick(1) << 13) + 3,      // next L0 epoch
-        (Tick(1) << 25),          // mid level
-        (Tick(1) << 44),          // top level
-        kHorizon + 1,             // overflow
-        kHorizon + 2,             // overflow, channel tag
+        100,                      // a few ns out
+        (Tick(1) << 13) + 3,      // ~8 ns
+        (Tick(1) << 25),          // ~30 us
+        (Tick(1) << 44),          // ~17 s
+        kHorizon + 1,             // past 2^48 ticks
+        kHorizon + 2,             // past 2^48, channel tag
         50,                       // back before the first spot
     };
     auto tagAt = [](std::size_t i) {
@@ -177,10 +178,10 @@ TEST(EventHierarchy, SameTickClassBeatsSeq)
 
 TEST(EventHierarchy, ExportPendingMatchesExecutionOrder)
 {
-    // exportPending() promises exact execution order regardless of
-    // whether an event sits in a wheel bucket or the overflow heap.
-    // Label every event through tag.a and check the exported label
-    // sequence against the order the events actually fire in.
+    // exportPending() promises exact execution order for near and
+    // far events alike.  Label every event through tag.a and check
+    // the exported label sequence against the order the events
+    // actually fire in.
     EventQueue eq;
     std::vector<std::uint64_t> fired;
     std::uint64_t label = 0;
@@ -207,11 +208,10 @@ TEST(EventHierarchy, ExportPendingMatchesExecutionOrder)
 
 TEST(EventHierarchy, ExportRestoreByteIdentity)
 {
-    // Round-trip a queue with channel- and core-tagged events in
-    // calendar buckets and overflow through export -> clear -> setNow
-    // -> re-schedule; the second export must be byte-identical,
-    // including after a cancel has left a corpse in a bucket (stale
-    // entries must not leak into the export).
+    // Round-trip a queue with near and far channel- and core-tagged
+    // events through export -> clear -> setNow -> re-schedule; the
+    // second export must be byte-identical, including after a cancel
+    // (a cancelled event must not leak into the export).
     EventQueue eq;
     auto noop = [] {};
     eq.schedule(40, noop, EventClass::Hardware, chanTag(1, 11));
@@ -245,9 +245,10 @@ TEST(EventHierarchy, ExportRestoreByteIdentity)
 
 TEST(EventHierarchy, ExportIdenticalAcrossKernelModes)
 {
-    // The same schedule executed against the Fast calendar and the
+    // The same schedule executed against the Fast kernel and the
     // Reference oracle must export the same pending list — export
-    // order is defined by (when, class, seq), not by structure.
+    // order is defined by (when, class, seq), not by how either
+    // kernel found its insert points.
     EventQueue fast(KernelMode::Fast);
     EventQueue ref(KernelMode::Reference);
     auto noop = [] {};
@@ -272,8 +273,8 @@ TEST(EventHierarchy, ExportIdenticalAcrossKernelModes)
 TEST(EventHierarchy, MirroredFuzzAgainstReference)
 {
     // Randomized schedule/cancel churn mirrored into both kernels,
-    // biased toward channel traffic and bucket-boundary ticks;
-    // firing sequences must match exactly.
+    // biased toward channel traffic and 2^12-aligned ticks; firing
+    // sequences must match exactly.
     std::mt19937 rng(777);
     for (int round = 0; round < 5; ++round) {
         EventQueue fast(KernelMode::Fast);
@@ -289,9 +290,9 @@ TEST(EventHierarchy, MirroredFuzzAgainstReference)
                 continue;
             }
             Tick when = rng() & 0x3fffff;
-            if (rng() % 8 == 0)         // sit exactly on a bucket edge
+            if (rng() % 8 == 0)         // 2^12-aligned: more ties
                 when &= ~Tick(0xfff);
-            if (rng() % 16 == 0)        // or beyond the horizon
+            if (rng() % 16 == 0)        // or past 2^48 ticks out
                 when += kHorizon;
             const auto cls = static_cast<EventClass>(rng() % 3);
             const EventTag tag = (rng() % 3) ? chanTag(rng() % 100, 0)
@@ -308,5 +309,153 @@ TEST(EventHierarchy, MirroredFuzzAgainstReference)
         ref.runUntil();
         EXPECT_EQ(ffired, rfired) << "round " << round;
         EXPECT_EQ(fast.now(), ref.now()) << "round " << round;
+    }
+}
+
+namespace
+{
+
+/**
+ * One side of the mirrored live fuzz: a kernel plus the RNG and logs
+ * its callbacks drive.  Both sides start from one seed, so they make
+ * the same choices for exactly as long as they fire the same events
+ * in the same order.
+ */
+struct LiveFuzzSide
+{
+    LiveFuzzSide(KernelMode mode, std::uint64_t seed)
+        : eq(mode), rng(seed)
+    {}
+
+    static constexpr std::uint64_t CancelMark = std::uint64_t(1) << 63;
+
+    EventQueue eq;
+    std::mt19937_64 rng;
+    std::vector<EventId> ids;  ///< by label
+    /** Fired labels, and each cancel as CancelMark | victim << 1 | ok. */
+    std::vector<std::uint64_t> log;
+    int budget = 0;            ///< schedules left for callbacks
+
+    /** Schedule one event: at now, near, 2^12-2^18 out, or past 2^48. */
+    void
+    spawn()
+    {
+        const std::uint64_t label = ids.size();
+        Tick when = eq.now();
+        switch (rng() % 8) {
+          case 0:
+          case 1:
+            break;
+          case 2:
+          case 3:
+            when += rng() % 64;
+            break;
+          case 7:
+            when += kHorizon + rng() % (Tick(1) << 20);
+            break;
+          default:
+            when += (Tick(1) << (12 + rng() % 7)) + rng() % 4096;
+            break;
+        }
+        const auto cls = static_cast<EventClass>(rng() % 3);
+        const EventTag tag =
+            label % 2 ? chanTag(static_cast<std::uint32_t>(rng() % 8),
+                                label)
+                      : coreTag(label);
+        ids.push_back(eq.schedule(when, [this, label] { fire(label); },
+                                  cls, tag));
+    }
+
+    /** Cancel `victim` and log the outcome. */
+    bool
+    cancel(std::uint64_t victim)
+    {
+        const bool ok = eq.cancel(ids[victim]);
+        log.push_back(CancelMark | (victim << 1) | (ok ? 1 : 0));
+        return ok;
+    }
+
+    void
+    fire(std::uint64_t label)
+    {
+        log.push_back(label);
+        for (unsigned k = rng() % 3; k > 0 && budget > 0; --k, --budget)
+            spawn();
+        switch (rng() % 6) {
+          case 0:  // the in-flight id: always a no-op
+            EXPECT_FALSE(cancel(label));
+            break;
+          case 1:
+          case 2:  // a recent id, most likely still pending
+            cancel(ids.size() - 1 - rng() % std::min<std::size_t>(
+                                            ids.size(), 32));
+            break;
+          case 3:  // any id: mostly already fired
+            cancel(rng() % ids.size());
+            break;
+          default:
+            break;
+        }
+    }
+};
+
+} // namespace
+
+TEST(EventHierarchy, MirroredLiveFuzzAgainstReference)
+{
+    // Callbacks schedule at now in every class, near, 2^12-2^18 ticks
+    // out (the deltas the simulator produces) and past 2^48, and
+    // cancel pending, in-flight and already-fired ids while the queue
+    // runs under interleaved runUntil(limit) horizons.  Firing order,
+    // cancel results, the clock and exportPending() must match the
+    // Reference oracle after every horizon.
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        LiveFuzzSide fast(KernelMode::Fast, seed);
+        LiveFuzzSide ref(KernelMode::Reference, seed);
+        std::mt19937_64 drive(seed * 7919);
+        for (LiveFuzzSide *side : {&fast, &ref}) {
+            side->budget = 3000;
+            for (int i = 0; i < 40; ++i)
+                side->spawn();
+        }
+        int horizons = 0;
+        while (!fast.eq.empty() || !ref.eq.empty()) {
+            ASSERT_LT(++horizons, 100000) << "seed " << seed;
+            const Tick now = fast.eq.now();
+            const unsigned pick = drive() % 16;
+            const Tick limit =
+                pick < 2    ? now  // only events due right now
+                : pick < 8  ? now + drive() % (Tick(1) << 14)
+                : pick < 13 ? now + drive() % (Tick(1) << 18)
+                : pick < 15 ? now + 2 * kHorizon
+                            : MaxTick;
+            fast.eq.runUntil(limit);
+            ref.eq.runUntil(limit);
+            ASSERT_EQ(fast.log, ref.log) << "seed " << seed;
+            ASSERT_EQ(fast.eq.now(), ref.eq.now()) << "seed " << seed;
+            ASSERT_EQ(fast.eq.pending(), ref.eq.pending());
+            const auto a = fast.eq.exportPending();
+            const auto b = ref.eq.exportPending();
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i)
+                ASSERT_TRUE(samePending(a[i], b[i]))
+                    << "seed " << seed << " position " << i;
+            // Between horizons: cancel from outside, or reseed a
+            // drained queue while budget remains.
+            if (drive() % 2 == 0) {
+                const std::uint64_t victim = drive() % fast.ids.size();
+                fast.cancel(victim);
+                ref.cancel(victim);
+            }
+            if (fast.eq.empty() && fast.budget > 0) {
+                for (LiveFuzzSide *side : {&fast, &ref}) {
+                    side->budget -= 20;
+                    for (int i = 0; i < 20; ++i)
+                        side->spawn();
+                }
+            }
+        }
+        EXPECT_EQ(fast.log, ref.log) << "seed " << seed;
+        EXPECT_GT(fast.ids.size(), 1000u) << "seed " << seed;
     }
 }

@@ -135,16 +135,15 @@ TEST(EventQueue, PendingCount)
 
 TEST(EventQueue, StepSkipsCancelledTop)
 {
-    // Regression: a cancelled event sitting at the top of the heap
-    // must be purged by step() — it must neither fire nor consume the
-    // step, and step() must not report work on a queue whose only
-    // entries are cancelled.
+    // Regression: a cancelled event that was next in line must neither
+    // fire nor consume a step(), and step() must not report work on a
+    // queue whose only events are cancelled.
     EventQueue eq;
     std::vector<int> order;
     EventId a = eq.schedule(10, [&] { order.push_back(1); });
     eq.schedule(20, [&] { order.push_back(2); });
     EXPECT_TRUE(eq.cancel(a));
-    EXPECT_TRUE(eq.step());  // runs the tick-20 event, not the corpse
+    EXPECT_TRUE(eq.step());  // runs the tick-20 event, not the cancelled one
     EXPECT_EQ(order, (std::vector<int>{2}));
     EXPECT_EQ(eq.now(), 20u);
     EXPECT_FALSE(eq.step());
@@ -222,7 +221,7 @@ TEST(EventQueue, CancelInvalidId)
 TEST(EventQueue, CancelDestroysCaptureImmediately)
 {
     // cancel() promises the callback's captured resources die right
-    // away, even though the heap entry is reclaimed lazily.
+    // away.
     EventQueue eq;
     auto token = std::make_shared<int>(5);
     std::weak_ptr<int> watch = token;

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -54,6 +55,30 @@ TEST(SweepEngine, ResolveJobsPrefersExplicit)
 {
     EXPECT_EQ(resolveJobs(3), 3u);
     EXPECT_GE(resolveJobs(0), 1u);
+}
+
+TEST(SweepEngine, ResolveJobsRejectsInvalidEnv)
+{
+    // A bad MEMSCALE_JOBS must stop the run instead of quietly
+    // falling back to every hardware thread.  Empty and "0" mean
+    // auto; an explicit request never reads the variable.
+    const char *saved = std::getenv("MEMSCALE_JOBS");
+    const std::string restore = saved ? saved : "";
+    for (const char *bad : {"abc", "4x", "-2", "2.5"}) {
+        setenv("MEMSCALE_JOBS", bad, 1);
+        EXPECT_THROW(resolveJobs(0), FatalError) << bad;
+        EXPECT_EQ(resolveJobs(2), 2u) << bad;
+    }
+    setenv("MEMSCALE_JOBS", "3", 1);
+    EXPECT_EQ(resolveJobs(0), 3u);
+    for (const char *autoJobs : {"", "0"}) {
+        setenv("MEMSCALE_JOBS", autoJobs, 1);
+        EXPECT_GE(resolveJobs(0), 1u) << '"' << autoJobs << '"';
+    }
+    if (saved)
+        setenv("MEMSCALE_JOBS", restore.c_str(), 1);
+    else
+        unsetenv("MEMSCALE_JOBS");
 }
 
 TEST(SweepEngine, CheckedJobsGuardsUserInput)
