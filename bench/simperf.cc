@@ -146,6 +146,7 @@ BENCHMARK(BM_SweepEngine);
 void
 BM_ChannelRequests(benchmark::State &state)
 {
+    std::uint64_t events = 0;
     for (auto _ : state) {
         EventQueue eq;
         MemConfig cfg;
@@ -154,10 +155,12 @@ BM_ChannelRequests(benchmark::State &state)
         FnClient client([&done](Tick) { ++done; });
         for (int i = 0; i < 5000; ++i)
             mc.read(static_cast<Addr>(i) * 64 * 97, 0, &client);
-        eq.runUntil();
+        events = eq.runUntil();
         benchmark::DoNotOptimize(done);
     }
     state.SetItemsProcessed(state.iterations() * 5000);
+    state.counters["events_per_req"] =
+        static_cast<double>(events) / 5000.0;
 }
 BENCHMARK(BM_ChannelRequests);
 
@@ -277,13 +280,18 @@ BM_FullSystem(benchmark::State &state)
     cfg.epochLen = msToTick(0.25);
     cfg.profileLen = usToTick(25.0);
     std::uint64_t cores = 0;
+    double events_per_req = 0.0;
     for (auto _ : state) {
         auto policy = makePolicy("memscale");
         System sys(cfg, *policy);
         RunResult r = sys.run();
         cores = r.coreCpi.size();
+        events_per_req =
+            static_cast<double>(sys.eventsRun()) /
+            static_cast<double>(r.counters.reads + r.counters.writes);
         benchmark::DoNotOptimize(r.runtime);
     }
+    state.counters["events_per_req"] = events_per_req;
     // Simulated instructions per second: the configured budget times
     // the actual core count of the run (not a hardcoded guess).
     state.SetItemsProcessed(

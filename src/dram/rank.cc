@@ -161,6 +161,11 @@ Rank::saveState(SectionWriter &w) const
     w.u32(numRecentActs_);
     for (std::uint32_t i = 0; i < numRecentActs_; ++i)
         w.u64(recentActs_[i]);
+    w.u32(numPending_);
+    for (std::uint32_t i = 0; i < numPending_; ++i) {
+        w.u64(pending_[i].at);
+        w.b(pending_[i].open);
+    }
 }
 
 void
@@ -180,6 +185,64 @@ Rank::restoreState(SectionReader &r)
     recentActs_ = {};
     for (std::uint32_t i = 0; i < numRecentActs_; ++i)
         recentActs_[i] = r.u64();
+
+    // Deferred transitions: refuse any buffer the live simulator could
+    // not have produced, rather than replaying it into bad accounting.
+    numPending_ = r.u32();
+    if (numPending_ > pending_.size())
+        fatal("Rank restore (section %s): %u deferred transitions "
+              "exceed the buffer of %zu",
+              r.name().c_str(), numPending_, pending_.size());
+    pending_ = {};
+    std::uint32_t open = openBanks_;
+    for (std::uint32_t i = 0; i < numPending_; ++i) {
+        Transition &t = pending_[i];
+        t.at = r.u64();
+        const std::uint8_t kind = r.u8();
+        if (kind > 1)
+            fatal("Rank restore (section %s): deferred transition %u "
+                  "has kind %u",
+                  r.name().c_str(), i, kind);
+        t.open = kind != 0;
+        if (t.at < lastUpdate_)
+            fatal("Rank restore (section %s): deferred transition %u "
+                  "at tick %llu precedes the last update at %llu",
+                  r.name().c_str(), i,
+                  static_cast<unsigned long long>(t.at),
+                  static_cast<unsigned long long>(lastUpdate_));
+        if (i > 0 && t.at < pending_[i - 1].at)
+            fatal("Rank restore (section %s): deferred transition %u "
+                  "is out of tick order",
+                  r.name().c_str(), i);
+        if (t.open) {
+            ++open;
+        } else if (open == 0) {
+            fatal("Rank restore (section %s): deferred transition %u "
+                  "closes a bank with none open",
+                  r.name().c_str(), i);
+        } else {
+            --open;
+        }
+    }
+}
+
+void
+Rank::defer(Tick at, bool open)
+{
+    if (at < lastUpdate_)
+        panic("Rank: deferred transition at %llu precedes the last "
+              "update at %llu",
+              static_cast<unsigned long long>(at),
+              static_cast<unsigned long long>(lastUpdate_));
+    if (numPending_ == pending_.size())
+        panic("Rank: deferred-transition buffer full (%zu entries)",
+              pending_.size());
+    // Transitions arrive nearly in tick order: one insertion step
+    // from the back, after any entry at the same tick.
+    std::uint32_t i = numPending_++;
+    for (; i > 0 && pending_[i - 1].at > at; --i)
+        pending_[i] = pending_[i - 1];
+    pending_[i] = {at, open};
 }
 
 void
@@ -189,8 +252,32 @@ Rank::sync(Tick now)
         panic("Rank accounting timestamp regressed (%llu < %llu)",
               static_cast<unsigned long long>(now),
               static_cast<unsigned long long>(lastUpdate_));
-    Tick dt = now - lastUpdate_;
-    lastUpdate_ = now;
+    std::uint32_t n = 0;
+    for (; n < numPending_ && pending_[n].at <= now; ++n) {
+        const Transition &t = pending_[n];
+        integrate(t.at);
+        if (t.open) {
+            ++openBanks_;
+            ++activity_.actPreCount;
+        } else {
+            if (openBanks_ == 0)
+                panic("Rank: deferred close with no open banks");
+            --openBanks_;
+        }
+    }
+    if (n > 0) {
+        std::copy(pending_.begin() + n, pending_.begin() + numPending_,
+                  pending_.begin());
+        numPending_ -= n;
+    }
+    integrate(now);
+}
+
+void
+Rank::integrate(Tick to)
+{
+    Tick dt = to - lastUpdate_;
+    lastUpdate_ = to;
     if (dt == 0)
         return;
     activity_.totalTime += dt;
@@ -227,20 +314,23 @@ Rank::sync(Tick now)
     }
 }
 
-void
-Rank::bankOpened(Tick at)
+std::uint32_t
+Rank::pendingCloses() const
 {
-    sync(at);
-    ++openBanks_;
+    std::uint32_t n = 0;
+    for (std::uint32_t i = 0; i < numPending_; ++i)
+        n += pending_[i].open ? 0 : 1;
+    return n;
 }
 
-void
-Rank::bankClosed(Tick at)
+std::optional<Tick>
+Rank::latestPendingClose() const
 {
-    if (openBanks_ == 0)
-        panic("Rank: bankClosed with no open banks");
-    sync(at);
-    --openBanks_;
+    for (std::uint32_t i = numPending_; i > 0; --i) {
+        if (!pending_[i - 1].open)
+            return pending_[i - 1].at;
+    }
+    return std::nullopt;
 }
 
 void
@@ -358,6 +448,8 @@ Rank::reset()
     idle_ = RankIdleState::Up;
     recentActs_ = {};
     numRecentActs_ = 0;
+    pending_ = {};
+    numPending_ = 0;
 }
 
 } // namespace memscale

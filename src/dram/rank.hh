@@ -6,8 +6,15 @@
  * bookkeeping.
  *
  * The rank integrates time-in-state between explicit, monotonically
- * non-decreasing update timestamps supplied by the channel's
- * accounting events.
+ * non-decreasing update timestamps.  Bank opens (ACT latched) and
+ * closes (precharge done) are recorded with openAt()/closeAt(), mostly
+ * ahead of time: the channel plans a request's whole command sequence
+ * at once and records each transition at its future tick instead of
+ * scheduling an event for it.  Every sync applies the recorded
+ * transitions at or before its timestamp in tick order, integrating
+ * piecewise between them, so time-in-state and the ACT/PRE count come
+ * out exactly as if each transition had been its own event
+ * (DESIGN.md §6, "Event-coalescing contract").
  */
 
 #ifndef MEMSCALE_DRAM_RANK_HH
@@ -15,7 +22,7 @@
 
 #include <array>
 #include <cstdint>
-
+#include <optional>
 #include <string>
 
 #include "common/types.hh"
@@ -107,12 +114,33 @@ struct RankActivity
 class Rank
 {
   public:
+    /**
+     * Capacity of the deferred-transition buffer.  The channel settles
+     * a rank whenever it plans a request there, which leaves at most
+     * three transitions pending per bank (DESIGN.md §6), so this
+     * covers ranks of up to 21 banks.
+     */
+    static constexpr std::uint32_t maxPendingTransitions = 64;
+
     Rank() = default;
 
     /** @name State-change notifications (timestamps must not regress). */
     /// @{
-    void bankOpened(Tick at);
-    void bankClosed(Tick at);
+    /**
+     * Bank transitions.  openAt records a row activation that latches
+     * at `at` (one ACT/PRE pair toward POCC); closeAt records a
+     * precharge that completes at `at`.  `at` may lie in the future
+     * but not before the last sync; the transition takes effect in the
+     * first sync at or after `at`.
+     */
+    void openAt(Tick at) { defer(at, true); }
+    void closeAt(Tick at) { defer(at, false); }
+
+    /**
+     * Apply every deferred transition at or before `now` and
+     * integrate up to it.  Call before reading openBanks().
+     */
+    void settle(Tick now) { sync(now); }
 
     /**
      * CKE transition.  Entering powerdown with slow_exit selects the
@@ -130,7 +158,6 @@ class Rank
      */
     void setIdleState(Tick at, RankIdleState s);
 
-    void noteActPre() { ++activity_.actPreCount; }
     void noteBurst(bool is_write, Tick duration);
     void noteRefresh() { ++activity_.refreshes; }
     /// @}
@@ -153,7 +180,8 @@ class Rank
     /**
      * Publish this rank's cumulative activity counters under `prefix`
      * (e.g. "mc0.chan1.rank0").  Registers pointers only; the
-     * time-in-state values read as of the last sample() flush.
+     * time-in-state values and the ACT/PRE count read as of the last
+     * sync.
      */
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) const;
@@ -170,7 +198,14 @@ class Rank
     {
         return memscale::selfRefreshing(idle_);
     }
+    /** Open banks as of the last sync (see settle()). */
     std::uint32_t openBanks() const { return openBanks_; }
+
+    /** Deferred closes not yet applied. */
+    std::uint32_t pendingCloses() const;
+
+    /** Tick of the latest deferred close, if any is pending. */
+    std::optional<Tick> latestPendingClose() const;
 
     /** Reset all state (used between experiment runs). */
     void reset();
@@ -185,7 +220,18 @@ class Rank
     /// @}
 
   private:
+    /** One deferred bank open or close. */
+    struct Transition
+    {
+        Tick at = 0;
+        bool open = false;
+    };
+
+    void defer(Tick at, bool open);
+    /** Apply deferred transitions at or before `now`, then integrate. */
     void sync(Tick now);
+    /** Attribute [lastUpdate_, to) to the current state. */
+    void integrate(Tick to);
 
     RankActivity activity_;
     Tick lastUpdate_ = 0;
@@ -198,6 +244,13 @@ class Rank
      */
     std::array<Tick, 8> recentActs_ = {};
     std::uint32_t numRecentActs_ = 0;
+
+    /**
+     * Deferred transitions sorted ascending by tick; equal ticks keep
+     * recording order (an open-miss close before its activate).
+     */
+    std::array<Transition, maxPendingTransitions> pending_ = {};
+    std::uint32_t numPending_ = 0;
 };
 
 } // namespace memscale

@@ -436,8 +436,6 @@ System::restore()
                       tag.owner);
             cb = cores_[tag.owner]->rebuildEvent(tag.kind);
             break;
-          case EvChanBankClosed:
-          case EvChanActOpen:
           case EvChanBurstDone:
           case EvChanPreDone:
           case EvChanRelockEnter:
@@ -550,7 +548,7 @@ System::advance(Tick until)
     if (until < cfg_.maxSimTime)
         stop = eq_.schedule(until, [this] { eq_.stop(); },
                             EventClass::Sample, {EvEphemeral});
-    eq_.runUntil(cfg_.maxSimTime);
+    eventsRun_ += eq_.runUntil(cfg_.maxSimTime);
     const bool reached = stop != InvalidEventId && !eq_.cancel(stop);
     if (phase_ == Phase::Running && !reached)
         phase_ = Phase::TimeLimit;
@@ -604,6 +602,7 @@ System::checkpoint(const std::string &path)
     m.u32(mc_->ranksPoweredDown());
     m.u32(relocks);
     m.u32(refreshes);
+    m.u32(mc_->pendingRankCloses());
 
     SectionWriter &sim = sw.section("sim");
     sim.u64(eq_.now());
@@ -749,6 +748,7 @@ readSnapshotMeta(const std::string &path)
     out.ranksPoweredDown = m.u32();
     out.pendingRelocks = m.u32();
     out.pendingRefreshes = m.u32();
+    out.pendingRankCloses = m.u32();
     return out;
 }
 

@@ -198,8 +198,8 @@ struct RunResult
 /**
  * Summary block of a snapshot's "meta" section, exposed so tests and
  * tools can probe what a checkpoint caught mid-flight (in-flight
- * requests, powered-down ranks, pending relock/refresh events)
- * without restoring it.
+ * requests, powered-down ranks, pending relock/refresh events,
+ * deferred bank closes) without restoring it.
  */
 struct SnapshotMeta
 {
@@ -212,6 +212,8 @@ struct SnapshotMeta
     std::uint32_t ranksPoweredDown = 0;
     std::uint32_t pendingRelocks = 0;
     std::uint32_t pendingRefreshes = 0;
+    /** Precharges recorded in a rank but not yet applied. */
+    std::uint32_t pendingRankCloses = 0;
 };
 
 /** Parse a snapshot file's meta block (fatal on unreadable files). */
@@ -277,6 +279,9 @@ class System
 
     Tick now() const { return eq_.now(); }
 
+    /** Events executed by advance() so far (a host-cost probe). */
+    std::uint64_t eventsRun() const { return eventsRun_; }
+
   private:
     void restore();
     void accrue(SystemEnergyIntegrator &integ, std::vector<Tick> &stall,
@@ -310,6 +315,7 @@ class System
     enum class Phase { Running, Complete, Cut, TimeLimit, Finished };
     Phase phase_ = Phase::Running;
     std::uint32_t done_ = 0;
+    std::uint64_t eventsRun_ = 0;
     std::vector<std::string> checkpointsWritten_;
     std::function<void()> periodic_;
 };

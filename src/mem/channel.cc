@@ -20,6 +20,12 @@ Channel::Channel(EventQueue &eq, const MemConfig &cfg,
       pdSeq_(cfg.ranksPerChannel(), 0),
       relockParked_(cfg.ranksPerChannel(), 0)
 {
+    // A rank holds at most three deferred transitions per bank
+    // (DESIGN.md §6), so its fixed buffer bounds the bank count.
+    if (3 * cfg.banksPerRank > Rank::maxPendingTransitions)
+        fatal("Channel: %u banks per rank exceed the %u the rank's "
+              "deferred-transition buffer supports",
+              cfg.banksPerRank, Rank::maxPendingTransitions / 3);
 }
 
 Channel::~Channel()
@@ -140,6 +146,9 @@ Channel::tryService(std::uint32_t r, std::uint32_t b)
     const TimingParams tp = tp_;
     Rank &rk = ranks_[r];
     const Tick now = eq_.now();
+    // Apply the transitions already due, so the rank's deferred buffer
+    // holds only the few still in the future (at most three per bank).
+    rk.settle(now);
 
     // Earliest first command: planning happens now at the earliest
     // (writebacks may have aged in the write queue), the request must
@@ -274,30 +283,15 @@ Channel::tryService(std::uint32_t r, std::uint32_t b)
         emit(ev);
     }
 
-    // Accounting events at the actual transition times, coalesced
-    // where that provably preserves ordering: the pre-close and
-    // act-open updates merge into one event when they fall on the
-    // same tick (their seqs were consecutive, so same-tick relative
-    // order is unchanged; across ticks they stay separate because an
-    // epoch-boundary rank sample may fire in between), and the rank
-    // burst accounting always rides on the completion event (both at
-    // burstEnd with consecutive seqs).  Net: two events per request
-    // in the common case instead of four.
-    if (req->outcome == RowOutcome::OpenMiss &&
-        open_miss_pre_done != act_at) {
-        eq_.schedule(open_miss_pre_done,
-                     [this, r] { evBankClosed(r); },
-                     EventClass::Hardware,
-                     {EvChanBankClosed, id_, r});
-    }
-    if (did_act) {
-        bool also_close = req->outcome == RowOutcome::OpenMiss &&
-                          open_miss_pre_done == act_at;
-        eq_.schedule(act_at,
-                     [this, r, also_close] { evActOpen(r, also_close); },
-                     EventClass::Hardware,
-                     {EvChanActOpen, id_, r, also_close ? 1u : 0u});
-    }
+    // Rank accounting: the open-miss precharge and the activate are
+    // recorded at their future ticks instead of scheduled as events;
+    // the rank applies them in tick order whenever it next syncs
+    // (DESIGN.md §6).  The rank burst accounting rides on the
+    // completion event, so a request costs one channel event.
+    if (req->outcome == RowOutcome::OpenMiss)
+        rk.closeAt(open_miss_pre_done);
+    if (did_act)
+        rk.openAt(act_at);
     // The burst tag carries the request's pool slab index and the
     // channel-side burst time; burst_acct is recoverable as
     // chan_burst + req->bankBurstExtra (set above, stable until
@@ -313,22 +307,6 @@ Channel::tryService(std::uint32_t r, std::uint32_t b)
 }
 
 void
-Channel::evBankClosed(std::uint32_t r)
-{
-    ranks_[r].bankClosed(eq_.now());
-}
-
-void
-Channel::evActOpen(std::uint32_t r, bool also_close)
-{
-    if (also_close)
-        ranks_[r].bankClosed(eq_.now());
-    ranks_[r].bankOpened(eq_.now());
-    ranks_[r].noteActPre();
-    counters_.pocc += 1;
-}
-
-void
 Channel::evBurstDone(MemRequest *req, Tick chan_burst, Tick burst_acct)
 {
     ranks_[req->loc.rank].noteBurst(req->isWrite, burst_acct);
@@ -336,9 +314,10 @@ Channel::evBurstDone(MemRequest *req, Tick chan_burst, Tick burst_acct)
 }
 
 void
-Channel::evPreDone(std::uint32_t r)
+Channel::evPreDone(std::uint32_t r, bool close)
 {
-    ranks_[r].bankClosed(eq_.now());
+    if (close)
+        ranks_[r].closeAt(eq_.now());
     maybePowerdown(r);
 }
 
@@ -353,6 +332,10 @@ Channel::evRelockEnter(std::uint32_t r)
         // protocol violation).
         return;
     }
+    // Every deferred open lies strictly before quiesce and every
+    // deferred close at or before it, so settling here sees exactly
+    // the banks the relock waits out (DESIGN.md §6).
+    rk.settle(eq_.now());
     if (rk.openBanks() == 0) {
         rk.setIdleState(eq_.now(), RankIdleState::FastPd);
         ++pdSeq_[r];
@@ -449,10 +432,16 @@ Channel::onBurstDone(MemRequest *req, Tick chan_burst)
         }
         bc.bank.close();
         bc.bank.setReadyAt(std::max(bc.bank.readyAt(), pre_done));
-        std::uint32_t rank_idx = r;
-        eq_.schedule(pre_done, [this, rank_idx] { evPreDone(rank_idx); },
-                     EventClass::Hardware,
-                     {EvChanPreDone, id_, rank_idx});
+        // Without powerdown nothing is decided when the precharge
+        // completes, so the close is only recorded.  Otherwise it
+        // keeps its event, which may power the rank down.
+        if (pdMode_ == PowerdownMode::None) {
+            ranks_[r].closeAt(pre_done);
+        } else {
+            eq_.schedule(pre_done, [this, r] { evPreDone(r, true); },
+                         EventClass::Hardware,
+                         {EvChanPreDone, id_, r, 1});
+        }
     }
 
     if (req->isWrite) {
@@ -472,8 +461,9 @@ Channel::onBurstDone(MemRequest *req, Tick chan_burst)
 }
 
 bool
-Channel::rankFullyIdle(std::uint32_t r) const
+Channel::rankFullyIdle(std::uint32_t r)
 {
+    ranks_[r].settle(eq_.now());
     if (ranks_[r].openBanks() != 0)
         return false;
     const std::uint32_t base = r * cfg_.banksPerRank;
@@ -584,10 +574,26 @@ Channel::evPdDemote(std::uint32_t r, RankIdleState target,
 void
 Channel::setPowerdownMode(PowerdownMode mode)
 {
+    const bool leaving_none = pdMode_ == PowerdownMode::None &&
+                              mode != PowerdownMode::None;
     pdMode_ = mode;
-    if (mode != PowerdownMode::None) {
-        for (std::uint32_t r = 0; r < ranks_.size(); ++r)
-            maybePowerdown(r);
+    if (mode == PowerdownMode::None)
+        return;
+    const Tick now = eq_.now();
+    for (std::uint32_t r = 0; r < ranks_.size(); ++r) {
+        maybePowerdown(r);
+        if (!leaving_none)
+            continue;
+        // Trailing precharges recorded under None have no event to
+        // decide on.  The rank can be idle no earlier than its last
+        // one, so a single decision there powers it down on the tick
+        // an event per precharge would have.
+        ranks_[r].settle(now);
+        if (const auto at = ranks_[r].latestPendingClose()) {
+            eq_.schedule(*at, [this, r] { evPreDone(r, false); },
+                         EventClass::Hardware,
+                         {EvChanPreDone, id_, r, 0});
+        }
     }
 }
 
@@ -709,12 +715,6 @@ Channel::rebuildEvent(std::uint32_t kind, std::uint64_t a,
 {
     auto r = static_cast<std::uint32_t>(a);
     switch (kind) {
-      case EvChanBankClosed:
-        return [this, r] { evBankClosed(r); };
-      case EvChanActOpen: {
-        bool also_close = b != 0;
-        return [this, r, also_close] { evActOpen(r, also_close); };
-      }
       case EvChanBurstDone: {
         MemRequest *req = pool_.at(static_cast<std::size_t>(a));
         Tick chan_burst = b;
@@ -723,8 +723,10 @@ Channel::rebuildEvent(std::uint32_t kind, std::uint64_t a,
             evBurstDone(req, chan_burst, burst_acct);
         };
       }
-      case EvChanPreDone:
-        return [this, r] { evPreDone(r); };
+      case EvChanPreDone: {
+        const bool close = b != 0;
+        return [this, r, close] { evPreDone(r, close); };
+      }
       case EvChanRelockEnter:
         return [this, r] { evRelockEnter(r); };
       case EvChanRelockExit:
@@ -852,6 +854,15 @@ Channel::ranksPoweredDown() const
         if (rk.powerdown())
             ++n;
     }
+    return n;
+}
+
+std::uint32_t
+Channel::pendingRankCloses() const
+{
+    std::uint32_t n = 0;
+    for (const Rank &rk : ranks_)
+        n += rk.pendingCloses();
     return n;
 }
 

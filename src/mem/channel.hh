@@ -7,11 +7,17 @@
  * The scheduler is event-driven at request granularity: when a bank
  * picks up a request, its entire command sequence (optional powerdown
  * exit, precharge, activate, column access, burst, precharge) is
- * planned against resource-availability timestamps, and accounting
- * events are posted at the actual transition times.  This mirrors the
+ * planned against resource-availability timestamps.  This mirrors the
  * queueing model of paper Fig. 4: banks are servers; the bus is a
  * zero-depth server; a bank stays blocked until its burst drains
  * (transfer blocking).
+ *
+ * Only decisions get events.  A request schedules its burst
+ * completion, plus its trailing precharge when a powerdown mode is
+ * active (that event may power the rank down).  The rank open/close
+ * transitions in between are recorded in the rank (Rank::openAt,
+ * Rank::closeAt) at their planned ticks and applied when the rank
+ * next syncs; readers of Rank::openBanks() settle the rank first.
  */
 
 #ifndef MEMSCALE_MEM_CHANNEL_HH
@@ -125,6 +131,9 @@ class Channel
     /** Ranks currently in a CKE-low state (checkpoint metadata). */
     std::uint32_t ranksPoweredDown() const;
 
+    /** Deferred closes pending in this channel's ranks (metadata). */
+    std::uint32_t pendingRankCloses() const;
+
     const TimingParams &timing() const { return tp_; }
 
     /**
@@ -193,7 +202,9 @@ class Channel
 
     void refreshRank(std::uint32_t rank);
 
-    bool rankFullyIdle(std::uint32_t rank) const;
+    /** Settles the rank, then: no open bank, no queued or in-service
+     * request. */
+    bool rankFullyIdle(std::uint32_t rank);
 
     /** Announce a command to the observer, if any. */
     void emit(DramCmdEvent ev);
@@ -210,10 +221,11 @@ class Channel
      * live scheduling and rebuildEvent() share these methods.
      */
     /// @{
-    void evBankClosed(std::uint32_t r);
-    void evActOpen(std::uint32_t r, bool also_close);
     void evBurstDone(MemRequest *req, Tick chan_burst, Tick burst_acct);
-    void evPreDone(std::uint32_t r);
+    /** Trailing-precharge decision point; `close` records the
+     * precharge at this tick first (false: a decision scheduled when
+     * the mode left None, whose closes the rank already holds). */
+    void evPreDone(std::uint32_t r, bool close);
     void evRelockEnter(std::uint32_t r);
     void evRelockExit(std::uint32_t r);
     void evRefreshDone(std::uint32_t r);

@@ -150,6 +150,9 @@ MemoryController::addRankTimes(McCounters &out, Channel &ch)
     std::vector<RankActivity> acts;
     ch.sampleRanks(eq_.now(), acts);
     for (const RankActivity &a : acts) {
+        // POCC comes from the ranks: each counts an ACT/PRE pair when
+        // its deferred open applies, so the sum is exact at any tick.
+        out.pocc += a.actPreCount;
         out.rankTime += a.totalTime;
         out.rankPreTime += a.preStandbyTime + a.prePowerdownTime;
         out.rankPrePdTime += a.prePowerdownTime;
@@ -239,7 +242,6 @@ MemoryController::sampleCounters()
         out.obmc += c.obmc;
         out.cbmc += c.cbmc;
         out.epdc += c.epdc;
-        out.pocc += c.pocc;
         out.pdDemotions += c.pdDemotions;
         out.reads += c.reads;
         out.writes += c.writes;
@@ -453,6 +455,15 @@ MemoryController::ranksPoweredDown() const
     std::uint32_t n = 0;
     for (const auto &ch : channels_)
         n += ch->ranksPoweredDown();
+    return n;
+}
+
+std::uint32_t
+MemoryController::pendingRankCloses() const
+{
+    std::uint32_t n = 0;
+    for (const auto &ch : channels_)
+        n += ch->pendingRankCloses();
     return n;
 }
 

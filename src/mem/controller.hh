@@ -156,6 +156,9 @@ class MemoryController
     /** Ranks currently in a CKE-low state across all channels. */
     std::uint32_t ranksPoweredDown() const;
 
+    /** Deferred bank closes not yet applied (checkpoint metadata). */
+    std::uint32_t pendingRankCloses() const;
+
     /** Request slab shared by this controller's channels. */
     const RequestPool &requestPool() const { return pool_; }
 

@@ -50,7 +50,7 @@ struct McCounters
     std::uint64_t epdc = 0;   ///< powerdown exits
     /// @}
 
-    /// @name Power-model counters.
+    /// @name Power-model counters (summed from the ranks when sampled).
     /// @{
     std::uint64_t pocc = 0;        ///< page open/close command pairs
     Tick rankTime = 0;             ///< summed rank integration time

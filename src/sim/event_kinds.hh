@@ -23,10 +23,21 @@ enum EventKind : std::uint32_t
 {
     EvNone = 0,            ///< untagged (not checkpointable)
     EvCoreIssueMiss = 1,   ///< Core compute-chunk end -> issue miss
-    EvChanBankClosed = 2,  ///< row-miss precharge done
-    EvChanActOpen = 3,     ///< ACT latched, row open
+    /**
+     * Retired: the row-miss precharge and the ACT are now recorded in
+     * the rank's deferred-transition buffer (dram/rank.hh), not
+     * scheduled.  Both numbers stay reserved; a snapshot carrying
+     * either is rejected on resume as an unknown kind.
+     */
+    EvChanBankClosed = 2,  ///< retired: row-miss precharge done
+    EvChanActOpen = 3,     ///< retired: ACT latched, row open
     EvChanBurstDone = 4,   ///< data burst completes a request
-    EvChanPreDone = 5,     ///< trailing precharge done
+    /**
+     * Trailing precharge done, scheduled only under a powerdown mode.
+     * Operand b = 1: the event records its close; b = 0: a decision
+     * point whose close is already in the rank's buffer.
+     */
+    EvChanPreDone = 5,
     EvChanRelockEnter = 6, ///< frequency-relock stall begins
     EvChanRelockExit = 7,  ///< frequency-relock stall ends
     EvChanRefreshTick = 8, ///< periodic per-rank refresh arm

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -264,6 +265,98 @@ TEST(Channel, PowerdownEntryAndExit)
     EXPECT_GE(d2 - start,
               closedReadLatency(0) + TimingParams::at(0).tXP -
                   TimingParams::at(0).tMC);
+}
+
+namespace
+{
+
+/** Collects every PowerdownEnter a controller announces. */
+struct PowerdownLog : CommandObserver
+{
+    std::vector<DramCmdEvent> enters;
+
+    void
+    onCommand(const DramCmdEvent &ev) override
+    {
+        if (ev.cmd == DramCmd::PowerdownEnter)
+            enters.push_back(ev);
+    }
+
+    void
+    onTimingChange(std::uint32_t, Tick, const TimingParams &) override
+    {
+    }
+
+    /** Tick of the first enter of (channel, rank) at or after `from`. */
+    Tick
+    firstEnter(std::uint32_t ch, std::uint32_t rank, Tick from) const
+    {
+        for (const DramCmdEvent &ev : enters) {
+            if (ev.channel == ch && ev.rank == rank && ev.at >= from)
+                return ev.at;
+        }
+        return MaxTick;
+    }
+};
+
+/**
+ * Events `runUntil` executes to serve `k` reads issued one at a time,
+ * each after the previous one has fully completed (closed page, new
+ * row every time, no refresh).
+ */
+std::uint64_t
+eventsForIsolatedReads(PowerdownMode mode, int k)
+{
+    Harness h;
+    h.mc.setPowerdownMode(mode);
+    std::uint64_t events = 0;
+    for (int i = 0; i < k; ++i) {
+        h.read(h.at(0, 0, 0, 10 + i), 0, [](Tick) {});
+        events += h.eq.runUntil();
+    }
+    return events;
+}
+
+} // namespace
+
+TEST(Channel, EventsPerIsolatedRead)
+{
+    // Without powerdown a read costs only its burst completion: the
+    // ACT and the trailing precharge are recorded in the rank.  Under
+    // a powerdown mode the trailing precharge keeps its event, since
+    // it decides whether the rank powers down.
+    constexpr int k = 7;
+    EXPECT_EQ(eventsForIsolatedReads(PowerdownMode::None, k),
+              std::uint64_t(k));
+    EXPECT_EQ(eventsForIsolatedReads(PowerdownMode::FastExit, k),
+              std::uint64_t(2 * k));
+}
+
+TEST(Channel, SwitchOutOfNoneBeforePrechargePowersDownOnTime)
+{
+    const TimingParams &tp = TimingParams::at(0);
+    // A closed-bank read at tick 0: ACT at tMC, burst ends at `done`,
+    // and the trailing precharge completes at `pre_done`.
+    const Tick done = closedReadLatency(0);
+    const Tick pre_done = std::max(done, tp.tMC + tp.tRAS) + tp.tRP;
+    ASSERT_GT(pre_done, done + 1);
+
+    Harness h;
+    PowerdownLog log;
+    h.mc.setCommandObserver(&log);
+    h.read(h.at(0, 0, 0, 3), 0, [](Tick) {});
+    // Switch between the burst's end and its precharge: the close is
+    // recorded in the rank with no event behind it, so the switch
+    // must schedule the powerdown decision itself.
+    h.eq.schedule(done + 1, [&h] {
+        h.mc.setPowerdownMode(PowerdownMode::FastExit);
+    });
+    h.eq.runUntil();
+    // The busy rank powers down when its precharge completes; rank 1
+    // never saw traffic and powers down at the switch.
+    EXPECT_EQ(log.firstEnter(0, 0, 0), pre_done);
+    EXPECT_EQ(log.firstEnter(0, 1, 0), done + 1);
+    EXPECT_EQ(h.mc.ranksPoweredDown(), h.mc.config().totalRanks());
 }
 
 TEST(Channel, SlowExitCostsMore)

@@ -110,8 +110,8 @@ TEST(Rank, BackgroundIntegration)
     Rank r;
     // [0,100) precharge standby, [100,300) active, [300,600) precharge
     // powerdown.
-    r.bankOpened(100);
-    r.bankClosed(300);
+    r.openAt(100);
+    r.closeAt(300);
     r.setPowerdown(300, true, false);
     const RankActivity &a = r.sample(600);
     EXPECT_EQ(a.preStandbyTime, 100u);
@@ -137,9 +137,9 @@ TEST(Rank, SlowPowerdownTracked)
 TEST(Rank, NestedBankOpens)
 {
     Rank r;
-    r.bankOpened(0);
-    r.bankOpened(50);
-    r.bankClosed(100);
+    r.openAt(0);
+    r.openAt(50);
+    r.closeAt(100);
     // Still one bank open: remains "active".
     const RankActivity &a = r.sample(200);
     EXPECT_EQ(a.actStandbyTime, 200u);
@@ -151,7 +151,7 @@ TEST(Rank, BurstAndOpAccounting)
     Rank r;
     r.noteBurst(false, 5000);
     r.noteBurst(true, 5000);
-    r.noteActPre();
+    r.openAt(0);
     r.noteRefresh();
     const RankActivity &a = r.sample(100);
     EXPECT_EQ(a.readBursts, 1u);
@@ -165,9 +165,9 @@ TEST(Rank, BurstAndOpAccounting)
 TEST(Rank, ActivityDiff)
 {
     Rank r;
-    r.bankOpened(100);
+    r.openAt(100);
     RankActivity s0 = r.sample(200);
-    r.bankClosed(400);
+    r.closeAt(400);
     RankActivity s1 = r.sample(600);
     RankActivity d = s1 - s0;
     EXPECT_EQ(d.totalTime, 400u);

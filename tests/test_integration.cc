@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "harness/experiment.hh"
+#include "memscale/policies/policy.hh"
 #include "workload/mixes.hh"
 
 using namespace memscale;
@@ -26,6 +30,59 @@ smallConfig(const std::string &mix)
     cfg.profileLen = usToTick(10.0);
     return cfg;
 }
+
+/**
+ * A library policy behind a pass-through wrapper that keeps the
+ * controller it configures, so a test can sample counters between
+ * steps of a System.  Every decision is the wrapped policy's.
+ */
+class ProbePolicy : public Policy
+{
+  public:
+    explicit ProbePolicy(const std::string &name)
+        : inner_(makePolicy(name))
+    {}
+
+    MemoryController &mc() { return *mc_; }
+
+    std::string name() const override { return inner_->name(); }
+
+    void
+    configure(MemoryController &mc, const PolicyContext &ctx) override
+    {
+        mc_ = &mc;
+        inner_->configure(mc, ctx);
+    }
+
+    bool dynamic() const override { return inner_->dynamic(); }
+
+    FreqIndex
+    selectFrequency(const ProfileData &profile, const PolicyContext &ctx,
+                    FreqIndex current) override
+    {
+        return inner_->selectFrequency(profile, ctx, current);
+    }
+
+    void
+    endEpoch(const ProfileData &epoch, const PolicyContext &ctx) override
+    {
+        inner_->endEpoch(epoch, ctx);
+    }
+
+    double selectedCpuGHz() const override
+    {
+        return inner_->selectedCpuGHz();
+    }
+
+    PolicyDecision lastDecision() const override
+    {
+        return inner_->lastDecision();
+    }
+
+  private:
+    std::unique_ptr<Policy> inner_;
+    MemoryController *mc_ = nullptr;
+};
 
 } // namespace
 
@@ -194,4 +251,41 @@ TEST(Integration, RpkiMeasurementSane)
     const MixSpec &mix = mixByName("MEM2");
     EXPECT_NEAR(base.measuredRpki, mix.paperRpki,
                 mix.paperRpki * 0.25);
+}
+
+TEST(Integration, PoccMatchesActivatesPerChannel)
+{
+    // POCC is summed from the ranks' ACT/PRE counts, which count an
+    // activate once its deferred open applies.  Mid-run it may trail
+    // the row misses planned so far (their ACTs still lie ahead); once
+    // the run ends every planned ACT has issued, so the two agree.
+    SystemConfig cfg = smallConfig("MID3");
+    cfg.restWatts = 150.0;
+    for (const char *name : {"memscale", "fastpd"}) {
+        ProbePolicy policy(name);
+        System sys(cfg, policy);
+        int epochs = 0;
+        for (Tick t = cfg.epochLen; sys.now() < cfg.maxSimTime;
+             t += cfg.epochLen, ++epochs) {
+            const Tick before = sys.now();
+            sys.advance(t);
+            for (std::uint32_t ch = 0; ch < cfg.mem.numChannels; ++ch) {
+                const McCounters c = policy.mc().sampleChannelCounters(ch);
+                EXPECT_LE(c.pocc, c.obmc + c.cbmc)
+                    << name << " chan " << ch << " at " << sys.now();
+            }
+            if (sys.now() == before)
+                break;   // the workload finished
+        }
+        std::uint64_t activates = 0;
+        for (std::uint32_t ch = 0; ch < cfg.mem.numChannels; ++ch) {
+            const McCounters c = policy.mc().sampleChannelCounters(ch);
+            EXPECT_EQ(c.pocc, c.obmc + c.cbmc) << name << " chan " << ch;
+            activates += c.pocc;
+        }
+        EXPECT_GT(epochs, 3) << name;
+        EXPECT_GT(activates, 0u) << name;
+        const RunResult r = sys.finish();
+        EXPECT_EQ(r.counters.pocc, activates) << name;
+    }
 }

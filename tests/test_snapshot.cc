@@ -27,11 +27,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/rng.hh"
+#include "dram/rank.hh"
 #include "harness/cluster.hh"
 #include "harness/differential.hh"
 #include "harness/experiment.hh"
@@ -317,6 +319,127 @@ TEST(Serializer, FileRoundTrip)
 
     EXPECT_THROW(SnapshotReader gone("/nonexistent/no.snap"),
                  FatalError);
+}
+
+// ---------------------------------------------------------------------
+// Rank: the deferred-transition buffer round-trips, and a buffer the
+// simulator could not have produced is refused.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** One deferred transition as Rank::saveState writes it. */
+struct RawTransition
+{
+    Tick at;
+    std::uint8_t kind;   // 1 = open, 0 = close
+};
+
+/**
+ * Restore a Rank from a hand-built section: an idle-state-Up rank
+ * with `open_banks` open as of `last_update`, no ACT history, and
+ * `declared` deferred transitions of which `entries` are written.
+ * Returns the FatalError message, or "" if the restore succeeded.
+ */
+std::string
+restoreRank(Tick last_update, std::uint32_t open_banks,
+            std::uint32_t declared,
+            const std::vector<RawTransition> &entries)
+{
+    SnapshotWriter w;
+    SectionWriter &sec = w.section("mc");
+    RankActivity{}.saveState(sec);
+    sec.u64(last_update);
+    sec.u32(open_banks);
+    sec.u8(0);    // RankIdleState::Up
+    sec.u32(0);   // no recent ACTs
+    sec.u32(declared);
+    for (const RawTransition &t : entries) {
+        sec.u64(t.at);
+        sec.u8(t.kind);
+    }
+    SnapshotReader r(w.serialize());
+    SectionReader in = r.section("mc");
+    Rank rank;
+    return fatalMessage([&] { rank.restoreState(in); });
+}
+
+} // namespace
+
+TEST(RankRestore, DeferredTransitionsRoundTrip)
+{
+    Rank a;
+    a.openAt(100);
+    a.sample(150);     // the open applies; the rest stay deferred
+    a.closeAt(400);
+    a.closeAt(250);    // recorded out of order, applied in tick order
+    a.openAt(250);
+
+    SnapshotWriter w;
+    a.saveState(w.section("mc"));
+    SnapshotReader r(w.serialize());
+    SectionReader in = r.section("mc");
+    Rank b;
+    b.restoreState(in);
+    EXPECT_EQ(b.pendingCloses(), 2u);
+    EXPECT_EQ(b.latestPendingClose(), std::optional<Tick>(400));
+
+    const RankActivity &x = a.sample(500);
+    const RankActivity &y = b.sample(500);
+    EXPECT_EQ(y.actStandbyTime, x.actStandbyTime);
+    EXPECT_EQ(y.preStandbyTime, x.preStandbyTime);
+    EXPECT_EQ(y.actPreCount, x.actPreCount);
+    EXPECT_EQ(y.actStandbyTime, 300u);   // [100, 400)
+    EXPECT_EQ(y.preStandbyTime, 200u);
+    EXPECT_EQ(y.actPreCount, 2u);
+    EXPECT_EQ(b.openBanks(), 0u);
+}
+
+TEST(RankRestore, AcceptsAReplayableBuffer)
+{
+    EXPECT_EQ(restoreRank(100, 1, 2, {{150, 0}, {200, 1}}), "");
+    // A close at exactly the last update is still pending.
+    EXPECT_EQ(restoreRank(100, 1, 1, {{100, 0}}), "");
+}
+
+TEST(RankRestore, RejectsBufferOverCapacity)
+{
+    const std::string msg =
+        restoreRank(0, 0, Rank::maxPendingTransitions + 1, {});
+    EXPECT_NE(msg.find("Rank restore"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("section mc"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("exceed"), std::string::npos) << msg;
+}
+
+TEST(RankRestore, RejectsTransitionBeforeLastUpdate)
+{
+    const std::string msg = restoreRank(500, 1, 1, {{499, 0}});
+    EXPECT_NE(msg.find("Rank restore"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("section mc"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("precedes"), std::string::npos) << msg;
+}
+
+TEST(RankRestore, RejectsCloseWithNoOpenBank)
+{
+    // One open bank, two closes: the second would underflow.
+    const std::string msg =
+        restoreRank(100, 1, 2, {{150, 0}, {160, 0}});
+    EXPECT_NE(msg.find("Rank restore"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("section mc"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("none open"), std::string::npos) << msg;
+    // An open recorded ahead of the close makes the same pair legal.
+    EXPECT_EQ(restoreRank(100, 1, 3, {{120, 1}, {150, 0}, {160, 0}}),
+              "");
+}
+
+TEST(RankRestore, RejectsMalformedEntries)
+{
+    EXPECT_NE(restoreRank(100, 1, 1, {{150, 2}}).find("kind"),
+              std::string::npos);
+    EXPECT_NE(restoreRank(100, 2, 2, {{160, 0}, {150, 0}})
+                  .find("out of tick order"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -718,6 +841,44 @@ TEST(SnapshotChurn, RanksPoweredDown)
                                    msToTick(0.07), path);
     EXPECT_GT(m.ranksPoweredDown, 0u);
     expectCleanResume(snapConfig("ILP1"), "fastpd", path);
+    std::remove(path.c_str());
+}
+
+TEST(SnapshotChurn, DeferredClosePending)
+{
+    // Without powerdown, a trailing precharge is only recorded in its
+    // rank and applied on the rank's next sync.  A busy MID3 run under
+    // MemScale has some pending at almost any tick; the cut must carry
+    // them and the resumed run must apply them on the same ticks.
+    const std::string path = scratch("deferred.snap");
+    SnapshotMeta m = cutCheckedRun(snapConfig("MID3"), "memscale",
+                                   msToTick(0.13) + 7'777, path);
+    EXPECT_GT(m.pendingRankCloses, 0u);
+    EXPECT_GT(m.inFlightRequests, 0u);
+    expectCleanResume(snapConfig("MID3"), "memscale", path);
+    std::remove(path.c_str());
+}
+
+TEST(SnapshotChurn, VersionOneSnapshotRejected)
+{
+    // Version 1 kept rank open/close transitions as pending events and
+    // had no deferred-transition buffer; it must not resume.
+    const std::string path = scratch("v1.snap");
+    cutCheckedRun(snapConfig("MID3"), "memscale", msToTick(0.13),
+                  path);
+    std::FILE *f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    const std::uint32_t v1 = 1;
+    std::fseek(f, 8, SEEK_SET);   // version follows the 8-byte magic
+    std::fwrite(&v1, sizeof(v1), 1, f);
+    std::fclose(f);
+
+    SystemConfig rcfg = snapConfig("MID3");
+    rcfg.snapshot.resumePath = path;
+    const std::string msg = fatalMessage(
+        [&] { runPolicy(rcfg, "memscale", kRestWatts); });
+    EXPECT_NE(msg.find("unsupported version 1"), std::string::npos)
+        << msg;
     std::remove(path.c_str());
 }
 
