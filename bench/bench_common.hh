@@ -19,9 +19,12 @@
 #define MEMSCALE_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <exception>
 
 #include "common/config.hh"
+#include "common/log.hh"
 #include "harness/differential.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
@@ -32,9 +35,42 @@
 namespace memscale
 {
 
+/** The terminate handler exitOnFatal() replaced. */
+inline std::terminate_handler previousTerminate = nullptr;
+
+/**
+ * Terminate handler for the drivers: a fatal() (user error) that
+ * escapes main ends the process with status 1 instead of an abort and
+ * a core dump.  fatal() has already printed the message.  Any other
+ * exception goes to the previous handler.
+ */
+[[noreturn]] inline void
+exitOnFatal()
+{
+    if (std::exception_ptr e = std::current_exception()) {
+        try {
+            std::rethrow_exception(e);
+        } catch (const FatalError &) {
+            std::fflush(nullptr);
+            // Sweep workers may still run: skip static destructors.
+            std::_Exit(1);
+        } catch (...) {
+        }
+    }
+    if (previousTerminate)
+        previousTerminate();
+    std::abort();
+}
+
+/**
+ * Parse the command line into the drivers' common SystemConfig.  Every
+ * driver calls this first, so it also installs exitOnFatal().
+ */
 inline SystemConfig
 benchConfig(int argc, char **argv, Config *out_conf = nullptr)
 {
+    if (std::get_terminate() != exitOnFatal)
+        previousTerminate = std::set_terminate(exitOnFatal);
     Config conf;
     conf.parseArgs(argc, argv);
     SystemConfig cfg;
@@ -55,18 +91,6 @@ benchConfig(int argc, char **argv, Config *out_conf = nullptr)
     // recording path never changes simulation results.
     cfg.observe = conf.has("trace-out") || conf.has("stats-out") ||
                   conf.getBool("observe", false);
-    // Checkpoint/restore (src/snapshot): `--checkpoint-every ms` /
-    // `--checkpoint-at ms` write snapshots to `--checkpoint-out path`
-    // (suffixed `.<tick>` for periodic ones); `--checkpoint-stop`
-    // ends the run right after the `at` snapshot, and `--resume path`
-    // continues a run from a snapshot file.  Writers are pure readers
-    // of simulation state, so results are unchanged by checkpointing.
-    cfg.snapshot.every =
-        msToTick(conf.getDouble("checkpoint-every", 0.0));
-    cfg.snapshot.at = msToTick(conf.getDouble("checkpoint-at", 0.0));
-    cfg.snapshot.stopAfter = conf.getBool("checkpoint-stop", false);
-    cfg.snapshot.out = conf.getString("checkpoint-out", "");
-    cfg.snapshot.resumePath = conf.getString("resume", "");
     if (out_conf)
         *out_conf = conf;
     return cfg;

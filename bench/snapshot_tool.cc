@@ -2,12 +2,18 @@
  * @file
  * Checkpoint/restore command-line tool.
  *
- * Runs one mix under one policy with the standard checkpoint flags
- * and prints a machine-readable summary:
+ * Runs one mix under one policy, optionally cut and resumed, and
+ * prints a machine-readable summary:
  *
  *     runtime <ticks>
  *     result_hash 0x<16 hex digits>
- *     checkpoint <path>          (one line per snapshot written)
+ *     checkpoint <path>          (when the cut was reached)
+ *     stopped_at_checkpoint 1    (when the run stopped there)
+ *
+ * The cut flags are this tool's own: checkpoint-at=<ms> writes one
+ * snapshot to checkpoint-out=<path> at that tick, if the run is still
+ * live then; checkpoint-stop=1 ends the run there; resume=<path>
+ * continues a run from a snapshot.
  *
  * Modes:
  *   - plain run:     snapshot_tool mix=MID3 policy=memscale
@@ -65,20 +71,36 @@ main(int argc, char **argv)
         std::printf("in_flight_requests %" PRIu64 "\n",
                     m.inFlightRequests);
         std::printf("ranks_powered_down %u\npending_relocks %u\n"
-                    "pending_refreshes %u\n",
+                    "pending_refreshes %u\npending_rank_closes %u\n",
                     m.ranksPoweredDown, m.pendingRelocks,
-                    m.pendingRefreshes);
+                    m.pendingRefreshes, m.pendingRankCloses);
         return 0;
     }
 
-    RunResult r = runPolicy(cfg, policy, rest);
+    const Tick cut_at = msToTick(conf.getDouble("checkpoint-at", 0.0));
+    const std::string out = conf.getString("checkpoint-out", "");
+    const bool stop = conf.getBool("checkpoint-stop", false);
+    if (cut_at > 0 && out.empty())
+        fatal("snapshot_tool: checkpoint-at needs checkpoint-out");
+    cfg.resumePath = conf.getString("resume", "");
+    cfg.restWatts = rest;
+
+    auto p = makePolicy(policy);
+    System sys(cfg, *p);
+    // A run that ends before the cut, or resumes past it, is not cut.
+    const bool cut = cut_at > sys.now() && sys.advance(cut_at);
+    if (cut)
+        sys.checkpoint(out);
+    if (!(cut && stop))
+        sys.advance(cfg.maxSimTime);
+    RunResult r = sys.finish();
     std::printf("mix %s\npolicy %s\n", r.mixName.c_str(),
                 r.policyName.c_str());
     std::printf("runtime %" PRIu64 "\n", r.runtime);
     std::printf("result_hash 0x%016" PRIx64 "\n", hashRunResult(r));
-    for (const std::string &path : r.checkpointsWritten)
-        std::printf("checkpoint %s\n", path.c_str());
-    if (r.stoppedAtCheckpoint)
+    if (cut)
+        std::printf("checkpoint %s\n", out.c_str());
+    if (cut && stop)
         std::printf("stopped_at_checkpoint 1\n");
     return 0;
 }

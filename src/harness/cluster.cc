@@ -295,7 +295,7 @@ ClusterHarness::serverConfig(std::uint32_t k) const
     // Index-keyed stream derivation: server k's seed depends only on
     // the fleet base seed and k, never on the fleet size.
     c.seed = deriveSeed(cfg_.server.seed, k);
-    c.snapshot = SystemConfig::SnapshotOptions{};
+    c.resumePath.clear();
     c.powerCapW = 0.0;
     if (!cfg_.rateScale.empty())
         c.serving.arrival.ratePerSec *=
@@ -398,7 +398,7 @@ ClusterHarness::run()
     eng.forEach(n, [&](std::size_t k) {
         SystemConfig c = serverConfig(static_cast<std::uint32_t>(k));
         if (e0 > 0)
-            c.snapshot.resumePath =
+            c.resumePath =
                 serverSnapshotPath(cfg_.snapshot.resumePath, k);
         policies[k] = makePolicy(cfg_.policy);
         servers[k] = std::make_unique<System>(c, *policies[k]);
@@ -439,8 +439,7 @@ ClusterHarness::run()
             System &sys = *servers[k];
             sys.setPowerCap(alloc.budgetW.empty() ? 0.0
                                                   : alloc.budgetW[k]);
-            sys.advance(end);
-            if (e < cuts.size() && sys.now() != end)
+            if (!sys.advance(end) && e < cuts.size())
                 fatal("cluster: server %zu stopped at %0.3f ms, short "
                       "of the epoch cut at %0.3f ms",
                       k, tickToMs(sys.now()), tickToMs(end));

@@ -63,27 +63,18 @@ runPolicySharded(const SystemConfig &cfg, const std::string &policy,
     scfg.restWatts = rest_watts;
 
     std::string resume_from;
-    RunResult res;
-    for (std::size_t shard = 0; shard <= cuts.size(); ++shard) {
+    for (std::size_t shard = 0;; ++shard) {
         // A fresh policy per shard, exactly as separate processes
         // would have: everything a shard needs must come from the
         // snapshot, never from leftover in-memory policy state.
         auto p = makePolicy(policy);
-        SystemConfig cur = scfg;
-        cur.snapshot.resumePath = resume_from;
-        if (shard < cuts.size()) {
-            cur.snapshot.at = cuts[shard];
-            cur.snapshot.stopAfter = true;
-            cur.snapshot.out = scratch_prefix + ".shard" +
-                               std::to_string(shard);
-        }
-        System sys(cur, *p);
-        res = sys.run();
-        if (!res.stoppedAtCheckpoint)
-            break;   // workload finished before the cut
-        resume_from = res.checkpointsWritten.back();
+        scfg.resumePath = resume_from;
+        System sys(scfg, *p);
+        if (shard == cuts.size() || !sys.advance(cuts[shard]))
+            return sys.run();
+        resume_from = scratch_prefix + ".shard" + std::to_string(shard);
+        sys.checkpoint(resume_from);
     }
-    return res;
 }
 
 ComparisonResult

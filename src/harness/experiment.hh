@@ -48,8 +48,8 @@ RunResult runPolicy(const SystemConfig &cfg, const std::string &policy,
  * `scratch_prefix`.shard<N>, and the next shard resumes from it.  The
  * final shard's RunResult is returned and is bit-identical to the
  * uninterrupted runPolicy() — the resume-equivalence property the
- * snapshot tests pin.  Shards whose workload finishes before their
- * cut simply end the chain early.
+ * snapshot tests pin.  A workload that finishes before a cut ends
+ * the chain there, and no checkpoint is written for that cut.
  */
 RunResult runPolicySharded(const SystemConfig &cfg,
                            const std::string &policy, Watts rest_watts,

@@ -159,7 +159,7 @@ System::System(const SystemConfig &cfg, Policy &policy)
       mc_(std::make_unique<MemoryController>(eq_, cfg.mem)),
       integrator_(cfg.power, cfg.restWatts)
 {
-    const bool resuming = !cfg_.snapshot.resumePath.empty();
+    const bool resuming = !cfg_.resumePath.empty();
     MemoryController &mc = *mc_;
 
     if (cfg_.threads != 1)
@@ -293,43 +293,11 @@ System::System(const SystemConfig &cfg, Policy &policy)
             fe_->start();
     }
 
-    // Checkpoint writers: EvEphemeral Sample-class events, pure
-    // readers of simulation state.  They shift later insertion
-    // sequences uniformly, preserving every relative (tick, class,
-    // seq) comparison — runs with and without them are bit-identical.
-    if ((cfg_.snapshot.every > 0 || cfg_.snapshot.at > 0) &&
-        cfg_.snapshot.out.empty())
-        fatal("snapshot: checkpointing requested without an output "
-              "path");
-    if (cfg_.snapshot.every > 0) {
-        periodic_ = [this] {
-            checkpoint(cfg_.snapshot.out + "." +
-                       std::to_string(eq_.now()));
-            eq_.scheduleIn(cfg_.snapshot.every, [this] { periodic_(); },
-                           EventClass::Sample, {EvEphemeral});
-        };
-        eq_.scheduleIn(cfg_.snapshot.every, [this] { periodic_(); },
-                       EventClass::Sample, {EvEphemeral});
-    }
-    if (cfg_.snapshot.at > 0 && cfg_.snapshot.at > eq_.now()) {
-        eq_.schedule(cfg_.snapshot.at,
-                     [this] {
-                         checkpoint(cfg_.snapshot.out);
-                         if (cfg_.snapshot.stopAfter) {
-                             phase_ = Phase::Cut;
-                             eq_.stop();
-                         }
-                     },
-                     EventClass::Sample, {EvEphemeral});
-    }
-
     // Serving runs end at the arrival horizon, not at an instruction
     // budget.  The stop is an EvEphemeral Sample-class event: never
     // exported, re-armed from the config on resume, and ordered after
     // any same-tick hardware/policy work (Sample runs last), so the
-    // final tick's completions are all counted.  Scheduled after the
-    // checkpoint events so a same-tick `--checkpoint-at` still
-    // writes before the stop.
+    // final tick's completions are all counted.
     if (fe_) {
         eq_.schedule(std::max(cfg_.serving.horizon, eq_.now()),
                      [this] {
@@ -345,7 +313,7 @@ System::~System() = default;
 void
 System::restore()
 {
-    SnapshotReader snap(cfg_.snapshot.resumePath);
+    SnapshotReader snap(cfg_.resumePath);
     SectionReader meta = snap.section("meta");
     forEachFingerprintField(cfg_, policy_.name(), checker_ != nullptr,
                             policy_.dynamic(),
@@ -536,14 +504,15 @@ System::run()
     return finish();
 }
 
-void
+bool
 System::advance(Tick until)
 {
     if (phase_ != Phase::Running || until <= eq_.now())
-        return;
-    // The stop is one more EvEphemeral Sample-class event, the same
-    // shape as a snapshot.at cut: it runs after every same-tick event
-    // already pending and before any scheduled from here on.
+        return phase_ == Phase::Running;
+    // The stop is one more EvEphemeral Sample-class event: it runs
+    // after every Hardware and Policy event at `until` and every
+    // Sample event already pending there, and before any Sample event
+    // scheduled there from here on.
     EventId stop = InvalidEventId;
     if (until < cfg_.maxSimTime)
         stop = eq_.schedule(until, [this] { eq_.stop(); },
@@ -552,6 +521,7 @@ System::advance(Tick until)
     const bool reached = stop != InvalidEventId && !eq_.cancel(stop);
     if (phase_ == Phase::Running && !reached)
         phase_ = Phase::TimeLimit;
+    return phase_ == Phase::Running;
 }
 
 void
@@ -646,16 +616,13 @@ System::checkpoint(const std::string &path)
         checker_->saveState(sw.section("checker"));
 
     sw.writeFile(path);
-    checkpointsWritten_.push_back(path);
 }
 
 RunResult
 System::finish()
 {
     RunResult res;
-    res.stoppedAtCheckpoint = phase_ == Phase::Cut;
     res.hitTimeLimit = phase_ == Phase::TimeLimit;
-    res.checkpointsWritten = std::move(checkpointsWritten_);
     phase_ = Phase::Finished;
     if (res.hitTimeLimit) {
         warn("run %s/%s hit the simulated-time limit (%0.1f ms)",

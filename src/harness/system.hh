@@ -8,7 +8,6 @@
 #ifndef MEMSCALE_HARNESS_SYSTEM_HH
 #define MEMSCALE_HARNESS_SYSTEM_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -114,25 +113,11 @@ struct SystemConfig
     bool observe = false;
 
     /**
-     * Checkpoint/restore (src/snapshot).  Snapshot writers are
-     * EvEphemeral Sample-class events and pure readers of simulation
-     * state, so a run that writes checkpoints remains bit-identical
-     * to one that doesn't — the golden hashes pin this.
+     * Resume from this snapshot (src/snapshot) instead of starting at
+     * tick 0.  Snapshots are written by stepping a System:
+     * advance(tick), then checkpoint(path).
      */
-    struct SnapshotOptions
-    {
-        /** Write `out`.<tick> every this many ticks (0 disables). */
-        Tick every = 0;
-        /** Write `out` once at this absolute tick (0 disables). */
-        Tick at = 0;
-        /** Stop the run right after the `at` snapshot (sharding). */
-        bool stopAfter = false;
-        /** Output path: exact for `at`, prefix for `every`. */
-        std::string out;
-        /** Resume from this snapshot instead of starting at tick 0. */
-        std::string resumePath;
-    };
-    SnapshotOptions snapshot;
+    std::string resumePath;
 
     /**
      * Open-loop serving front end (harness/serving).  When enabled,
@@ -176,13 +161,6 @@ struct RunResult
      * the state hashes and field diffs cover simulation outputs only.
      */
     std::shared_ptr<const EpochRecorder> obs;
-
-    /// @name Checkpoint bookkeeping (excluded from result hashing —
-    /// a sharded chain's final result must equal the unsharded run's).
-    /// @{
-    bool stoppedAtCheckpoint = false;
-    std::vector<std::string> checkpointsWritten;
-    /// @}
 
     /**
      * Open-loop serving metrics (serving runs only; valid is false
@@ -234,12 +212,12 @@ class SyntheticTraceSource;
 
 /**
  * One simulated server, built once and then stepped.  The constructor
- * wires every component, or rebuilds them from
- * cfg.snapshot.resumePath; advance() runs the event queue forward;
- * finish() closes the energy integral and collects the RunResult.
- * advance() stops on an EvEphemeral Sample-class event, the same
- * mechanism as a checkpoint cut, so a stepped run is bit-identical to
- * an uninterrupted one.
+ * wires every component, or rebuilds them from cfg.resumePath;
+ * advance() runs the event queue forward; checkpoint() writes a
+ * snapshot of the state it stopped in; finish() closes the energy
+ * integral and collects the RunResult.  advance() stops on an
+ * EvEphemeral Sample-class event and checkpoint() only reads, so a
+ * stepped or cut run is bit-identical to an uninterrupted one.
  */
 class System
 {
@@ -253,12 +231,15 @@ class System
     RunResult run();
 
     /**
-     * Run events up to tick `until`: those already pending at `until`
-     * run, those scheduled later at `until` wait for the next call.
-     * Returns early when the workload finishes, a stop-after
-     * checkpoint fires or maxSimTime passes; a no-op after that.
+     * Run events up to tick `until`.  Afterwards every Hardware- and
+     * Policy-class event at `until` has run, including ones scheduled
+     * during the call; only Sample-class events scheduled at `until`
+     * during the call wait for the next one.  Stops early when the
+     * workload finishes or maxSimTime passes, and is a no-op after
+     * that.  Returns whether the run is still live: only a live run
+     * may be cut with checkpoint() or stepped further.
      */
-    void advance(Tick until);
+    bool advance(Tick until);
 
     /** Re-assign the budget cap-aware policies read (0 = uncapped). */
     void setPowerCap(Watts w);
@@ -312,12 +293,10 @@ class System
     std::unique_ptr<EpochController> epochs_;
 
     /** Where the run stands; advance() only moves a Running one. */
-    enum class Phase { Running, Complete, Cut, TimeLimit, Finished };
+    enum class Phase { Running, Complete, TimeLimit, Finished };
     Phase phase_ = Phase::Running;
     std::uint32_t done_ = 0;
     std::uint64_t eventsRun_ = 0;
-    std::vector<std::string> checkpointsWritten_;
-    std::function<void()> periodic_;
 };
 
 } // namespace memscale

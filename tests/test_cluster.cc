@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,8 @@ TEST(Cluster, ServerConfigDerivation)
 {
     ClusterConfig c = fleetConfig(4);
     c.rateScale = {1.0, 2.0};
+    c.server.resumePath = "/nonexistent/template.snap";
+    c.server.powerCapW = 100.0;
     ClusterHarness h(c);
 
     SystemConfig s0 = h.serverConfig(0);
@@ -89,8 +92,8 @@ TEST(Cluster, ServerConfigDerivation)
                      2.0 * s0.serving.arrival.ratePerSec);
     EXPECT_DOUBLE_EQ(s2.serving.arrival.ratePerSec,
                      s0.serving.arrival.ratePerSec);
-    // The template's own snapshot/cap knobs never leak into servers.
-    EXPECT_TRUE(s0.snapshot.out.empty());
+    // The template's own resume/cap knobs never leak into servers.
+    EXPECT_TRUE(s0.resumePath.empty());
     EXPECT_DOUBLE_EQ(s0.powerCapW, 0.0);
 
     // Growing the fleet re-derives the same per-server configs.
@@ -104,6 +107,19 @@ TEST(Cluster, RunToRunDeterminism)
 {
     ClusterConfig c = fleetConfig(2);
     c.capW = 0.0;
+    // An output path alone is not a cut (that takes atEpoch).
+    const std::string out = "/tmp/memscale_test_cluster_nocut";
+    c.snapshot.out = out;
+    auto exists = [](const std::string &path) {
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        if (f != nullptr)
+            std::fclose(f);
+        return f != nullptr;
+    };
+    std::remove(out.c_str());
+    for (int k = 0; k < 2; ++k)
+        std::remove((out + ".server" + std::to_string(k)).c_str());
+
     FleetResult a = ClusterHarness(c).run();
     FleetResult b = ClusterHarness(c).run();
 
@@ -112,8 +128,12 @@ TEST(Cluster, RunToRunDeterminism)
     EXPECT_EQ(a.fleetHash, b.fleetHash);
     EXPECT_DOUBLE_EQ(a.fleetEnergyJ, b.fleetEnergyJ);
     // Servers stay in memory between epochs: no checkpoint is written.
-    for (const RunResult &r : a.servers)
-        EXPECT_TRUE(r.checkpointsWritten.empty());
+    EXPECT_FALSE(a.stoppedAtCheckpoint);
+    EXPECT_TRUE(a.fleetSnapshotPath.empty());
+    EXPECT_FALSE(exists(out));
+    for (int k = 0; k < 2; ++k)
+        EXPECT_FALSE(exists(out + ".server" + std::to_string(k)))
+            << "server " << k;
     for (std::size_t e = 0; e < a.epochs.size(); ++e)
         for (std::size_t k = 0; k < 2; ++k)
             EXPECT_DOUBLE_EQ(a.epochs[e].measuredW[k],

@@ -20,8 +20,8 @@
  *
  * Everything here uses the golden-test scenario (500k instructions,
  * 0.1 ms epochs, seed 12345) so failures can be cross-checked against
- * test_golden, whose hashes must NOT change when checkpoint events
- * are added to a run: snapshot writers are pure readers.
+ * test_golden, whose hashes must NOT change when a run writes
+ * checkpoints: snapshot writers are pure readers.
  */
 
 #include <gtest/gtest.h>
@@ -86,6 +86,25 @@ fatalMessage(Fn &&fn)
         return e.message;
     }
     return "";
+}
+
+/**
+ * Run `policy` on `base` up to `cut` and write a checkpoint there, as
+ * `snapshot_tool checkpoint-at=… checkpoint-stop=1` does.  Returns
+ * false, writing nothing, when the run is no longer live at the cut.
+ */
+bool
+cutRun(const SystemConfig &base, const std::string &policy, Tick cut,
+       const std::string &path)
+{
+    SystemConfig cfg = base;
+    cfg.restWatts = kRestWatts;
+    auto p = makePolicy(policy);
+    System sys(cfg, *p);
+    if (!sys.advance(cut))
+        return false;
+    sys.checkpoint(path);
+    return true;
 }
 
 /**
@@ -556,14 +575,10 @@ TEST(ResumeEquivalence, ServingResumeRejectsMismatchedArrival)
     // refused loudly, not replayed into a silently-wrong tail.
     const std::string path = scratch("serving_mismatch.snap");
     SystemConfig cfg = servingConfig(ArrivalKind::Bursty);
-    cfg.snapshot.at = msToTick(0.1);
-    cfg.snapshot.stopAfter = true;
-    cfg.snapshot.out = path;
-    runPolicy(cfg, "slo", kRestWatts);
+    ASSERT_TRUE(cutRun(cfg, "slo", msToTick(0.1), path));
 
     auto resume = [&](SystemConfig rcfg) {
-        rcfg.snapshot = {};
-        rcfg.snapshot.resumePath = path;
+        rcfg.resumePath = path;
         return fatalMessage([&] { runPolicy(rcfg, "slo", kRestWatts); });
     };
 
@@ -593,25 +608,19 @@ TEST(ResumeEquivalence, ServingAndClosedLoopSnapshotsDontCross)
     // missing section, never silently construct the wrong workload.
     const std::string cl = scratch("closedloop.snap");
     SystemConfig cfg = snapConfig("MID3");
-    cfg.snapshot.at = msToTick(0.1);
-    cfg.snapshot.stopAfter = true;
-    cfg.snapshot.out = cl;
-    runPolicy(cfg, "slo", kRestWatts);
+    ASSERT_TRUE(cutRun(cfg, "slo", msToTick(0.1), cl));
 
     SystemConfig srv = servingConfig(ArrivalKind::Poisson);
-    srv.snapshot.resumePath = cl;
+    srv.resumePath = cl;
     EXPECT_NE(fatalMessage([&] { runPolicy(srv, "slo", kRestWatts); }),
               "");
 
     const std::string sv = scratch("servingmode.snap");
     SystemConfig scfg = servingConfig(ArrivalKind::Poisson);
-    scfg.snapshot.at = msToTick(0.1);
-    scfg.snapshot.stopAfter = true;
-    scfg.snapshot.out = sv;
-    runPolicy(scfg, "slo", kRestWatts);
+    ASSERT_TRUE(cutRun(scfg, "slo", msToTick(0.1), sv));
 
     SystemConfig closed = snapConfig("MID3");
-    closed.snapshot.resumePath = sv;
+    closed.resumePath = sv;
     EXPECT_NE(
         fatalMessage([&] { runPolicy(closed, "slo", kRestWatts); }),
         "");
@@ -639,24 +648,51 @@ TEST(ResumeEquivalence, ChainOfThreeCuts)
     EXPECT_EQ(full.obs->toCsv(), sharded.obs->toCsv());
 }
 
+TEST(ResumeEquivalence, ShardedCutPastTheEndWritesNothing)
+{
+    // A cut the workload never reaches ends the chain: the result is
+    // the uninterrupted run's and no shard file is written.  That
+    // includes a cut at the exact completion tick, where the last core
+    // finishes before the Sample-class stop of the cut would run.
+    SystemConfig cfg = snapConfig("MID2");
+    RunResult full = runPolicy(cfg, "memscale", kRestWatts);
+    const std::string prefix = scratch("past_end");
+    const std::string shard0 = prefix + ".shard0";
+    for (Tick cut : {full.runtime, full.runtime + usToTick(1.0)}) {
+        std::remove(shard0.c_str());
+        RunResult r = runPolicySharded(cfg, "memscale", kRestWatts,
+                                       {cut}, prefix);
+        EXPECT_EQ(hashRunResult(r), hashRunResult(full)) << cut;
+        std::FILE *f = std::fopen(shard0.c_str(), "rb");
+        EXPECT_EQ(f, nullptr) << "cut at " << cut << " wrote a shard";
+        if (f != nullptr)
+            std::fclose(f);
+    }
+    std::remove(shard0.c_str());
+}
+
 TEST(ResumeEquivalence, CheckpointWritersAreBehaviourFree)
 {
-    // A run that writes periodic checkpoints must be bit-identical to
-    // one that doesn't — the same contract observability has.  This
-    // is why the golden hashes survive checkpointing.
-    SystemConfig plain = snapConfig("MID1");
-    RunResult off = runPolicy(plain, "memscale", kRestWatts);
+    // A run that writes checkpoints as it goes must be bit-identical
+    // to one that doesn't — the same contract observability has.
+    // This is why the golden hashes survive checkpointing.
+    SystemConfig cfg = snapConfig("MID1");
+    RunResult off = runPolicy(cfg, "memscale", kRestWatts);
 
-    SystemConfig writing = snapConfig("MID1");
-    writing.snapshot.every = usToTick(50.0);
-    writing.snapshot.out = scratch("periodic");
-    RunResult on = runPolicy(writing, "memscale", kRestWatts);
+    cfg.restWatts = kRestWatts;
+    auto p = makePolicy("memscale");
+    System sys(cfg, *p);
+    const std::string path = scratch("periodic");
+    std::size_t written = 0;
+    for (Tick t = usToTick(50.0); sys.advance(t); t += usToTick(50.0)) {
+        sys.checkpoint(path);
+        ++written;
+    }
+    RunResult on = sys.finish();
 
     EXPECT_EQ(hashRunResult(on), hashRunResult(off));
-    EXPECT_GE(on.checkpointsWritten.size(), 2u);
-    EXPECT_TRUE(off.checkpointsWritten.empty());
-    for (const std::string &p : on.checkpointsWritten)
-        std::remove(p.c_str());
+    EXPECT_GE(written, 2u);
+    std::remove(path.c_str());
 }
 
 TEST(ResumeEquivalence, SnapshotFilesAreDeterministic)
@@ -667,10 +703,7 @@ TEST(ResumeEquivalence, SnapshotFilesAreDeterministic)
     // the sweep thread-count test both stand on this.
     auto snapBytes = [](const std::string &path) {
         SystemConfig cfg = snapConfig("MID3");
-        cfg.snapshot.at = msToTick(0.15);
-        cfg.snapshot.stopAfter = true;
-        cfg.snapshot.out = path;
-        runPolicy(cfg, "memscale", kRestWatts);
+        EXPECT_TRUE(cutRun(cfg, "memscale", msToTick(0.15), path));
         std::FILE *f = std::fopen(path.c_str(), "rb");
         EXPECT_NE(f, nullptr);
         std::string bytes;
@@ -694,14 +727,10 @@ TEST(ResumeEquivalence, ResumeRejectsMismatchedConfig)
     // result factory; the meta fingerprint must catch it loudly.
     const std::string path = scratch("mismatch.snap");
     SystemConfig cfg = snapConfig("MID3");
-    cfg.snapshot.at = msToTick(0.1);
-    cfg.snapshot.stopAfter = true;
-    cfg.snapshot.out = path;
-    runPolicy(cfg, "memscale", kRestWatts);
+    ASSERT_TRUE(cutRun(cfg, "memscale", msToTick(0.1), path));
 
     auto resume = [&](SystemConfig rcfg, const std::string &policy) {
-        rcfg.snapshot = {};
-        rcfg.snapshot.resumePath = path;
+        rcfg.resumePath = path;
         return fatalMessage(
             [&] { runPolicy(rcfg, policy, kRestWatts); });
     };
@@ -730,10 +759,7 @@ TEST(ResumeEquivalence, ResumeRejectsCorruptSnapshot)
 {
     const std::string path = scratch("corrupt.snap");
     SystemConfig cfg = snapConfig("MID1");
-    cfg.snapshot.at = msToTick(0.1);
-    cfg.snapshot.stopAfter = true;
-    cfg.snapshot.out = path;
-    runPolicy(cfg, "memscale", kRestWatts);
+    ASSERT_TRUE(cutRun(cfg, "memscale", msToTick(0.1), path));
 
     // Flip one byte in the middle of the file: CRC must refuse it.
     std::FILE *f = std::fopen(path.c_str(), "rb+");
@@ -747,7 +773,7 @@ TEST(ResumeEquivalence, ResumeRejectsCorruptSnapshot)
     std::fclose(f);
 
     SystemConfig rcfg = snapConfig("MID1");
-    rcfg.snapshot.resumePath = path;
+    rcfg.resumePath = path;
     EXPECT_THROW(runPolicy(rcfg, "memscale", kRestWatts), FatalError);
     std::remove(path.c_str());
 }
@@ -769,11 +795,7 @@ cutCheckedRun(const SystemConfig &base, const std::string &policy,
 {
     SystemConfig cfg = base;
     cfg.protocolCheck = true;
-    cfg.snapshot.at = cut;
-    cfg.snapshot.stopAfter = true;
-    cfg.snapshot.out = path;
-    RunResult r = runPolicy(cfg, policy, kRestWatts);
-    EXPECT_TRUE(r.stoppedAtCheckpoint);
+    EXPECT_TRUE(cutRun(cfg, policy, cut, path));
     return readSnapshotMeta(path);
 }
 
@@ -789,7 +811,7 @@ expectCleanResume(const SystemConfig &base, const std::string &policy,
     SystemConfig rcfg = base;
     rcfg.protocolCheck = true;
     rcfg.strictCheck = true;
-    rcfg.snapshot.resumePath = path;
+    rcfg.resumePath = path;
     RunResult resumed = runPolicy(rcfg, policy, kRestWatts);
     EXPECT_EQ(resumed.protocolViolations, 0u);
 
@@ -874,7 +896,7 @@ TEST(SnapshotChurn, VersionOneSnapshotRejected)
     std::fclose(f);
 
     SystemConfig rcfg = snapConfig("MID3");
-    rcfg.snapshot.resumePath = path;
+    rcfg.resumePath = path;
     const std::string msg = fatalMessage(
         [&] { runPolicy(rcfg, "memscale", kRestWatts); });
     EXPECT_NE(msg.find("unsupported version 1"), std::string::npos)
@@ -916,14 +938,8 @@ TEST(SnapshotChurn, InsideProfileWindow)
 TEST(SnapshotChurn, MetaMatchesRun)
 {
     const std::string path = scratch("meta.snap");
-    SystemConfig cfg = snapConfig("MEM4");
-    cfg.snapshot.at = msToTick(0.12);
-    cfg.snapshot.stopAfter = true;
-    cfg.snapshot.out = path;
-    RunResult r = runPolicy(cfg, "memscale", kRestWatts);
-    ASSERT_TRUE(r.stoppedAtCheckpoint);
-    ASSERT_EQ(r.checkpointsWritten.size(), 1u);
-    EXPECT_EQ(r.checkpointsWritten[0], path);
+    ASSERT_TRUE(cutRun(snapConfig("MEM4"), "memscale", msToTick(0.12),
+                       path));
 
     SnapshotMeta m = readSnapshotMeta(path);
     EXPECT_EQ(m.mixName, "MEM4");
@@ -980,7 +996,7 @@ TEST(SnapshotChurn, MidMigration)
     SystemConfig rcfg = base;
     rcfg.protocolCheck = true;
     rcfg.strictCheck = true;
-    rcfg.snapshot.resumePath = path;
+    rcfg.resumePath = path;
     RunResult resumed =
         runPolicy(rcfg, "memscale-ladder", kRestWatts);
     EXPECT_EQ(resumed.protocolViolations, 0u);
@@ -998,14 +1014,10 @@ TEST(ResumeEquivalence, ResumeRejectsMismatchedLadderConfig)
     const std::string path = scratch("ladder-mismatch.snap");
     SystemConfig cfg = snapConfig("MID3");
     cfg.mem.ladder.migrate = true;
-    cfg.snapshot.at = msToTick(0.1);
-    cfg.snapshot.stopAfter = true;
-    cfg.snapshot.out = path;
-    runPolicy(cfg, "ladder", kRestWatts);
+    ASSERT_TRUE(cutRun(cfg, "ladder", msToTick(0.1), path));
 
     auto resume = [&](SystemConfig rcfg) {
-        rcfg.snapshot = {};
-        rcfg.snapshot.resumePath = path;
+        rcfg.resumePath = path;
         return fatalMessage(
             [&] { runPolicy(rcfg, "ladder", kRestWatts); });
     };
