@@ -24,12 +24,17 @@ Extra simulator settings pass through verbatim, e.g.:
 
     scripts/golden_bisect.py ... budget=500000 epoch_ms=0.1 seed=7
 
-Exit codes: 0 = runs identical (nothing to bisect), 1 = divergence
-found and reported, 2 = setup/usage problem.
+When the two full runs agree, the script still cuts both builds at
+the midpoint and byte-compares the files, so two builds whose
+snapshot encodings differ do not pass as identical.
+
+Exit codes: 0 = runs and mid-run snapshots identical (nothing to
+bisect), 1 = divergence found and reported, 2 = setup/usage problem.
 """
 
 import argparse
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -138,13 +143,25 @@ def main():
     full_b = run_tool(args.tool_b, args.sim_args, [])
     print(f"  a: runtime {full_a['runtime']}  {full_a['result_hash']}")
     print(f"  b: runtime {full_b['runtime']}  {full_b['result_hash']}")
-    if full_a["result_hash"] == full_b["result_hash"] \
-            and full_a["runtime"] == full_b["runtime"]:
-        print("builds agree; nothing to bisect")
-        return 0
-
     workdir = args.workdir or tempfile.mkdtemp(prefix="golden_bisect.")
     os.makedirs(workdir, exist_ok=True)
+
+    if full_a["result_hash"] == full_b["result_hash"] \
+            and full_a["runtime"] == full_b["runtime"]:
+        # Equal results can still hide different snapshot encodings,
+        # which would make any later bisect across these builds report
+        # a divergence at every tick: compare one mid-run cut too.
+        mid = int(full_a["runtime"]) // 2
+        differ, section = snapshots_differ(args, mid, workdir)
+        if differ:
+            print(f"builds agree on the run but their snapshots at tick "
+                  f"{mid} differ, first in section '{section}'")
+            print(f"snapshot files kept in {workdir}")
+            return 1
+        if not args.workdir:
+            shutil.rmtree(workdir)
+        print("builds agree; nothing to bisect")
+        return 0
 
     # Invariant: states identical at `lo`, divergent at `hi` (tick 0 is
     # before the first event, so both builds trivially agree there).

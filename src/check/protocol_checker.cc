@@ -632,128 +632,50 @@ ProtocolChecker::onCommand(const DramCmdEvent &ev)
 }
 
 void
-ProtocolChecker::saveState(SectionWriter &w) const
+ProtocolChecker::transfer(SectionIO &io)
 {
-    w.u32(static_cast<std::uint32_t>(channels_.size()));
-    for (const ChannelState &cs : channels_) {
-        w.u64(cs.violations);
-        w.u64(cs.commands);
-        w.u64(cs.relockCount);
-        w.u32(static_cast<std::uint32_t>(cs.samples.size()));
-        for (const ProtocolViolation &v : cs.samples) {
-            w.str(v.rule);
-            w.u64(v.at);
-            w.u32(v.channel);
-            w.u32(v.rank);
-            w.u32(v.bank);
-            w.u8(static_cast<std::uint8_t>(v.cmd));
-            w.str(v.detail);
-        }
-        w.u32(static_cast<std::uint32_t>(cs.timings.size()));
-        for (const auto &tpair : cs.timings) {
-            w.u64(tpair.first);
-            tpair.second.saveState(w);
-        }
-        w.u32(static_cast<std::uint32_t>(cs.relocks.size()));
-        for (const auto &rw : cs.relocks) {
-            w.u64(rw.first);
-            w.u64(rw.second);
-        }
-        w.u64(cs.relockEnd);
-        w.u64(cs.lastBurstEnd);
-        w.u32(static_cast<std::uint32_t>(cs.ranks.size()));
-        for (const RankState &rs : cs.ranks) {
-            w.u32(static_cast<std::uint32_t>(rs.acts.size()));
-            for (Tick a : rs.acts)
-                w.u64(a);
-            w.u32(static_cast<std::uint32_t>(rs.refreshes.size()));
-            for (const auto &rf : rs.refreshes) {
-                w.u64(rf.first);
-                w.u64(rf.second);
-            }
-            w.u32(static_cast<std::uint32_t>(rs.banks.size()));
-            for (const BankState &bs : rs.banks) {
-                w.b(bs.open);
-                w.b(bs.actSeen);
-                w.b(bs.preSeen);
-                w.u64(bs.row);
-                w.u64(bs.lastAct);
-                w.u64(bs.lastPreDone);
-                w.u64(bs.lastCmd);
-                w.b(bs.cmdSeen);
-            }
-            w.u64(rs.pdEnter);
-            w.u8(rs.pdState);
-            w.b(rs.pdParked);
-            w.u64(rs.pdReady);
-            w.u64(rs.lastRefreshStart);
-            w.b(rs.refreshSeen);
-            w.b(rs.selfRefreshSinceRefresh);
-        }
-    }
-}
-
-void
-ProtocolChecker::restoreState(SectionReader &r)
-{
-    channels_.assign(r.u32(), ChannelState{});
-    for (ChannelState &cs : channels_) {
-        cs.violations = r.u64();
-        cs.commands = r.u64();
-        cs.relockCount = r.u64();
-        cs.samples.assign(r.u32(), ProtocolViolation{});
-        for (ProtocolViolation &v : cs.samples) {
-            v.rule = r.str();
-            v.at = r.u64();
-            v.channel = r.u32();
-            v.rank = r.u32();
-            v.bank = r.u32();
-            v.cmd = static_cast<DramCmd>(r.u8());
-            v.detail = r.str();
-        }
-        cs.timings.assign(r.u32(),
-                          std::pair<Tick, TimingParams>{0, {}});
-        for (auto &tpair : cs.timings) {
-            tpair.first = r.u64();
-            tpair.second.restoreState(r);
-        }
-        cs.relocks.assign(r.u32(), std::pair<Tick, Tick>{});
-        for (auto &rw : cs.relocks) {
-            rw.first = r.u64();
-            rw.second = r.u64();
-        }
-        cs.relockEnd = r.u64();
-        cs.lastBurstEnd = r.u64();
-        cs.ranks.assign(r.u32(), RankState{});
-        for (RankState &rs : cs.ranks) {
-            rs.acts.assign(r.u32(), 0);
-            for (Tick &a : rs.acts)
-                a = r.u64();
-            rs.refreshes.assign(r.u32(), std::pair<Tick, Tick>{});
-            for (auto &rf : rs.refreshes) {
-                rf.first = r.u64();
-                rf.second = r.u64();
-            }
-            rs.banks.assign(r.u32(), BankState{});
-            for (BankState &bs : rs.banks) {
-                bs.open = r.b();
-                bs.actSeen = r.b();
-                bs.preSeen = r.b();
-                bs.row = r.u64();
-                bs.lastAct = r.u64();
-                bs.lastPreDone = r.u64();
-                bs.lastCmd = r.u64();
-                bs.cmdSeen = r.b();
-            }
-            rs.pdEnter = r.u64();
-            rs.pdState = r.u8();
-            rs.pdParked = r.b();
-            rs.pdReady = r.u64();
-            rs.lastRefreshStart = r.u64();
-            rs.refreshSeen = r.b();
-            rs.selfRefreshSinceRefresh = r.b();
-        }
-    }
+    io.list(channels_, [&io](ChannelState &cs) {
+        io(cs.violations);
+        io(cs.commands);
+        io(cs.relockCount);
+        io.list(cs.samples, [&io](ProtocolViolation &v) {
+            io(v.rule);
+            io(v.at);
+            io(v.channel);
+            io(v.rank);
+            io(v.bank);
+            io.enumByte("violation command", v.cmd, DramCmd::Relock);
+            io(v.detail);
+        });
+        io.list(cs.timings, [&io](std::pair<Tick, TimingParams> &t) {
+            io(t.first);
+            t.second.transfer(io);
+        });
+        io(cs.relocks);
+        io(cs.relockEnd);
+        io(cs.lastBurstEnd);
+        io.list(cs.ranks, [&io](RankState &rs) {
+            io(rs.acts);
+            io(rs.refreshes);
+            io.list(rs.banks, [&io](BankState &bs) {
+                io(bs.open);
+                io(bs.actSeen);
+                io(bs.preSeen);
+                io(bs.row);
+                io(bs.lastAct);
+                io(bs.lastPreDone);
+                io(bs.lastCmd);
+                io(bs.cmdSeen);
+            });
+            io(rs.pdEnter);
+            io(rs.pdState);
+            io(rs.pdParked);
+            io(rs.pdReady);
+            io(rs.lastRefreshStart);
+            io(rs.refreshSeen);
+            io(rs.selfRefreshSinceRefresh);
+        });
+    });
 }
 
 } // namespace memscale

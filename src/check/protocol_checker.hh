@@ -34,8 +34,7 @@
 namespace memscale
 {
 
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 
 /** One recorded constraint violation with provenance. */
 struct ProtocolViolation
@@ -106,14 +105,11 @@ class ProtocolChecker : public CommandObserver
     /** Violation samples kept before further ones are only counted. */
     static constexpr std::size_t MaxSamples = 32;
 
-    /** @name Checkpoint/restore.  Everything except strictness (a
-     * property of the resumed process, not of the simulated state)
-     * round-trips, so post-resume commands are validated against the
-     * exact timing/refresh/powerdown history the original run saw. */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    /** Checkpoint/restore.  Everything except strictness (a property
+     * of the resumed process, not of the simulated state) round-trips,
+     * so post-resume commands are validated against the exact
+     * timing/refresh/powerdown history the original run saw. */
+    void transfer(SectionIO &io);
 
   private:
     struct BankState

@@ -105,47 +105,29 @@ Core::tic(Tick now) const
 }
 
 void
-Core::saveState(SectionWriter &w) const
+Core::transfer(SectionIO &io)
 {
-    w.f64(ghz_);
-    w.u64(chunk_.instructions);
-    w.f64(chunk_.cpi);
-    w.u64(chunk_.missAddr);
-    w.b(chunk_.hasWriteback);
-    w.u64(chunk_.writebackAddr);
-    w.b(computing_);
-    w.b(halted_);
-    w.u64(chunkStart_);
-    w.u64(chunkLen_);
-    w.u64(retired_);
-    w.u64(tlm_);
-    w.u64(stallTime_);
-    w.u64(stallStart_);
-    w.u64(startedAt_);
-    w.u64(doneAt_);
-}
-
-void
-Core::restoreState(SectionReader &r)
-{
+    double ghz = ghz_;
+    io(ghz);
+    io(chunk_.instructions);
+    io(chunk_.cpi);
+    io(chunk_.missAddr);
+    io(chunk_.hasWriteback);
+    io(chunk_.writebackAddr);
+    io(computing_);
+    io(halted_);
+    io(chunkStart_);
+    io(chunkLen_);
+    io(retired_);
+    io(tlm_);
+    io(stallTime_);
+    io(stallStart_);
+    io(startedAt_);
+    io(doneAt_);
     // Recomputes cpuPeriod_ from the clock, exactly as the live run
     // did; nominalPeriod_ is a constructor constant.
-    setFrequencyGHz(r.f64());
-    chunk_.instructions = r.u64();
-    chunk_.cpi = r.f64();
-    chunk_.missAddr = r.u64();
-    chunk_.hasWriteback = r.b();
-    chunk_.writebackAddr = r.u64();
-    computing_ = r.b();
-    halted_ = r.b();
-    chunkStart_ = r.u64();
-    chunkLen_ = r.u64();
-    retired_ = r.u64();
-    tlm_ = r.u64();
-    stallTime_ = r.u64();
-    stallStart_ = r.u64();
-    startedAt_ = r.u64();
-    doneAt_ = r.u64();
+    if (io.loading())
+        setFrequencyGHz(ghz);
 }
 
 EventCallback

@@ -87,8 +87,7 @@ class Core final : public MemClient, public CpuSampler
 
     /** @name Checkpoint/restore */
     /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
+    void transfer(SectionIO &io);
 
     /** Reconstruct the closure of a tagged pending event (restore). */
     EventCallback rebuildEvent(std::uint32_t kind);

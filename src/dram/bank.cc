@@ -8,23 +8,13 @@ namespace memscale
 {
 
 void
-Bank::saveState(SectionWriter &w) const
+Bank::transfer(SectionIO &io)
 {
-    w.u8(static_cast<std::uint8_t>(rowState_));
-    w.u64(openRow_);
-    w.u64(readyAt_);
-    w.u64(lastActAt_);
-    w.b(inService_);
-}
-
-void
-Bank::restoreState(SectionReader &r)
-{
-    rowState_ = static_cast<RowState>(r.u8());
-    openRow_ = r.u64();
-    readyAt_ = r.u64();
-    lastActAt_ = r.u64();
-    inService_ = r.b();
+    io.enumByte("bank row state", rowState_, RowState::Open);
+    io(openRow_);
+    io(readyAt_);
+    io(lastActAt_);
+    io(inService_);
 }
 
 } // namespace memscale

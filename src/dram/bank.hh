@@ -17,8 +17,7 @@
 namespace memscale
 {
 
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 
 class Bank
 {
@@ -79,11 +78,8 @@ class Bank
         inService_ = false;
     }
 
-    /** @name Checkpoint/restore */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    /** Checkpoint/restore: every field, in file order. */
+    void transfer(SectionIO &io);
 
   private:
     RowState rowState_ = RowState::Closed;

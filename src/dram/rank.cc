@@ -110,116 +110,80 @@ RankActivity::actPowerdownFraction() const
 }
 
 void
-RankActivity::saveState(SectionWriter &w) const
+RankActivity::transfer(SectionIO &io)
 {
-    w.u64(preStandbyTime);
-    w.u64(prePowerdownTime);
-    w.u64(slowPowerdownTime);
-    w.u64(selfRefreshTime);
-    w.u64(srSlowClockTime);
-    w.u64(deepPowerdownTime);
-    w.u64(actStandbyTime);
-    w.u64(actPowerdownTime);
-    w.u64(totalTime);
-    w.u64(actPreCount);
-    w.u64(readBursts);
-    w.u64(writeBursts);
-    w.u64(readBurstTime);
-    w.u64(writeBurstTime);
-    w.u64(refreshes);
-    w.u64(pdExits);
+    io(preStandbyTime);
+    io(prePowerdownTime);
+    io(slowPowerdownTime);
+    io(selfRefreshTime);
+    io(srSlowClockTime);
+    io(deepPowerdownTime);
+    io(actStandbyTime);
+    io(actPowerdownTime);
+    io(totalTime);
+    io(actPreCount);
+    io(readBursts);
+    io(writeBursts);
+    io(readBurstTime);
+    io(writeBurstTime);
+    io(refreshes);
+    io(pdExits);
 }
 
 void
-RankActivity::restoreState(SectionReader &r)
+Rank::transfer(SectionIO &io)
 {
-    preStandbyTime = r.u64();
-    prePowerdownTime = r.u64();
-    slowPowerdownTime = r.u64();
-    selfRefreshTime = r.u64();
-    srSlowClockTime = r.u64();
-    deepPowerdownTime = r.u64();
-    actStandbyTime = r.u64();
-    actPowerdownTime = r.u64();
-    totalTime = r.u64();
-    actPreCount = r.u64();
-    readBursts = r.u64();
-    writeBursts = r.u64();
-    readBurstTime = r.u64();
-    writeBurstTime = r.u64();
-    refreshes = r.u64();
-    pdExits = r.u64();
-}
-
-void
-Rank::saveState(SectionWriter &w) const
-{
-    activity_.saveState(w);
-    w.u64(lastUpdate_);
-    w.u32(openBanks_);
-    w.u8(static_cast<std::uint8_t>(idle_));
-    w.u32(numRecentActs_);
-    for (std::uint32_t i = 0; i < numRecentActs_; ++i)
-        w.u64(recentActs_[i]);
-    w.u32(numPending_);
-    for (std::uint32_t i = 0; i < numPending_; ++i) {
-        w.u64(pending_[i].at);
-        w.b(pending_[i].open);
-    }
-}
-
-void
-Rank::restoreState(SectionReader &r)
-{
-    activity_.restoreState(r);
-    lastUpdate_ = r.u64();
-    openBanks_ = r.u32();
-    const std::uint8_t s = r.u8();
-    if (s > static_cast<std::uint8_t>(RankIdleState::DeepPd))
-        fatal("Rank restore: idle state %u out of range", s);
-    idle_ = static_cast<RankIdleState>(s);
-    numRecentActs_ = r.u32();
+    activity_.transfer(io);
+    io(lastUpdate_);
+    io(openBanks_);
+    io.enumByte("Rank idle state", idle_, RankIdleState::DeepPd);
+    io(numRecentActs_);
     if (numRecentActs_ > recentActs_.size())
-        fatal("Rank restore: %u recent ACTs exceeds window of %zu",
-              numRecentActs_, recentActs_.size());
-    recentActs_ = {};
+        io.fail("Rank restore: %u recent ACTs exceeds window of %zu",
+                numRecentActs_, recentActs_.size());
     for (std::uint32_t i = 0; i < numRecentActs_; ++i)
-        recentActs_[i] = r.u64();
+        io(recentActs_[i]);
+    io(numPending_);
+    if (numPending_ > pending_.size())
+        io.fail("Rank restore: %u deferred transitions exceed the "
+                "buffer of %zu",
+                numPending_, pending_.size());
+    for (std::uint32_t i = 0; i < numPending_; ++i) {
+        io(pending_[i].at);
+        auto kind = static_cast<std::uint8_t>(pending_[i].open);
+        io(kind);
+        if (kind > 1)
+            io.fail("Rank restore: deferred transition %u has kind %u", i,
+                    kind);
+        pending_[i].open = kind != 0;
+    }
+    if (!io.loading())
+        return;
 
+    std::fill(recentActs_.begin() + numRecentActs_, recentActs_.end(),
+              Tick{0});
+    std::fill(pending_.begin() + numPending_, pending_.end(),
+              Transition{});
     // Deferred transitions: refuse any buffer the live simulator could
     // not have produced, rather than replaying it into bad accounting.
-    numPending_ = r.u32();
-    if (numPending_ > pending_.size())
-        fatal("Rank restore (section %s): %u deferred transitions "
-              "exceed the buffer of %zu",
-              r.name().c_str(), numPending_, pending_.size());
-    pending_ = {};
     std::uint32_t open = openBanks_;
     for (std::uint32_t i = 0; i < numPending_; ++i) {
-        Transition &t = pending_[i];
-        t.at = r.u64();
-        const std::uint8_t kind = r.u8();
-        if (kind > 1)
-            fatal("Rank restore (section %s): deferred transition %u "
-                  "has kind %u",
-                  r.name().c_str(), i, kind);
-        t.open = kind != 0;
+        const Transition &t = pending_[i];
         if (t.at < lastUpdate_)
-            fatal("Rank restore (section %s): deferred transition %u "
-                  "at tick %llu precedes the last update at %llu",
-                  r.name().c_str(), i,
-                  static_cast<unsigned long long>(t.at),
-                  static_cast<unsigned long long>(lastUpdate_));
+            io.fail("Rank restore: deferred transition %u "
+                    "at tick %llu precedes the last update at %llu",
+                    i, static_cast<unsigned long long>(t.at),
+                    static_cast<unsigned long long>(lastUpdate_));
         if (i > 0 && t.at < pending_[i - 1].at)
-            fatal("Rank restore (section %s): deferred transition %u "
-                  "is out of tick order",
-                  r.name().c_str(), i);
+            io.fail("Rank restore: deferred transition %u is out of tick "
+                    "order",
+                    i);
         if (t.open) {
             ++open;
         } else if (open == 0) {
-            fatal("Rank restore (section %s): deferred transition %u "
-                  "closes a bank with none open",
-                  r.name().c_str(), i);
+            io.fail("Rank restore: deferred transition %u "
+                    "closes a bank with none open",
+                    i);
         } else {
             --open;
         }
@@ -331,22 +295,6 @@ Rank::latestPendingClose() const
             return pending_[i - 1].at;
     }
     return std::nullopt;
-}
-
-void
-Rank::setPowerdown(Tick at, bool low, bool slow_exit,
-                   bool self_refresh)
-{
-    RankIdleState s = RankIdleState::Up;
-    if (low) {
-        if (self_refresh)
-            s = RankIdleState::SelfRefresh;
-        else if (slow_exit)
-            s = RankIdleState::SlowPd;
-        else
-            s = RankIdleState::FastPd;
-    }
-    setIdleState(at, s);
 }
 
 void

@@ -31,8 +31,7 @@
 namespace memscale
 {
 
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 class StatRegistry;
 
 /**
@@ -97,11 +96,8 @@ struct RankActivity
     RankActivity operator-(const RankActivity &o) const;
     RankActivity &operator+=(const RankActivity &o);
 
-    /** @name Checkpoint/restore */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    /** Checkpoint/restore: every field, in file order. */
+    void transfer(SectionIO &io);
 
     /** Fraction of the window with all banks precharged (counter PTC). */
     double preFraction() const;
@@ -141,15 +137,6 @@ class Rank
      * integrate up to it.  Call before reading openBanks().
      */
     void settle(Tick now) { sync(now); }
-
-    /**
-     * CKE transition.  Entering powerdown with slow_exit selects the
-     * DLL-off (slow-exit) state; self_refresh selects self-refresh.
-     * Exits count toward EPDC.  Thin wrapper over setIdleState() for
-     * the pre-ladder call sites.
-     */
-    void setPowerdown(Tick at, bool low, bool slow_exit = false,
-                      bool self_refresh = false);
 
     /**
      * Move to an explicit rung of the idle ladder.  Entering any
@@ -211,13 +198,12 @@ class Rank
     void reset();
 
     /**
-     * @name Checkpoint/restore.  Raw state transfer: never sync()s,
-     * so the time integration resumes exactly where it left off.
+     * Checkpoint/restore.  Raw state transfer: never sync()s, so the
+     * time integration resumes exactly where it left off.  A restored
+     * deferred-transition buffer the live simulator could not have
+     * produced is fatal.
      */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    void transfer(SectionIO &io);
 
   private:
     /** One deferred bank open or close. */

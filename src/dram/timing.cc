@@ -93,57 +93,30 @@ TimingParams::forBusMHz(std::uint32_t mhz)
 }
 
 void
-TimingParams::saveState(SectionWriter &w) const
+TimingParams::transfer(SectionIO &io)
 {
-    w.u32(busMHz);
-    w.u64(tCK);
-    w.u64(tCKMC);
-    w.u64(tBURST);
-    w.u64(tMC);
-    w.u64(tRCD);
-    w.u64(tRP);
-    w.u64(tCL);
-    w.u64(tRAS);
-    w.u64(tRTP);
-    w.u64(tRRD);
-    w.u64(tFAW);
-    w.u64(tWR);
-    w.u64(tWTR);
-    w.u64(tXP);
-    w.u64(tXPDLL);
-    w.u64(tRFC);
-    w.u64(tXS);
-    w.u64(tREFI);
-    w.u64(tRELOCK);
-    w.u64(tXSDLL);
-    w.u64(tXDP);
-}
-
-void
-TimingParams::restoreState(SectionReader &r)
-{
-    busMHz = r.u32();
-    tCK = r.u64();
-    tCKMC = r.u64();
-    tBURST = r.u64();
-    tMC = r.u64();
-    tRCD = r.u64();
-    tRP = r.u64();
-    tCL = r.u64();
-    tRAS = r.u64();
-    tRTP = r.u64();
-    tRRD = r.u64();
-    tFAW = r.u64();
-    tWR = r.u64();
-    tWTR = r.u64();
-    tXP = r.u64();
-    tXPDLL = r.u64();
-    tRFC = r.u64();
-    tXS = r.u64();
-    tREFI = r.u64();
-    tRELOCK = r.u64();
-    tXSDLL = r.u64();
-    tXDP = r.u64();
+    io(busMHz);
+    io(tCK);
+    io(tCKMC);
+    io(tBURST);
+    io(tMC);
+    io(tRCD);
+    io(tRP);
+    io(tCL);
+    io(tRAS);
+    io(tRTP);
+    io(tRRD);
+    io(tFAW);
+    io(tWR);
+    io(tWTR);
+    io(tXP);
+    io(tXPDLL);
+    io(tRFC);
+    io(tXS);
+    io(tREFI);
+    io(tRELOCK);
+    io(tXSDLL);
+    io(tXDP);
 }
 
 FreqIndex

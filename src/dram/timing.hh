@@ -21,8 +21,7 @@
 namespace memscale
 {
 
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 
 /**
  * The ten bus frequencies evaluated in the paper, fastest first.
@@ -94,11 +93,8 @@ struct TimingParams
     /** Parameters for an arbitrary bus frequency (off-grid allowed). */
     static TimingParams forBusMHz(std::uint32_t mhz);
 
-    /** @name Checkpoint/restore (field-wise, bit-exact). */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    /** Checkpoint/restore (field-wise, bit-exact). */
+    void transfer(SectionIO &io);
 };
 
 /** Closest grid index whose frequency is <= mhz (or slowest). */

@@ -147,52 +147,27 @@ struct FleetSection
     std::vector<FleetEpochRow> rows;
 };
 
-/** SectionWriter/SectionReader behind one by-reference interface. */
-struct SaveIO
-{
-    SectionWriter &w;
-    void operator()(std::uint8_t &v) { w.u8(v); }
-    void operator()(std::uint32_t &v) { w.u32(v); }
-    void operator()(std::uint64_t &v) { w.u64(v); }
-    void operator()(double &v) { w.f64(v); }
-    void operator()(bool &v) { w.b(v); }
-    void operator()(std::string &v) { w.str(v); }
-};
-
-struct LoadIO
-{
-    SectionReader &r;
-    void operator()(std::uint8_t &v) { v = r.u8(); }
-    void operator()(std::uint32_t &v) { v = r.u32(); }
-    void operator()(std::uint64_t &v) { v = r.u64(); }
-    void operator()(double &v) { v = r.f64(); }
-    void operator()(bool &v) { v = r.b(); }
-    void operator()(std::string &v) { v = r.str(); }
-};
-
-/** Write or read `f` field by field, in file order. */
-template <typename IO>
+/**
+ * Write or read `f` field by field, in file order.  Restoring checks
+ * the fingerprint fields against `f`'s (fleetFingerprint() of the
+ * resumed run) unless `io` adopts them for inspection.
+ */
 void
-transfer(FleetSection &f, IO io)
+transfer(FleetSection &f, SectionIO &io)
 {
-    auto list = [&io](auto &v) {
-        auto cnt = static_cast<std::uint32_t>(v.size());
-        io(cnt);
-        v.resize(cnt);
-        for (auto &x : v)
-            io(x);
-    };
-    io(f.numServers);
-    io(f.policy);
-    io(f.capW);
-    io(f.coordEpoch);
-    io(f.seed);
-    io(f.horizon);
-    io(f.epochLen);
-    list(f.weights);
-    list(f.rateScale);
-    list(f.demandMix);
+    io.expect("number of servers", f.numServers);
+    io.expect("policy", f.policy);
+    io.expect("cap", f.capW);
+    io.expect("coordination epoch", f.coordEpoch);
+    io.expect("fleet seed", f.seed);
+    io.expect("horizon", f.horizon);
+    io.expect("server epoch length", f.epochLen);
+    io.expect("fairness weights", f.weights);
+    io.expect("rate scales", f.rateScale);
+    io.expect("demand mixes", f.demandMix);
     io(f.epochsDone);
+    if (io.loading() && f.numServers > io.reader().remaining())
+        io.fail("%u servers exceed the section", f.numServers);
     f.tele.resize(f.numServers);
     f.energy.resize(f.numServers);
     for (std::uint32_t k = 0; k < f.numServers; ++k) {
@@ -204,20 +179,17 @@ transfer(FleetSection &f, IO io)
         io(t.slowdown);
         io(f.energy[k]);
     }
-    auto nrows = static_cast<std::uint32_t>(f.rows.size());
-    io(nrows);
-    f.rows.resize(nrows);
-    for (FleetEpochRow &row : f.rows) {
+    io.list(f.rows, [&io](FleetEpochRow &row) {
         io(row.epoch);
         io(row.start);
         io(row.end);
-        list(row.budgetW);
-        list(row.measuredW);
+        io(row.budgetW);
+        io(row.measuredW);
         io(row.fleetW);
         io(row.fleetBudgetW);
         io(row.capMet);
         io(row.allocFeasible);
-    }
+    });
 }
 
 /** The section's config fingerprint for a fleet run. */
@@ -249,8 +221,10 @@ readFleetMeta(const std::string &path)
     if (!snap.has("cluster"))
         return meta;
     SectionReader r = snap.section("cluster");
+    SectionIO io(r, false);
     FleetSection f;
-    transfer(f, LoadIO{r});
+    transfer(f, io);
+    r.finish();
     meta.valid = true;
     meta.numServers = f.numServers;
     meta.policy = f.policy;
@@ -344,26 +318,9 @@ ClusterHarness::run()
         if (!snap.has("cluster"))
             fatal("cluster resume: %s has no cluster section",
                   cfg_.snapshot.resumePath.c_str());
-        SectionReader r = snap.section("cluster");
-        FleetSection got;
-        transfer(got, LoadIO{r});
-        const FleetSection want = fleetFingerprint(cfg_);
-        auto check = [](bool same, const char *what) {
-            if (!same)
-                fatal("cluster resume: snapshot %s does not match the "
-                      "run's",
-                      what);
-        };
-        check(got.numServers == want.numServers, "number of servers");
-        check(got.policy == want.policy, "policy");
-        check(got.capW == want.capW, "cap");
-        check(got.coordEpoch == want.coordEpoch, "coordination epoch");
-        check(got.seed == want.seed, "fleet seed");
-        check(got.horizon == want.horizon, "horizon");
-        check(got.epochLen == want.epochLen, "server epoch length");
-        check(got.weights == want.weights, "fairness weights");
-        check(got.rateScale == want.rateScale, "rate scales");
-        check(got.demandMix == want.demandMix, "demand mixes");
+        FleetSection got = fleetFingerprint(cfg_);
+        SnapshotIO(snap).section(
+            "cluster", [&](SectionIO &io) { transfer(got, io); });
         if (got.epochsDone == 0 || got.epochsDone > cuts.size())
             fatal("cluster resume: snapshot epoch cursor %u out of "
                   "range (run has %zu cuts)",
@@ -499,7 +456,8 @@ ClusterHarness::run()
             f.energy = prev_energy;
             f.rows = rows;
             SnapshotWriter sw;
-            transfer(f, SaveIO{sw.section("cluster")});
+            SnapshotIO(sw).section(
+                "cluster", [&](SectionIO &io) { transfer(f, io); });
             sw.writeFile(cfg_.snapshot.out);
             out.fleetSnapshotPath = cfg_.snapshot.out;
             if (cfg_.snapshot.stopAfter) {

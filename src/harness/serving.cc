@@ -178,35 +178,22 @@ ServingWorker::onMemComplete(Tick when, const MemRequest &req)
 }
 
 void
-ServingWorker::saveState(SectionWriter &w) const
+ServingWorker::transfer(SectionIO &io)
 {
-    saveRng(w, rng_);
-    w.f64(ghz_);
-    w.b(busy_);
-    w.u64(reqArrival_);
-    w.u64(missesLeft_);
-    w.u64(streamLine_);
-    w.u64(retired_);
-    w.u64(tlm_);
-    w.u64(served_);
-    w.u64(busyTime_);
-    w.u64(busyStart_);
-}
-
-void
-ServingWorker::restoreState(SectionReader &r)
-{
-    restoreRng(r, rng_);
-    setFrequencyGHz(r.f64());
-    busy_ = r.b();
-    reqArrival_ = r.u64();
-    missesLeft_ = r.u64();
-    streamLine_ = r.u64();
-    retired_ = r.u64();
-    tlm_ = r.u64();
-    served_ = r.u64();
-    busyTime_ = r.u64();
-    busyStart_ = r.u64();
+    double ghz = ghz_;
+    io(rng_);
+    io(ghz);
+    io(busy_);
+    io(reqArrival_);
+    io(missesLeft_);
+    io(streamLine_);
+    io(retired_);
+    io(tlm_);
+    io(served_);
+    io(busyTime_);
+    io(busyStart_);
+    if (io.loading())
+        setFrequencyGHz(ghz);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,162 +424,68 @@ ServingFrontEnd::registerStats(StatRegistry &reg,
 }
 
 void
-ServingFrontEnd::saveState(SectionWriter &w) const
+ServingFrontEnd::transfer(SectionIO &io)
 {
     // Configuration fingerprint first: a serving snapshot only
     // replays into the identical serving setup, and a named mismatch
     // beats a silently diverging arrival stream.
-    w.u8(static_cast<std::uint8_t>(opts_.arrival.kind));
-    w.f64(opts_.arrival.ratePerSec);
-    w.u64(gen_.config().seed);
-    w.f64(opts_.arrival.burstFactor);
-    w.f64(opts_.arrival.burstFraction);
-    w.u64(opts_.arrival.meanBurstLen);
-    w.u64(opts_.arrival.diurnalPeriod);
-    w.f64(opts_.arrival.diurnalDepth);
-    w.f64(opts_.missesPerRequest);
-    w.b(opts_.fixedDemand);
-    w.u8(static_cast<std::uint8_t>(opts_.demandMix));
-    w.f64(opts_.demandSigma);
-    w.f64(opts_.heavyFraction);
-    w.f64(opts_.heavyMultiplier);
-    w.u32(opts_.instrPerMiss);
-    w.f64(opts_.computeCpi);
-    w.u64(opts_.horizon);
-    w.u64(opts_.maxQueue);
-    w.f64(opts_.histMaxUs);
-    w.u32(opts_.histBuckets);
-    w.u32(static_cast<std::uint32_t>(workers_.size()));
+    auto kind = static_cast<std::uint8_t>(opts_.arrival.kind);
+    std::uint64_t seed = gen_.config().seed;
+    auto mix = static_cast<std::uint8_t>(opts_.demandMix);
+    auto nworkers = static_cast<std::uint32_t>(workers_.size());
+    io.expect("arrival kind", kind);
+    io.expect("arrival rate", opts_.arrival.ratePerSec);
+    io.expect("arrival seed", seed);
+    io.expect("burst factor", opts_.arrival.burstFactor);
+    io.expect("burst fraction", opts_.arrival.burstFraction);
+    io.expect("mean burst length", opts_.arrival.meanBurstLen);
+    io.expect("diurnal period", opts_.arrival.diurnalPeriod);
+    io.expect("diurnal depth", opts_.arrival.diurnalDepth);
+    io.expect("misses/request", opts_.missesPerRequest);
+    io.expect("fixedDemand", opts_.fixedDemand);
+    io.expect("demand mix", mix);
+    io.expect("demand sigma", opts_.demandSigma);
+    io.expect("heavy fraction", opts_.heavyFraction);
+    io.expect("heavy multiplier", opts_.heavyMultiplier);
+    io.expect("instrPerMiss", opts_.instrPerMiss);
+    io.expect("compute CPI", opts_.computeCpi);
+    io.expect("horizon", opts_.horizon);
+    io.expect("max queue", opts_.maxQueue);
+    io.expect("histogram max", opts_.histMaxUs);
+    io.expect("histBuckets", opts_.histBuckets);
+    io.expect("workers", nworkers);
 
-    gen_.saveState(w);
-    saveRng(w, demandRng_);
-    w.b(arrivalsClosed_);
+    gen_.transfer(io);
+    io(demandRng_);
+    io(arrivalsClosed_);
 
-    w.u64(arrived_);
-    w.u64(completed_);
-    w.u64(dropped_);
-    w.u64(queuePeak_);
-    w.f64(latSumUs_);
-    w.f64(latMaxUs_);
+    io(arrived_);
+    io(completed_);
+    io(dropped_);
+    io(queuePeak_);
+    io(latSumUs_);
+    io(latMaxUs_);
 
-    w.u32(static_cast<std::uint32_t>(queue_.size()));
-    for (const QueuedRequest &q : queue_) {
-        w.u64(q.arrival);
-        w.u64(q.misses);
-    }
+    io.list(queue_, [&io](QueuedRequest &q) {
+        io(q.arrival);
+        io(q.misses);
+    });
 
-    auto save_hist = [&w](const Histogram &h) {
-        w.u64(h.underflow());
-        w.u64(h.overflow());
-        w.u32(static_cast<std::uint32_t>(h.buckets().size()));
-        for (std::uint64_t c : h.buckets())
-            w.u64(c);
+    auto hist = [&io](Histogram &h) {
+        std::uint64_t under = h.underflow();
+        std::uint64_t over = h.overflow();
+        std::vector<std::uint64_t> counts = h.buckets();
+        io(under);
+        io(over);
+        io(counts);
+        if (io.loading())
+            h.setCounts(counts, under, over);
     };
-    save_hist(latUs_);
-    save_hist(winUs_);
-
-    for (const auto &wk : workers_)
-        wk->saveState(w);
-}
-
-void
-ServingFrontEnd::restoreState(SectionReader &r)
-{
-    auto want_u64 = [&r](const char *what, std::uint64_t want) {
-        const std::uint64_t got = r.u64();
-        if (got != want)
-            fatal("serving resume: snapshot %s %llu does not match "
-                  "run %llu",
-                  what, static_cast<unsigned long long>(got),
-                  static_cast<unsigned long long>(want));
-    };
-    auto want_f64 = [&r](const char *what, double want) {
-        const double got = r.f64();
-        if (got != want)
-            fatal("serving resume: snapshot %s %.17g does not match "
-                  "run %.17g",
-                  what, got, want);
-    };
-
-    const std::uint8_t kind = r.u8();
-    if (kind != static_cast<std::uint8_t>(opts_.arrival.kind))
-        fatal("serving resume: snapshot arrival kind %u does not "
-              "match run %u",
-              kind, static_cast<unsigned>(opts_.arrival.kind));
-    want_f64("arrival rate", opts_.arrival.ratePerSec);
-    want_u64("arrival seed", gen_.config().seed);
-    want_f64("burst factor", opts_.arrival.burstFactor);
-    want_f64("burst fraction", opts_.arrival.burstFraction);
-    want_u64("mean burst length", opts_.arrival.meanBurstLen);
-    want_u64("diurnal period", opts_.arrival.diurnalPeriod);
-    want_f64("diurnal depth", opts_.arrival.diurnalDepth);
-    want_f64("misses/request", opts_.missesPerRequest);
-    const bool fixed = r.b();
-    if (fixed != opts_.fixedDemand)
-        fatal("serving resume: snapshot fixedDemand %d does not "
-              "match run %d",
-              fixed ? 1 : 0, opts_.fixedDemand ? 1 : 0);
-    const std::uint8_t mix = r.u8();
-    if (mix != static_cast<std::uint8_t>(opts_.demandMix))
-        fatal("serving resume: snapshot demand mix %s does not match "
-              "run %s",
-              demandMixName(static_cast<DemandMix>(mix)),
-              demandMixName(opts_.demandMix));
-    want_f64("demand sigma", opts_.demandSigma);
-    want_f64("heavy fraction", opts_.heavyFraction);
-    want_f64("heavy multiplier", opts_.heavyMultiplier);
-    const std::uint32_t ipm = r.u32();
-    if (ipm != opts_.instrPerMiss)
-        fatal("serving resume: snapshot instrPerMiss %u does not "
-              "match run %u",
-              ipm, opts_.instrPerMiss);
-    want_f64("compute CPI", opts_.computeCpi);
-    want_u64("horizon", opts_.horizon);
-    want_u64("max queue", opts_.maxQueue);
-    want_f64("histogram max", opts_.histMaxUs);
-    const std::uint32_t nbuckets = r.u32();
-    if (nbuckets != opts_.histBuckets)
-        fatal("serving resume: snapshot histBuckets %u does not "
-              "match run %u",
-              nbuckets, opts_.histBuckets);
-    const std::uint32_t nworkers = r.u32();
-    if (nworkers != workers_.size())
-        fatal("serving resume: snapshot has %u workers, run has %zu",
-              nworkers, workers_.size());
-
-    gen_.restoreState(r);
-    restoreRng(r, demandRng_);
-    arrivalsClosed_ = r.b();
-
-    arrived_ = r.u64();
-    completed_ = r.u64();
-    dropped_ = r.u64();
-    queuePeak_ = r.u64();
-    latSumUs_ = r.f64();
-    latMaxUs_ = r.f64();
-
-    queue_.clear();
-    const std::uint32_t nq = r.u32();
-    for (std::uint32_t i = 0; i < nq; ++i) {
-        QueuedRequest q;
-        q.arrival = r.u64();
-        q.misses = r.u64();
-        queue_.push_back(q);
-    }
-
-    auto restore_hist = [&r](Histogram &h) {
-        const std::uint64_t under = r.u64();
-        const std::uint64_t over = r.u64();
-        std::vector<std::uint64_t> counts(r.u32(), 0);
-        for (std::uint64_t &c : counts)
-            c = r.u64();
-        h.setCounts(counts, under, over);
-    };
-    restore_hist(latUs_);
-    restore_hist(winUs_);
+    hist(latUs_);
+    hist(winUs_);
 
     for (auto &wk : workers_)
-        wk->restoreState(r);
+        wk->transfer(io);
 }
 
 EventCallback

@@ -41,8 +41,7 @@ namespace memscale
 {
 
 class MemoryController;
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 class StatRegistry;
 
 /**
@@ -194,8 +193,7 @@ class ServingWorker final : public MemClient, public CpuSampler
     /** End of a compute segment: issue the next miss. */
     void issueMiss();
 
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
+    void transfer(SectionIO &io);
 
   private:
     void scheduleCompute();
@@ -263,8 +261,8 @@ class ServingFrontEnd
 
     /** @name Checkpoint/restore ("serving" snapshot section). */
     /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
+    /** Config fingerprint first, then the front end and its workers. */
+    void transfer(SectionIO &io);
 
     /** Rebuild a tagged pending event (EvServeArrival/EvServeIssue). */
     EventCallback rebuildEvent(std::uint32_t kind,

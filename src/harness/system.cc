@@ -21,99 +21,65 @@ namespace
 /**
  * The snapshot's configuration fingerprint, one named field at a time
  * in file order.  A snapshot only replays bit-identically into the
- * exact system it was taken from.  checkpoint() writes these fields,
- * resume verifies them and readSnapshotMeta() skips them, all through
- * this one list.
+ * exact system it was taken from: checkpoint() writes these fields,
+ * resume verifies them and readSnapshotMeta() adopts them.
  */
-template <typename F>
 void
-forEachFingerprintField(const SystemConfig &cfg,
-                        const std::string &policy_name, bool has_checker,
-                        bool dynamic_policy, F &&f)
+transferFingerprint(SectionIO &io, SystemConfig &cfg, std::string &policy,
+                    bool &has_checker, bool &dynamic_policy)
 {
-    f("mix", cfg.mixName);
-    f("policy", policy_name);
-    f("numCores", cfg.numCores);
-    f("cpuGHz", cfg.cpuGHz);
-    f("instrBudget", cfg.instrBudget);
-    f("epochLen", cfg.epochLen);
-    f("profileLen", cfg.profileLen);
-    f("gamma", cfg.gamma);
-    f("seed", cfg.seed);
-    f("restWatts", cfg.restWatts);
-    f("numChannels", cfg.mem.numChannels);
-    f("ranksPerChannel", cfg.mem.ranksPerChannel());
-    f("banksPerRank", cfg.mem.banksPerRank);
-    f("kernel mode", static_cast<std::uint8_t>(cfg.kernelMode));
-    f("observe", cfg.observe);
-    f("modelCpuPower", cfg.modelCpuPower);
-    f("protocolCheck", has_checker);
-    f("dynamicPolicy", dynamic_policy);
-    f("customApps", static_cast<std::uint32_t>(cfg.customApps.size()));
+    auto ranks_per_channel = cfg.mem.ranksPerChannel();
+    auto kernel_mode = static_cast<std::uint8_t>(cfg.kernelMode);
+    auto custom_apps = static_cast<std::uint32_t>(cfg.customApps.size());
+    io.expect("mix", cfg.mixName);
+    io.expect("policy", policy);
+    io.expect("numCores", cfg.numCores);
+    io.expect("cpuGHz", cfg.cpuGHz);
+    io.expect("instrBudget", cfg.instrBudget);
+    io.expect("epochLen", cfg.epochLen);
+    io.expect("profileLen", cfg.profileLen);
+    io.expect("gamma", cfg.gamma);
+    io.expect("seed", cfg.seed);
+    io.expect("restWatts", cfg.restWatts);
+    io.expect("numChannels", cfg.mem.numChannels);
+    io.expect("ranksPerChannel", ranks_per_channel);
+    io.expect("banksPerRank", cfg.mem.banksPerRank);
+    io.expect("kernel mode", kernel_mode);
+    io.expect("observe", cfg.observe);
+    io.expect("modelCpuPower", cfg.modelCpuPower);
+    io.expect("protocolCheck", has_checker);
+    io.expect("dynamicPolicy", dynamic_policy);
+    io.expect("customApps", custom_apps);
     // Idle-ladder fingerprint: demotion thresholds and consolidation
     // knobs shape the event stream and the migrator's remap table, so
     // a snapshot is only valid under the exact same ladder config.
-    const IdleLadderConfig &lc = cfg.mem.ladder;
-    f("ladder.demoteSlowPd", lc.demoteSlowPd);
-    f("ladder.demoteSelfRefresh", lc.demoteSelfRefresh);
-    f("ladder.demoteSrSlow", lc.demoteSrSlow);
-    f("ladder.demoteDeepPd", lc.demoteDeepPd);
-    f("ladder.migrate", lc.migrate);
-    f("ladder.migrateInterval", lc.migrateInterval);
-    f("ladder.hotRanks", lc.hotRanks);
-    f("ladder.hotThreshold", lc.hotThreshold);
-    f("ladder.maxSwapsPerInterval", lc.maxSwapsPerInterval);
-    f("ladder.migrationLines", lc.migrationLines);
-    f("ladder.counterSets", lc.counterSets);
+    IdleLadderConfig &lc = cfg.mem.ladder;
+    io.expect("ladder.demoteSlowPd", lc.demoteSlowPd);
+    io.expect("ladder.demoteSelfRefresh", lc.demoteSelfRefresh);
+    io.expect("ladder.demoteSrSlow", lc.demoteSrSlow);
+    io.expect("ladder.demoteDeepPd", lc.demoteDeepPd);
+    io.expect("ladder.migrate", lc.migrate);
+    io.expect("ladder.migrateInterval", lc.migrateInterval);
+    io.expect("ladder.hotRanks", lc.hotRanks);
+    io.expect("ladder.hotThreshold", lc.hotThreshold);
+    io.expect("ladder.maxSwapsPerInterval", lc.maxSwapsPerInterval);
+    io.expect("ladder.migrationLines", lc.migrationLines);
+    io.expect("ladder.counterSets", lc.counterSets);
 }
 
-struct FingerprintWriter
+/** The meta section's summary block, after the fingerprint. */
+void
+transferSummary(SectionIO &io, SnapshotMeta &m)
 {
-    SectionWriter &w;
-    void operator()(const char *, const std::string &v) { w.str(v); }
-    void operator()(const char *, std::uint64_t v) { w.u64(v); }
-    void operator()(const char *, std::uint32_t v) { w.u32(v); }
-    void operator()(const char *, std::uint8_t v) { w.u8(v); }
-    void operator()(const char *, double v) { w.f64(v); }
-    void operator()(const char *, bool v) { w.b(v); }
-};
-
-/** Reads the fingerprint; a mismatch is fatal with a named field. */
-struct FingerprintReader
-{
-    SectionReader &r;
-    bool verify;
-
-    void
-    operator()(const char *what, const std::string &want)
-    {
-        const std::string got = r.str();
-        if (verify && got != want)
-            fatal("resume: snapshot %s '%s' does not match run '%s'",
-                  what, got.c_str(), want.c_str());
-    }
-    void operator()(const char *f, std::uint64_t v) { check(f, r.u64(), v); }
-    void operator()(const char *f, std::uint32_t v) { check(f, r.u32(), v); }
-    void operator()(const char *f, std::uint8_t v) { check(f, r.u8(), v); }
-    void operator()(const char *f, bool v) { check(f, r.b(), v); }
-    void
-    operator()(const char *what, double want)
-    {
-        const double got = r.f64();
-        if (verify && got != want)
-            fatal("resume: snapshot %s %.17g does not match run %.17g",
-                  what, got, want);
-    }
-
-    void
-    check(const char *what, std::uint64_t got, std::uint64_t want)
-    {
-        if (verify && got != want)
-            fatal("resume: snapshot %s %llu does not match run %llu",
-                  what, static_cast<unsigned long long>(got),
-                  static_cast<unsigned long long>(want));
-    }
-};
+    io(m.now);
+    io(m.doneCores);
+    io(m.pendingEvents);
+    io(m.inFlightRequests);
+    io(m.ranksPoweredDown);
+    io(m.pendingRelocks);
+    io(m.pendingRefreshes);
+    io(m.pendingRankCloses);
+}
 
 } // namespace
 
@@ -194,7 +160,7 @@ System::System(const SystemConfig &cfg, Policy &policy)
 
     policy_.configure(mc, ctx_);
     // On resume, the refresh engines' pending events come from the
-    // snapshot (restore() drops anything configure() scheduled);
+    // snapshot (transfer() drops anything configure() scheduled);
     // starting them here would double-refresh.
     if (!resuming) {
         mc.startRefresh();
@@ -281,7 +247,9 @@ System::System(const SystemConfig &cfg, Policy &policy)
     }
 
     if (resuming) {
-        restore();
+        SnapshotReader snap(cfg_.resumePath);
+        SnapshotIO io(snap);
+        transfer(io);
     } else {
         // A resumed run rebuilds the in-flight epoch event and the
         // workload's pending events from the snapshot instead.
@@ -311,73 +279,121 @@ System::System(const SystemConfig &cfg, Policy &policy)
 System::~System() = default;
 
 void
-System::restore()
+System::transfer(SnapshotIO &snap)
 {
-    SnapshotReader snap(cfg_.resumePath);
-    SectionReader meta = snap.section("meta");
-    forEachFingerprintField(cfg_, policy_.name(), checker_ != nullptr,
-                            policy_.dynamic(),
-                            FingerprintReader{meta, true});
+    // Save: the live pending-event list.  Restore: read from "sim"
+    // and re-scheduled once every component is back.
+    std::vector<PendingEvent> pend;
+    if (!snap.loading())
+        pend = eq_.exportPending();
 
-    // Drop everything the fresh construction scheduled (refresh
-    // arming, relocks from configure()) and jump the clock; the
-    // snapshot's own event list replaces it wholesale.
-    eq_.clearPending();
-    SectionReader sim = snap.section("sim");
-    eq_.setNow(sim.u64());
+    snap.section("meta", [&](SectionIO &io) {
+        std::string policy = policy_.name();
+        bool has_checker = checker_ != nullptr;
+        bool dynamic_policy = policy_.dynamic();
+        transferFingerprint(io, cfg_, policy, has_checker,
+                            dynamic_policy);
+        // Summary block (SnapshotMeta): what the checkpoint caught
+        // mid-flight, for diagnostics and test probes.  A restore
+        // reads it and has no use for it.
+        SnapshotMeta m;
+        if (!io.loading()) {
+            m.now = eq_.now();
+            m.doneCores = done_;
+            m.pendingEvents = static_cast<std::uint32_t>(pend.size());
+            m.inFlightRequests = mc_->requestPool().inUse();
+            m.ranksPoweredDown = mc_->ranksPoweredDown();
+            for (const PendingEvent &pe : pend) {
+                if (pe.tag.kind == EvChanRelockEnter ||
+                    pe.tag.kind == EvChanRelockExit)
+                    ++m.pendingRelocks;
+                if (pe.tag.kind == EvChanRefreshDone)
+                    ++m.pendingRefreshes;
+            }
+            m.pendingRankCloses = mc_->pendingRankCloses();
+        }
+        transferSummary(io, m);
+    });
 
-    SectionReader mcs = snap.section("mc");
+    snap.section("sim", [&](SectionIO &io) {
+        Tick now = eq_.now();
+        io(now);
+        io.list(pend, [&io](PendingEvent &pe) {
+            io(pe.when);
+            io.enumByte("event class", pe.cls, EventClass::Sample);
+            io(pe.tag.kind);
+            io(pe.tag.owner);
+            io(pe.tag.a);
+            io(pe.tag.b);
+        });
+        if (!io.loading())
+            return;
+        for (const PendingEvent &pe : pend) {
+            if (pe.when < now)
+                io.fail("pending event at tick %llu precedes the "
+                        "snapshot's tick %llu",
+                        static_cast<unsigned long long>(pe.when),
+                        static_cast<unsigned long long>(now));
+        }
+        // Drop everything the fresh construction scheduled (refresh
+        // arming, relocks from configure()) and jump the clock; the
+        // snapshot's own event list replaces it wholesale.
+        eq_.clearPending();
+        eq_.setNow(now);
+    });
+
     std::vector<MemClient *> clients;
     if (fe_)
         clients = fe_->clients();
     for (auto &c : cores_)
         clients.push_back(c.get());
-    mc_->restoreState(mcs, clients);
+    snap.section("mc",
+                 [&](SectionIO &io) { mc_->transfer(io, clients); });
 
     // Closed-loop snapshots carry a "cores" section, serving
     // snapshots a "serving" one; asking for the wrong section is
     // fatal, which is exactly the cross-mode guard we want.
     if (fe_) {
-        SectionReader svs = snap.section("serving");
-        fe_->restoreState(svs);
+        snap.section("serving",
+                     [&](SectionIO &io) { fe_->transfer(io); });
     } else {
-        SectionReader crs = snap.section("cores");
-        const std::uint32_t ncores = crs.u32();
-        if (ncores != cfg_.numCores)
-            fatal("resume: snapshot has %u cores, run has %u", ncores,
-                  cfg_.numCores);
-        for (std::uint32_t i = 0; i < cfg_.numCores; ++i) {
-            sources_[i]->restoreState(crs);
-            cores_[i]->restoreState(crs);
-        }
+        snap.section("cores", [&](SectionIO &io) {
+            io.expect("cores", cfg_.numCores);
+            for (std::uint32_t i = 0; i < cfg_.numCores; ++i) {
+                sources_[i]->transfer(io);
+                cores_[i]->transfer(io);
+            }
+        });
     }
 
-    SectionReader pw = snap.section("power");
-    integrator_.restoreState(pw);
-    last_.restoreState(pw);
-    lastSample_ = pw.u64();
-    const std::uint32_t nstall = pw.u32();
-    for (std::uint32_t i = 0; i < nstall; ++i) {
-        const Tick s = pw.u64();
-        if (i < lastStall_.size())
-            lastStall_[i] = s;
-    }
+    snap.section("power", [&](SectionIO &io) {
+        integrator_.transfer(io);
+        last_.transfer(io);
+        io(lastSample_);
+        auto nstall = static_cast<std::uint32_t>(lastStall_.size());
+        io.expect("stall entries", nstall);
+        for (Tick &t : lastStall_)
+            io(t);
+    });
 
-    if (epochs_) {
-        SectionReader es = snap.section("epoch");
-        epochs_->restoreState(es);
-    }
-    if (recorder_) {
-        SectionReader rs = snap.section("recorder");
-        recorder_->restoreState(rs);
-    }
-    SectionReader ps = snap.section("policy");
-    policy_.restoreState(ps);
-    if (checker_) {
-        SectionReader chs = snap.section("checker");
-        checker_->restoreState(chs);
-    }
+    if (epochs_)
+        snap.section("epoch",
+                     [&](SectionIO &io) { epochs_->transfer(io); });
+    if (recorder_)
+        snap.section("recorder",
+                     [&](SectionIO &io) { recorder_->transfer(io); });
+    snap.section("policy", [&](SectionIO &io) {
+        if (io.loading())
+            policy_.restoreState(io.reader());
+        else
+            policy_.saveState(io.writer());
+    });
+    if (checker_)
+        snap.section("checker",
+                      [&](SectionIO &io) { checker_->transfer(io); });
 
+    if (!snap.loading())
+        return;
     done_ = 0;
     for (auto &c : cores_) {
         if (c->done())
@@ -387,15 +403,8 @@ System::restore()
     // Re-schedule the saved pending events in their original
     // execution order; fresh insertion sequences then preserve
     // every same-tick tie-break.
-    const std::uint32_t npend = sim.u32();
-    for (std::uint32_t i = 0; i < npend; ++i) {
-        const Tick when = sim.u64();
-        const auto cls = static_cast<EventClass>(sim.u8());
-        EventTag tag;
-        tag.kind = sim.u32();
-        tag.owner = sim.u32();
-        tag.a = sim.u64();
-        tag.b = sim.u64();
+    for (const PendingEvent &pe : pend) {
+        const EventTag &tag = pe.tag;
         EventCallback cb;
         switch (tag.kind) {
           case EvCoreIssueMiss:
@@ -435,7 +444,7 @@ System::restore()
             fatal("resume: unknown event kind %u (%s)", tag.kind,
                   eventKindName(tag.kind));
         }
-        eq_.schedule(when, std::move(cb), cls, tag);
+        eq_.schedule(pe.when, std::move(cb), pe.cls, tag);
     }
 }
 
@@ -548,73 +557,9 @@ System::telemetry()
 void
 System::checkpoint(const std::string &path)
 {
-    const std::vector<PendingEvent> pend = eq_.exportPending();
-    std::uint32_t relocks = 0;
-    std::uint32_t refreshes = 0;
-    for (const PendingEvent &pe : pend) {
-        if (pe.tag.kind == EvChanRelockEnter ||
-            pe.tag.kind == EvChanRelockExit)
-            ++relocks;
-        if (pe.tag.kind == EvChanRefreshDone)
-            ++refreshes;
-    }
-
     SnapshotWriter sw;
-    SectionWriter &m = sw.section("meta");
-    forEachFingerprintField(cfg_, policy_.name(), checker_ != nullptr,
-                            policy_.dynamic(), FingerprintWriter{m});
-    // Summary block (SnapshotMeta): what the checkpoint caught
-    // mid-flight, for diagnostics and test probes.
-    m.u64(eq_.now());
-    m.u32(done_);
-    m.u32(static_cast<std::uint32_t>(pend.size()));
-    m.u64(mc_->requestPool().inUse());
-    m.u32(mc_->ranksPoweredDown());
-    m.u32(relocks);
-    m.u32(refreshes);
-    m.u32(mc_->pendingRankCloses());
-
-    SectionWriter &sim = sw.section("sim");
-    sim.u64(eq_.now());
-    sim.u32(static_cast<std::uint32_t>(pend.size()));
-    for (const PendingEvent &pe : pend) {
-        sim.u64(pe.when);
-        sim.u8(static_cast<std::uint8_t>(pe.cls));
-        sim.u32(pe.tag.kind);
-        sim.u32(pe.tag.owner);
-        sim.u64(pe.tag.a);
-        sim.u64(pe.tag.b);
-    }
-
-    mc_->saveState(sw.section("mc"));
-
-    if (fe_) {
-        fe_->saveState(sw.section("serving"));
-    } else {
-        SectionWriter &crs = sw.section("cores");
-        crs.u32(cfg_.numCores);
-        for (std::uint32_t i = 0; i < cfg_.numCores; ++i) {
-            sources_[i]->saveState(crs);
-            cores_[i]->saveState(crs);
-        }
-    }
-
-    SectionWriter &pw = sw.section("power");
-    integrator_.saveState(pw);
-    last_.saveState(pw);
-    pw.u64(lastSample_);
-    pw.u32(static_cast<std::uint32_t>(lastStall_.size()));
-    for (Tick s : lastStall_)
-        pw.u64(s);
-
-    if (epochs_)
-        epochs_->saveState(sw.section("epoch"));
-    if (recorder_)
-        recorder_->saveState(sw.section("recorder"));
-    policy_.saveState(sw.section("policy"));
-    if (checker_)
-        checker_->saveState(sw.section("checker"));
-
+    SnapshotIO io(sw);
+    transfer(io);
     sw.writeFile(path);
 }
 
@@ -701,21 +646,17 @@ SnapshotMeta
 readSnapshotMeta(const std::string &path)
 {
     SnapshotReader snap(path);
-    SectionReader m = snap.section("meta");
+    SectionReader r = snap.section("meta");
+    SectionIO io(r, false);
+    SystemConfig cfg;
     SnapshotMeta out;
-    SectionReader names = m;   // the fingerprint opens with both
-    out.mixName = names.str();
-    out.policyName = names.str();
-    forEachFingerprintField(SystemConfig{}, "", false, false,
-                            FingerprintReader{m, false});
-    out.now = m.u64();
-    out.doneCores = m.u32();
-    out.pendingEvents = m.u32();
-    out.inFlightRequests = m.u64();
-    out.ranksPoweredDown = m.u32();
-    out.pendingRelocks = m.u32();
-    out.pendingRefreshes = m.u32();
-    out.pendingRankCloses = m.u32();
+    bool has_checker = false;
+    bool dynamic_policy = false;
+    transferFingerprint(io, cfg, out.policyName, has_checker,
+                        dynamic_policy);
+    transferSummary(io, out);
+    r.finish();
+    out.mixName = cfg.mixName;
     return out;
 }
 

@@ -28,6 +28,8 @@
 namespace memscale
 {
 
+class SnapshotIO;
+
 struct SystemConfig
 {
     std::string mixName = "MID1";
@@ -264,7 +266,8 @@ class System
     std::uint64_t eventsRun() const { return eventsRun_; }
 
   private:
-    void restore();
+    /** Every snapshot section in file order, in either direction. */
+    void transfer(SnapshotIO &snap);
     void accrue(SystemEnergyIntegrator &integ, std::vector<Tick> &stall,
                 const IntervalActivity &cur) const;
     void closeInterval();

@@ -713,6 +713,14 @@ EventCallback
 Channel::rebuildEvent(std::uint32_t kind, std::uint64_t a,
                       std::uint64_t b)
 {
+    // Operands come from the file: a request slot, or a rank index.
+    const std::size_t limit =
+        kind == EvChanBurstDone ? pool_.capacity() : ranks_.size();
+    if (a >= limit)
+        fatal("resume: channel %u %s event operand %llu out of range "
+              "(snapshot section sim)",
+              id_, eventKindName(kind),
+              static_cast<unsigned long long>(a));
     auto r = static_cast<std::uint32_t>(a);
     switch (kind) {
       case EvChanBurstDone: {
@@ -736,6 +744,10 @@ Channel::rebuildEvent(std::uint32_t kind, std::uint64_t a,
       case EvChanRefreshDone:
         return [this, r] { evRefreshDone(r); };
       case EvChanPdDemote: {
+        if ((b & 0xff) > static_cast<std::uint8_t>(RankIdleState::DeepPd))
+            fatal("resume: channel %u demotion to idle state %u out of "
+                  "range (snapshot section sim)",
+                  id_, static_cast<unsigned>(b & 0xff));
         auto target = static_cast<RankIdleState>(
             static_cast<std::uint8_t>(b & 0xff));
         std::uint64_t seq = b >> 8;
@@ -748,95 +760,60 @@ Channel::rebuildEvent(std::uint32_t kind, std::uint64_t a,
 }
 
 void
-Channel::saveState(SectionWriter &w) const
+Channel::transfer(SectionIO &io)
 {
-    counters_.saveState(w);
-    tp_.saveState(w);
-    w.u64(ranks_.size());
-    for (const Rank &rk : ranks_)
-        rk.saveState(w);
-    w.u64(banks_.size());
-    for (const BankCtl &bc : banks_) {
-        bc.bank.saveState(w);
-        w.u64(bc.q.size());
-        for (const MemRequest *rq = bc.q.head(); rq != nullptr;
+    // Queues travel as request-pool slab indices, head first; a
+    // restored index must name a slot of the restored pool.
+    auto queue = [&](ReqQueue &q) {
+        std::vector<std::size_t> idx;
+        for (const MemRequest *rq = q.head(); rq != nullptr;
              rq = rq->next)
-            w.u64(pool_.indexOf(rq));
-    }
-    for (Tick t : pdExitReadyAt_)
-        w.u64(t);
-    w.u64(writeQueue_.size());
-    for (const MemRequest *rq = writeQueue_.head(); rq != nullptr;
-         rq = rq->next)
-        w.u64(pool_.indexOf(rq));
-    w.b(drainMode_);
-    w.u64(busFreeAt_);
-    w.u64(suspendedUntil_);
-    w.u64(burstTime_);
-    w.u64(pending_);
-    w.u64(pendingReads_);
-    w.u8(static_cast<std::uint8_t>(pdMode_));
-    w.u32(decoupledDeviceMHz_);
-    w.f64(throttleUtil_);
-    w.u64(lastBurstStart_);
-    w.u64(syncBufferLatency_);
-    w.b(refreshRunning_);
-    for (std::uint64_t s : pdSeq_)
-        w.u64(s);
-    for (std::uint8_t p : relockParked_)
-        w.u8(p);
-}
+            idx.push_back(pool_.indexOf(rq));
+        io.list<std::uint64_t>(idx);
+        if (!io.loading())
+            return;
+        if (!q.empty())
+            panic("Channel restore: queue not empty");
+        for (std::size_t i : idx) {
+            if (i >= pool_.capacity())
+                io.fail("queued request %zu out of the pool's %zu "
+                        "slots",
+                        i, pool_.capacity());
+            q.push_back(pool_.at(i));
+        }
+    };
 
-void
-Channel::restoreState(SectionReader &rd)
-{
-    counters_.restoreState(rd);
-    tp_.restoreState(rd);
-    std::uint64_t nranks = rd.u64();
-    if (nranks != ranks_.size())
-        fatal("Channel restore: %llu ranks in snapshot, %zu "
-              "configured",
-              static_cast<unsigned long long>(nranks), ranks_.size());
+    counters_.transfer(io);
+    tp_.transfer(io);
+    std::uint64_t nranks = ranks_.size();
+    io.expect("channel ranks", nranks);
     for (Rank &rk : ranks_)
-        rk.restoreState(rd);
-    std::uint64_t nbanks = rd.u64();
-    if (nbanks != banks_.size())
-        fatal("Channel restore: %llu banks in snapshot, %zu "
-              "configured",
-              static_cast<unsigned long long>(nbanks), banks_.size());
+        rk.transfer(io);
+    std::uint64_t nbanks = banks_.size();
+    io.expect("channel banks", nbanks);
     for (BankCtl &bc : banks_) {
-        bc.bank.restoreState(rd);
-        if (!bc.q.empty())
-            panic("Channel restore: bank queue not empty");
-        std::uint64_t qn = rd.u64();
-        for (std::uint64_t i = 0; i < qn; ++i)
-            bc.q.push_back(pool_.at(
-                static_cast<std::size_t>(rd.u64())));
+        bc.bank.transfer(io);
+        queue(bc.q);
     }
     for (Tick &t : pdExitReadyAt_)
-        t = rd.u64();
-    if (!writeQueue_.empty())
-        panic("Channel restore: write queue not empty");
-    std::uint64_t wn = rd.u64();
-    for (std::uint64_t i = 0; i < wn; ++i)
-        writeQueue_.push_back(pool_.at(
-            static_cast<std::size_t>(rd.u64())));
-    drainMode_ = rd.b();
-    busFreeAt_ = rd.u64();
-    suspendedUntil_ = rd.u64();
-    burstTime_ = rd.u64();
-    pending_ = static_cast<std::size_t>(rd.u64());
-    pendingReads_ = static_cast<std::size_t>(rd.u64());
-    pdMode_ = static_cast<PowerdownMode>(rd.u8());
-    decoupledDeviceMHz_ = rd.u32();
-    throttleUtil_ = rd.f64();
-    lastBurstStart_ = rd.u64();
-    syncBufferLatency_ = rd.u64();
-    refreshRunning_ = rd.b();
+        io(t);
+    queue(writeQueue_);
+    io(drainMode_);
+    io(busFreeAt_);
+    io(suspendedUntil_);
+    io(burstTime_);
+    io(pending_);
+    io(pendingReads_);
+    io.enumByte("powerdown mode", pdMode_, PowerdownMode::Ladder);
+    io(decoupledDeviceMHz_);
+    io(throttleUtil_);
+    io(lastBurstStart_);
+    io(syncBufferLatency_);
+    io(refreshRunning_);
     for (std::uint64_t &s : pdSeq_)
-        s = rd.u64();
+        io(s);
     for (std::uint8_t &p : relockParked_)
-        p = rd.u8();
+        io(p);
 }
 
 void

@@ -41,8 +41,7 @@
 namespace memscale
 {
 
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 class StatRegistry;
 
 class Channel
@@ -146,12 +145,9 @@ class Channel
 
     /** @name Checkpoint/restore */
     /// @{
-    /** Serialize scheduler, bank/rank, and queue state (queues as
-     * request-pool slab indices). */
-    void saveState(SectionWriter &w) const;
-
-    /** Restore into a freshly constructed channel (empty queues). */
-    void restoreState(SectionReader &r);
+    /** Scheduler, bank/rank, and queue state (queues as request-pool
+     * slab indices); restores into a freshly constructed channel. */
+    void transfer(SectionIO &io);
 
     /** Reconstruct the closure of a tagged pending event (restore). */
     EventCallback rebuildEvent(std::uint32_t kind, std::uint64_t a,

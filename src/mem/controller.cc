@@ -306,69 +306,33 @@ MemoryController::registerStats(StatRegistry &reg,
 }
 
 void
-MemoryController::saveState(SectionWriter &w) const
+MemoryController::transfer(SectionIO &io,
+                           const std::vector<MemClient *> &clients)
 {
     // Pool layout first: restore must materialize the slab before
     // queue contents and event tags can resolve indices into it.
-    w.u64(pool_.capacity());
-    const std::vector<std::size_t> free = pool_.freeListIndices();
-    w.u64(free.size());
-    for (std::size_t idx : free)
-        w.u64(idx);
-
-    std::vector<bool> is_free(pool_.capacity(), false);
-    for (std::size_t idx : free)
-        is_free[idx] = true;
-    for (std::size_t i = 0; i < pool_.capacity(); ++i) {
-        if (is_free[i])
-            continue;
-        const MemRequest *q = pool_.at(i);
-        w.u64(q->addr);
-        w.b(q->isWrite);
-        w.u32(q->core);
-        w.u64(q->arrival);
-        w.u64(q->seq);
-        w.u32(q->loc.channel);
-        w.u32(q->loc.rank);
-        w.u32(q->loc.bank);
-        w.u64(q->loc.row);
-        w.u64(q->loc.column);
-        w.u64(q->serviceStart);
-        w.u64(q->dataReady);
-        w.u64(q->burstStart);
-        w.u64(q->burstEnd);
-        w.u8(static_cast<std::uint8_t>(q->outcome));
-        w.b(q->sawPowerdownExit);
-        w.u64(q->bankBurstExtra);
-        w.b(q->client != nullptr);
+    std::size_t cap = pool_.capacity();
+    std::vector<std::size_t> free = pool_.freeListIndices();
+    io(cap);
+    io.list<std::uint64_t>(free);
+    if (io.loading()) {
+        // Every in-flight request takes at least one byte, so a
+        // capacity the section cannot hold is corrupt; checking it
+        // first bounds the slab by the file size.
+        if (cap % RequestPool::ChunkSize != 0 || free.size() > cap ||
+            cap - free.size() > io.reader().remaining())
+            io.fail("bad request pool layout (%zu slots, %zu free)", cap,
+                    free.size());
+        std::vector<bool> seen(cap, false);
+        for (std::size_t idx : free) {
+            if (idx >= cap || seen[idx])
+                io.fail("free request slot %zu out of range or "
+                        "repeated",
+                        idx);
+            seen[idx] = true;
+        }
+        pool_.restoreLayout(cap, free);
     }
-
-    w.u32(static_cast<std::uint32_t>(channels_.size()));
-    for (FreqIndex f : chanFreq_)
-        w.u32(f);
-    w.u64(nextSeq_);
-    w.u64(freqTransitions_);
-    w.u64(relockStall_);
-    w.u32(decoupledMHz_);
-    for (const auto &ch : channels_)
-        ch->saveState(w);
-    // Config-gated: snapshot meta pins the ladder config, so writer
-    // and reader agree on whether this trailer exists.
-    if (migrator_) {
-        w.b(migrateArmed_);
-        migrator_->saveState(w);
-    }
-}
-
-void
-MemoryController::restoreState(SectionReader &r,
-                               const std::vector<MemClient *> &clients)
-{
-    const std::size_t cap = r.u64();
-    std::vector<std::size_t> free(r.u64());
-    for (std::size_t &idx : free)
-        idx = r.u64();
-    pool_.restoreLayout(cap, free);
 
     std::vector<bool> is_free(cap, false);
     for (std::size_t idx : free)
@@ -377,55 +341,60 @@ MemoryController::restoreState(SectionReader &r,
         if (is_free[i])
             continue;
         MemRequest *q = pool_.at(i);
-        q->addr = r.u64();
-        q->isWrite = r.b();
-        q->core = r.u32();
-        q->arrival = r.u64();
-        q->seq = r.u64();
-        q->loc.channel = r.u32();
-        q->loc.rank = r.u32();
-        q->loc.bank = r.u32();
-        q->loc.row = r.u64();
-        q->loc.column = r.u64();
-        q->serviceStart = r.u64();
-        q->dataReady = r.u64();
-        q->burstStart = r.u64();
-        q->burstEnd = r.u64();
-        q->outcome = static_cast<RowOutcome>(r.u8());
-        q->sawPowerdownExit = r.b();
-        q->bankBurstExtra = r.u64();
-        const bool has_client = r.b();
+        io(q->addr);
+        io(q->isWrite);
+        io(q->core);
+        io(q->arrival);
+        io(q->seq);
+        io(q->loc.channel);
+        io(q->loc.rank);
+        io(q->loc.bank);
+        io(q->loc.row);
+        io(q->loc.column);
+        io(q->serviceStart);
+        io(q->dataReady);
+        io(q->burstStart);
+        io(q->burstEnd);
+        io.enumByte("request row outcome", q->outcome,
+                    RowOutcome::ClosedMiss);
+        io(q->sawPowerdownExit);
+        io(q->bankBurstExtra);
+        bool has_client = q->client != nullptr;
+        io(has_client);
+        if (!io.loading())
+            continue;
+        q->client = nullptr;
         if (has_client) {
             if (q->core >= clients.size() ||
                 clients[q->core] == nullptr) {
-                fatal("MemoryController: restored request (core %u) "
-                      "has no client to rebind",
-                      q->core);
+                io.fail("restored request (core %u) has no client to "
+                        "rebind",
+                        q->core);
             }
             q->client = clients[q->core];
-        } else {
-            q->client = nullptr;
         }
         q->prev = nullptr;
         q->next = nullptr;
     }
 
-    const std::uint32_t nchan = r.u32();
-    if (nchan != channels_.size())
-        fatal("MemoryController: snapshot has %u channels, "
-              "configuration has %zu",
-              nchan, channels_.size());
-    for (FreqIndex &f : chanFreq_)
-        f = r.u32();
-    nextSeq_ = r.u64();
-    freqTransitions_ = r.u64();
-    relockStall_ = r.u64();
-    decoupledMHz_ = r.u32();
+    std::uint32_t nchan = static_cast<std::uint32_t>(channels_.size());
+    io.expect("channels", nchan);
+    for (FreqIndex &f : chanFreq_) {
+        io(f);
+        if (f >= numFreqPoints)
+            io.fail("channel frequency index %u out of range", f);
+    }
+    io(nextSeq_);
+    io(freqTransitions_);
+    io(relockStall_);
+    io(decoupledMHz_);
     for (auto &ch : channels_)
-        ch->restoreState(r);
+        ch->transfer(io);
+    // Config-gated: snapshot meta pins the ladder config, so writer
+    // and reader agree on whether this trailer exists.
     if (migrator_) {
-        migrateArmed_ = r.b();
-        migrator_->restoreState(r);
+        io(migrateArmed_);
+        migrator_->transfer(io);
     }
 }
 

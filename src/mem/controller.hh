@@ -32,8 +32,7 @@
 namespace memscale
 {
 
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 class StatRegistry;
 
 class MemoryController
@@ -174,20 +173,15 @@ class MemoryController
     /** @name Checkpoint/restore */
     /// @{
     /**
-     * Serialize the request pool (capacity, free-list order, every
-     * in-flight request's fields), the frequency domain, and each
-     * channel, in that order, into one section.
+     * The request pool (capacity, free-list order, every in-flight
+     * request's fields), the frequency domain, and each channel, in
+     * that order, in one section.  Restores into a freshly
+     * constructed controller; `clients` rebinds each in-flight read's
+     * completion sink by core id (clients[req->core]), so pass the
+     * per-core MemClient list the original run used.
      */
-    void saveState(SectionWriter &w) const;
-
-    /**
-     * Restore into a freshly constructed controller.  `clients`
-     * rebinds each in-flight read's completion sink by core id
-     * (clients[req->core]); pass the per-core MemClient list the
-     * original run used.
-     */
-    void restoreState(SectionReader &r,
-                      const std::vector<MemClient *> &clients);
+    void transfer(SectionIO &io,
+                  const std::vector<MemClient *> &clients);
 
     /**
      * Reconstruct a channel-owned pending event from its checkpoint

@@ -6,61 +6,32 @@ namespace memscale
 {
 
 void
-McCounters::saveState(SectionWriter &w) const
+McCounters::transfer(SectionIO &io)
 {
-    w.u64(bto);
-    w.u64(btc);
-    w.f64(cto);
-    w.u64(ctc);
-    w.u64(rbhc);
-    w.u64(obmc);
-    w.u64(cbmc);
-    w.u64(epdc);
-    w.u64(pocc);
-    w.u64(rankTime);
-    w.u64(rankPreTime);
-    w.u64(rankPrePdTime);
-    w.u64(rankActPdTime);
-    w.u64(rankSrTime);
-    w.u64(rankSrSlowTime);
-    w.u64(rankDeepPdTime);
-    w.u64(pdDemotions);
-    w.u64(migrations);
-    w.u64(reads);
-    w.u64(writes);
-    w.u64(busBusyTime);
-    w.u64(readLatencyTotal);
-    w.u64(freqTransitions);
-    w.u64(relockStallTime);
-}
-
-void
-McCounters::restoreState(SectionReader &r)
-{
-    bto = r.u64();
-    btc = r.u64();
-    cto = r.f64();
-    ctc = r.u64();
-    rbhc = r.u64();
-    obmc = r.u64();
-    cbmc = r.u64();
-    epdc = r.u64();
-    pocc = r.u64();
-    rankTime = r.u64();
-    rankPreTime = r.u64();
-    rankPrePdTime = r.u64();
-    rankActPdTime = r.u64();
-    rankSrTime = r.u64();
-    rankSrSlowTime = r.u64();
-    rankDeepPdTime = r.u64();
-    pdDemotions = r.u64();
-    migrations = r.u64();
-    reads = r.u64();
-    writes = r.u64();
-    busBusyTime = r.u64();
-    readLatencyTotal = r.u64();
-    freqTransitions = r.u64();
-    relockStallTime = r.u64();
+    io(bto);
+    io(btc);
+    io(cto);
+    io(ctc);
+    io(rbhc);
+    io(obmc);
+    io(cbmc);
+    io(epdc);
+    io(pocc);
+    io(rankTime);
+    io(rankPreTime);
+    io(rankPrePdTime);
+    io(rankActPdTime);
+    io(rankSrTime);
+    io(rankSrSlowTime);
+    io(rankDeepPdTime);
+    io(pdDemotions);
+    io(migrations);
+    io(reads);
+    io(writes);
+    io(busBusyTime);
+    io(readLatencyTotal);
+    io(freqTransitions);
+    io(relockStallTime);
 }
 
 McCounters

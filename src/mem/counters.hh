@@ -18,8 +18,7 @@
 namespace memscale
 {
 
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 
 struct McCounters
 {
@@ -80,11 +79,8 @@ struct McCounters
 
     McCounters operator-(const McCounters &o) const;
 
-    /** @name Checkpoint/restore */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    /** Checkpoint/restore: every counter, in file order. */
+    void transfer(SectionIO &io);
 
     /** Average queue work seen at a bank, including self (>= 1). */
     double xiBank() const;

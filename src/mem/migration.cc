@@ -199,54 +199,32 @@ PageMigrator::registerStats(StatRegistry &reg,
 }
 
 void
-PageMigrator::saveState(SectionWriter &w) const
+PageMigrator::transfer(SectionIO &io)
 {
-    w.u64(slots_.size());
-    for (const HotSlot &s : slots_) {
-        w.u64(s.tag);
-        w.u32(s.count);
+    std::uint64_t nslots = slots_.size();
+    io.expect("migrator counter slots", nslots);
+    for (HotSlot &s : slots_) {
+        io(s.tag);
+        io(s.count);
     }
+    // The remap table in key order: restore rebuilds the map, save
+    // walks it sorted so the bytes never depend on hash order.
     std::vector<std::uint64_t> keys;
-    keys.reserve(perm_.size());
     for (const auto &kv : perm_)
         keys.push_back(kv.first);
     std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (std::uint64_t k : keys) {
-        w.u64(k);
-        for (std::uint8_t r : perm_.at(k))
-            w.u8(r);
-    }
-    for (std::uint32_t c : nextHot_)
-        w.u32(c);
-    w.u64(swaps_);
-}
-
-void
-PageMigrator::restoreState(SectionReader &r)
-{
-    const std::uint64_t nslots = r.u64();
-    if (nslots != slots_.size()) {
-        fatal("PageMigrator: snapshot has %llu counter slots, "
-              "configuration has %zu",
-              static_cast<unsigned long long>(nslots), slots_.size());
-    }
-    for (HotSlot &s : slots_) {
-        s.tag = r.u64();
-        s.count = r.u32();
-    }
-    perm_.clear();
-    const std::uint64_t nperm = r.u64();
-    for (std::uint64_t i = 0; i < nperm; ++i) {
-        const std::uint64_t k = r.u64();
-        std::vector<std::uint8_t> p(ranks_);
-        for (std::uint64_t j = 0; j < ranks_; ++j)
-            p[j] = r.u8();
-        perm_.emplace(k, std::move(p));
-    }
+    if (io.loading())
+        perm_.clear();
+    io.list<std::uint64_t>(keys, [&](std::uint64_t &k) {
+        io(k);
+        std::vector<std::uint8_t> &p = perm_[k];
+        p.resize(ranks_);
+        for (std::uint8_t &r : p)
+            io(r);
+    });
     for (std::uint32_t &c : nextHot_)
-        c = r.u32();
-    swaps_ = r.u64();
+        io(c);
+    io(swaps_);
 }
 
 } // namespace memscale

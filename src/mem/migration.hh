@@ -32,8 +32,7 @@
 namespace memscale
 {
 
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 class StatRegistry;
 
 /** One frame swap decided by a consolidation pass. */
@@ -74,11 +73,8 @@ class PageMigrator
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) const;
 
-    /** @name Checkpoint/restore (deterministic: map keys sorted). */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    /** Checkpoint/restore (deterministic: map keys sorted). */
+    void transfer(SectionIO &io);
 
   private:
     /** Direct-mapped hot-frame tracker entry (tag 0 = empty). */

@@ -138,53 +138,24 @@ EpochController::endEpoch()
 }
 
 void
-EpochController::saveState(SectionWriter &w) const
+EpochController::transfer(SectionIO &io)
 {
-    epochStart_.mc.saveState(w);
-    w.u32(static_cast<std::uint32_t>(epochStart_.cores.size()));
-    for (const CoreSample &cs : epochStart_.cores) {
-        w.u64(cs.tic);
-        w.u64(cs.tlm);
-    }
-    w.u64(epochStart_.at);
-    w.u32(epochStart_.freq);
-    w.u64(epochStartTick_);
-    w.u32(static_cast<std::uint32_t>(history_.size()));
-    for (const EpochRecord &rec : history_) {
-        w.u64(rec.start);
-        w.u64(rec.end);
-        w.u32(rec.busMHz);
-        w.f64(rec.cpuGHz);
-        w.u32(static_cast<std::uint32_t>(rec.coreCpi.size()));
-        for (double cpi : rec.coreCpi)
-            w.f64(cpi);
-        w.f64(rec.channelUtil);
-    }
-}
-
-void
-EpochController::restoreState(SectionReader &r)
-{
-    epochStart_.mc.restoreState(r);
-    epochStart_.cores.assign(r.u32(), CoreSample{});
-    for (CoreSample &cs : epochStart_.cores) {
-        cs.tic = r.u64();
-        cs.tlm = r.u64();
-    }
-    epochStart_.at = r.u64();
-    epochStart_.freq = r.u32();
-    epochStartTick_ = r.u64();
-    history_.assign(r.u32(), EpochRecord{});
-    for (EpochRecord &rec : history_) {
-        rec.start = r.u64();
-        rec.end = r.u64();
-        rec.busMHz = r.u32();
-        rec.cpuGHz = r.f64();
-        rec.coreCpi.assign(r.u32(), 0.0);
-        for (double &cpi : rec.coreCpi)
-            cpi = r.f64();
-        rec.channelUtil = r.f64();
-    }
+    epochStart_.mc.transfer(io);
+    io.list(epochStart_.cores, [&io](CoreSample &cs) {
+        io(cs.tic);
+        io(cs.tlm);
+    });
+    io(epochStart_.at);
+    io(epochStart_.freq);
+    io(epochStartTick_);
+    io.list(history_, [&io](EpochRecord &rec) {
+        io(rec.start);
+        io(rec.end);
+        io(rec.busMHz);
+        io(rec.cpuGHz);
+        io(rec.coreCpi);
+        io(rec.channelUtil);
+    });
 }
 
 EventCallback

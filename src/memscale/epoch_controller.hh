@@ -22,8 +22,7 @@ namespace memscale
 {
 
 class EpochRecorder;
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 
 /** One epoch of recorded history. */
 struct EpochRecord
@@ -81,8 +80,7 @@ class EpochController
      * controller but does NOT call start(); the saved in-flight
      * Policy event (endProfile or endEpoch) is rebuilt instead. */
     /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
+    void transfer(SectionIO &io);
     EventCallback rebuildEvent(std::uint32_t kind);
     /// @}
 

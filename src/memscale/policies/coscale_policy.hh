@@ -52,22 +52,27 @@ class CoScalePolicy : public Policy
     void
     saveState(SectionWriter &w) const override
     {
-        slack_.saveState(w);
-        w.b(slackReady_);
-        w.f64(chosenGHz_);
-        w.f64(currentGHz_);
+        SectionIO io(w);
+        const_cast<CoScalePolicy &>(*this).transfer(io);
     }
 
     void
     restoreState(SectionReader &r) override
     {
-        slack_.restoreState(r);
-        slackReady_ = r.b();
-        chosenGHz_ = r.f64();
-        currentGHz_ = r.f64();
+        SectionIO io(r);
+        transfer(io);
     }
 
   private:
+    void
+    transfer(SectionIO &io)
+    {
+        slack_.transfer(io);
+        io(slackReady_);
+        io(chosenGHz_);
+        io(currentGHz_);
+    }
+
     SlackTracker slack_;
     PerfModel perf_;
     bool slackReady_ = false;

@@ -196,43 +196,36 @@ FastCapPolicy::registerStats(StatRegistry &reg,
 void
 FastCapPolicy::saveState(SectionWriter &w) const
 {
-    w.f64(chosenGHz_);
-    w.f64(currentGHz_);
-    w.b(tele_.valid);
-    w.f64(tele_.demandW);
-    w.f64(tele_.minW);
-    w.f64(tele_.chosenW);
-    w.f64(tele_.slowdown);
-    w.f64(tele_.budgetW);
-    w.u64(tele_.epochs);
-    w.u64(tele_.infeasibleEpochs);
-    w.f64(tele_.maxChosenW);
-    w.b(decision_.valid);
-    w.u32(decision_.chosen);
-    w.f64(decision_.predictedMemJ);
-    w.f64(decision_.predictedSysJ);
-    w.f64(decision_.ser);
+    SectionIO io(w);
+    const_cast<FastCapPolicy &>(*this).transfer(io);
 }
 
 void
 FastCapPolicy::restoreState(SectionReader &r)
 {
-    chosenGHz_ = r.f64();
-    currentGHz_ = r.f64();
-    tele_.valid = r.b();
-    tele_.demandW = r.f64();
-    tele_.minW = r.f64();
-    tele_.chosenW = r.f64();
-    tele_.slowdown = r.f64();
-    tele_.budgetW = r.f64();
-    tele_.epochs = r.u64();
-    tele_.infeasibleEpochs = r.u64();
-    tele_.maxChosenW = r.f64();
-    decision_.valid = r.b();
-    decision_.chosen = r.u32();
-    decision_.predictedMemJ = r.f64();
-    decision_.predictedSysJ = r.f64();
-    decision_.ser = r.f64();
+    SectionIO io(r);
+    transfer(io);
+}
+
+void
+FastCapPolicy::transfer(SectionIO &io)
+{
+    io(chosenGHz_);
+    io(currentGHz_);
+    io(tele_.valid);
+    io(tele_.demandW);
+    io(tele_.minW);
+    io(tele_.chosenW);
+    io(tele_.slowdown);
+    io(tele_.budgetW);
+    io(tele_.epochs);
+    io(tele_.infeasibleEpochs);
+    io(tele_.maxChosenW);
+    io(decision_.valid);
+    io(decision_.chosen);
+    io(decision_.predictedMemJ);
+    io(decision_.predictedSysJ);
+    io(decision_.ser);
 }
 
 } // namespace memscale

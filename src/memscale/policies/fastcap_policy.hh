@@ -100,6 +100,8 @@ class FastCapPolicy : public Policy
     void restoreState(SectionReader &r) override;
 
   private:
+    void transfer(SectionIO &io);
+
     Options opts_;
     PerfModel perf_;
     double chosenGHz_ = 0.0;

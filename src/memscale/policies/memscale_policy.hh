@@ -59,32 +59,32 @@ class MemScalePolicy : public Policy
     void
     saveState(SectionWriter &w) const override
     {
-        slack_.saveState(w);
-        w.b(slackReady_);
-        w.b(decision_.valid);
-        w.u32(decision_.chosen);
-        w.f64(decision_.predictedCpi);
-        w.f64(decision_.predictedMemJ);
-        w.f64(decision_.predictedSysJ);
-        w.f64(decision_.ser);
-        w.f64(decision_.minSlack);
+        SectionIO io(w);
+        const_cast<MemScalePolicy &>(*this).transfer(io);
     }
 
     void
     restoreState(SectionReader &r) override
     {
-        slack_.restoreState(r);
-        slackReady_ = r.b();
-        decision_.valid = r.b();
-        decision_.chosen = r.u32();
-        decision_.predictedCpi = r.f64();
-        decision_.predictedMemJ = r.f64();
-        decision_.predictedSysJ = r.f64();
-        decision_.ser = r.f64();
-        decision_.minSlack = r.f64();
+        SectionIO io(r);
+        transfer(io);
     }
 
   private:
+    void
+    transfer(SectionIO &io)
+    {
+        slack_.transfer(io);
+        io(slackReady_);
+        io(decision_.valid);
+        io(decision_.chosen);
+        io(decision_.predictedCpi);
+        io(decision_.predictedMemJ);
+        io(decision_.predictedSysJ);
+        io(decision_.ser);
+        io(decision_.minSlack);
+    }
+
     Options opts_;
     SlackTracker slack_;
     PerfModel perf_;

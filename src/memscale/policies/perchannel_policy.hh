@@ -47,30 +47,27 @@ class PerChannelMemScalePolicy : public Policy
     void
     saveState(SectionWriter &w) const override
     {
-        slack_.saveState(w);
-        w.b(slackReady_);
-        w.u32(static_cast<std::uint32_t>(choices_.size()));
-        for (FreqIndex f : choices_)
-            w.u32(f);
-        w.u32(static_cast<std::uint32_t>(chanPrev_.size()));
-        for (const McCounters &c : chanPrev_)
-            c.saveState(w);
+        SectionIO io(w);
+        const_cast<PerChannelMemScalePolicy &>(*this).transfer(io);
     }
 
     void
     restoreState(SectionReader &r) override
     {
-        slack_.restoreState(r);
-        slackReady_ = r.b();
-        choices_.assign(r.u32(), nominalFreqIndex);
-        for (FreqIndex &f : choices_)
-            f = r.u32();
-        chanPrev_.assign(r.u32(), McCounters{});
-        for (McCounters &c : chanPrev_)
-            c.restoreState(r);
+        SectionIO io(r);
+        transfer(io);
     }
 
   private:
+    void
+    transfer(SectionIO &io)
+    {
+        slack_.transfer(io);
+        io(slackReady_);
+        io(choices_);
+        io.list(chanPrev_, [&io](McCounters &c) { c.transfer(io); });
+    }
+
     MemoryController *mc_ = nullptr;
     SlackTracker slack_;
     PerfModel perf_;

@@ -25,6 +25,7 @@
 namespace memscale
 {
 
+class SectionIO;
 class SectionReader;
 class SectionWriter;
 class StatRegistry;
@@ -124,7 +125,8 @@ class Policy
      * @name Checkpoint/restore of policy-internal state (slack
      * accounts, decision trails).  Static policies are stateless
      * after configure(); the defaults serialize nothing.  Restore
-     * runs after configure() on the resumed run.
+     * runs after configure() on the resumed run.  Stateful policies
+     * implement both through one private transfer(SectionIO &).
      */
     /// @{
     virtual void saveState(SectionWriter &w) const { (void)w; }

@@ -102,29 +102,29 @@ SloPolicy::registerStats(StatRegistry &reg, const std::string &prefix)
 void
 SloPolicy::saveState(SectionWriter &w) const
 {
-    w.f64(lastP99Us_);
-    w.u64(overloadEpochs_);
-    w.u64(idleEpochs_);
-    w.u8(decision_.valid ? 1 : 0);
-    w.u32(decision_.chosen);
-    w.f64(decision_.predictedCpi);
-    w.f64(decision_.predictedMemJ);
-    w.f64(decision_.predictedSysJ);
-    w.f64(decision_.ser);
+    SectionIO io(w);
+    const_cast<SloPolicy &>(*this).transfer(io);
 }
 
 void
 SloPolicy::restoreState(SectionReader &r)
 {
-    lastP99Us_ = r.f64();
-    overloadEpochs_ = r.u64();
-    idleEpochs_ = r.u64();
-    decision_.valid = r.u8() != 0;
-    decision_.chosen = static_cast<FreqIndex>(r.u32());
-    decision_.predictedCpi = r.f64();
-    decision_.predictedMemJ = r.f64();
-    decision_.predictedSysJ = r.f64();
-    decision_.ser = r.f64();
+    SectionIO io(r);
+    transfer(io);
+}
+
+void
+SloPolicy::transfer(SectionIO &io)
+{
+    io(lastP99Us_);
+    io(overloadEpochs_);
+    io(idleEpochs_);
+    io(decision_.valid);
+    io(decision_.chosen);
+    io(decision_.predictedCpi);
+    io(decision_.predictedMemJ);
+    io(decision_.predictedSysJ);
+    io(decision_.ser);
 }
 
 } // namespace memscale

@@ -77,6 +77,8 @@ class SloPolicy final : public Policy
     void restoreState(SectionReader &r) override;
 
   private:
+    void transfer(SectionIO &io);
+
     Options opts_;
     std::function<TailWindow()> probe_;
     PerfModel perf_;

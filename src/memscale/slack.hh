@@ -62,26 +62,13 @@ class SlackTracker
     double gamma() const { return gamma_; }
     std::size_t size() const { return slack_.size(); }
 
-    /** @name Checkpoint/restore (bit-exact account balances). */
-    /// @{
+    /** Checkpoint/restore (bit-exact account balances). */
     void
-    saveState(SectionWriter &w) const
+    transfer(SectionIO &io)
     {
-        w.f64(gamma_);
-        w.u32(static_cast<std::uint32_t>(slack_.size()));
-        for (double s : slack_)
-            w.f64(s);
+        io(gamma_);
+        io(slack_);
     }
-
-    void
-    restoreState(SectionReader &r)
-    {
-        gamma_ = r.f64();
-        slack_.assign(r.u32(), 0.0);
-        for (double &s : slack_)
-            s = r.f64();
-    }
-    /// @}
 
   private:
     std::vector<double> slack_;

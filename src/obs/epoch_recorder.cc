@@ -185,27 +185,15 @@ EpochRecorder::writeJson(const std::string &path) const
 }
 
 void
-EpochRecorder::saveState(SectionWriter &w) const
+EpochRecorder::transfer(SectionIO &io)
 {
-    w.u32(static_cast<std::uint32_t>(names_.size()));
-    for (const std::string &n : names_)
-        w.str(n);
-    w.u64(ncols_);
-    w.u64(data_.size());
-    for (double v : data_)
-        w.f64(v);
-}
-
-void
-EpochRecorder::restoreState(SectionReader &r)
-{
-    names_.assign(r.u32(), std::string());
-    for (std::string &n : names_)
-        n = r.str();
-    ncols_ = r.u64();
-    data_.assign(r.u64(), 0.0);
-    for (double &v : data_)
-        v = r.f64();
+    io(names_);
+    io(ncols_);
+    io.list<std::uint64_t>(data_);
+    if (io.loading() &&
+        (ncols_ != names_.size() || (ncols_ && data_.size() % ncols_)))
+        io.fail("recorder holds %zu values in %zu columns named %zu",
+                data_.size(), ncols_, names_.size());
 }
 
 } // namespace memscale

@@ -29,8 +29,7 @@
 namespace memscale
 {
 
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 
 /** Trace/track metadata the exporters need about the simulated box. */
 struct ObsMeta
@@ -116,12 +115,9 @@ class EpochRecorder
     bool writeJson(const std::string &path) const;
     /// @}
 
-    /** @name Checkpoint/restore: schema + recorded rows (meta and
-     * registry binding come from the resumed run's configuration). */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    /** Checkpoint/restore: schema + recorded rows (meta and registry
+     * binding come from the resumed run's configuration). */
+    void transfer(SectionIO &io);
 
   private:
     const StatRegistry *reg_;

@@ -40,83 +40,37 @@ EnergyBreakdown::operator-(const EnergyBreakdown &o) const
 }
 
 void
-EnergyBreakdown::saveState(SectionWriter &w) const
+EnergyBreakdown::transfer(SectionIO &io)
 {
-    w.f64(background);
-    w.f64(actPre);
-    w.f64(readWrite);
-    w.f64(termination);
-    w.f64(refresh);
-    w.f64(pllReg);
-    w.f64(mc);
-    w.f64(cpu);
-    w.f64(rest);
+    io(background);
+    io(actPre);
+    io(readWrite);
+    io(termination);
+    io(refresh);
+    io(pllReg);
+    io(mc);
+    io(cpu);
+    io(rest);
 }
 
 void
-EnergyBreakdown::restoreState(SectionReader &r)
+IntervalActivity::transfer(SectionIO &io)
 {
-    background = r.f64();
-    actPre = r.f64();
-    readWrite = r.f64();
-    termination = r.f64();
-    refresh = r.f64();
-    pllReg = r.f64();
-    mc = r.f64();
-    cpu = r.f64();
-    rest = r.f64();
+    io(dt);
+    io(busMHz);
+    io(deviceBusMHz);
+    io(ranksPerChannel);
+    io(numDimms);
+    io.list(ranks, [&io](RankActivity &ra) { ra.transfer(io); });
+    io(channelBurst);
+    io(channelMHz);
 }
 
 void
-IntervalActivity::saveState(SectionWriter &w) const
+SystemEnergyIntegrator::transfer(SectionIO &io)
 {
-    w.u64(dt);
-    w.u32(busMHz);
-    w.u32(deviceBusMHz);
-    w.u32(ranksPerChannel);
-    w.u32(numDimms);
-    w.u32(static_cast<std::uint32_t>(ranks.size()));
-    for (const RankActivity &ra : ranks)
-        ra.saveState(w);
-    w.u32(static_cast<std::uint32_t>(channelBurst.size()));
-    for (Tick t : channelBurst)
-        w.u64(t);
-    w.u32(static_cast<std::uint32_t>(channelMHz.size()));
-    for (std::uint32_t mhz : channelMHz)
-        w.u32(mhz);
-}
-
-void
-IntervalActivity::restoreState(SectionReader &r)
-{
-    dt = r.u64();
-    busMHz = r.u32();
-    deviceBusMHz = r.u32();
-    ranksPerChannel = r.u32();
-    numDimms = r.u32();
-    ranks.assign(r.u32(), RankActivity{});
-    for (RankActivity &ra : ranks)
-        ra.restoreState(r);
-    channelBurst.assign(r.u32(), 0);
-    for (Tick &t : channelBurst)
-        t = r.u64();
-    channelMHz.assign(r.u32(), 0);
-    for (std::uint32_t &mhz : channelMHz)
-        mhz = r.u32();
-}
-
-void
-SystemEnergyIntegrator::saveState(SectionWriter &w) const
-{
-    total_.saveState(w);
-    w.u64(elapsed_);
-}
-
-void
-SystemEnergyIntegrator::restoreState(SectionReader &r)
-{
-    total_.restoreState(r);
-    elapsed_ = r.u64();
+    total_.transfer(io);
+    io(elapsed_);
 }
 
 void

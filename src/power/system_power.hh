@@ -18,8 +18,7 @@
 namespace memscale
 {
 
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 
 /** System-wide energy split (the categories of Figs. 2 and 10). */
 struct EnergyBreakdown
@@ -56,11 +55,8 @@ struct EnergyBreakdown
     EnergyBreakdown &operator+=(const EnergyBreakdown &o);
     EnergyBreakdown operator-(const EnergyBreakdown &o) const;
 
-    /** @name Checkpoint/restore (bit-exact double round-trip). */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    /** Checkpoint/restore (bit-exact double round-trip). */
+    void transfer(SectionIO &io);
 };
 
 /**
@@ -86,11 +82,8 @@ struct IntervalActivity
      */
     std::vector<std::uint32_t> channelMHz;
 
-    /** @name Checkpoint/restore (the harness's open-interval baseline) */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    /** Checkpoint/restore (the harness's open-interval baseline). */
+    void transfer(SectionIO &io);
 };
 
 /**
@@ -127,12 +120,9 @@ class SystemEnergyIntegrator
 
     const PowerParams &params() const { return pp_; }
 
-    /** @name Checkpoint/restore (accumulated energy + elapsed time;
+    /** Checkpoint/restore (accumulated energy + elapsed time;
      * params and rest watts come from configuration). */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    void transfer(SectionIO &io);
 
   private:
     PowerParams pp_;

@@ -1,5 +1,6 @@
 #include "snapshot/serializer.hh"
 
+#include <cstdarg>
 #include <cstdio>
 
 #include "common/log.hh"
@@ -47,6 +48,42 @@ SectionReader::need(std::size_t n)
         fatal("snapshot section '%s': truncated (need %zu bytes at "
               "offset %zu of %zu)",
               name_.c_str(), n, pos_, size_);
+}
+
+void
+SectionReader::finish() const
+{
+    if (pos_ != size_)
+        fatal("%zu bytes left unread (snapshot section %s)",
+              size_ - pos_, name_.c_str());
+}
+
+void
+SectionIO::fail(const char *fmt, ...) const
+{
+    char buf[512];
+    va_list ap;
+    va_start(ap, fmt);
+    std::vsnprintf(buf, sizeof(buf), fmt, ap);
+    va_end(ap);
+    fatal("%s (snapshot section %s)", buf,
+          r_ ? r_->name().c_str() : "being written");
+}
+
+void
+SectionIO::mismatch(const char *what, const std::string &got,
+                    const std::string &want) const
+{
+    fatal("%s resume: snapshot %s %s does not match run %s",
+          r_->name().c_str(), what, got.c_str(), want.c_str());
+}
+
+std::string
+SectionIO::show(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
 }
 
 SectionWriter &

@@ -33,6 +33,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -160,6 +161,9 @@ class SectionReader
     std::size_t remaining() const { return size_ - pos_; }
     const std::string &name() const { return name_; }
 
+    /** Fatal, naming the section, unless every byte has been read. */
+    void finish() const;
+
   private:
     void need(std::size_t n);
 
@@ -167,6 +171,226 @@ class SectionReader
     const std::uint8_t *data_;
     std::size_t size_;
     std::size_t pos_ = 0;
+};
+
+/**
+ * One field list for both directions of a snapshot section.
+ *
+ * A component's `transfer(SectionIO &io)` names each field once, in
+ * file order: on save `io(x)` appends x, on restore it reads into x.
+ * Work only a restore needs (re-binding pointers, recomputing derived
+ * values, validation) goes in one `if (io.loading())` block after the
+ * list.  The helpers keep a damaged file from restoring silently:
+ *
+ *  - expect() carries a config-fingerprint field; a restored value
+ *    that differs from the run's is fatal and names the field;
+ *  - list() refuses a count larger than the bytes left before
+ *    anything is allocated (every element takes at least one byte);
+ *  - enumByte() refuses a byte past the enum's last value;
+ *  - fail() is the restore-side fatal() for everything else, and
+ *    every message names the section.
+ *
+ * Exact consumption is checked by SnapshotIO::section() (or
+ * SectionReader::finish()) once the section's transfer returns.
+ */
+class SectionIO
+{
+  public:
+    explicit SectionIO(SectionWriter &w) : w_(&w) {}
+
+    /**
+     * @param verify  false reads expect() fields into their arguments
+     *                instead of checking them (snapshot inspection).
+     */
+    explicit SectionIO(SectionReader &r, bool verify = true)
+        : r_(&r), verify_(verify)
+    {}
+
+    bool loading() const { return r_ != nullptr; }
+
+    /** @name Raw ends, for interfaces that take them directly. */
+    /// @{
+    SectionWriter &writer() { return *w_; }
+    SectionReader &reader() { return *r_; }
+    /// @}
+
+    void
+    operator()(std::uint8_t &v)
+    {
+        if (r_)
+            v = r_->u8();
+        else
+            w_->u8(v);
+    }
+
+    void
+    operator()(std::uint32_t &v)
+    {
+        if (r_)
+            v = r_->u32();
+        else
+            w_->u32(v);
+    }
+
+    void
+    operator()(std::uint64_t &v)
+    {
+        if (r_)
+            v = r_->u64();
+        else
+            w_->u64(v);
+    }
+
+    void
+    operator()(double &v)
+    {
+        if (r_)
+            v = r_->f64();
+        else
+            w_->f64(v);
+    }
+
+    void
+    operator()(bool &v)
+    {
+        if (r_)
+            v = r_->b();
+        else
+            w_->b(v);
+    }
+
+    void
+    operator()(std::string &v)
+    {
+        if (r_)
+            v = r_->str();
+        else
+            w_->str(v);
+    }
+
+    /** A vector is a u32-counted list of its elements. */
+    template <typename T>
+    void
+    operator()(std::vector<T> &v)
+    {
+        list(v);
+    }
+
+    template <typename A, typename B>
+    void
+    operator()(std::pair<A, B> &p)
+    {
+        (*this)(p.first);
+        (*this)(p.second);
+    }
+
+    /** PRNG position, word by word. */
+    void
+    operator()(Rng &rng)
+    {
+        std::uint64_t st[Rng::StateWords];
+        if (!r_)
+            rng.getState(st);
+        for (std::uint64_t &word : st)
+            (*this)(word);
+        if (r_)
+            rng.setState(st);
+    }
+
+    /**
+     * List with an N-typed count, then `each(x)` per element.  On
+     * restore the container is refilled with that many
+     * value-initialised elements, once the count is known to fit in
+     * the bytes left.
+     */
+    template <typename N = std::uint32_t, typename V, typename F>
+    void
+    list(V &v, F &&each)
+    {
+        auto n = static_cast<N>(v.size());
+        (*this)(n);
+        if (r_) {
+            if (n > r_->remaining())
+                fail("count %llu exceeds the %zu bytes left",
+                     static_cast<unsigned long long>(n), r_->remaining());
+            v.clear();
+            v.resize(n);
+        }
+        for (auto &x : v)
+            each(x);
+    }
+
+    template <typename N = std::uint32_t, typename V>
+    void
+    list(V &v)
+    {
+        list<N>(v, [this](auto &x) { (*this)(x); });
+    }
+
+    /** An enum stored as one byte, no greater than `last`. */
+    template <typename E>
+    void
+    enumByte(const char *what, E &v, E last)
+    {
+        auto b = static_cast<std::uint8_t>(v);
+        (*this)(b);
+        if (r_ && b > static_cast<std::uint8_t>(last))
+            fail("%s %u out of range", what, b);
+        v = static_cast<E>(b);
+    }
+
+    /**
+     * A config-fingerprint field.  Save writes `v`; restore reads the
+     * stored value and, when verifying, is fatal naming `what` unless
+     * it equals `v` — otherwise it adopts the stored value into `v`.
+     */
+    template <typename T>
+    void
+    expect(const char *what, T &v)
+    {
+        if (!r_) {
+            (*this)(v);
+            return;
+        }
+        T got{};
+        (*this)(got);
+        if (!verify_)
+            v = std::move(got);
+        else if (!(got == v))
+            mismatch(what, show(got), show(v));
+    }
+
+    /** Restore-side fatal(): the message names the section. */
+    [[noreturn]] void fail(const char *fmt, ...) const
+        __attribute__((format(printf, 2, 3)));
+
+  private:
+    [[noreturn]] void mismatch(const char *what, const std::string &got,
+                               const std::string &want) const;
+
+    static std::string show(const std::string &v) { return "'" + v + "'"; }
+    static std::string show(double v);
+
+    template <typename T>
+    static std::enable_if_t<std::is_integral_v<T>, std::string>
+    show(T v)
+    {
+        return std::to_string(static_cast<std::uint64_t>(v));
+    }
+
+    template <typename T>
+    static std::string
+    show(const std::vector<T> &v)
+    {
+        std::string s = "[";
+        for (std::size_t i = 0; i < v.size(); ++i)
+            s += (i ? ", " : "") + show(v[i]);
+        return s + "]";
+    }
+
+    SectionWriter *w_ = nullptr;
+    SectionReader *r_ = nullptr;
+    bool verify_ = true;
 };
 
 /** Builds a snapshot: named sections in creation order. */
@@ -185,27 +409,6 @@ class SnapshotWriter
   private:
     std::vector<std::pair<std::string, SectionWriter>> sections_;
 };
-
-/** @name PRNG position round-trip. */
-/// @{
-inline void
-saveRng(SectionWriter &w, const Rng &rng)
-{
-    std::uint64_t st[Rng::StateWords];
-    rng.getState(st);
-    for (std::uint64_t word : st)
-        w.u64(word);
-}
-
-inline void
-restoreRng(SectionReader &r, Rng &rng)
-{
-    std::uint64_t st[Rng::StateWords];
-    for (std::uint64_t &word : st)
-        word = r.u64();
-    rng.setState(st);
-}
-/// @}
 
 /**
  * Parses a snapshot container.  Fatal on missing file, bad magic,
@@ -230,6 +433,42 @@ class SnapshotReader
     /** name -> (offset, size) into bytes_. */
     std::map<std::string, std::pair<std::size_t, std::size_t>>
         sections_;
+};
+
+/**
+ * A whole snapshot in one direction, section by section: the same
+ * list of section() calls writes a checkpoint and restores it.
+ */
+class SnapshotIO
+{
+  public:
+    explicit SnapshotIO(SnapshotWriter &w) : w_(&w) {}
+    explicit SnapshotIO(const SnapshotReader &r) : r_(&r) {}
+
+    bool loading() const { return r_ != nullptr; }
+
+    /**
+     * Transfer section `name` through `fn(SectionIO &)`.  On restore
+     * the section must exist and `fn` must consume it exactly.
+     */
+    template <typename F>
+    void
+    section(const std::string &name, F &&fn)
+    {
+        if (!r_) {
+            SectionIO io(w_->section(name));
+            fn(io);
+            return;
+        }
+        SectionReader r = r_->section(name);
+        SectionIO io(r);
+        fn(io);
+        r.finish();
+    }
+
+  private:
+    SnapshotWriter *w_ = nullptr;
+    const SnapshotReader *r_ = nullptr;
 };
 
 } // namespace memscale

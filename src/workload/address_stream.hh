@@ -41,26 +41,13 @@ class AddressStream
     /** Produce the next access. @param is_store set per storeFrac. */
     Addr next(bool &is_store);
 
-    /** @name Checkpoint/restore (PRNG + stream cursors). */
-    /// @{
+    /** Checkpoint/restore (PRNG + stream cursors). */
     void
-    saveState(SectionWriter &w) const
+    transfer(SectionIO &io)
     {
-        saveRng(w, rng_);
-        w.u64(cursors_.size());
-        for (std::uint64_t c : cursors_)
-            w.u64(c);
+        io(rng_);
+        io.list<std::uint64_t>(cursors_);
     }
-
-    void
-    restoreState(SectionReader &r)
-    {
-        restoreRng(r, rng_);
-        cursors_.resize(r.u64());
-        for (std::uint64_t &c : cursors_)
-            c = r.u64();
-    }
-    /// @}
 
   private:
     AddressStreamParams params_;

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/log.hh"
 #include "common/types.hh"
 #include "cpu/trace.hh"
 #include "snapshot/serializer.hh"
@@ -50,43 +49,23 @@ class Llc
                  : 0.0;
     }
 
-    /** @name Checkpoint/restore (full line array + LRU clock). */
-    /// @{
+    /** Checkpoint/restore (full line array + LRU clock). */
     void
-    saveState(SectionWriter &w) const
+    transfer(SectionIO &io)
     {
-        w.u64(lines_.size());
-        for (const Line &l : lines_) {
-            w.u64(l.tag);
-            w.b(l.valid);
-            w.b(l.dirty);
-            w.u64(l.lastUse);
-        }
-        w.u64(clock_);
-        w.u64(hits_);
-        w.u64(misses_);
-        w.u64(writebacks_);
-    }
-
-    void
-    restoreState(SectionReader &r)
-    {
-        std::uint64_t n = r.u64();
-        if (n != lines_.size())
-            fatal("Llc restore: %llu lines in snapshot, %zu in cache",
-                  static_cast<unsigned long long>(n), lines_.size());
+        std::uint64_t n = lines_.size();
+        io.expect("Llc lines", n);
         for (Line &l : lines_) {
-            l.tag = r.u64();
-            l.valid = r.b();
-            l.dirty = r.b();
-            l.lastUse = r.u64();
+            io(l.tag);
+            io(l.valid);
+            io(l.dirty);
+            io(l.lastUse);
         }
-        clock_ = r.u64();
-        hits_ = r.u64();
-        misses_ = r.u64();
-        writebacks_ = r.u64();
+        io(clock_);
+        io(hits_);
+        io(misses_);
+        io(writebacks_);
     }
-    /// @}
 
   private:
     struct Line
@@ -135,28 +114,16 @@ class CacheTraceSource : public TraceSource
     /** Observed misses per kilo-instruction so far. */
     double observedMpki() const;
 
-    /** @name Checkpoint/restore (stream + cache + PRNG + counters). */
-    /// @{
+    /** Checkpoint/restore (stream + cache + PRNG + counters). */
     void
-    saveState(SectionWriter &w) const
+    transfer(SectionIO &io)
     {
-        stream_.saveState(w);
-        llc_.saveState(w);
-        saveRng(w, rng_);
-        w.u64(instructions_);
-        w.u64(missesEmitted_);
+        stream_.transfer(io);
+        llc_.transfer(io);
+        io(rng_);
+        io(instructions_);
+        io(missesEmitted_);
     }
-
-    void
-    restoreState(SectionReader &r)
-    {
-        stream_.restoreState(r);
-        llc_.restoreState(r);
-        restoreRng(r, rng_);
-        instructions_ = r.u64();
-        missesEmitted_ = r.u64();
-    }
-    /// @}
 
   private:
     Params params_;

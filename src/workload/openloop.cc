@@ -161,23 +161,13 @@ ArrivalGenerator::next()
 }
 
 void
-ArrivalGenerator::saveState(SectionWriter &w) const
+ArrivalGenerator::transfer(SectionIO &io)
 {
-    saveRng(w, rng_);
-    w.u64(last_);
-    w.u64(generated_);
-    w.b(inBurst_);
-    w.u64(stateEnd_);
-}
-
-void
-ArrivalGenerator::restoreState(SectionReader &r)
-{
-    restoreRng(r, rng_);
-    last_ = r.u64();
-    generated_ = r.u64();
-    inBurst_ = r.b();
-    stateEnd_ = r.u64();
+    io(rng_);
+    io(last_);
+    io(generated_);
+    io(inBurst_);
+    io(stateEnd_);
 }
 
 } // namespace memscale

@@ -36,8 +36,7 @@
 namespace memscale
 {
 
-class SectionReader;
-class SectionWriter;
+class SectionIO;
 
 enum class ArrivalKind : std::uint8_t
 {
@@ -96,11 +95,8 @@ class ArrivalGenerator
     std::uint64_t generated() const { return generated_; }
     const ArrivalConfig &config() const { return cfg_; }
 
-    /** @name Checkpoint/restore (Rng + process state + cursor). */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    /** Checkpoint/restore (Rng + process state + cursor). */
+    void transfer(SectionIO &io);
 
   private:
     Tick gapTicks(double rate_per_sec);

@@ -100,27 +100,18 @@ SyntheticTraceSource::next(TraceChunk &chunk)
 }
 
 void
-SyntheticTraceSource::saveState(SectionWriter &w) const
+SyntheticTraceSource::transfer(SectionIO &io)
 {
-    saveRng(w, rng_);
-    w.u64(phaseIdx_);
-    w.u64(phaseInstr_);
-    w.u64(generated_);
-    w.u64(streamLine_);
-    w.u64(lastMiss_);
-    w.b(exhausted_);
-}
-
-void
-SyntheticTraceSource::restoreState(SectionReader &r)
-{
-    restoreRng(r, rng_);
-    phaseIdx_ = static_cast<std::size_t>(r.u64());
-    phaseInstr_ = r.u64();
-    generated_ = r.u64();
-    streamLine_ = r.u64();
-    lastMiss_ = r.u64();
-    exhausted_ = r.b();
+    io(rng_);
+    io(phaseIdx_);
+    io(phaseInstr_);
+    io(generated_);
+    io(streamLine_);
+    io(lastMiss_);
+    io(exhausted_);
+    if (io.loading() && phaseIdx_ >= profile_.phases.size())
+        io.fail("trace phase %zu out of the profile's %zu", phaseIdx_,
+                profile_.phases.size());
 }
 
 } // namespace memscale

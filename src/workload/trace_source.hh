@@ -40,11 +40,8 @@ class SyntheticTraceSource : public TraceSource
     /** Instructions generated so far. */
     std::uint64_t generated() const { return generated_; }
 
-    /** @name Checkpoint/restore (PRNG position + phase cursor). */
-    /// @{
-    void saveState(SectionWriter &w) const;
-    void restoreState(SectionReader &r);
-    /// @}
+    /** Checkpoint/restore (PRNG position + phase cursor). */
+    void transfer(SectionIO &io);
 
   private:
     const AppPhase &currentPhase();

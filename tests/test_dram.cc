@@ -112,7 +112,7 @@ TEST(Rank, BackgroundIntegration)
     // powerdown.
     r.openAt(100);
     r.closeAt(300);
-    r.setPowerdown(300, true, false);
+    r.setIdleState(300, RankIdleState::FastPd);
     const RankActivity &a = r.sample(600);
     EXPECT_EQ(a.preStandbyTime, 100u);
     EXPECT_EQ(a.actStandbyTime, 200u);
@@ -125,9 +125,9 @@ TEST(Rank, BackgroundIntegration)
 TEST(Rank, SlowPowerdownTracked)
 {
     Rank r;
-    r.setPowerdown(0, true, true);
+    r.setIdleState(0, RankIdleState::SlowPd);
     r.sample(500);
-    r.setPowerdown(500, false);
+    r.setIdleState(500, RankIdleState::Up);
     const RankActivity &a = r.sample(500);
     EXPECT_EQ(a.prePowerdownTime, 500u);
     EXPECT_EQ(a.slowPowerdownTime, 500u);
@@ -178,10 +178,10 @@ TEST(Rank, ActivityDiff)
 TEST(Rank, RedundantPowerdownIsNoop)
 {
     Rank r;
-    r.setPowerdown(100, true, false);
-    r.setPowerdown(200, true, false);   // no-op
-    r.setPowerdown(300, false);
-    r.setPowerdown(400, false);         // no-op
+    r.setIdleState(100, RankIdleState::FastPd);
+    r.setIdleState(200, RankIdleState::FastPd);   // no-op
+    r.setIdleState(300, RankIdleState::Up);
+    r.setIdleState(400, RankIdleState::Up);         // no-op
     const RankActivity &a = r.sample(400);
     EXPECT_EQ(a.pdExits, 1u);
     EXPECT_EQ(a.prePowerdownTime, 200u);

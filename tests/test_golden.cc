@@ -25,6 +25,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 
 #include "check/state_hash.hh"
 #include "harness/cluster.hh"
@@ -215,6 +217,111 @@ const FleetGolden kFleetGoldens[] = {
     {"fastcap", 0x45f78f365b7878aaull, 0x1e6843a55237d4b4ull},
 };
 
+/** FNV-1a digest of a file's bytes (0 when it cannot be read). */
+std::uint64_t
+fileHash(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return 0;
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    StateHasher h;
+    h.addBytes(bytes.data(), bytes.size());
+    return h.digest();
+}
+
+/** Step `cfg` under `policy` to `cut` and write a checkpoint there. */
+void
+cutSystem(const SystemConfig &cfg, const std::string &policy, Tick cut,
+          const std::string &path)
+{
+    SystemConfig c = cfg;
+    c.restWatts = GoldenRestWatts;
+    auto p = makePolicy(policy);
+    System sys(c, *p);
+    if (sys.advance(cut))
+        sys.checkpoint(path);
+}
+
+/**
+ * Snapshot-encoding scenario: cut files from a closed-loop memscale
+ * run, a ladder run with migration, the protocol checker and the
+ * epoch recorder on, a Poisson serving run under slo, and a 2-server
+ * fastcap fleet (the fleet file plus both per-server files).  The
+ * digests pin the file bytes, so any change to the snapshot layout
+ * shows here even when every resumed result still matches.
+ */
+std::vector<std::pair<std::string, std::uint64_t>>
+snapshotFileHashes()
+{
+    const std::string dir = "/tmp/memscale_test_golden_";
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    auto take = [&](const std::string &label, const std::string &path) {
+        out.emplace_back(label, fileHash(path));
+        std::remove(path.c_str());
+    };
+
+    cutSystem(goldenConfig("MID3"), "memscale", msToTick(0.15),
+              dir + "mid3.snap");
+    take("MID3/memscale", dir + "mid3.snap");
+
+    SystemConfig ladder = goldenConfig("MID1");
+    ladder.mem.ladder.migrate = true;
+    ladder.protocolCheck = true;
+    ladder.observe = true;
+    cutSystem(ladder, "memscale-ladder", msToTick(0.15),
+              dir + "ladder.snap");
+    take("MID1/memscale-ladder", dir + "ladder.snap");
+
+    SystemConfig serve;
+    serve.mixName = "OPENLOOP";
+    serve.numCores = 8;
+    serve.epochLen = msToTick(0.1);
+    serve.profileLen = usToTick(10.0);
+    serve.seed = 12345;
+    serve.serving.enabled = true;
+    serve.serving.arrival.kind = ArrivalKind::Poisson;
+    serve.serving.arrival.ratePerSec = 2.0e6;
+    serve.serving.horizon = msToTick(0.5);
+    serve.serving.sloP99Us = 3.0;
+    cutSystem(serve, "slo", msToTick(0.25), dir + "serve.snap");
+    take("OPENLOOP/slo", dir + "serve.snap");
+
+    ClusterConfig fleet;
+    fleet.numServers = 2;
+    fleet.server = serve;
+    fleet.server.modelCpuPower = true;
+    fleet.server.restWatts = GoldenRestWatts;
+    fleet.policy = "fastcap";
+    fleet.capW = 320.0;
+    fleet.coordEpoch = msToTick(0.1);
+    fleet.snapshot.atEpoch = 2;
+    fleet.snapshot.stopAfter = true;
+    fleet.snapshot.out = dir + "fleet";
+    ClusterHarness(fleet).run();
+    take("fleet", dir + "fleet");
+    take("fleet.server0", dir + "fleet.server0");
+    take("fleet.server1", dir + "fleet.server1");
+    return out;
+}
+
+struct SnapshotGolden
+{
+    const char *file;
+    std::uint64_t hash;
+};
+
+// Regenerate: MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_golden
+const SnapshotGolden kSnapshotGoldens[] = {
+    {"MID3/memscale", 0xb75984a1d2008bf7ull},
+    {"MID1/memscale-ladder", 0xda3bd359ce2bce53ull},
+    {"OPENLOOP/slo", 0xca5e2a334e1d9618ull},
+    {"fleet", 0x6d083fe6935932acull},
+    {"fleet.server0", 0x54b49be1d58f2266ull},
+    {"fleet.server1", 0x0395500d7d430a06ull},
+};
+
 } // namespace
 
 TEST(Golden, MixHashesMatch)
@@ -309,6 +416,28 @@ TEST(Golden, FleetHashesMatch)
                "./build/tests/test_golden";
         EXPECT_EQ(fleetRowsHash(runs[i]), g.rowsHash)
             << g.policy << " fleet: per-epoch power rows changed";
+    }
+}
+
+TEST(Golden, SnapshotBytesMatch)
+{
+    const auto files = snapshotFileHashes();
+    if (regenMode()) {
+        std::printf("const SnapshotGolden kSnapshotGoldens[] = {\n");
+        for (const auto &[file, hash] : files)
+            std::printf("    {\"%s\", 0x%016llxull},\n", file.c_str(),
+                        static_cast<unsigned long long>(hash));
+        std::printf("};\n");
+        GTEST_SKIP() << "regenerated goldens printed above";
+    }
+    ASSERT_EQ(files.size(), std::size(kSnapshotGoldens));
+    for (std::size_t i = 0; i < files.size(); ++i) {
+        EXPECT_EQ(files[i].first, kSnapshotGoldens[i].file);
+        EXPECT_EQ(files[i].second, kSnapshotGoldens[i].hash)
+            << files[i].first
+            << ": snapshot bytes changed; if intended, bump "
+               "snapshotVersion and regenerate with "
+               "MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_golden";
     }
 }
 

@@ -258,11 +258,13 @@ TEST(ArrivalSnapshot, ResumeContinuesStreamExactly)
             cut.next();
         }
         SnapshotWriter w;
-        cut.saveState(w.section("gen"));
+        SectionIO out(w.section("gen"));
+        cut.transfer(out);
         SnapshotReader r(w.serialize());
         ArrivalGenerator resumed(cfg);
         SectionReader s = r.section("gen");
-        resumed.restoreState(s);
+        SectionIO in(s);
+        resumed.transfer(in);
         EXPECT_EQ(resumed.generated(), cut.generated());
         for (int i = 0; i < 20000; ++i)
             ASSERT_EQ(resumed.next(), ref.next())

@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,7 +39,9 @@
 #include "harness/differential.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
+#include "mem/controller.hh"
 #include "memscale/policies/policy.hh"
+#include "sim/event_kinds.hh"
 #include "snapshot/serializer.hh"
 #include "workload/mixes.hh"
 
@@ -312,7 +315,8 @@ TEST(Serializer, RngRoundTrip)
         rng.next();
 
     SnapshotWriter w;
-    saveRng(w.section("rng"), rng);
+    SectionIO out(w.section("rng"));
+    out(rng);
     std::vector<std::uint64_t> expect;
     for (int i = 0; i < 32; ++i)
         expect.push_back(rng.next());
@@ -320,7 +324,8 @@ TEST(Serializer, RngRoundTrip)
     Rng other(1);   // different seed: state must come from the snapshot
     SnapshotReader r(w.serialize());
     SectionReader s = r.section("rng");
-    restoreRng(s, other);
+    SectionIO in(s);
+    in(other);
     for (int i = 0; i < 32; ++i)
         EXPECT_EQ(other.next(), expect[i]) << "draw " << i;
 }
@@ -348,7 +353,7 @@ TEST(Serializer, FileRoundTrip)
 namespace
 {
 
-/** One deferred transition as Rank::saveState writes it. */
+/** One deferred transition as Rank::transfer writes it. */
 struct RawTransition
 {
     Tick at;
@@ -368,7 +373,8 @@ restoreRank(Tick last_update, std::uint32_t open_banks,
 {
     SnapshotWriter w;
     SectionWriter &sec = w.section("mc");
-    RankActivity{}.saveState(sec);
+    SectionIO io(sec);
+    RankActivity{}.transfer(io);
     sec.u64(last_update);
     sec.u32(open_banks);
     sec.u8(0);    // RankIdleState::Up
@@ -380,8 +386,9 @@ restoreRank(Tick last_update, std::uint32_t open_banks,
     }
     SnapshotReader r(w.serialize());
     SectionReader in = r.section("mc");
+    SectionIO rd(in);
     Rank rank;
-    return fatalMessage([&] { rank.restoreState(in); });
+    return fatalMessage([&] { rank.transfer(rd); });
 }
 
 } // namespace
@@ -396,11 +403,13 @@ TEST(RankRestore, DeferredTransitionsRoundTrip)
     a.openAt(250);
 
     SnapshotWriter w;
-    a.saveState(w.section("mc"));
+    SectionIO out(w.section("mc"));
+    a.transfer(out);
     SnapshotReader r(w.serialize());
     SectionReader in = r.section("mc");
+    SectionIO rd(in);
     Rank b;
-    b.restoreState(in);
+    b.transfer(rd);
     EXPECT_EQ(b.pendingCloses(), 2u);
     EXPECT_EQ(b.latestPendingClose(), std::optional<Tick>(400));
 
@@ -1174,4 +1183,335 @@ TEST(ResumeEquivalence, FleetResumeRejectsMismatchedConfig)
     std::remove(path.c_str());
     std::remove((path + ".server0").c_str());
     std::remove((path + ".server1").c_str());
+}
+
+// ---------------------------------------------------------------------
+// RestoreChecks: bytes a restore cannot trust.  A section must be
+// consumed exactly, and every index, count and enum byte read from it
+// is checked before use; each rejection is a FatalError naming the
+// section.  The damaged sections are CRC-valid, so only these checks
+// stand between them and a silently wrong (or crashing) resume.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Every section a System or fleet snapshot may carry. */
+const char *const kSectionNames[] = {
+    "meta",   "sim",      "mc",     "cores",   "serving", "power",
+    "epoch",  "recorder", "policy", "checker", "cluster",
+};
+
+/**
+ * Rewrite snapshot `path` with section `name`'s payload passed through
+ * `edit`.  SnapshotWriter recomputes every CRC, so only the edit
+ * itself can make the file unrestorable.
+ */
+void
+rewrap(const std::string &path, const std::string &name,
+       const std::function<void(std::vector<std::uint8_t> &)> &edit)
+{
+    SnapshotReader in(path);
+    SnapshotWriter out;
+    for (const char *n : kSectionNames) {
+        if (!in.has(n))
+            continue;
+        SectionReader r = in.section(n);
+        std::vector<std::uint8_t> bytes;
+        while (r.remaining() > 0)
+            bytes.push_back(r.u8());
+        if (name == n)
+            edit(bytes);
+        out.section(n).bytes(bytes.data(), bytes.size());
+    }
+    out.writeFile(path);
+}
+
+/** The FatalError message of resuming `cfg` from `path`, or "". */
+std::string
+resumeMessage(SystemConfig cfg, const std::string &policy,
+              const std::string &path)
+{
+    cfg.restWatts = kRestWatts;
+    cfg.resumePath = path;
+    return fatalMessage([&] {
+        auto p = makePolicy(policy);
+        System sys(cfg, *p);
+    });
+}
+
+bool
+contains(const std::string &msg, const std::string &what)
+{
+    return msg.find(what) != std::string::npos;
+}
+
+/** A "sim" section: the clock at `now` and one pending core event. */
+std::vector<std::uint8_t>
+simSection(Tick now, Tick when, std::uint8_t cls)
+{
+    SectionWriter w;
+    w.u64(now);
+    w.u32(1);
+    w.u64(when);
+    w.u8(cls);
+    w.u32(EvCoreIssueMiss);
+    w.u32(0);
+    w.u64(0);
+    w.u64(0);
+    return w.data();
+}
+
+/**
+ * Restore a one-channel controller from an "mc" section built by
+ * `write`; returns the FatalError message, or "" if none was thrown.
+ */
+std::string
+restoreMc(const std::function<void(SectionIO &, const MemConfig &)> &write)
+{
+    MemConfig mem;
+    mem.numChannels = 1;
+    SnapshotWriter w;
+    SectionIO out(w.section("mc"));
+    write(out, mem);
+    SnapshotReader r(w.serialize());
+    SectionReader in = r.section("mc");
+    SectionIO rd(in);
+    EventQueue eq;
+    MemoryController mc(eq, mem);
+    return fatalMessage([&] { mc.transfer(rd, {}); });
+}
+
+/** A request pool of `cap` slots whose free list is `free`. */
+void
+writePool(SectionIO &io, std::uint64_t cap,
+          std::vector<std::size_t> free)
+{
+    io(cap);
+    io.list<std::uint64_t>(free);
+}
+
+/** Controller header, then one channel up to its first bank queue. */
+void
+writeChannelPrefix(SectionIO &io, const MemConfig &mem)
+{
+    std::uint32_t nchan = 1;
+    std::uint32_t freq = nominalFreqIndex;
+    std::uint64_t next_seq = 1;
+    std::uint64_t zero = 0;
+    std::uint32_t decoupled = 0;
+    io(nchan);
+    io(freq);
+    io(next_seq);
+    io(zero);   // frequency transitions
+    io(zero);   // relock stall
+    io(decoupled);
+    McCounters counters;
+    counters.transfer(io);
+    TimingParams tp = TimingParams::at(nominalFreqIndex);
+    tp.transfer(io);
+    std::uint64_t nranks = mem.ranksPerChannel();
+    io(nranks);
+    for (std::uint64_t i = 0; i < nranks; ++i) {
+        Rank rk;
+        rk.transfer(io);
+    }
+    std::uint64_t nbanks = nranks * mem.banksPerRank;
+    io(nbanks);
+}
+
+} // namespace
+
+TEST(RestoreChecks, LeftoverBytesInMcAreFatal)
+{
+    const std::string path = scratch("leftover_mc.snap");
+    const SystemConfig cfg = snapConfig("MID3");
+    ASSERT_TRUE(cutRun(cfg, "memscale", msToTick(0.1), path));
+
+    rewrap(path, "mc", [](std::vector<std::uint8_t> &) {});
+    EXPECT_EQ(resumeMessage(cfg, "memscale", path), "");
+
+    rewrap(path, "mc",
+           [](std::vector<std::uint8_t> &b) { b.push_back(0); });
+    const std::string msg = resumeMessage(cfg, "memscale", path);
+    EXPECT_TRUE(contains(msg, "section mc")) << msg;
+    EXPECT_TRUE(contains(msg, "1 bytes left unread")) << msg;
+    std::remove(path.c_str());
+}
+
+TEST(RestoreChecks, LeftoverBytesInClusterAreFatal)
+{
+    ClusterConfig cfg;
+    cfg.numServers = 2;
+    cfg.server = servingConfig(ArrivalKind::Poisson);
+    cfg.server.modelCpuPower = true;
+    cfg.server.restWatts = kRestWatts;
+    cfg.policy = "fastcap";
+    cfg.capW = 320.0;
+    cfg.coordEpoch = msToTick(0.1);
+
+    const std::string path = scratch("leftover_fleet");
+    ClusterConfig cut = cfg;
+    cut.snapshot.atEpoch = 1;
+    cut.snapshot.stopAfter = true;
+    cut.snapshot.out = path;
+    ClusterHarness(cut).run();
+
+    ClusterConfig resume = cfg;
+    resume.snapshot.resumePath = path;
+    rewrap(path, "cluster", [](std::vector<std::uint8_t> &) {});
+    EXPECT_EQ(fatalMessage([&] { ClusterHarness(resume).run(); }), "");
+
+    rewrap(path, "cluster",
+           [](std::vector<std::uint8_t> &b) { b.push_back(0); });
+    const std::string msg =
+        fatalMessage([&] { ClusterHarness(resume).run(); });
+    EXPECT_TRUE(contains(msg, "section cluster")) << msg;
+    EXPECT_TRUE(contains(msg, "unread")) << msg;
+    std::remove(path.c_str());
+    std::remove((path + ".server0").c_str());
+    std::remove((path + ".server1").c_str());
+}
+
+TEST(RestoreChecks, EventClassOutOfRangeIsFatal)
+{
+    const std::string path = scratch("bad_class.snap");
+    const SystemConfig cfg = snapConfig("MID3");
+    ASSERT_TRUE(cutRun(cfg, "memscale", msToTick(0.1), path));
+    rewrap(path, "sim", [](std::vector<std::uint8_t> &b) {
+        b = simSection(1000, 2000, 7);
+    });
+    const std::string msg = resumeMessage(cfg, "memscale", path);
+    EXPECT_TRUE(contains(msg, "event class 7 out of range")) << msg;
+    EXPECT_TRUE(contains(msg, "section sim")) << msg;
+    std::remove(path.c_str());
+}
+
+TEST(RestoreChecks, PendingEventBeforeNowIsFatal)
+{
+    const std::string path = scratch("bad_tick.snap");
+    const SystemConfig cfg = snapConfig("MID3");
+    ASSERT_TRUE(cutRun(cfg, "memscale", msToTick(0.1), path));
+    rewrap(path, "sim", [](std::vector<std::uint8_t> &b) {
+        b = simSection(1000, 999, 0);
+    });
+    const std::string msg = resumeMessage(cfg, "memscale", path);
+    EXPECT_TRUE(contains(msg, "precedes")) << msg;
+    EXPECT_TRUE(contains(msg, "section sim")) << msg;
+    std::remove(path.c_str());
+}
+
+TEST(RestoreChecks, BadPoolLayoutIsFatal)
+{
+    // Not a whole number of slab chunks.
+    std::string msg = restoreMc([](SectionIO &io, const MemConfig &) {
+        writePool(io, RequestPool::ChunkSize + 1, {});
+    });
+    EXPECT_TRUE(contains(msg, "bad request pool layout")) << msg;
+    EXPECT_TRUE(contains(msg, "section mc")) << msg;
+
+    // More in-flight requests than the section has bytes for.
+    msg = restoreMc([](SectionIO &io, const MemConfig &) {
+        writePool(io, RequestPool::ChunkSize << 30, {});
+    });
+    EXPECT_TRUE(contains(msg, "bad request pool layout")) << msg;
+    EXPECT_TRUE(contains(msg, "section mc")) << msg;
+
+    // A free list naming a slot outside the pool (and none in flight).
+    msg = restoreMc([](SectionIO &io, const MemConfig &) {
+        std::vector<std::size_t> free;
+        for (std::size_t i = 1; i <= RequestPool::ChunkSize; ++i)
+            free.push_back(i);
+        writePool(io, RequestPool::ChunkSize, free);
+    });
+    EXPECT_TRUE(contains(msg, "free request slot")) << msg;
+    EXPECT_TRUE(contains(msg, "section mc")) << msg;
+}
+
+TEST(RestoreChecks, FreeListCountPastTheSectionIsFatal)
+{
+    const std::string msg =
+        restoreMc([](SectionIO &io, const MemConfig &) {
+            std::uint64_t cap = RequestPool::ChunkSize;
+            std::uint64_t nfree = 1ull << 40;
+            io(cap);
+            io(nfree);
+        });
+    EXPECT_TRUE(contains(msg, "exceeds")) << msg;
+    EXPECT_TRUE(contains(msg, "section mc")) << msg;
+}
+
+TEST(RestoreChecks, RowOutcomeOutOfRangeIsFatal)
+{
+    const std::string msg =
+        restoreMc([](SectionIO &io, const MemConfig &) {
+            // Slot 0 is the one in-flight request.
+            std::vector<std::size_t> free;
+            for (std::size_t i = 1; i < RequestPool::ChunkSize; ++i)
+                free.push_back(i);
+            writePool(io, RequestPool::ChunkSize, free);
+            MemRequest q;
+            io(q.addr);
+            io(q.isWrite);
+            io(q.core);
+            io(q.arrival);
+            io(q.seq);
+            io(q.loc.channel);
+            io(q.loc.rank);
+            io(q.loc.bank);
+            io(q.loc.row);
+            io(q.loc.column);
+            io(q.serviceStart);
+            io(q.dataReady);
+            io(q.burstStart);
+            io(q.burstEnd);
+            std::uint8_t outcome = 7;
+            io(outcome);
+        });
+    EXPECT_TRUE(contains(msg, "request row outcome 7 out of range"))
+        << msg;
+    EXPECT_TRUE(contains(msg, "section mc")) << msg;
+}
+
+TEST(RestoreChecks, QueuedRequestOutsideThePoolIsFatal)
+{
+    const std::string msg =
+        restoreMc([](SectionIO &io, const MemConfig &mem) {
+            writePool(io, 0, {});
+            writeChannelPrefix(io, mem);
+            Bank bank;
+            bank.transfer(io);
+            std::vector<std::size_t> queue = {5};
+            io.list<std::uint64_t>(queue);
+        });
+    EXPECT_TRUE(contains(msg, "queued request 5")) << msg;
+    EXPECT_TRUE(contains(msg, "section mc")) << msg;
+}
+
+TEST(RestoreChecks, PowerdownModeOutOfRangeIsFatal)
+{
+    const std::string msg =
+        restoreMc([](SectionIO &io, const MemConfig &mem) {
+            writePool(io, 0, {});
+            writeChannelPrefix(io, mem);
+            std::vector<std::size_t> empty;
+            for (std::uint32_t b = 0;
+                 b < mem.ranksPerChannel() * mem.banksPerRank; ++b) {
+                Bank bank;
+                bank.transfer(io);
+                io.list<std::uint64_t>(empty);
+            }
+            Tick zero = 0;
+            for (std::uint32_t r = 0; r < mem.ranksPerChannel(); ++r)
+                io(zero);   // powerdown exit ready-at
+            io.list<std::uint64_t>(empty);   // write queue
+            bool drain = false;
+            io(drain);
+            for (int i = 0; i < 5; ++i)
+                io(zero);   // bus/suspend/burst time, pending counts
+            std::uint8_t mode = 9;
+            io(mode);
+        });
+    EXPECT_TRUE(contains(msg, "powerdown mode 9 out of range")) << msg;
+    EXPECT_TRUE(contains(msg, "section mc")) << msg;
 }
