@@ -31,6 +31,8 @@
 
 #include "bench_common.hh"
 
+#include <limits>
+
 #include "harness/cluster.hh"
 #include "workload/openloop.hh"
 
@@ -38,25 +40,6 @@ using namespace memscale;
 
 namespace
 {
-
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
 
 Watts
 meanFleetW(const FleetResult &r)
@@ -100,22 +83,18 @@ main(int argc, char **argv)
     base.coordEpoch =
         msToTick(conf.getDouble("coord-epoch-ms", 0.2));
     base.jobs = checkedJobs(conf.getInt("jobs", 0));
-    for (const std::string &v :
-         splitList(conf.getString("rate-scale", "")))
-        base.rateScale.push_back(std::stod(v));
-    for (const std::string &v :
-         splitList(conf.getString("weights", "")))
-        base.weights.push_back(std::stod(v));
+    base.rateScale = conf.getList<double>("rate-scale", "");
+    base.weights = conf.getList<double>("weights", "");
 
     std::vector<std::uint32_t> fleets;
-    for (const std::string &f :
-         splitList(conf.getString("fleets", "2,4")))
-        fleets.push_back(
-            static_cast<std::uint32_t>(std::stoul(f)));
-    std::vector<double> caps;
-    for (const std::string &c :
-         splitList(conf.getString("caps", "0.99,0.97,0.95")))
-        caps.push_back(std::stod(c));
+    for (std::int64_t f : conf.getList<std::int64_t>("fleets", "2,4")) {
+        if (f < 1 || f > std::numeric_limits<std::uint32_t>::max())
+            fatal("fleet size must be >= 1, got %lld",
+                  static_cast<long long>(f));
+        fleets.push_back(static_cast<std::uint32_t>(f));
+    }
+    const std::vector<double> caps =
+        conf.getList<double>("caps", "0.99,0.97,0.95");
 
     benchHeader("fleet_energy",
                 "rack power capping: coordinated FastCap vs "

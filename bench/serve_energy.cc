@@ -26,30 +26,6 @@
 
 using namespace memscale;
 
-namespace
-{
-
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -67,13 +43,13 @@ main(int argc, char **argv)
     cfg.serving.missesPerRequest = conf.getDouble("misses", 8.0);
     cfg.serving.sloP99Us = conf.getDouble("slo-p99-us", 0.0);
 
-    std::vector<double> rates;
-    for (const std::string &r :
-         splitList(conf.getString("rates", "0.5,1.0,2.0,4.0")))
-        rates.push_back(std::stod(r) * 1e6);
+    std::vector<double> rates =
+        conf.getList<double>("rates", "0.5,1.0,2.0,4.0");
+    for (double &r : rates)
+        r *= 1e6;
 
-    std::vector<std::string> policies =
-        splitList(conf.getString("policies", "baseline,memscale,slo"));
+    std::vector<std::string> policies = conf.getList<std::string>(
+        "policies", "baseline,memscale,slo");
 
     benchHeader("serve_energy", "open-loop serving: energy vs tail",
                 cfg);

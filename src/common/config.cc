@@ -1,13 +1,45 @@
 #include "common/config.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/log.hh"
 
 namespace memscale
 {
+
+namespace
+{
+
+/**
+ * Strict parse shared by the scalar and list getters: the whole string
+ * must parse, or fatal() names the key.
+ */
+template <typename T>
+T
+parseValue(const std::string &key, const std::string &s)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        return s;
+    } else {
+        constexpr bool real = std::is_same_v<T, double>;
+        char *end = nullptr;
+        T v;
+        if constexpr (real)
+            v = std::strtod(s.c_str(), &end);
+        else
+            v = std::strtoll(s.c_str(), &end, 0);
+        if (end == s.c_str() || *end != '\0')
+            fatal("config: key '%s' has non-%s value '%s'", key.c_str(),
+                  real ? "numeric" : "integer", s.c_str());
+        return v;
+    }
+}
+
+} // namespace
 
 void
 Config::parseArgs(int argc, char **argv)
@@ -70,29 +102,15 @@ Config::getString(const std::string &key, const std::string &def) const
 std::int64_t
 Config::getInt(const std::string &key, std::int64_t def) const
 {
-    std::string s = getString(key, "");
-    if (s.empty())
-        return def;
-    char *end = nullptr;
-    std::int64_t v = std::strtoll(s.c_str(), &end, 0);
-    if (end == s.c_str() || *end != '\0')
-        fatal("config: key '%s' has non-integer value '%s'",
-              key.c_str(), s.c_str());
-    return v;
+    const std::string s = getString(key, "");
+    return s.empty() ? def : parseValue<std::int64_t>(key, s);
 }
 
 double
 Config::getDouble(const std::string &key, double def) const
 {
-    std::string s = getString(key, "");
-    if (s.empty())
-        return def;
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0')
-        fatal("config: key '%s' has non-numeric value '%s'",
-              key.c_str(), s.c_str());
-    return v;
+    const std::string s = getString(key, "");
+    return s.empty() ? def : parseValue<double>(key, s);
 }
 
 bool
@@ -108,5 +126,27 @@ Config::getBool(const std::string &key, bool def) const
     fatal("config: key '%s' has non-boolean value '%s'",
           key.c_str(), s.c_str());
 }
+
+template <typename T>
+std::vector<T>
+Config::getList(const std::string &key, const std::string &def) const
+{
+    const std::string s = getString(key, def);
+    std::vector<T> out;
+    for (std::size_t at = 0; at <= s.size();) {
+        const std::size_t comma = std::min(s.find(',', at), s.size());
+        if (comma > at)
+            out.push_back(parseValue<T>(key, s.substr(at, comma - at)));
+        at = comma + 1;
+    }
+    return out;
+}
+
+template std::vector<std::string>
+Config::getList<std::string>(const std::string &, const std::string &) const;
+template std::vector<std::int64_t>
+Config::getList<std::int64_t>(const std::string &, const std::string &) const;
+template std::vector<double>
+Config::getList<double>(const std::string &, const std::string &) const;
 
 } // namespace memscale

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace memscale
 {
@@ -46,6 +47,15 @@ class Config
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
+
+    /**
+     * Comma-separated list (empty elements skipped), looked up like
+     * getString.  T is std::string, std::int64_t or double; numeric
+     * elements get getInt/getDouble's strict check.
+     */
+    template <typename T>
+    std::vector<T> getList(const std::string &key,
+                           const std::string &def) const;
 
   private:
     const char *envLookup(const std::string &key) const;

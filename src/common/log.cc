@@ -9,8 +9,6 @@ namespace memscale
 namespace
 {
 
-LogLevel globalLevel = LogLevel::Normal;
-
 std::string
 vformat(const char *fmt, va_list ap)
 {
@@ -26,46 +24,8 @@ vformat(const char *fmt, va_list ap)
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (globalLevel == LogLevel::Quiet)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-void
-trace(const char *fmt, ...)
-{
-    if (globalLevel != LogLevel::Verbose)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stdout, "trace: %s\n", msg.c_str());
-}
-
-void
 warn(const char *fmt, ...)
 {
-    if (globalLevel == LogLevel::Quiet)
-        return;
     va_list ap;
     va_start(ap, fmt);
     std::string msg = vformat(fmt, ap);

@@ -3,8 +3,8 @@
  * Status and error reporting in the gem5 tradition.
  *
  * `fatal()` terminates on user error (bad configuration); `panic()`
- * aborts on internal invariant violations; `warn()`/`inform()` are
- * non-fatal notices.  All accept printf-style formatting.
+ * aborts on internal invariant violations; `warn()` is a non-fatal
+ * notice.  All accept printf-style formatting.
  */
 
 #ifndef MEMSCALE_COMMON_LOG_HH
@@ -15,21 +15,6 @@
 
 namespace memscale
 {
-
-/** Verbosity levels for the global logger. */
-enum class LogLevel { Quiet, Normal, Verbose };
-
-/** Set the global verbosity (default Normal). */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel logLevel();
-
-/** Informational message for the user; suppressed when Quiet. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Verbose trace message; printed only when Verbose. */
-void trace(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Non-fatal warning about questionable conditions. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

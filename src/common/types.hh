@@ -40,12 +40,6 @@ inline constexpr Tick tickPerMs = 1000ull * 1000 * 1000;
 inline constexpr Tick tickPerSec = 1000ull * 1000 * 1000 * 1000;
 
 constexpr Tick
-psToTick(double ps)
-{
-    return static_cast<Tick>(ps * tickPerPs + 0.5);
-}
-
-constexpr Tick
 nsToTick(double ns)
 {
     return static_cast<Tick>(ns * tickPerNs + 0.5);

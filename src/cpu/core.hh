@@ -61,13 +61,9 @@ class Core final : public MemClient, public CpuSampler
     CoreId id() const { return id_; }
     bool done() const { return doneAt_ != MaxTick; }
     Tick doneAt() const { return doneAt_; }
-    Tick startedAt() const { return startedAt_; }
 
     /** CPI over the whole budget (valid once done). */
     double budgetCpi() const;
-
-    /** Ticks per CPU cycle at the current clock. */
-    Tick cpuPeriod() const { return cpuPeriod_; }
 
     /**
      * CPU DVFS (coordinated-scaling extension): re-clock the core.

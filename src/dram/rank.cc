@@ -91,24 +91,6 @@ RankActivity::preFraction() const
            static_cast<double>(totalTime);
 }
 
-double
-RankActivity::prePowerdownFraction() const
-{
-    if (totalTime == 0)
-        return 0.0;
-    return static_cast<double>(prePowerdownTime) /
-           static_cast<double>(totalTime);
-}
-
-double
-RankActivity::actPowerdownFraction() const
-{
-    if (totalTime == 0)
-        return 0.0;
-    return static_cast<double>(actPowerdownTime) /
-           static_cast<double>(totalTime);
-}
-
 void
 RankActivity::transfer(SectionIO &io)
 {

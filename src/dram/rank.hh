@@ -101,10 +101,6 @@ struct RankActivity
 
     /** Fraction of the window with all banks precharged (counter PTC). */
     double preFraction() const;
-    /** Fraction of the window in precharge powerdown (PTCKEL). */
-    double prePowerdownFraction() const;
-    /** Fraction of the window in active powerdown (ATCKEL). */
-    double actPowerdownFraction() const;
 };
 
 class Rank
@@ -175,7 +171,6 @@ class Rank
 
     RankIdleState idleState() const { return idle_; }
     bool powerdown() const { return idle_ != RankIdleState::Up; }
-    bool slowPowerdown() const { return idle_ == RankIdleState::SlowPd; }
     bool selfRefresh() const
     {
         return idle_ == RankIdleState::SelfRefresh;

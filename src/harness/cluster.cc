@@ -7,7 +7,6 @@
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "harness/differential.hh"
-#include "harness/sweep.hh"
 #include "memscale/policies/fastcap_policy.hh"
 #include "memscale/policies/policy.hh"
 #include "obs/stat_registry.hh"
@@ -245,6 +244,10 @@ ClusterHarness::ClusterHarness(const ClusterConfig &cfg) : cfg_(cfg)
     if (!cfg_.server.serving.enabled)
         fatal("cluster: the per-server template must enable the "
               "serving front end");
+    if (!std::isfinite(cfg_.capW) || cfg_.capW < 0.0)
+        fatal("cluster: cap %g W must be finite and >= 0 "
+              "(0 = uncoordinated)",
+              cfg_.capW);
     if (cfg_.coordEpoch == 0)
         fatal("cluster: zero coordination epoch");
     if (cfg_.coordEpoch < cfg_.server.epochLen)
@@ -256,10 +259,37 @@ ClusterHarness::ClusterHarness(const ClusterConfig &cfg) : cfg_(cfg)
         if (!(w > 0.0))
             fatal("cluster: fairness weight %g must be positive", w);
     }
-    obsBudgetW_.assign(cfg_.numServers, 0.0);
-    obsPowerW_.assign(cfg_.numServers, 0.0);
-    obsP99Us_.assign(cfg_.numServers, 0.0);
-    obsSlowdown_.assign(cfg_.numServers, 1.0);
+    const std::uint32_t n = cfg_.numServers;
+    for (Tick t = cfg_.coordEpoch; t < cfg_.server.serving.horizon;
+         t += cfg_.coordEpoch)
+        cuts_.push_back(t);
+    weights_.assign(n, 1.0);
+    for (std::uint32_t k = 0; k < n && !cfg_.weights.empty(); ++k)
+        weights_[k] = cfg_.weights[k % cfg_.weights.size()];
+    tele_.resize(n);
+    prevEnergy_.assign(n, 0.0);
+    obsBudgetW_.assign(n, 0.0);
+    obsPowerW_.assign(n, 0.0);
+    obsP99Us_.assign(n, 0.0);
+    obsSlowdown_.assign(n, 1.0);
+
+    if (!cfg_.resumePath.empty()) {
+        SnapshotReader snap(cfg_.resumePath);
+        if (!snap.has("cluster"))
+            fatal("cluster resume: %s has no cluster section",
+                  cfg_.resumePath.c_str());
+        FleetSection got = fleetFingerprint(cfg_);
+        SnapshotIO(snap).section(
+            "cluster", [&](SectionIO &io) { transfer(got, io); });
+        if (got.epochsDone == 0 || got.epochsDone > cuts_.size())
+            fatal("cluster resume: snapshot epoch cursor %u out of "
+                  "range (run has %zu cuts)",
+                  got.epochsDone, cuts_.size());
+        epoch_ = got.epochsDone;
+        tele_ = got.tele;
+        prevEnergy_ = got.energy;
+        rows_ = got.rows;
+    }
 }
 
 SystemConfig
@@ -297,74 +327,48 @@ ClusterHarness::registerStats(StatRegistry &reg)
 FleetResult
 ClusterHarness::run()
 {
-    const std::uint32_t n = cfg_.numServers;
-    const Tick horizon = cfg_.server.serving.horizon;
-    std::vector<Tick> cuts;
-    for (Tick t = cfg_.coordEpoch; t < horizon; t += cfg_.coordEpoch)
-        cuts.push_back(t);
-    const std::size_t num_epochs = cuts.size() + 1;
+    advance(numEpochs());
+    return finish();
+}
 
-    std::vector<double> weights(n, 1.0);
-    for (std::uint32_t k = 0; k < n && !cfg_.weights.empty(); ++k)
-        weights[k] = cfg_.weights[k % cfg_.weights.size()];
-
-    std::vector<ServerTelemetry> tele(n);
-    std::vector<double> prev_energy(n, 0.0);
-    std::vector<FleetEpochRow> rows;
-    std::size_t e0 = 0;
-
-    if (!cfg_.snapshot.resumePath.empty()) {
-        SnapshotReader snap(cfg_.snapshot.resumePath);
-        if (!snap.has("cluster"))
-            fatal("cluster resume: %s has no cluster section",
-                  cfg_.snapshot.resumePath.c_str());
-        FleetSection got = fleetFingerprint(cfg_);
-        SnapshotIO(snap).section(
-            "cluster", [&](SectionIO &io) { transfer(got, io); });
-        if (got.epochsDone == 0 || got.epochsDone > cuts.size())
-            fatal("cluster resume: snapshot epoch cursor %u out of "
-                  "range (run has %zu cuts)",
-                  got.epochsDone, cuts.size());
-        e0 = got.epochsDone;
-        tele = got.tele;
-        prev_energy = got.energy;
-        rows = got.rows;
-    }
-
-    if (cfg_.snapshot.atEpoch > 0) {
-        if (cfg_.snapshot.out.empty())
-            fatal("cluster: fleet cut requested without an output "
-                  "path");
-        if (cfg_.snapshot.atEpoch > cuts.size())
-            fatal("cluster: fleet cut after epoch %u, but the "
-                  "horizon only spans %zu full epochs",
-                  cfg_.snapshot.atEpoch, cuts.size());
-        if (cfg_.snapshot.atEpoch <= e0)
-            fatal("cluster: fleet cut after epoch %u is already "
-                  "behind the resume cursor %zu",
-                  cfg_.snapshot.atEpoch, e0);
-    }
-
+void
+ClusterHarness::startServers()
+{
+    if (!servers_.empty())
+        return;
     // N live servers, built once (or resumed from their per-server
     // snapshots) and stepped epoch by epoch.  Each is touched by one
     // sweep worker at a time; results are keyed by server index, so
     // the outcome is bit-identical at any --jobs.
-    SweepEngine eng(cfg_.jobs);
+    const std::uint32_t n = cfg_.numServers;
+    eng_.emplace(cfg_.jobs);
     std::vector<std::unique_ptr<Policy>> policies(n);
     std::vector<std::unique_ptr<System>> servers(n);
-    eng.forEach(n, [&](std::size_t k) {
+    eng_->forEach(n, [&](std::size_t k) {
         SystemConfig c = serverConfig(static_cast<std::uint32_t>(k));
-        if (e0 > 0)
-            c.resumePath =
-                serverSnapshotPath(cfg_.snapshot.resumePath, k);
+        if (!cfg_.resumePath.empty())
+            c.resumePath = serverSnapshotPath(cfg_.resumePath, k);
         policies[k] = makePolicy(cfg_.policy);
         servers[k] = std::make_unique<System>(c, *policies[k]);
     });
-    FleetResult out;
+    policies_ = std::move(policies);
+    servers_ = std::move(servers);
+}
 
-    for (std::size_t e = e0; e < num_epochs; ++e) {
-        const Tick start = e == 0 ? 0 : cuts[e - 1];
-        const Tick end = e < cuts.size() ? cuts[e] : horizon;
+bool
+ClusterHarness::advance(std::size_t epochs)
+{
+    const std::size_t target = std::min(epochs, numEpochs());
+    if (finished_ || epoch_ >= target)
+        return !finished_ && epoch_ < numEpochs();
+    startServers();
+    const std::uint32_t n = cfg_.numServers;
+    const Tick horizon = cfg_.server.serving.horizon;
+
+    for (; epoch_ < target; ++epoch_) {
+        const std::size_t e = epoch_;
+        const Tick start = e == 0 ? 0 : cuts_[e - 1];
+        const Tick end = e < cuts_.size() ? cuts_[e] : horizon;
         const double dt_sec = tickToSec(end - start);
 
         // Budgets for epoch e come from epoch e-1's telemetry — the
@@ -373,43 +377,38 @@ ClusterHarness::run()
         BudgetAllocation alloc;
         if (cfg_.capW > 0.0) {
             bool have_tele = true;
-            for (const ServerTelemetry &t : tele)
+            for (const ServerTelemetry &t : tele_)
                 have_tele = have_tele && t.valid;
             if (have_tele) {
-                alloc = allocateFleetBudget(cfg_.capW, tele, weights);
+                alloc = allocateFleetBudget(cfg_.capW, tele_, weights_);
             } else {
                 double wsum = 0.0;
-                for (double w : weights)
+                for (double w : weights_)
                     wsum += w;
                 alloc.budgetW.resize(n);
                 for (std::uint32_t k = 0; k < n; ++k)
                     alloc.budgetW[k] =
-                        cfg_.capW * weights[k] / wsum;
+                        cfg_.capW * weights_[k] / wsum;
             }
         }
 
-        const bool fleet_cut = cfg_.snapshot.atEpoch > 0 &&
-                               e + 1 == cfg_.snapshot.atEpoch;
-
         std::vector<ServerTelemetry> new_tele(n);
-        eng.forEach(n, [&](std::size_t k) {
-            System &sys = *servers[k];
+        eng_->forEach(n, [&](std::size_t k) {
+            System &sys = *servers_[k];
             sys.setPowerCap(alloc.budgetW.empty() ? 0.0
                                                   : alloc.budgetW[k]);
-            if (!sys.advance(end) && e < cuts.size())
+            if (!sys.advance(end) && e < cuts_.size())
                 fatal("cluster: server %zu stopped at %0.3f ms, short "
                       "of the epoch cut at %0.3f ms",
                       k, tickToMs(sys.now()), tickToMs(end));
-            if (fleet_cut)
-                sys.checkpoint(serverSnapshotPath(cfg_.snapshot.out, k));
             const SystemTelemetry st = sys.telemetry();
             obsP99Us_[k] = st.serving.p99Us;
             ServerTelemetry t;
             t.valid = true;
-            t.measuredW = (st.energy.total() - prev_energy[k]) / dt_sec;
-            prev_energy[k] = st.energy.total();
+            t.measuredW = (st.energy.total() - prevEnergy_[k]) / dt_sec;
+            prevEnergy_[k] = st.energy.total();
             const auto *fc =
-                dynamic_cast<const FastCapPolicy *>(policies[k].get());
+                dynamic_cast<const FastCapPolicy *>(policies_[k].get());
             if (fc != nullptr && fc->telemetry().valid) {
                 t.demandW = fc->telemetry().demandW;
                 t.minW = fc->telemetry().minW;
@@ -437,8 +436,8 @@ ClusterHarness::run()
             row.fleetBudgetW += b;
         row.capMet = cfg_.capW <= 0.0 ||
                      row.fleetW <= cfg_.capW * (1.0 + 1e-9);
-        rows.push_back(row);
-        tele = new_tele;
+        rows_.push_back(row);
+        tele_ = new_tele;
 
         obsEpoch_ = static_cast<double>(e);
         obsFleetW_ = row.fleetW;
@@ -448,36 +447,53 @@ ClusterHarness::run()
             obsPowerW_[k] = row.measuredW[k];
             obsSlowdown_[k] = new_tele[k].slowdown;
         }
-
-        if (fleet_cut) {
-            FleetSection f = fleetFingerprint(cfg_);
-            f.epochsDone = static_cast<std::uint32_t>(e + 1);
-            f.tele = tele;
-            f.energy = prev_energy;
-            f.rows = rows;
-            SnapshotWriter sw;
-            SnapshotIO(sw).section(
-                "cluster", [&](SectionIO &io) { transfer(f, io); });
-            sw.writeFile(cfg_.snapshot.out);
-            out.fleetSnapshotPath = cfg_.snapshot.out;
-            if (cfg_.snapshot.stopAfter) {
-                out.stoppedAtCheckpoint = true;
-                break;
-            }
-        }
     }
+    return epoch_ < numEpochs();
+}
 
-    out.servers = eng.map<RunResult>(
-        n, [&](std::size_t k) { return servers[k]->finish(); });
+void
+ClusterHarness::checkpoint(const std::string &path)
+{
+    if (finished_ || epoch_ == 0 || epoch_ > cuts_.size())
+        fatal("cluster: no fleet cut at epoch cursor %zu%s (a cut "
+              "needs 1..%zu epochs done)",
+              epoch_, finished_ ? " of a finished fleet" : "",
+              cuts_.size());
+    startServers();
+    eng_->forEach(cfg_.numServers, [&](std::size_t k) {
+        servers_[k]->checkpoint(serverSnapshotPath(path, k));
+    });
+    FleetSection f = fleetFingerprint(cfg_);
+    f.epochsDone = static_cast<std::uint32_t>(epoch_);
+    f.tele = tele_;
+    f.energy = prevEnergy_;
+    f.rows = rows_;
+    SnapshotWriter sw;
+    SnapshotIO(sw).section("cluster",
+                           [&](SectionIO &io) { transfer(f, io); });
+    sw.writeFile(path);
+}
+
+FleetResult
+ClusterHarness::finish()
+{
+    if (finished_)
+        fatal("cluster: finish() called twice");
+    startServers();
+    finished_ = true;
+    const std::uint32_t n = cfg_.numServers;
+    FleetResult out;
+    out.servers = eng_->map<RunResult>(
+        n, [&](std::size_t k) { return servers_[k]->finish(); });
     const std::vector<RunResult> &results = out.servers;
-    out.epochs = rows;
+    out.epochs = rows_;
     std::uint64_t h = fleetHashSeed;
     for (const RunResult &r : results)
         h = splitmix64(h ^ hashRunResult(r));
     out.fleetHash = h;
     for (const RunResult &r : results)
         out.fleetEnergyJ += r.energy.total();
-    for (const FleetEpochRow &row : rows) {
+    for (const FleetEpochRow &row : rows_) {
         out.peakEpochW = std::max(out.peakEpochW, row.fleetW);
         if (cfg_.capW > 0.0 && !row.capMet)
             ++out.capViolations;
@@ -493,7 +509,7 @@ ClusterHarness::run()
         out.sloAttainment = 1.0;
     }
     std::vector<double> slowdowns;
-    for (const ServerTelemetry &t : tele)
+    for (const ServerTelemetry &t : tele_)
         if (t.valid)
             slowdowns.push_back(t.slowdown);
     out.jainSlowdown = jainIndex(slowdowns);

@@ -12,20 +12,25 @@
  * telemetry and divides the fleet budget for the *next* epoch — stale
  * by exactly one epoch, as a real out-of-band controller would see it.
  *
+ * A fleet is stepped the way a System is: advance() to an epoch
+ * boundary, checkpoint() there, finish() to collect the results.
  * Fleets cut and resume bit-identically: a fleet snapshot is a
  * container with a "cluster" section (config fingerprint, epoch
  * cursor, telemetry, per-epoch power rows) next to one ordinary
- * per-server snapshot file per server (`<out>.server<k>`).  Files are
- * written only for such an explicit cut.
+ * per-server snapshot file per server (`<path>.server<k>`).  Files are
+ * written only by checkpoint().
  */
 
 #ifndef MEMSCALE_HARNESS_CLUSTER_HH
 #define MEMSCALE_HARNESS_CLUSTER_HH
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "harness/sweep.hh"
 #include "harness/system.hh"
 
 namespace memscale
@@ -92,7 +97,10 @@ struct ClusterConfig
     /** Per-server policy name ("fastcap" for coordinated capping). */
     std::string policy = "fastcap";
 
-    /** Fleet power cap, W (0 = uncoordinated: no budgets applied). */
+    /**
+     * Fleet power cap, W (0 = uncoordinated: no budgets applied).
+     * Must be finite and non-negative.
+     */
     Watts capW = 0.0;
 
     /** Coordination epoch; must be >= server.epochLen. */
@@ -113,15 +121,11 @@ struct ClusterConfig
     /** Sweep parallelism across servers (0 = hardware default). */
     unsigned jobs = 1;
 
-    /** Fleet-level cut/resume (counts whole coordination epochs). */
-    struct FleetSnapshotOptions
-    {
-        /** Cut after this many completed epochs (0 = off). */
-        std::uint32_t atEpoch = 0;
-        bool stopAfter = false;
-        std::string out;
-        std::string resumePath;
-    } snapshot;
+    /**
+     * Resume from this fleet snapshot (written by
+     * ClusterHarness::checkpoint) instead of starting at epoch 0.
+     */
+    std::string resumePath;
 };
 
 /** One coordination epoch's fleet-wide power accounting. */
@@ -153,8 +157,6 @@ struct FleetResult
     double sloAttainment = 0.0;
     /** Jain's index over per-server predicted slowdown (fastcap). */
     double jainSlowdown = 1.0;
-    bool stoppedAtCheckpoint = false;
-    std::string fleetSnapshotPath;
 };
 
 /** Fleet snapshot summary (snapshot_tool `meta=` on a fleet file). */
@@ -173,6 +175,12 @@ struct FleetMeta
 /** Read the "cluster" section summary; valid=false if absent. */
 FleetMeta readFleetMeta(const std::string &path);
 
+/**
+ * A fleet, built once and then stepped in whole coordination epochs.
+ * The constructor only checks the config (and, on resume, reads and
+ * verifies the "cluster" section); the first advance() or finish()
+ * builds the servers, or resumes them from their per-server files.
+ */
 class ClusterHarness
 {
   public:
@@ -185,13 +193,52 @@ class ClusterHarness
      */
     void registerStats(StatRegistry &reg);
 
+    /** Run the whole horizon: advance(numEpochs()), then finish(). */
     FleetResult run();
+
+    /** Coordination epochs over the horizon (the last may be short). */
+    std::size_t numEpochs() const { return cuts_.size() + 1; }
+
+    /**
+     * Run coordination epochs until `epochs` of them are done (a
+     * cursor, not a count; clamped to numEpochs()).  Returns whether
+     * any epochs remain.  A no-op after finish().
+     */
+    bool advance(std::size_t epochs);
+
+    /**
+     * Write the fleet file `path` plus `<path>.server<k>` for every
+     * server.  Only at a cut between epochs: at least one epoch done,
+     * at least one left, and the fleet not finished.
+     */
+    void checkpoint(const std::string &path);
+
+    /** Collect the fleet's results at the current epoch (ends it). */
+    FleetResult finish();
 
     /** The derived per-server config (exposed for tests). */
     SystemConfig serverConfig(std::uint32_t k) const;
 
   private:
+    /** Build every server, or resume it, on first use. */
+    void startServers();
+
     ClusterConfig cfg_;
+    /** Epoch boundaries strictly inside the horizon. */
+    std::vector<Tick> cuts_;
+    std::vector<double> weights_;
+
+    // The coordinator's state between epochs; a fleet snapshot's
+    // "cluster" section holds exactly these.
+    std::size_t epoch_ = 0;   ///< epochs done
+    std::vector<ServerTelemetry> tele_;
+    std::vector<double> prevEnergy_;
+    std::vector<FleetEpochRow> rows_;
+    bool finished_ = false;
+
+    std::optional<SweepEngine> eng_;
+    std::vector<std::unique_ptr<Policy>> policies_;
+    std::vector<std::unique_ptr<System>> servers_;
 
     // Live obs gauges, updated once per coordination epoch.
     std::vector<double> obsBudgetW_;

@@ -170,15 +170,4 @@ joules(double j)
     return buf;
 }
 
-std::vector<std::string>
-breakdownShares(const EnergyBreakdown &e, double denom)
-{
-    auto share = [&](double x) {
-        return denom > 0.0 ? pct(x / denom) : std::string("-");
-    };
-    return {share(e.background), share(e.actPre), share(e.readWrite),
-            share(e.termination), share(e.refresh), share(e.pllReg),
-            share(e.mc), share(e.rest)};
-}
-
 } // namespace memscale

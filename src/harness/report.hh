@@ -59,10 +59,6 @@ std::string fmt(double v, int precision = 2);
 std::string pct(double fraction, int precision = 1);
 std::string joules(double j);
 
-/** Energy breakdown as normalized shares (for Figs. 2 and 10). */
-std::vector<std::string> breakdownShares(const EnergyBreakdown &e,
-                                         double denom);
-
 } // namespace memscale
 
 #endif // MEMSCALE_HARNESS_REPORT_HH

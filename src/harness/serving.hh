@@ -185,8 +185,6 @@ class ServingWorker final : public MemClient, public CpuSampler
         return t;
     }
 
-    std::uint64_t served() const { return served_; }
-
     /** Start serving a request that arrived at `arrival`. */
     void beginRequest(Tick arrival, std::uint64_t misses);
 

@@ -110,15 +110,6 @@ RunResult::avgCpi() const
     return s / static_cast<double>(coreCpi.size());
 }
 
-double
-RunResult::worstCpi() const
-{
-    double w = 0.0;
-    for (double c : coreCpi)
-        w = std::max(w, c);
-    return w;
-}
-
 System::System(const SystemConfig &cfg, Policy &policy)
     : cfg_(cfg), policy_(policy), ctx_(cfg.policyContext()),
       eq_(cfg.kernelMode),

@@ -172,7 +172,6 @@ struct RunResult
     ServingStats serving;
 
     double avgCpi() const;
-    double worstCpi() const;
 };
 
 /**

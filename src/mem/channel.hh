@@ -124,9 +124,6 @@ class Channel
     /** Requests queued or in flight (reads + writes). */
     std::size_t pending() const { return pending_; }
 
-    /** Reads queued or in flight. */
-    std::size_t pendingReads() const { return pendingReads_; }
-
     /** Ranks currently in a CKE-low state (checkpoint metadata). */
     std::uint32_t ranksPoweredDown() const;
 

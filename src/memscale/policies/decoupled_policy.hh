@@ -27,8 +27,6 @@ class DecoupledPolicy : public Policy
     void configure(MemoryController &mc,
                    const PolicyContext &ctx) override;
 
-    std::uint32_t deviceMHz() const { return deviceMHz_; }
-
   private:
     std::uint32_t deviceMHz_;
 };

@@ -34,16 +34,6 @@ class PerChannelMemScalePolicy : public Policy
     void endEpoch(const ProfileData &epoch,
                   const PolicyContext &ctx) override;
 
-    /**
-     * The epoch controller drives the whole-subsystem interface; this
-     * policy additionally needs the controller to apply per-channel
-     * choices, so it keeps a reference from configure().
-     */
-    const std::vector<FreqIndex> &lastChoices() const
-    {
-        return choices_;
-    }
-
     void
     saveState(SectionWriter &w) const override
     {
@@ -68,6 +58,11 @@ class PerChannelMemScalePolicy : public Policy
         io.list(chanPrev_, [&io](McCounters &c) { c.transfer(io); });
     }
 
+    /**
+     * The epoch controller drives the whole-subsystem interface; this
+     * policy additionally needs the controller to apply per-channel
+     * choices, so it keeps a reference from configure().
+     */
     MemoryController *mc_ = nullptr;
     SlackTracker slack_;
     PerfModel perf_;

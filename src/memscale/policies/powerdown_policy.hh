@@ -44,8 +44,6 @@ class ThrottlePolicy : public Policy
     void configure(MemoryController &mc,
                    const PolicyContext &ctx) override;
 
-    double maxUtilization() const { return maxUtil_; }
-
   private:
     double maxUtil_;
 };

@@ -34,8 +34,6 @@ class StaticPolicy : public Policy
     void configure(MemoryController &mc,
                    const PolicyContext &ctx) override;
 
-    std::uint32_t staticMHz() const { return mhz_; }
-
   private:
     std::uint32_t mhz_;
 };

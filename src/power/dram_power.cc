@@ -88,14 +88,4 @@ rankEnergy(const RankActivity &act, const TimingParams &tp,
     return e;
 }
 
-Watts
-rankAveragePower(const RankActivity &act, const TimingParams &tp,
-                 const PowerParams &pp, Tick other_burst)
-{
-    if (act.totalTime == 0)
-        return 0.0;
-    return rankEnergy(act, tp, pp, other_burst).total() /
-           tickToSec(act.totalTime);
-}
-
 } // namespace memscale

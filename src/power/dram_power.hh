@@ -50,10 +50,6 @@ struct RankEnergy
 RankEnergy rankEnergy(const RankActivity &act, const TimingParams &tp,
                       const PowerParams &pp, Tick other_burst);
 
-/** Average power over a window (convenience wrapper). */
-Watts rankAveragePower(const RankActivity &act, const TimingParams &tp,
-                       const PowerParams &pp, Tick other_burst);
-
 } // namespace memscale
 
 #endif // MEMSCALE_POWER_DRAM_POWER_HH

@@ -115,9 +115,6 @@ class SystemEnergyIntegrator
     /** Average DIMM (DRAM + PLL/reg) power so far. */
     Watts averageDimmPower() const;
 
-    Watts restOfSystemWatts() const { return restW_; }
-    void setRestOfSystemWatts(Watts w) { restW_ = w; }
-
     const PowerParams &params() const { return pp_; }
 
     /** Checkpoint/restore (accumulated energy + elapsed time;

@@ -296,10 +296,9 @@ snapshotFileHashes()
     fleet.policy = "fastcap";
     fleet.capW = 320.0;
     fleet.coordEpoch = msToTick(0.1);
-    fleet.snapshot.atEpoch = 2;
-    fleet.snapshot.stopAfter = true;
-    fleet.snapshot.out = dir + "fleet";
-    ClusterHarness(fleet).run();
+    ClusterHarness cut(fleet);
+    cut.advance(2);
+    cut.checkpoint(dir + "fleet");
     take("fleet", dir + "fleet");
     take("fleet.server0", dir + "fleet.server0");
     take("fleet.server1", dir + "fleet.server1");

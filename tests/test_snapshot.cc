@@ -1060,132 +1060,6 @@ TEST(ResumeEquivalence, ResumeRejectsMismatchedLadderConfig)
 }
 
 // ---------------------------------------------------------------------
-// Fleet-level cut/resume: a whole cluster checkpoints and resumes
-// bit-identically through the "cluster" section + per-server files.
-// ---------------------------------------------------------------------
-
-TEST(ResumeEquivalence, FleetMidRunCutAndResume)
-{
-    ClusterConfig base;
-    base.numServers = 2;
-    base.server = servingConfig(ArrivalKind::Poisson);
-    base.server.modelCpuPower = true;
-    base.server.restWatts = kRestWatts;
-    base.policy = "fastcap";
-    base.capW = 320.0;   // binding or not, budgets must replay exactly
-    base.coordEpoch = msToTick(0.1);   // 5 epochs over the 0.5 ms run
-
-    FleetResult full = ClusterHarness(base).run();
-    ASSERT_EQ(full.epochs.size(), 5u);
-
-    // Cut the fleet after two coordination epochs, then resume.
-    const std::string path = scratch("fleet_cut");
-    ClusterConfig head_cfg = base;
-    head_cfg.snapshot.atEpoch = 2;
-    head_cfg.snapshot.stopAfter = true;
-    head_cfg.snapshot.out = path;
-    FleetResult head = ClusterHarness(head_cfg).run();
-    EXPECT_TRUE(head.stoppedAtCheckpoint);
-    EXPECT_EQ(head.fleetSnapshotPath, path);
-    ASSERT_EQ(head.epochs.size(), 2u);
-
-    // The fleet snapshot is introspectable without restoring it.
-    FleetMeta meta = readFleetMeta(path);
-    ASSERT_TRUE(meta.valid);
-    EXPECT_EQ(meta.numServers, 2u);
-    EXPECT_EQ(meta.policy, "fastcap");
-    EXPECT_DOUBLE_EQ(meta.capW, base.capW);
-    EXPECT_EQ(meta.coordEpoch, base.coordEpoch);
-    EXPECT_EQ(meta.epochsDone, 2u);
-    ASSERT_EQ(meta.budgetW.size(), 2u);
-    EXPECT_DOUBLE_EQ(meta.lastFleetW, head.epochs.back().fleetW);
-    // Ordinary per-server snapshots sit next to the fleet file.
-    SnapshotMeta s0 = readSnapshotMeta(path + ".server0");
-    EXPECT_EQ(s0.policyName, "fastcap");
-    EXPECT_EQ(s0.now, 2 * base.coordEpoch);
-
-    ClusterConfig tail_cfg = base;
-    tail_cfg.snapshot.resumePath = path;
-    FleetResult tail = ClusterHarness(tail_cfg).run();
-
-    // The resumed fleet finishes bit-identical to the uncut one:
-    // same fleet hash, same per-server results, same budget rows.
-    EXPECT_EQ(tail.fleetHash, full.fleetHash);
-    EXPECT_DOUBLE_EQ(tail.fleetEnergyJ, full.fleetEnergyJ);
-    for (std::size_t k = 0; k < 2; ++k)
-        EXPECT_EQ(hashRunResult(tail.servers[k]),
-                  hashRunResult(full.servers[k]))
-            << "server " << k;
-    ASSERT_EQ(tail.epochs.size(), full.epochs.size());
-    for (std::size_t e = 0; e < full.epochs.size(); ++e) {
-        const FleetEpochRow &a = full.epochs[e];
-        const FleetEpochRow &b = tail.epochs[e];
-        ASSERT_EQ(a.budgetW.size(), b.budgetW.size()) << "epoch " << e;
-        for (std::size_t k = 0; k < a.budgetW.size(); ++k)
-            EXPECT_DOUBLE_EQ(a.budgetW[k], b.budgetW[k])
-                << "epoch " << e << " server " << k;
-        EXPECT_DOUBLE_EQ(a.fleetW, b.fleetW) << "epoch " << e;
-    }
-
-    std::remove(path.c_str());
-    std::remove((path + ".server0").c_str());
-    std::remove((path + ".server1").c_str());
-}
-
-TEST(ResumeEquivalence, FleetResumeRejectsMismatchedConfig)
-{
-    ClusterConfig base;
-    base.numServers = 2;
-    base.server = servingConfig(ArrivalKind::Poisson);
-    base.server.modelCpuPower = true;
-    base.server.restWatts = kRestWatts;
-    base.policy = "fastcap";
-    base.capW = 320.0;
-    base.coordEpoch = msToTick(0.1);
-
-    const std::string path = scratch("fleet_mismatch");
-    ClusterConfig head_cfg = base;
-    head_cfg.snapshot.atEpoch = 1;
-    head_cfg.snapshot.stopAfter = true;
-    head_cfg.snapshot.out = path;
-    ClusterHarness(head_cfg).run();
-
-    auto resume = [&](ClusterConfig rcfg) {
-        rcfg.snapshot = {};
-        rcfg.snapshot.resumePath = path;
-        return fatalMessage([&] { ClusterHarness(rcfg).run(); });
-    };
-
-    EXPECT_EQ(resume(base), "");
-
-    ClusterConfig bigger = base;
-    bigger.numServers = 3;
-    std::string msg = resume(bigger);
-    EXPECT_NE(msg.find("servers"), std::string::npos) << msg;
-
-    ClusterConfig recapped = base;
-    recapped.capW = 200.0;
-    msg = resume(recapped);
-    EXPECT_NE(msg.find("cap"), std::string::npos) << msg;
-
-    ClusterConfig repoliced = base;
-    repoliced.policy = "memscale";
-    msg = resume(repoliced);
-    EXPECT_NE(msg.find("policy"), std::string::npos) << msg;
-
-    // An ordinary per-server snapshot is not a fleet snapshot.
-    ClusterConfig notfleet = base;
-    notfleet.snapshot = {};
-    notfleet.snapshot.resumePath = path + ".server0";
-    msg = fatalMessage([&] { ClusterHarness(notfleet).run(); });
-    EXPECT_NE(msg.find("cluster"), std::string::npos) << msg;
-
-    std::remove(path.c_str());
-    std::remove((path + ".server0").c_str());
-    std::remove((path + ".server1").c_str());
-}
-
-// ---------------------------------------------------------------------
 // RestoreChecks: bytes a restore cannot trust.  A section must be
 // consumed exactly, and every index, count and enum byte read from it
 // is checked before use; each rejection is a FatalError naming the
@@ -1351,14 +1225,12 @@ TEST(RestoreChecks, LeftoverBytesInClusterAreFatal)
     cfg.coordEpoch = msToTick(0.1);
 
     const std::string path = scratch("leftover_fleet");
-    ClusterConfig cut = cfg;
-    cut.snapshot.atEpoch = 1;
-    cut.snapshot.stopAfter = true;
-    cut.snapshot.out = path;
-    ClusterHarness(cut).run();
+    ClusterHarness cut(cfg);
+    cut.advance(1);
+    cut.checkpoint(path);
 
     ClusterConfig resume = cfg;
-    resume.snapshot.resumePath = path;
+    resume.resumePath = path;
     rewrap(path, "cluster", [](std::vector<std::uint8_t> &) {});
     EXPECT_EQ(fatalMessage([&] { ClusterHarness(resume).run(); }), "");
 
