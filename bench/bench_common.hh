@@ -232,9 +232,9 @@ runMidSweep(const SweepEngine &eng, const SystemConfig &cfg,
 /**
  * Differential self-check mode (`--check`, `check=1`, or
  * MEMSCALE_CHECK=1): instead of regenerating the figure, run the
- * driver's configuration through the DifferentialHarness — reference
- * event kernel vs. the production fast path, and sweep jobs=1 vs.
- * jobs=N — with the DDR3 protocol checker attached to every run.
+ * driver's configuration under memscale and fastpd through the sweep
+ * engine at jobs=1 and at jobs=N (runSelfCheck), with the DDR3
+ * protocol checker attached to every run, and diff the results.
  *
  * Returns the process exit code (0 = all identical) when the check
  * ran, or -1 when --check was not requested and the figure should be
@@ -255,10 +255,8 @@ maybeSelfCheck(int argc, char **argv, const Config &conf,
     SystemConfig c = cfg;
     c.protocolCheck = true;
     unsigned jobs = checkedJobs(conf.getInt("jobs", 0));
-    std::fprintf(stderr,
-                 "self-check: kernel + sweep differentials on %s "
-                 "(jobs=%u)\n",
-                 c.mixName.c_str(), resolveJobs(jobs));
+    std::fprintf(stderr, "self-check: sweep jobs=1 vs jobs=%u on %s\n",
+                 resolveJobs(jobs), c.mixName.c_str());
     std::size_t failures = runSelfCheck(c, jobs);
     std::fprintf(stderr, "self-check %s\n",
                  failures == 0 ? "PASSED" : "FAILED");

@@ -12,7 +12,8 @@
  * Doubles are hashed by bit pattern (after normalizing -0.0 to 0.0),
  * making the digest sensitive to any last-ulp numerical drift.  That
  * is deliberate: the harness guarantees bit-identical results across
- * thread counts and kernel modes, and goldens pin that guarantee.
+ * sweep worker counts, snapshot cuts and resumes, and goldens pin
+ * that guarantee.
  * Digests are stable across runs on one toolchain/platform; regenerate
  * them when the compiler or math library changes (see DESIGN.md).
  */

@@ -277,28 +277,11 @@ DiffReport::str(std::size_t max_fields) const
     return s;
 }
 
-DifferentialHarness::DifferentialHarness(unsigned jobs)
-    : jobs_(resolveJobs(jobs))
-{
-}
-
-DiffReport
-DifferentialHarness::kernelDiff(SystemConfig cfg,
-                                const std::string &policy)
-{
-    cfg.kernelMode = KernelMode::Fast;
-    ComparisonResult fast = compare(cfg, policy);
-    cfg.kernelMode = KernelMode::Reference;
-    ComparisonResult ref = compare(cfg, policy);
-    return diffComparisons("kernel:" + cfg.mixName + "/" + policy,
-                           fast, ref);
-}
-
 std::vector<DiffReport>
-DifferentialHarness::sweepDiff(const std::vector<SweepCase> &cases)
+sweepDiff(const std::vector<SweepCase> &cases, unsigned jobs)
 {
     SweepEngine serial(1);
-    SweepEngine pool(jobs_);
+    SweepEngine pool(jobs);
     std::vector<ComparisonResult> a = compareCases(serial, cases);
     std::vector<ComparisonResult> b = compareCases(pool, cases);
     std::vector<DiffReport> reports;
@@ -313,11 +296,9 @@ DifferentialHarness::sweepDiff(const std::vector<SweepCase> &cases)
     return reports;
 }
 
-std::vector<DiffReport>
-DifferentialHarness::runAll(const SystemConfig &cfg)
+std::size_t
+runSelfCheck(const SystemConfig &cfg, unsigned jobs)
 {
-    std::vector<DiffReport> reports;
-    reports.push_back(kernelDiff(cfg, "memscale"));
     std::vector<SweepCase> cases;
     for (const char *policy : {"memscale", "fastpd"}) {
         SweepCase c;
@@ -325,17 +306,8 @@ DifferentialHarness::runAll(const SystemConfig &cfg)
         c.policy = policy;
         cases.push_back(std::move(c));
     }
-    for (DiffReport &r : sweepDiff(cases))
-        reports.push_back(std::move(r));
-    return reports;
-}
-
-std::size_t
-runSelfCheck(const SystemConfig &cfg, unsigned jobs)
-{
-    DifferentialHarness diff(jobs);
     std::size_t failures = 0;
-    for (const DiffReport &r : diff.runAll(cfg)) {
+    for (const DiffReport &r : sweepDiff(cases, jobs)) {
         bool ok = r.identical();
         std::fprintf(stderr, "[%s] %s\n", ok ? "PASS" : "FAIL",
                      r.str().c_str());

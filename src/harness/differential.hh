@@ -2,19 +2,13 @@
  * @file
  * Differential self-checking harness.
  *
- * Runs the same System configuration under two implementations that
- * must agree bit-for-bit and diffs every observable field:
- *
- *  - kernelDiff(): production event kernel (KernelMode::Fast, insert
- *    walked from the soonest end) vs. the reference oracle
- *    (KernelMode::Reference, binary-search insert);
- *  - sweepDiff(): the sweep engine at jobs=1 vs. jobs=N over the same
- *    case list (catches latent RNG/thread coupling).
- *
- * End-of-run counters, energy categories, per-core CPI, and the
- * per-epoch frequency-decision timeline are compared field-by-field;
- * a mismatch names the first differing fields with both values.  The
- * same flattening feeds StateHasher, so a whole run compresses to one
+ * sweepDiff() runs the same case list through the sweep engine at
+ * jobs=1 and at jobs=N, which must agree bit-for-bit (catches latent
+ * RNG/thread coupling), and diffs every observable field.  End-of-run
+ * counters, energy categories, per-core CPI, and the per-epoch
+ * frequency-decision timeline are compared field-by-field; a mismatch
+ * names the first differing fields with both values.  The same
+ * flattening feeds StateHasher, so a whole run compresses to one
  * uint64_t for golden tests (hashRunResult / hashComparison).
  */
 
@@ -44,7 +38,7 @@ struct FieldDiff
 /** Outcome of diffing two runs. */
 struct DiffReport
 {
-    std::string label;             ///< e.g. "kernel:MID1/memscale"
+    std::string label;             ///< e.g. "sweep[0]:MID1/memscale"
     std::vector<FieldDiff> diffs;  ///< empty when the runs agree
     std::uint64_t hashA = 0;
     std::uint64_t hashB = 0;
@@ -78,39 +72,17 @@ std::uint64_t hashRunResult(const RunResult &r);
 /** Digest of a comparison (both runs + savings metrics). */
 std::uint64_t hashComparison(const ComparisonResult &c);
 
-class DifferentialHarness
-{
-  public:
-    /** @param jobs worker count for the parallel side of sweepDiff
-     *         (0 resolves via resolveJobs()). */
-    explicit DifferentialHarness(unsigned jobs = 0);
-
-    unsigned jobs() const { return jobs_; }
-
-    /**
-     * Run cfg under `policy` (baseline + policy, via compare()) with
-     * the Fast kernel and again with the Reference kernel; diff.
-     */
-    DiffReport kernelDiff(SystemConfig cfg, const std::string &policy);
-
-    /** compareCases() at jobs=1 vs jobs=N; one report per case. */
-    std::vector<DiffReport>
-    sweepDiff(const std::vector<SweepCase> &cases);
-
-    /**
-     * Stock self-check used by the bench drivers' --check flag:
-     * kernelDiff on cfg/memscale plus a small sweepDiff across
-     * policies.  Returns every report; all must be identical().
-     */
-    std::vector<DiffReport> runAll(const SystemConfig &cfg);
-
-  private:
-    unsigned jobs_;
-};
+/**
+ * compareCases() at jobs=1 vs jobs=N (0 resolves via resolveJobs()),
+ * one report per case.
+ */
+std::vector<DiffReport> sweepDiff(const std::vector<SweepCase> &cases,
+                                  unsigned jobs = 0);
 
 /**
- * Convenience for drivers: run runAll(), print a PASS/FAIL line per
- * report to stderr, return the number of failing reports.
+ * Stock self-check behind the bench drivers' --check flag: sweepDiff
+ * of cfg under memscale and fastpd.  Prints a PASS/FAIL line per
+ * report to stderr and returns the number of failing reports.
  */
 std::size_t runSelfCheck(const SystemConfig &cfg, unsigned jobs = 0);
 

@@ -29,7 +29,9 @@ transferFingerprint(SectionIO &io, SystemConfig &cfg, std::string &policy,
                     bool &has_checker, bool &dynamic_policy)
 {
     auto ranks_per_channel = cfg.mem.ranksPerChannel();
-    auto kernel_mode = static_cast<std::uint8_t>(cfg.kernelMode);
+    // Retired kernel-mode byte: always 0, kept so snapshot files keep
+    // their layout; a file holding any other value is rejected.
+    std::uint8_t kernel_mode = 0;
     auto custom_apps = static_cast<std::uint32_t>(cfg.customApps.size());
     io.expect("mix", cfg.mixName);
     io.expect("policy", policy);
@@ -112,7 +114,6 @@ RunResult::avgCpi() const
 
 System::System(const SystemConfig &cfg, Policy &policy)
     : cfg_(cfg), policy_(policy), ctx_(cfg.policyContext()),
-      eq_(cfg.kernelMode),
       mc_(std::make_unique<MemoryController>(eq_, cfg.mem)),
       integrator_(cfg.power, cfg.restWatts)
 {

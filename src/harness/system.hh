@@ -83,13 +83,6 @@ struct SystemConfig
     Tick maxSimTime = msToTick(2000.0);
 
     /**
-     * Event-kernel implementation (sim/event_queue).  Reference is the
-     * binary-search-insert oracle used by the differential harness;
-     * both modes must produce bit-identical results.
-     */
-    KernelMode kernelMode = KernelMode::Fast;
-
-    /**
      * Must be 1; any other value is fatal.  System runs serially (runs
      * parallelise across the sweep engine's jobs= instead).  Kept only
      * because perfbench assigns it; not part of the result identity.

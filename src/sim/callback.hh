@@ -1,14 +1,16 @@
 /**
  * @file
- * Small-buffer-optimized move-only callable for the event kernel.
+ * Fixed-buffer move-only callable for the event kernel.
  *
  * `std::function` heap-allocates for any capture larger than its
  * (implementation-defined, typically 16-byte) inline buffer and drags
  * in copy-constructibility requirements the kernel never uses.  Every
- * `schedule()` in the hot path would pay that allocation.  EventCallback
- * stores captures of up to 48 bytes inline — which covers every
- * callback the simulator schedules (`[this, r]`-style closures) — and
- * only falls back to the heap for oversized or throwing-move captures.
+ * `schedule()` in the hot path would pay that allocation.  Every
+ * callback the simulator schedules is a `[this, r]`-style closure of
+ * pointers and integers, so EventCallback is one function pointer
+ * plus a 48-byte buffer: a move is a memcpy and a reset nulls the
+ * pointer.  A capture that needs a destructor, a real copy, or more
+ * room does not compile (see accepts).
  */
 
 #ifndef MEMSCALE_SIM_CALLBACK_HH
@@ -26,8 +28,21 @@ namespace memscale
 class EventCallback
 {
   public:
-    /** Captures up to this size (and max_align_t alignment) stay inline. */
+    /** Captures up to this size (and max_align_t alignment) fit. */
     static constexpr std::size_t InlineCapacity = 48;
+
+    /**
+     * Whether a callable can be scheduled: it must fit the buffer and
+     * be trivially copyable and destructible, because the kernel
+     * moves it with a memcpy and drops it without running a
+     * destructor.  Capture pointers to owned state, not the owners.
+     */
+    template <typename F, typename D = std::decay_t<F>>
+    static constexpr bool accepts =
+        sizeof(D) <= InlineCapacity &&
+        alignof(D) <= alignof(std::max_align_t) &&
+        std::is_trivially_copyable_v<D> &&
+        std::is_trivially_destructible_v<D>;
 
     EventCallback() noexcept = default;
 
@@ -38,130 +53,44 @@ class EventCallback
                   std::is_invocable_r_v<void, D &>>>
     EventCallback(F &&f)   // NOLINT: implicit by design, mirrors std::function
     {
-        if constexpr (fitsInline<D>()) {
-            ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-            ops_ = &inlineOps<D>;
-        } else {
-            *reinterpret_cast<D **>(buf_) = new D(std::forward<F>(f));
-            ops_ = &heapOps<D>;
-        }
+        static_assert(accepts<D>,
+                      "EventCallback: the capture must fit 48 bytes and "
+                      "be trivially copyable and destructible "
+                      "(capture pointers, not owners)");
+        ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
+        invoke_ = [](void *p) { (*std::launder(static_cast<D *>(p)))(); };
     }
 
-    EventCallback(EventCallback &&o) noexcept
-    {
-        if (o.ops_) {
-            relocateFrom(o);
-            o.ops_ = nullptr;
-        }
-    }
+    EventCallback(EventCallback &&o) noexcept { take(o); }
 
     EventCallback &
     operator=(EventCallback &&o) noexcept
     {
-        if (this != &o) {
-            reset();
-            if (o.ops_) {
-                relocateFrom(o);
-                o.ops_ = nullptr;
-            }
-        }
+        if (this != &o)
+            take(o);
         return *this;
     }
 
     EventCallback(const EventCallback &) = delete;
     EventCallback &operator=(const EventCallback &) = delete;
 
-    ~EventCallback() { reset(); }
+    void reset() noexcept { invoke_ = nullptr; }
 
-    void
-    reset() noexcept
-    {
-        if (ops_) {
-            if (!ops_->trivial)
-                ops_->destroy(buf_);
-            ops_ = nullptr;
-        }
-    }
+    void operator()() { invoke_(buf_); }
 
-    void
-    operator()()
-    {
-        ops_->invoke(buf_);
-    }
-
-    explicit operator bool() const noexcept { return ops_ != nullptr; }
-
-    /** True when the given callable would avoid the heap fallback. */
-    template <typename F>
-    static constexpr bool
-    storedInline()
-    {
-        return fitsInline<std::decay_t<F>>();
-    }
+    explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
   private:
-    struct Ops
-    {
-        void (*invoke)(void *);
-        /** Move-construct into dst from src, then destroy src. */
-        void (*relocate)(void *dst, void *src) noexcept;
-        void (*destroy)(void *) noexcept;
-        /**
-         * Inline capture with trivial copy and destruction: relocate
-         * degenerates to a fixed-size memcpy and destroy to a no-op.
-         * Nearly every callback the simulator schedules qualifies, so
-         * the move/destroy paths branch on this flag instead of paying
-         * an indirect call whose target varies with the capture type.
-         */
-        bool trivial;
-    };
-
     void
-    relocateFrom(EventCallback &o) noexcept
+    take(EventCallback &o) noexcept
     {
-        if (o.ops_->trivial)
-            std::memcpy(buf_, o.buf_, InlineCapacity);
-        else
-            o.ops_->relocate(buf_, o.buf_);
-        ops_ = o.ops_;
+        std::memcpy(buf_, o.buf_, InlineCapacity);
+        invoke_ = o.invoke_;
+        o.invoke_ = nullptr;
     }
-
-    template <typename D>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(D) <= InlineCapacity &&
-               alignof(D) <= alignof(std::max_align_t) &&
-               std::is_nothrow_move_constructible_v<D>;
-    }
-
-    template <typename D>
-    static constexpr Ops inlineOps = {
-        [](void *p) { (*std::launder(reinterpret_cast<D *>(p)))(); },
-        [](void *dst, void *src) noexcept {
-            D *s = std::launder(reinterpret_cast<D *>(src));
-            ::new (dst) D(std::move(*s));
-            s->~D();
-        },
-        [](void *p) noexcept {
-            std::launder(reinterpret_cast<D *>(p))->~D();
-        },
-        std::is_trivially_copyable_v<D> &&
-            std::is_trivially_destructible_v<D>,
-    };
-
-    template <typename D>
-    static constexpr Ops heapOps = {
-        [](void *p) { (**reinterpret_cast<D **>(p))(); },
-        [](void *dst, void *src) noexcept {
-            *reinterpret_cast<D **>(dst) = *reinterpret_cast<D **>(src);
-        },
-        [](void *p) noexcept { delete *reinterpret_cast<D **>(p); },
-        false,
-    };
 
     alignas(std::max_align_t) unsigned char buf_[InlineCapacity];
-    const Ops *ops_ = nullptr;
+    void (*invoke_)(void *) = nullptr;
 };
 
 } // namespace memscale

@@ -11,10 +11,7 @@ namespace memscale
 namespace
 {
 
-/**
- * The whole ordering story: (when, class, seq) ascending.  Gt turns
- * it around for the descending array.
- */
+/** The whole ordering story: (when, class, seq) ascending. */
 struct Lt
 {
     template <typename E>
@@ -24,16 +21,6 @@ struct Lt
         if (a.when != b.when)
             return a.when < b.when;
         return a.key < b.key;
-    }
-};
-
-struct Gt
-{
-    template <typename E>
-    bool
-    operator()(const E &a, const E &b) const
-    {
-        return Lt{}(b, a);
     }
 };
 
@@ -82,22 +69,14 @@ EventQueue::schedule(Tick when, EventCallback fn, EventClass cls,
     Entry e{when,
             (static_cast<std::uint64_t>(cls) << ClsShift) | seq,
             (static_cast<std::uint64_t>(s.gen) << 32) | slot};
-    if (mode_ == KernelMode::Reference) {
-        // Binary search for the insert point; seq is unique, so no
-        // two entries compare equal and upper_bound is exact.
-        auto pos =
-            std::upper_bound(events_.begin(), events_.end(), e, Gt{});
-        events_.insert(pos, e);
-    } else {
-        // One insertion-sort step from the soonest end: new events
-        // mostly land a few entries from the back, so this touches
-        // only the entries that run before `e`.
-        events_.push_back(e);
-        std::size_t i = events_.size() - 1;
-        for (; i > 0 && Lt{}(events_[i - 1], e); --i)
-            events_[i] = events_[i - 1];
-        events_[i] = e;
-    }
+    // One insertion-sort step from the soonest end: new events mostly
+    // land a few entries from the back, so this touches only the
+    // entries that run before `e`.
+    events_.push_back(e);
+    std::size_t i = events_.size() - 1;
+    for (; i > 0 && Lt{}(events_[i - 1], e); --i)
+        events_[i] = events_[i - 1];
+    events_[i] = e;
     return e.id;
 }
 

@@ -8,8 +8,9 @@
  * EventId returned at scheduling time.
  *
  * Internals are built for throughput.  Callbacks live in a slab of
- * pooled slots recycled through a free list (no per-event heap
- * allocation for captures up to EventCallback::InlineCapacity bytes).
+ * pooled slots recycled through a free list, so scheduling never
+ * allocates once the slab has grown (EventCallback stores every
+ * capture inline).
  * EventIds carry a generation so a recycled slot can never be
  * cancelled through a stale id.
  *
@@ -22,10 +23,9 @@
  * the back; cancellation is eager.  At that depth the flat array beat
  * the six-level calendar queue it replaced on every workload.
  *
- * Pop order is exactly (tick, class, seq) in both kernels.  The
- * Reference kernel shares the array and differs only in how schedule()
- * finds the insert point (a binary search); it is the oracle the
- * differential harness checks the Fast kernel against.
+ * Pop order is exactly (tick, class, seq).  tests/reference_queue.hh
+ * models the same contract on an ordered map, sharing no code with
+ * this kernel, and the mirrored fuzzes check one against the other.
  */
 
 #ifndef MEMSCALE_SIM_EVENT_QUEUE_HH
@@ -88,29 +88,9 @@ struct PendingEvent
     EventTag tag;
 };
 
-/**
- * Kernel implementation selector.  Both keep the same sorted array;
- * Fast inserts by walking from the soonest end, Reference by binary
- * search, which makes it the independent correctness oracle for the
- * differential harness (harness/differential).  Both modes run
- * events in the identical (tick, class, seq) order, so a simulation
- * must produce bit-identical results under either.
- */
-enum class KernelMode : std::uint8_t
-{
-    Fast,
-    Reference,
-};
-
 class EventQueue
 {
   public:
-    explicit EventQueue(KernelMode mode = KernelMode::Fast)
-        : mode_(mode)
-    {}
-
-    KernelMode mode() const { return mode_; }
-
     /** Current simulated time. */
     Tick now() const { return now_; }
 
@@ -134,9 +114,8 @@ class EventQueue
 
     /**
      * Cancel a pending event.  Cancelling an already-fired or unknown
-     * id is a harmless no-op (returns false).  The callback (and any
-     * resources it captured) and the ordering entry are both removed
-     * immediately.
+     * id is a harmless no-op (returns false).  The callback and its
+     * ordering entry are both removed immediately.
      */
     bool cancel(EventId id);
 
@@ -167,9 +146,8 @@ class EventQueue
      * (EvNone) live event is fatal — it could not be reconstructed.
      *
      * Order-stability guarantee: the exported order is the exact
-     * order the events would have executed in, independent of kernel
-     * mode — (when, class, seq) is a total order and seq is assigned
-     * at schedule time.
+     * order the events would have executed in — (when, class, seq)
+     * is a total order and seq is assigned at schedule time.
      */
     std::vector<PendingEvent> exportPending() const;
 
@@ -244,7 +222,6 @@ class EventQueue
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 1;
     bool stopped_ = false;
-    KernelMode mode_ = KernelMode::Fast;
 };
 
 } // namespace memscale

@@ -5,9 +5,10 @@
  * 2^48 ticks out interleaving with near ones, cancel-then-reschedule
  * across tick ranges many orders of magnitude apart, same-tick FIFO
  * across channel and core tags, exportPending/restore byte-identity,
- * and mirrored fuzzing of the Fast kernel against the Reference
- * oracle, both with everything scheduled up front and with callbacks
- * that schedule and cancel while the queue runs.
+ * and mirrored fuzzing of the kernel against ReferenceQueue
+ * (reference_queue.hh), an independent model of its contract, both
+ * with everything scheduled up front and with callbacks that
+ * schedule, cancel and stop while the queue runs.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <random>
 #include <vector>
 
+#include "reference_queue.hh"
 #include "sim/event_kinds.hh"
 #include "sim/event_queue.hh"
 
@@ -45,10 +47,13 @@ coreTag(std::uint64_t label)
 /** A far-future distance: 2^48 ticks, ~4.7 simulated minutes. */
 constexpr Tick kHorizon = Tick(1) << 48;
 
+/** Field-wise equality of two exported events, from either queue. */
+template <typename A, typename B>
 bool
-samePending(const PendingEvent &a, const PendingEvent &b)
+samePending(const A &a, const B &b)
 {
-    return a.when == b.when && a.cls == b.cls &&
+    return a.when == b.when &&
+           static_cast<unsigned>(a.cls) == static_cast<unsigned>(b.cls) &&
            a.tag.kind == b.tag.kind && a.tag.owner == b.tag.owner &&
            a.tag.a == b.tag.a && a.tag.b == b.tag.b;
 }
@@ -243,14 +248,13 @@ TEST(EventHierarchy, ExportRestoreByteIdentity)
     }
 }
 
-TEST(EventHierarchy, ExportIdenticalAcrossKernelModes)
+TEST(EventHierarchy, ExportMatchesReference)
 {
-    // The same schedule executed against the Fast kernel and the
-    // Reference oracle must export the same pending list — export
-    // order is defined by (when, class, seq), not by how either
-    // kernel found its insert points.
-    EventQueue fast(KernelMode::Fast);
-    EventQueue ref(KernelMode::Reference);
+    // The same schedule given to the kernel and to the reference model
+    // must export the same pending list: export order is defined by
+    // (when, class, seq), not by how the kernel keeps its array.
+    EventQueue eq;
+    ReferenceQueue ref;
     auto noop = [] {};
     std::mt19937 rng(2026);
     for (int i = 0; i < 200; ++i) {
@@ -260,10 +264,10 @@ TEST(EventHierarchy, ExportIdenticalAcrossKernelModes)
         const EventTag tag = (rng() & 1)
                                  ? chanTag(rng() % 80, i)
                                  : coreTag(i);
-        fast.schedule(when, noop, cls, tag);
+        eq.schedule(when, noop, cls, tag);
         ref.schedule(when, noop, cls, tag);
     }
-    const auto a = fast.exportPending();
+    const auto a = eq.exportPending();
     const auto b = ref.exportPending();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
@@ -272,21 +276,21 @@ TEST(EventHierarchy, ExportIdenticalAcrossKernelModes)
 
 TEST(EventHierarchy, MirroredFuzzAgainstReference)
 {
-    // Randomized schedule/cancel churn mirrored into both kernels,
-    // biased toward channel traffic and 2^12-aligned ticks; firing
-    // sequences must match exactly.
+    // Randomized schedule/cancel churn mirrored into the kernel and
+    // the model, biased toward channel traffic and 2^12-aligned
+    // ticks; firing sequences must match exactly.
     std::mt19937 rng(777);
     for (int round = 0; round < 5; ++round) {
-        EventQueue fast(KernelMode::Fast);
-        EventQueue ref(KernelMode::Reference);
-        std::vector<std::uint64_t> ffired, rfired;
-        std::vector<std::pair<EventId, EventId>> ids;
+        EventQueue eq;
+        ReferenceQueue ref;
+        std::vector<std::uint64_t> efired, rfired;
+        std::vector<std::pair<EventId, ReferenceQueue::Id>> ids;
         std::uint64_t label = 0;
         for (int i = 0; i < 400; ++i) {
             if (!ids.empty() && rng() % 4 == 0) {
-                const auto [fa, ra] =
+                const auto [ea, ra] =
                     ids[rng() % ids.size()];
-                EXPECT_EQ(fast.cancel(fa), ref.cancel(ra));
+                EXPECT_EQ(eq.cancel(ea), ref.cancel(ra));
                 continue;
             }
             Tick when = rng() & 0x3fffff;
@@ -299,16 +303,16 @@ TEST(EventHierarchy, MirroredFuzzAgainstReference)
                                              : EventTag{};
             const std::uint64_t l = label++;
             ids.emplace_back(
-                fast.schedule(when, [&ffired, l] { ffired.push_back(l); },
-                              cls, tag),
+                eq.schedule(when, [&efired, l] { efired.push_back(l); },
+                            cls, tag),
                 ref.schedule(when, [&rfired, l] { rfired.push_back(l); },
                              cls, tag));
         }
-        EXPECT_EQ(fast.pending(), ref.pending());
-        fast.runUntil();
+        EXPECT_EQ(eq.pending(), ref.pending());
+        eq.runUntil();
         ref.runUntil();
-        EXPECT_EQ(ffired, rfired) << "round " << round;
-        EXPECT_EQ(fast.now(), ref.now()) << "round " << round;
+        EXPECT_EQ(efired, rfired) << "round " << round;
+        EXPECT_EQ(eq.now(), ref.now()) << "round " << round;
     }
 }
 
@@ -316,25 +320,25 @@ namespace
 {
 
 /**
- * One side of the mirrored live fuzz: a kernel plus the RNG and logs
- * its callbacks drive.  Both sides start from one seed, so they make
- * the same choices for exactly as long as they fire the same events
- * in the same order.
+ * One side of the mirrored live fuzz: a queue (the kernel or the
+ * model) plus the RNG and logs its callbacks drive.  Both sides start
+ * from one seed, so they make the same choices for exactly as long as
+ * they fire the same events in the same order.
  */
+template <typename Queue>
 struct LiveFuzzSide
 {
-    LiveFuzzSide(KernelMode mode, std::uint64_t seed)
-        : eq(mode), rng(seed)
-    {}
+    explicit LiveFuzzSide(std::uint64_t seed) : rng(seed) {}
 
     static constexpr std::uint64_t CancelMark = std::uint64_t(1) << 63;
 
-    EventQueue eq;
+    Queue eq;
     std::mt19937_64 rng;
-    std::vector<EventId> ids;  ///< by label
+    std::vector<std::uint64_t> ids;  ///< by label
     /** Fired labels, and each cancel as CancelMark | victim << 1 | ok. */
     std::vector<std::uint64_t> log;
     int budget = 0;            ///< schedules left for callbacks
+    int stops = 0;             ///< callbacks that called stop()
 
     /** Schedule one event: at now, near, 2^12-2^18 out, or past 2^48. */
     void
@@ -396,6 +400,12 @@ struct LiveFuzzSide
           default:
             break;
         }
+        // End the current runUntil() early, as System's done, horizon
+        // and advance() stop events do.
+        if (rng() % 16 == 0) {
+            eq.stop();
+            ++stops;
+        }
     }
 };
 
@@ -404,58 +414,69 @@ struct LiveFuzzSide
 TEST(EventHierarchy, MirroredLiveFuzzAgainstReference)
 {
     // Callbacks schedule at now in every class, near, 2^12-2^18 ticks
-    // out (the deltas the simulator produces) and past 2^48, and
-    // cancel pending, in-flight and already-fired ids while the queue
-    // runs under interleaved runUntil(limit) horizons.  Firing order,
-    // cancel results, the clock and exportPending() must match the
-    // Reference oracle after every horizon.
+    // out (the deltas the simulator produces) and past 2^48, cancel
+    // pending, in-flight and already-fired ids, and sometimes call
+    // stop() while the queue runs.  The driver interleaves step()
+    // with runUntil(limit) horizons.  Firing order, cancel results,
+    // each call's return value, the clock, pending() and
+    // exportPending() must match the reference model after every call.
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        LiveFuzzSide fast(KernelMode::Fast, seed);
-        LiveFuzzSide ref(KernelMode::Reference, seed);
+        LiveFuzzSide<EventQueue> kern(seed);
+        LiveFuzzSide<ReferenceQueue> ref(seed);
         std::mt19937_64 drive(seed * 7919);
-        for (LiveFuzzSide *side : {&fast, &ref}) {
-            side->budget = 3000;
-            for (int i = 0; i < 40; ++i)
-                side->spawn();
+        kern.budget = ref.budget = 3000;
+        for (int i = 0; i < 40; ++i) {
+            kern.spawn();
+            ref.spawn();
         }
-        int horizons = 0;
-        while (!fast.eq.empty() || !ref.eq.empty()) {
-            ASSERT_LT(++horizons, 100000) << "seed " << seed;
-            const Tick now = fast.eq.now();
-            const unsigned pick = drive() % 16;
-            const Tick limit =
-                pick < 2    ? now  // only events due right now
-                : pick < 8  ? now + drive() % (Tick(1) << 14)
-                : pick < 13 ? now + drive() % (Tick(1) << 18)
-                : pick < 15 ? now + 2 * kHorizon
-                            : MaxTick;
-            fast.eq.runUntil(limit);
-            ref.eq.runUntil(limit);
-            ASSERT_EQ(fast.log, ref.log) << "seed " << seed;
-            ASSERT_EQ(fast.eq.now(), ref.eq.now()) << "seed " << seed;
-            ASSERT_EQ(fast.eq.pending(), ref.eq.pending());
-            const auto a = fast.eq.exportPending();
+        int calls = 0;
+        int steps = 0;
+        while (!kern.eq.empty() || !ref.eq.empty()) {
+            ASSERT_LT(++calls, 100000) << "seed " << seed;
+            const Tick now = kern.eq.now();
+            const unsigned pick = drive() % 20;
+            if (pick >= 16) {
+                ++steps;
+                ASSERT_EQ(kern.eq.step(), ref.eq.step()) << "seed " << seed;
+            } else {
+                const Tick limit =
+                    pick < 2    ? now  // only events due right now
+                    : pick < 8  ? now + drive() % (Tick(1) << 14)
+                    : pick < 13 ? now + drive() % (Tick(1) << 18)
+                    : pick < 15 ? now + 2 * kHorizon
+                                : MaxTick;
+                ASSERT_EQ(kern.eq.runUntil(limit), ref.eq.runUntil(limit))
+                    << "seed " << seed;
+            }
+            ASSERT_EQ(kern.log, ref.log) << "seed " << seed;
+            ASSERT_EQ(kern.eq.now(), ref.eq.now()) << "seed " << seed;
+            ASSERT_EQ(kern.eq.pending(), ref.eq.pending());
+            const auto a = kern.eq.exportPending();
             const auto b = ref.eq.exportPending();
             ASSERT_EQ(a.size(), b.size());
             for (std::size_t i = 0; i < a.size(); ++i)
                 ASSERT_TRUE(samePending(a[i], b[i]))
                     << "seed " << seed << " position " << i;
-            // Between horizons: cancel from outside, or reseed a
-            // drained queue while budget remains.
+            // Between calls: cancel from outside, or reseed a drained
+            // queue while budget remains.
             if (drive() % 2 == 0) {
-                const std::uint64_t victim = drive() % fast.ids.size();
-                fast.cancel(victim);
+                const std::uint64_t victim = drive() % kern.ids.size();
+                kern.cancel(victim);
                 ref.cancel(victim);
             }
-            if (fast.eq.empty() && fast.budget > 0) {
-                for (LiveFuzzSide *side : {&fast, &ref}) {
-                    side->budget -= 20;
-                    for (int i = 0; i < 20; ++i)
-                        side->spawn();
+            if (kern.eq.empty() && kern.budget > 0) {
+                kern.budget -= 20;
+                ref.budget -= 20;
+                for (int i = 0; i < 20; ++i) {
+                    kern.spawn();
+                    ref.spawn();
                 }
             }
         }
-        EXPECT_EQ(fast.log, ref.log) << "seed " << seed;
-        EXPECT_GT(fast.ids.size(), 1000u) << "seed " << seed;
+        EXPECT_EQ(kern.log, ref.log) << "seed " << seed;
+        EXPECT_EQ(kern.stops, ref.stops) << "seed " << seed;
+        EXPECT_GT(kern.ids.size(), 1000u) << "seed " << seed;
+        EXPECT_GT(kern.stops, 10) << "seed " << seed;
+        EXPECT_GT(steps, 10) << "seed " << seed;
     }
 }

@@ -104,9 +104,10 @@ TEST(FastCapAllocator, FuzzedInvariants)
 
         // Invariant 1: predicted fleet power never exceeds the cap
         // (unless even the floors do, which is flagged infeasible).
-        if (a.feasible)
+        if (a.feasible) {
             EXPECT_LE(total, cap + eps)
                 << "trial " << trial << " n=" << n;
+        }
         // Invariant 2: work-conserving — either every server got its
         // full demand, or the cap is exhausted.
         EXPECT_GE(total, std::min(cap, sum_demand) - 1e-6 * cap)
@@ -116,9 +117,10 @@ TEST(FastCapAllocator, FuzzedInvariants)
             EXPECT_LE(a.budgetW[k], tele[k].demandW + eps);
             EXPECT_GE(a.budgetW[k], -eps);
             // Floors honoured whenever they fit collectively.
-            if (sum_min <= cap)
+            if (sum_min <= cap) {
                 EXPECT_GE(a.budgetW[k], tele[k].minW - eps)
                     << "trial " << trial << " server " << k;
+            }
         }
         EXPECT_EQ(a.feasible, sum_min <= cap);
     }

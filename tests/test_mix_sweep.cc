@@ -91,10 +91,12 @@ TEST_P(MixSweep, ClassOrderingOnSavings)
 {
     // Class-level expectation from Fig. 5: ILP mixes save more system
     // energy than MEM mixes.
-    if (mix().klass == "ILP")
+    if (mix().klass == "ILP") {
         EXPECT_GT(r().sysEnergySavings, 0.10) << mix().name;
-    if (mix().klass == "MEM")
+    }
+    if (mix().klass == "MEM") {
         EXPECT_LT(r().sysEnergySavings, 0.15) << mix().name;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMixes, MixSweep,

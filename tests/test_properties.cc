@@ -3,8 +3,8 @@
  * Property-based sweeps over the memory system and the models:
  * randomized traffic through every (page policy x scheduler x
  * frequency) combination with invariant checks, an event-queue stress
- * test against a reference implementation, and cross-frequency model
- * invariants.
+ * test against the reference model (reference_queue.hh), and
+ * cross-frequency model invariants.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,8 @@
 #include "mem/controller.hh"
 #include "memscale/perf_model.hh"
 #include "power/dram_power.hh"
+#include "reference_queue.hh"
+#include "sim/event_kinds.hh"
 #include "sim/event_queue.hh"
 
 using namespace memscale;
@@ -185,47 +187,59 @@ TEST(MemSystemProperty, RankStateTimesSumToTotal)
 }
 
 // ---------------------------------------------------------------------
-// Event-queue stress test against a straightforward reference model.
+// Event-queue stress test against the reference model.
 // ---------------------------------------------------------------------
 
 TEST(EventQueueStress, MatchesReferenceOrdering)
 {
+    // Bulk schedule/cancel rounds with random ticks, classes and tags
+    // (some EvEphemeral, which export skips), mirrored into the kernel
+    // and ReferenceQueue: cancel results, the export and the firing
+    // order must agree.
     EventQueue eq;
+    ReferenceQueue ref;
     Rng rng(1234);
-    std::vector<std::pair<Tick, int>> fired;
-    // Reference: (time, id) pairs sorted stably by time.
-    std::vector<std::pair<Tick, int>> expected;
-    std::vector<EventId> ids;
-    int tag = 0;
+    std::vector<int> fired, rfired;
+    std::vector<std::pair<EventId, ReferenceQueue::Id>> ids;
+    int label = 0;
     for (int round = 0; round < 50; ++round) {
         for (int i = 0; i < 40; ++i) {
-            Tick when = rng.below(100000);
-            int t = tag++;
-            ids.push_back(eq.schedule(when, [&fired, when, t] {
-                fired.emplace_back(when, t);
-            }));
-            expected.emplace_back(when, t);
+            const Tick when = rng.below(100000);
+            const auto cls = static_cast<EventClass>(rng.below(3));
+            EventTag tag{static_cast<std::uint32_t>(1 + rng.below(15)),
+                         static_cast<std::uint32_t>(rng.below(4)),
+                         static_cast<std::uint64_t>(label), 0};
+            if (rng.below(10) == 0)
+                tag.kind = EvEphemeral;
+            const int t = label++;
+            ids.emplace_back(
+                eq.schedule(when, [&fired, t] { fired.push_back(t); },
+                            cls, tag),
+                ref.schedule(when, [&rfired, t] { rfired.push_back(t); },
+                             cls, tag));
         }
-        // Cancel a random subset of everything still pending.
+        // Cancel a random subset of everything scheduled so far.
         for (int i = 0; i < 5; ++i) {
-            std::size_t victim = rng.below(ids.size());
-            if (eq.cancel(ids[victim])) {
-                int vt = static_cast<int>(victim);
-                std::erase_if(expected, [&](const auto &p) {
-                    return p.second == vt;
-                });
-            }
+            const auto [e, r] = ids[rng.below(ids.size())];
+            EXPECT_EQ(eq.cancel(e), ref.cancel(r));
         }
     }
+    ASSERT_EQ(eq.pending(), ref.pending());
+    const std::vector<PendingEvent> a = eq.exportPending();
+    const std::vector<ReferenceQueue::Pending> b = ref.exportPending();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].when, b[i].when) << "position " << i;
+        EXPECT_EQ(static_cast<unsigned>(a[i].cls), b[i].cls)
+            << "position " << i;
+        EXPECT_EQ(a[i].tag.kind, b[i].tag.kind) << "position " << i;
+        EXPECT_EQ(a[i].tag.a, b[i].tag.a) << "position " << i;
+    }
     eq.runUntil();
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const auto &a, const auto &b) {
-                         if (a.first != b.first)
-                             return a.first < b.first;
-                         return a.second < b.second;
-                     });
-    ASSERT_EQ(fired.size(), expected.size());
-    EXPECT_EQ(fired, expected);
+    ref.runUntil();
+    ASSERT_EQ(fired.size(), rfired.size());
+    EXPECT_EQ(fired, rfired);
+    EXPECT_EQ(eq.now(), ref.now());
 }
 
 // ---------------------------------------------------------------------

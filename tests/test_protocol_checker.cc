@@ -655,8 +655,9 @@ TEST(ProtocolCheckerSystem, LadderPoliciesAreClean)
         Watts rest = 0.0;
         runBaseline(cfg, rest);
         RunResult r = runPolicy(cfg, policy, rest);
-        if (std::string(policy) == "ladder")
+        if (std::string(policy) == "ladder") {
             EXPECT_GT(r.counters.pdDemotions, 0u);
+        }
         EXPECT_EQ(r.protocolViolations, 0u)
             << policy << ": "
             << (r.protocolViolationSamples.empty()

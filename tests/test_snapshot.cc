@@ -1213,6 +1213,49 @@ TEST(RestoreChecks, LeftoverBytesInMcAreFatal)
     std::remove(path.c_str());
 }
 
+TEST(RestoreChecks, RetiredFingerprintByteStillGuards)
+{
+    // The fingerprint keeps the byte of the retired kernel-mode field:
+    // it is written as 0, and any other value refuses the resume.
+    const std::string path = scratch("kernel_mode.snap");
+    SystemConfig cfg = snapConfig("MID3");
+    cfg.restWatts = kRestWatts;
+    ASSERT_TRUE(cutRun(cfg, "memscale", msToTick(0.1), path));
+
+    // The byte's offset: the fingerprint fields that precede it.
+    SectionWriter w;
+    SectionIO io(w);
+    std::string policy = "memscale";
+    auto ranks_per_channel = cfg.mem.ranksPerChannel();
+    io.expect("mix", cfg.mixName);
+    io.expect("policy", policy);
+    io.expect("numCores", cfg.numCores);
+    io.expect("cpuGHz", cfg.cpuGHz);
+    io.expect("instrBudget", cfg.instrBudget);
+    io.expect("epochLen", cfg.epochLen);
+    io.expect("profileLen", cfg.profileLen);
+    io.expect("gamma", cfg.gamma);
+    io.expect("seed", cfg.seed);
+    io.expect("restWatts", cfg.restWatts);
+    io.expect("numChannels", cfg.mem.numChannels);
+    io.expect("ranksPerChannel", ranks_per_channel);
+    io.expect("banksPerRank", cfg.mem.banksPerRank);
+    const std::size_t at = w.data().size();
+
+    rewrap(path, "meta", [at](std::vector<std::uint8_t> &b) {
+        ASSERT_LT(at, b.size());
+        EXPECT_EQ(b[at], 0);
+    });
+    EXPECT_EQ(resumeMessage(cfg, "memscale", path), "");
+
+    rewrap(path, "meta",
+           [at](std::vector<std::uint8_t> &b) { b.at(at) = 1; });
+    const std::string msg = resumeMessage(cfg, "memscale", path);
+    EXPECT_TRUE(contains(msg, "kernel mode")) << msg;
+    EXPECT_TRUE(contains(msg, "meta")) << msg;
+    std::remove(path.c_str());
+}
+
 TEST(RestoreChecks, LeftoverBytesInClusterAreFatal)
 {
     ClusterConfig cfg;

@@ -218,8 +218,9 @@ TEST(Llc, DirtyEvictionWritesBack)
     llc.access(0, true);   // dirty
     for (std::uint64_t i = 1; i <= 4; ++i) {
         Llc::AccessResult r = llc.access(i * 64, false);
-        if (r.writeback)
+        if (r.writeback) {
             EXPECT_EQ(r.victimAddr, 0u);
+        }
     }
     EXPECT_EQ(llc.writebacks(), 1u);
 }
