@@ -64,9 +64,6 @@ struct DramCmdEvent
     Tick burstEnd = 0;
     /// @}
 
-    /** PowerdownEnter detail: the entered state self-refreshes. */
-    bool selfRefresh = false;
-
     /**
      * PowerdownEnter detail: exact rung of the idle ladder entered
      * (mirrors `RankIdleState`; 0 = Up is never announced).  A deeper

@@ -89,12 +89,6 @@ ProtocolChecker::strictEnv()
            std::strcmp(v, "yes") == 0;
 }
 
-bool
-ProtocolChecker::strictDefault()
-{
-    return strictBuild() || strictEnv();
-}
-
 ProtocolChecker::ChannelState &
 ProtocolChecker::chan(std::uint32_t ch)
 {
@@ -141,11 +135,26 @@ ProtocolChecker::onTimingChange(std::uint32_t ch, Tick effective,
         cs.timings.back().second = tp;
         return;
     }
-    if (!cs.timings.empty() && cs.timings.back().first > effective)
-        panic("ProtocolChecker: timing change effective ticks regress "
-              "(%llu after %llu)",
-              static_cast<unsigned long long>(effective),
-              static_cast<unsigned long long>(cs.timings.back().first));
+    if (!cs.timings.empty() && cs.timings.back().first > effective) {
+        // Announced out of order: the later change supersedes the
+        // history after it, which keeps the list ascending.
+        DramCmdEvent ev;
+        ev.cmd = DramCmd::Relock;
+        ev.at = effective;
+        ev.channel = ch;
+        record(cs, ev, "timing-order",
+               format("timing change effective at %llu after one "
+                      "effective at %llu",
+                      static_cast<unsigned long long>(effective),
+                      static_cast<unsigned long long>(
+                          cs.timings.back().first)));
+        while (!cs.timings.empty() && cs.timings.back().first > effective)
+            cs.timings.pop_back();
+        if (!cs.timings.empty() && cs.timings.back().first == effective) {
+            cs.timings.back().second = tp;
+            return;
+        }
+    }
     cs.timings.emplace_back(effective, tp);
 }
 
@@ -536,14 +545,7 @@ ProtocolChecker::onCommand(const DramCmdEvent &ev)
         break;
       case DramCmd::PowerdownEnter: {
         RankState &rs = rank(cs, ev.rank);
-        // Resolve the announced rung; legacy announcers only carry
-        // the selfRefresh bool.
-        std::uint8_t state = ev.pdState;
-        if (state == 0) {
-            state = static_cast<std::uint8_t>(
-                ev.selfRefresh ? RankIdleState::SelfRefresh
-                               : RankIdleState::FastPd);
-        }
+        const std::uint8_t state = ev.pdState;
         if (rs.pdEnter != MaxTick) {
             // Re-announce while already entered: legal only as a
             // demotion strictly down the ladder (CKE never rose, so
@@ -675,6 +677,13 @@ ProtocolChecker::transfer(SectionIO &io)
             io(rs.refreshSeen);
             io(rs.selfRefreshSinceRefresh);
         });
+        // record() keeps the first MaxSamples violations.
+        if (io.loading() &&
+            cs.samples.size() !=
+                std::min<std::uint64_t>(cs.violations, MaxSamples))
+            io.fail("%zu violation samples for %llu violations",
+                    cs.samples.size(),
+                    static_cast<unsigned long long>(cs.violations));
     });
 }
 

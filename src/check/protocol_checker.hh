@@ -10,9 +10,9 @@
  * parameters in effect at each command's issue tick are used.
  *
  * Violations are recorded with full tick/channel/rank/bank provenance;
- * under strict mode (MEMSCALE_STRICT=1 in the environment, the
- * MEMSCALE_STRICT=ON build option, or an explicit constructor flag)
- * the first violation terminates the run via fatal().
+ * under strict mode (MEMSCALE_STRICT=1 in the environment or an
+ * explicit constructor flag) the first violation terminates the run
+ * via fatal().
  *
  * Known model simplifications the checker deliberately does NOT flag:
  * refresh issuing while rows are latched open (the simulator models
@@ -56,9 +56,9 @@ class ProtocolChecker : public CommandObserver
   public:
     /**
      * @param strict abort (fatal()) on the first violation.  Defaults
-     *        to the environment/build-level strictness.
+     *        to the environment's strictness (strictEnv()).
      */
-    explicit ProtocolChecker(bool strict = strictDefault());
+    explicit ProtocolChecker(bool strict = strictEnv());
 
     /**
      * Validate one command.  All mutable state is per-channel
@@ -87,20 +87,6 @@ class ProtocolChecker : public CommandObserver
 
     /** True when the MEMSCALE_STRICT env var is 1/on/true/yes. */
     static bool strictEnv();
-
-    /** True when built with -DMEMSCALE_STRICT=ON. */
-    static constexpr bool
-    strictBuild()
-    {
-#ifdef MEMSCALE_STRICT_BUILD
-        return true;
-#else
-        return false;
-#endif
-    }
-
-    /** strictEnv() || strictBuild(). */
-    static bool strictDefault();
 
     /** Violation samples kept before further ones are only counted. */
     static constexpr std::size_t MaxSamples = 32;

@@ -126,8 +126,12 @@ Core::transfer(SectionIO &io)
     io(doneAt_);
     // Recomputes cpuPeriod_ from the clock, exactly as the live run
     // did; nominalPeriod_ is a constructor constant.
-    if (io.loading())
-        setFrequencyGHz(ghz);
+    if (!io.loading())
+        return;
+    if (!(ghz > 0.0) || !std::isfinite(ghz))
+        io.fail("core %u clock %g GHz is not a positive frequency", id_,
+                ghz);
+    setFrequencyGHz(ghz);
 }
 
 EventCallback

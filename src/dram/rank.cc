@@ -269,6 +269,28 @@ Rank::pendingCloses() const
     return n;
 }
 
+std::uint32_t
+Rank::openBanksAfterPending() const
+{
+    // A restored buffer never closes more banks than are open
+    // (transfer() refuses one that does), so this cannot wrap.
+    std::uint32_t n = openBanks_;
+    for (std::uint32_t i = 0; i < numPending_; ++i)
+        n = pending_[i].open ? n + 1 : n - 1;
+    return n;
+}
+
+std::vector<Tick>
+Rank::pendingOpens() const
+{
+    std::vector<Tick> out;
+    for (std::uint32_t i = 0; i < numPending_; ++i) {
+        if (pending_[i].open)
+            out.push_back(pending_[i].at);
+    }
+    return out;
+}
+
 std::optional<Tick>
 Rank::latestPendingClose() const
 {

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 #include "dram/timing.hh"
@@ -171,10 +172,6 @@ class Rank
 
     RankIdleState idleState() const { return idle_; }
     bool powerdown() const { return idle_ != RankIdleState::Up; }
-    bool selfRefresh() const
-    {
-        return idle_ == RankIdleState::SelfRefresh;
-    }
     /** In any internally-refreshing state (SR or deeper). */
     bool selfRefreshing() const
     {
@@ -185,6 +182,15 @@ class Rank
 
     /** Deferred closes not yet applied. */
     std::uint32_t pendingCloses() const;
+
+    /** Tick the rank's accounting has integrated up to. */
+    Tick lastUpdate() const { return lastUpdate_; }
+
+    /** Open banks once every deferred transition has applied. */
+    std::uint32_t openBanksAfterPending() const;
+
+    /** Ticks of the deferred opens not yet applied, in order. */
+    std::vector<Tick> pendingOpens() const;
 
     /** Tick of the latest deferred close, if any is pending. */
     std::optional<Tick> latestPendingClose() const;

@@ -44,13 +44,30 @@ parseDemandMix(const std::string &name)
           name.c_str());
 }
 
+void
+ServingOptions::fingerprint(SectionIO &io)
+{
+    io.expect("serving.enabled", enabled);
+    arrival.fingerprint(io);
+    io.expect("serving.missesPerRequest", missesPerRequest);
+    io.expect("serving.demandMix", demandMix);
+    io.expect("serving.demandSigma", demandSigma);
+    io.expect("serving.heavyFraction", heavyFraction);
+    io.expect("serving.heavyMultiplier", heavyMultiplier);
+    io.expect("serving.instrPerMiss", instrPerMiss);
+    io.expect("serving.computeCpi", computeCpi);
+    io.expect("serving.horizon", horizon);
+    io.expect("serving.maxQueue", maxQueue);
+    io.expect("serving.sloP99Us", sloP99Us);
+    io.expect("serving.histMaxUs", histMaxUs);
+    io.expect("serving.histBuckets", histBuckets);
+}
+
 std::uint64_t
 drawServingDemand(const ServingOptions &opts, Rng &rng)
 {
     const double mean = opts.missesPerRequest;
-    DemandMix mix =
-        opts.fixedDemand ? DemandMix::Fixed : opts.demandMix;
-    switch (mix) {
+    switch (opts.demandMix) {
       case DemandMix::Fixed:
         return std::max<std::uint64_t>(
             1, static_cast<std::uint64_t>(std::llround(mean)));
@@ -83,7 +100,7 @@ drawServingDemand(const ServingOptions &opts, Rng &rng)
       }
     }
     fatal("drawServingDemand: bad mix %u",
-          static_cast<unsigned>(mix));
+          static_cast<unsigned>(opts.demandMix));
 }
 
 // ---------------------------------------------------------------------------
@@ -192,8 +209,12 @@ ServingWorker::transfer(SectionIO &io)
     io(served_);
     io(busyTime_);
     io(busyStart_);
-    if (io.loading())
-        setFrequencyGHz(ghz);
+    if (!io.loading())
+        return;
+    if (!(ghz > 0.0) || !std::isfinite(ghz))
+        io.fail("worker %u clock %g GHz is not a positive frequency", id_,
+                ghz);
+    setFrequencyGHz(ghz);
 }
 
 // ---------------------------------------------------------------------------
@@ -426,35 +447,6 @@ ServingFrontEnd::registerStats(StatRegistry &reg,
 void
 ServingFrontEnd::transfer(SectionIO &io)
 {
-    // Configuration fingerprint first: a serving snapshot only
-    // replays into the identical serving setup, and a named mismatch
-    // beats a silently diverging arrival stream.
-    auto kind = static_cast<std::uint8_t>(opts_.arrival.kind);
-    std::uint64_t seed = gen_.config().seed;
-    auto mix = static_cast<std::uint8_t>(opts_.demandMix);
-    auto nworkers = static_cast<std::uint32_t>(workers_.size());
-    io.expect("arrival kind", kind);
-    io.expect("arrival rate", opts_.arrival.ratePerSec);
-    io.expect("arrival seed", seed);
-    io.expect("burst factor", opts_.arrival.burstFactor);
-    io.expect("burst fraction", opts_.arrival.burstFraction);
-    io.expect("mean burst length", opts_.arrival.meanBurstLen);
-    io.expect("diurnal period", opts_.arrival.diurnalPeriod);
-    io.expect("diurnal depth", opts_.arrival.diurnalDepth);
-    io.expect("misses/request", opts_.missesPerRequest);
-    io.expect("fixedDemand", opts_.fixedDemand);
-    io.expect("demand mix", mix);
-    io.expect("demand sigma", opts_.demandSigma);
-    io.expect("heavy fraction", opts_.heavyFraction);
-    io.expect("heavy multiplier", opts_.heavyMultiplier);
-    io.expect("instrPerMiss", opts_.instrPerMiss);
-    io.expect("compute CPI", opts_.computeCpi);
-    io.expect("horizon", opts_.horizon);
-    io.expect("max queue", opts_.maxQueue);
-    io.expect("histogram max", opts_.histMaxUs);
-    io.expect("histBuckets", opts_.histBuckets);
-    io.expect("workers", nworkers);
-
     gen_.transfer(io);
     io(demandRng_);
     io(arrivalsClosed_);
@@ -478,8 +470,12 @@ ServingFrontEnd::transfer(SectionIO &io)
         io(under);
         io(over);
         io(counts);
-        if (io.loading())
-            h.setCounts(counts, under, over);
+        if (!io.loading())
+            return;
+        if (counts.size() != h.buckets().size())
+            io.fail("latency histogram of %zu buckets, configured for %zu",
+                    counts.size(), h.buckets().size());
+        h.setCounts(counts, under, over);
     };
     hist(latUs_);
     hist(winUs_);
@@ -496,7 +492,8 @@ ServingFrontEnd::rebuildEvent(std::uint32_t kind, std::uint32_t owner)
         return [this] { onArrival(); };
       case EvServeIssue:
         if (owner >= workers_.size())
-            fatal("serving resume: issue event owner %u out of range",
+            fatal("resume: issue event owner %u out of range "
+                  "(snapshot section sim)",
                   owner);
         return [w = workers_[owner].get()] { w->issueMiss(); };
       default:

@@ -70,18 +70,12 @@ struct ServingOptions
     ArrivalConfig arrival;
 
     /**
-     * Service demand: LLC misses a request must resolve.  Drawn
-     * geometrically around the mean per request (heavy-ish tail, the
-     * interesting case for p99) unless fixedDemand pins every request
-     * to exactly `missesPerRequest` rounded.
+     * Service demand: the mean number of LLC misses a request must
+     * resolve.  `demandMix` shapes the per-request draw around it.
      */
     double missesPerRequest = 8.0;
-    bool fixedDemand = false;
 
-    /**
-     * Demand-distribution shape.  `fixedDemand` predates the enum and
-     * wins when set (it maps to DemandMix::Fixed).
-     */
+    /** Demand-distribution shape. */
     DemandMix demandMix = DemandMix::Geometric;
     /** LogNormal: standard deviation of ln(demand). */
     double demandSigma = 0.75;
@@ -109,6 +103,13 @@ struct ServingOptions
     double histMaxUs = 2000.0;
     std::uint32_t histBuckets = 4000;
     /// @}
+
+    /**
+     * Snapshot fingerprint: every field, as `serving.<field>`, the
+     * arrival process included.  Part of the meta section, so it is
+     * checked for closed-loop runs too.
+     */
+    void fingerprint(SectionIO &io);
 };
 
 /** Derived serving metrics (RunResult::serving). */
@@ -259,7 +260,7 @@ class ServingFrontEnd
 
     /** @name Checkpoint/restore ("serving" snapshot section). */
     /// @{
-    /** Config fingerprint first, then the front end and its workers. */
+    /** The front end's state, then its workers'. */
     void transfer(SectionIO &io);
 
     /** Rebuild a tagged pending event (EvServeArrival/EvServeIssue). */

@@ -19,54 +19,47 @@ namespace
 {
 
 /**
- * The snapshot's configuration fingerprint, one named field at a time
- * in file order.  A snapshot only replays bit-identically into the
+ * The snapshot's configuration fingerprint: the whole SystemConfig,
+ * one named field at a time in file order, each nested config struct
+ * through its own list (MemConfig, PowerParams, AppProfile,
+ * ServingOptions).  A snapshot only replays bit-identically into the
  * exact system it was taken from: checkpoint() writes these fields,
  * resume verifies them and readSnapshotMeta() adopts them.
+ *
+ * Left out, because none of them shapes the simulated state:
+ *  - powerCapW: the initial value of a runtime knob; setPowerCap()
+ *    re-assigns it, and a fleet does so every coordination epoch;
+ *  - resumePath: where the state comes from, not what it is;
+ *  - threads: must be 1, the constructor rejects anything else;
+ *  - strictCheck: whether the first protocol violation aborts.  The
+ *    checker's presence, which adds the "checker" section, is
+ *    fingerprinted as protocolCheck.
  */
 void
 transferFingerprint(SectionIO &io, SystemConfig &cfg, std::string &policy,
                     bool &has_checker, bool &dynamic_policy)
 {
-    auto ranks_per_channel = cfg.mem.ranksPerChannel();
-    // Retired kernel-mode byte: always 0, kept so snapshot files keep
-    // their layout; a file holding any other value is rejected.
-    std::uint8_t kernel_mode = 0;
-    auto custom_apps = static_cast<std::uint32_t>(cfg.customApps.size());
     io.expect("mix", cfg.mixName);
     io.expect("policy", policy);
+    io.expect("dynamicPolicy", dynamic_policy);
     io.expect("numCores", cfg.numCores);
     io.expect("cpuGHz", cfg.cpuGHz);
     io.expect("instrBudget", cfg.instrBudget);
+    cfg.mem.fingerprint(io);
+    cfg.power.fingerprint(io);
+    io.expect("gamma", cfg.gamma);
     io.expect("epochLen", cfg.epochLen);
     io.expect("profileLen", cfg.profileLen);
-    io.expect("gamma", cfg.gamma);
-    io.expect("seed", cfg.seed);
     io.expect("restWatts", cfg.restWatts);
-    io.expect("numChannels", cfg.mem.numChannels);
-    io.expect("ranksPerChannel", ranks_per_channel);
-    io.expect("banksPerRank", cfg.mem.banksPerRank);
-    io.expect("kernel mode", kernel_mode);
-    io.expect("observe", cfg.observe);
+    io.expect("memPowerFraction", cfg.memPowerFraction);
+    io.expect("seed", cfg.seed);
+    io.expectList("customApps", cfg.customApps,
+                  [&io](AppProfile &app) { app.fingerprint(io); });
     io.expect("modelCpuPower", cfg.modelCpuPower);
+    io.expect("maxSimTime", cfg.maxSimTime);
     io.expect("protocolCheck", has_checker);
-    io.expect("dynamicPolicy", dynamic_policy);
-    io.expect("customApps", custom_apps);
-    // Idle-ladder fingerprint: demotion thresholds and consolidation
-    // knobs shape the event stream and the migrator's remap table, so
-    // a snapshot is only valid under the exact same ladder config.
-    IdleLadderConfig &lc = cfg.mem.ladder;
-    io.expect("ladder.demoteSlowPd", lc.demoteSlowPd);
-    io.expect("ladder.demoteSelfRefresh", lc.demoteSelfRefresh);
-    io.expect("ladder.demoteSrSlow", lc.demoteSrSlow);
-    io.expect("ladder.demoteDeepPd", lc.demoteDeepPd);
-    io.expect("ladder.migrate", lc.migrate);
-    io.expect("ladder.migrateInterval", lc.migrateInterval);
-    io.expect("ladder.hotRanks", lc.hotRanks);
-    io.expect("ladder.hotThreshold", lc.hotThreshold);
-    io.expect("ladder.maxSwapsPerInterval", lc.maxSwapsPerInterval);
-    io.expect("ladder.migrationLines", lc.migrationLines);
-    io.expect("ladder.counterSets", lc.counterSets);
+    io.expect("observe", cfg.observe);
+    cfg.serving.fingerprint(io);
 }
 
 /** The meta section's summary block, after the fingerprint. */
@@ -134,13 +127,12 @@ System::System(const SystemConfig &cfg, Policy &policy)
         recorder_ = std::make_shared<EpochRecorder>(registry_.get());
     }
 
-    // Optional online protocol validation.  Environment- or
-    // build-level strictness attaches the checker to every run
-    // regardless of the config flag.
-    if (cfg_.protocolCheck || cfg_.strictCheck ||
-        ProtocolChecker::strictDefault()) {
-        checker_ = std::make_unique<ProtocolChecker>(
-            cfg_.strictCheck || ProtocolChecker::strictDefault());
+    // Optional online protocol validation.  MEMSCALE_STRICT=1 in the
+    // environment attaches the checker to every run regardless of the
+    // config flag.
+    const bool strict = cfg_.strictCheck || ProtocolChecker::strictEnv();
+    if (cfg_.protocolCheck || strict) {
+        checker_ = std::make_unique<ProtocolChecker>(strict);
         mc.setCommandObserver(checker_.get());
     }
 
@@ -366,6 +358,15 @@ System::transfer(SnapshotIO &snap)
         io.expect("stall entries", nstall);
         for (Tick &t : lastStall_)
             io(t);
+        // The next interval is taken as a difference against it.
+        if (io.loading() &&
+            (last_.ranks.size() != cfg_.mem.totalRanks() ||
+             last_.channelBurst.size() != cfg_.mem.numChannels ||
+             last_.channelMHz.size() != cfg_.mem.numChannels))
+            io.fail("interval sample of %zu ranks and %zu channels in "
+                    "a %u-rank, %u-channel system",
+                    last_.ranks.size(), last_.channelBurst.size(),
+                    cfg_.mem.totalRanks(), cfg_.mem.numChannels);
     });
 
     if (epochs_)
@@ -401,7 +402,8 @@ System::transfer(SnapshotIO &snap)
         switch (tag.kind) {
           case EvCoreIssueMiss:
             if (tag.owner >= cores_.size())
-                fatal("resume: core event owner %u out of range",
+                fatal("resume: core event owner %u out of range "
+                      "(snapshot section sim)",
                       tag.owner);
             cb = cores_[tag.owner]->rebuildEvent(tag.kind);
             break;
@@ -422,22 +424,24 @@ System::transfer(SnapshotIO &snap)
           case EvEpochEndEpoch:
             if (!epochs_)
                 fatal("resume: snapshot carries an epoch event "
-                      "but the policy is static");
+                      "but the policy is static (snapshot section sim)");
             cb = epochs_->rebuildEvent(tag.kind);
             break;
           case EvServeArrival:
           case EvServeIssue:
             if (!fe_)
-                fatal("resume: snapshot carries a serving event "
-                      "but the run is closed-loop");
+                fatal("resume: snapshot carries a serving event but "
+                      "the run is closed-loop (snapshot section sim)");
             cb = fe_->rebuildEvent(tag.kind, tag.owner);
             break;
           default:
-            fatal("resume: unknown event kind %u (%s)", tag.kind,
-                  eventKindName(tag.kind));
+            fatal("resume: unknown event kind %u (%s) (snapshot "
+                  "section sim)",
+                  tag.kind, eventKindName(tag.kind));
         }
         eq_.schedule(pe.when, std::move(cb), pe.cls, tag);
     }
+    mc_->checkPendingEvents(pend);
 }
 
 void

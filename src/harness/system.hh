@@ -92,8 +92,8 @@ struct SystemConfig
     /**
      * Attach the online DDR3 protocol checker (check/protocol_checker)
      * to every channel.  Violations are counted in RunResult; with
-     * strictCheck (or MEMSCALE_STRICT=1 / -DMEMSCALE_STRICT=ON) the
-     * first violation aborts the run.
+     * strictCheck (or MEMSCALE_STRICT=1 in the environment) the first
+     * violation aborts the run.
      */
     bool protocolCheck = false;
     bool strictCheck = false;

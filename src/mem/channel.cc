@@ -74,7 +74,6 @@ Channel::emitCke(DramCmd cmd, Tick at, Tick done_at,
     ev.at = at;
     ev.doneAt = done_at;
     ev.rank = rank;
-    ev.selfRefresh = selfRefreshing(state);
     ev.pdState = static_cast<std::uint8_t>(state);
     emit(ev);
 }
@@ -760,11 +759,57 @@ Channel::rebuildEvent(std::uint32_t kind, std::uint64_t a,
 }
 
 void
-Channel::transfer(SectionIO &io)
+Channel::checkPendingEvents(const std::vector<PendingEvent> &pend)
+{
+    std::vector<std::uint32_t> bursts(banks_.size(), 0);
+    std::vector<std::uint32_t> closes(ranks_.size(), 0);
+    for (const PendingEvent &pe : pend) {
+        if (pe.tag.owner != id_)
+            continue;
+        if (pe.tag.kind == EvChanBurstDone) {
+            // The completion pops its bank queue's head.
+            const MemRequest *req = pool_.at(pe.tag.a);
+            if (req->loc.rank >= ranks_.size() ||
+                req->loc.bank >= cfg_.banksPerRank ||
+                bankCtl(req->loc.rank, req->loc.bank).q.front() != req)
+                fatal("resume: channel %u burst for request slot %llu, "
+                      "which heads none of its bank queues (snapshot "
+                      "sections mc, sim)",
+                      id_, static_cast<unsigned long long>(pe.tag.a));
+            ++bursts[req->loc.rank * cfg_.banksPerRank + req->loc.bank];
+        } else if (pe.tag.kind == EvChanPreDone && pe.tag.b != 0) {
+            ++closes[pe.tag.a];
+        }
+    }
+    for (std::size_t i = 0; i < banks_.size(); ++i) {
+        if (bursts[i] != (banks_[i].bank.inService() ? 1u : 0u))
+            fatal("resume: channel %u bank %zu awaits %u bursts but is "
+                  "%sin service (snapshot sections mc, sim)",
+                  id_, i, bursts[i],
+                  banks_[i].bank.inService() ? "" : "not ");
+    }
+    for (std::uint32_t r = 0; r < ranks_.size(); ++r) {
+        std::uint32_t open = 0;
+        for (std::uint32_t b = 0; b < cfg_.banksPerRank; ++b)
+            open += bankCtl(r, b).bank.rowState() == Bank::RowState::Open;
+        if (ranks_[r].openBanksAfterPending() != open + closes[r])
+            fatal("resume: channel %u rank %u accounts for %u open "
+                  "banks, but %u are open and %u pending precharges "
+                  "close more (snapshot sections mc, sim)",
+                  id_, r, ranks_[r].openBanksAfterPending(), open,
+                  closes[r]);
+    }
+}
+
+void
+Channel::transfer(SectionIO &io, const TimingParams &tp,
+                  std::vector<bool> &taken)
 {
     // Queues travel as request-pool slab indices, head first; a
-    // restored index must name a slot of the restored pool.
-    auto queue = [&](ReqQueue &q) {
+    // restored index must name an in-flight request of this channel
+    // that no other queue holds, and a bank queue's requests must
+    // target that bank.
+    auto queue = [&](ReqQueue &q, const BankCtl *bank) {
         std::vector<std::size_t> idx;
         for (const MemRequest *rq = q.head(); rq != nullptr;
              rq = rq->next)
@@ -779,12 +824,23 @@ Channel::transfer(SectionIO &io)
                 io.fail("queued request %zu out of the pool's %zu "
                         "slots",
                         i, pool_.capacity());
-            q.push_back(pool_.at(i));
+            MemRequest *rq = pool_.at(i);
+            const DecodedAddr &loc = rq->loc;
+            if (taken[i] || loc.channel != id_ ||
+                loc.rank >= ranks_.size() ||
+                loc.bank >= cfg_.banksPerRank ||
+                (bank && bank != &bankCtl(loc.rank, loc.bank)))
+                io.fail("queued request %zu is free, queued twice or "
+                        "in another bank's queue",
+                        i);
+            taken[i] = true;
+            q.push_back(rq);
         }
     };
 
     counters_.transfer(io);
-    tp_.transfer(io);
+    if (io.loading())
+        tp_ = tp;
     std::uint64_t nranks = ranks_.size();
     io.expect("channel ranks", nranks);
     for (Rank &rk : ranks_)
@@ -793,11 +849,11 @@ Channel::transfer(SectionIO &io)
     io.expect("channel banks", nbanks);
     for (BankCtl &bc : banks_) {
         bc.bank.transfer(io);
-        queue(bc.q);
+        queue(bc.q, &bc);
     }
     for (Tick &t : pdExitReadyAt_)
         io(t);
-    queue(writeQueue_);
+    queue(writeQueue_, nullptr);
     io(drainMode_);
     io(busFreeAt_);
     io(suspendedUntil_);
@@ -814,6 +870,32 @@ Channel::transfer(SectionIO &io)
         io(s);
     for (std::uint8_t &p : relockParked_)
         io(p);
+    if (!io.loading())
+        return;
+
+    // A rank's pending opens are its banks' latest ACTs, at most one
+    // per bank.  Any other tick would replay the open after the bank's
+    // own later close and leave the rank closing banks it never opened.
+    // Its accounting must not run ahead of the restored clock.
+    for (std::uint32_t r = 0; r < ranks_.size(); ++r) {
+        if (ranks_[r].lastUpdate() > eq_.now())
+            fatal("channel %u rank %u accounted up to tick %llu, past "
+                  "the snapshot's tick %llu (snapshot sections mc, sim)",
+                  id_, r,
+                  static_cast<unsigned long long>(ranks_[r].lastUpdate()),
+                  static_cast<unsigned long long>(eq_.now()));
+        std::vector<Tick> acts;
+        for (std::uint32_t b = 0; b < cfg_.banksPerRank; ++b)
+            acts.push_back(bankCtl(r, b).bank.lastActAt());
+        for (Tick at : ranks_[r].pendingOpens()) {
+            auto it = std::find(acts.begin(), acts.end(), at);
+            if (it == acts.end())
+                io.fail("rank %u has a deferred open at tick %llu that "
+                        "is no bank's last ACT",
+                        r, static_cast<unsigned long long>(at));
+            acts.erase(it);
+        }
+    }
 }
 
 void

@@ -142,13 +142,29 @@ class Channel
 
     /** @name Checkpoint/restore */
     /// @{
-    /** Scheduler, bank/rank, and queue state (queues as request-pool
-     * slab indices); restores into a freshly constructed channel. */
-    void transfer(SectionIO &io);
+    /**
+     * Scheduler, bank/rank, and queue state (queues as request-pool
+     * slab indices); restores into a freshly constructed channel.
+     * The timing is not stored: a restore adopts `tp`, the one of the
+     * controller's frequency point for this channel.  `taken` marks
+     * the pool slots a restored queue may not hold (the free ones,
+     * then each one already queued).  Save ignores both.
+     */
+    void transfer(SectionIO &io, const TimingParams &tp,
+                  std::vector<bool> &taken);
 
     /** Reconstruct the closure of a tagged pending event (restore). */
     EventCallback rebuildEvent(std::uint32_t kind, std::uint64_t a,
                                std::uint64_t b);
+
+    /**
+     * Once every pending event is rebuilt: fatal unless this channel's
+     * events (section "sim") agree with its restored state ("mc").
+     * Each bank in service awaits exactly one burst, for its queue's
+     * head, and each rank's accounting leaves exactly the open banks
+     * the pending precharges will close.
+     */
+    void checkPendingEvents(const std::vector<PendingEvent> &pend);
     /// @}
 
   private:

@@ -15,6 +15,8 @@
 namespace memscale
 {
 
+class SectionIO;
+
 /** Idle rank powerdown management mode. */
 enum class PowerdownMode : std::uint8_t
 {
@@ -105,19 +107,8 @@ struct IdleLadderConfig
     /// Direct-mapped access-counter sets per channel (power of two).
     std::uint32_t counterSets = 256;
 
-    bool
-    operator==(const IdleLadderConfig &o) const
-    {
-        return demoteSlowPd == o.demoteSlowPd &&
-               demoteSelfRefresh == o.demoteSelfRefresh &&
-               demoteSrSlow == o.demoteSrSlow &&
-               demoteDeepPd == o.demoteDeepPd && migrate == o.migrate &&
-               migrateInterval == o.migrateInterval &&
-               hotRanks == o.hotRanks && hotThreshold == o.hotThreshold &&
-               maxSwapsPerInterval == o.maxSwapsPerInterval &&
-               migrationLines == o.migrationLines &&
-               counterSets == o.counterSets;
-    }
+    /** Snapshot fingerprint: every field, as `mem.ladder.<field>`. */
+    void fingerprint(SectionIO &io);
 };
 
 struct MemConfig
@@ -149,6 +140,13 @@ struct MemConfig
 
     /** Idle-state ladder + consolidation knobs (Ladder mode only). */
     IdleLadderConfig ladder;
+
+    /**
+     * Snapshot fingerprint: every field, as `mem.<field>`, the ladder
+     * included.  A snapshot resumes only under the organisation it was
+     * cut from.
+     */
+    void fingerprint(SectionIO &io);
 
     std::uint32_t
     ranksPerChannel() const

@@ -223,8 +223,8 @@ EventCallback
 MemoryController::rebuildMigrationEvent()
 {
     if (!migrator_)
-        fatal("MemoryController: snapshot has a migration event but "
-              "consolidation is disabled");
+        fatal("resume: snapshot has a migration event but "
+              "consolidation is disabled (snapshot section sim)");
     return [this] { evMigrate(); };
 }
 
@@ -388,8 +388,8 @@ MemoryController::transfer(SectionIO &io,
     io(freqTransitions_);
     io(relockStall_);
     io(decoupledMHz_);
-    for (auto &ch : channels_)
-        ch->transfer(io);
+    for (std::uint32_t c = 0; c < channels_.size(); ++c)
+        channels_[c]->transfer(io, TimingParams::at(chanFreq_[c]), is_free);
     // Config-gated: snapshot meta pins the ladder config, so writer
     // and reader agree on whether this trailer exists.
     if (migrator_) {
@@ -404,9 +404,17 @@ MemoryController::rebuildChannelEvent(std::uint32_t owner,
                                       std::uint64_t a, std::uint64_t b)
 {
     if (owner >= channels_.size())
-        fatal("MemoryController: event owner %u out of %zu channels",
+        fatal("resume: event owner %u out of %zu channels (snapshot "
+              "section sim)",
               owner, channels_.size());
     return channels_[owner]->rebuildEvent(kind, a, b);
+}
+
+void
+MemoryController::checkPendingEvents(const std::vector<PendingEvent> &pend)
+{
+    for (auto &ch : channels_)
+        ch->checkPendingEvents(pend);
 }
 
 std::size_t

@@ -191,6 +191,9 @@ class MemoryController
                                       std::uint32_t kind,
                                       std::uint64_t a,
                                       std::uint64_t b);
+
+    /** Channel::checkPendingEvents() for every channel. */
+    void checkPendingEvents(const std::vector<PendingEvent> &pend);
     /// @}
 
   private:

@@ -156,6 +156,13 @@ EpochController::transfer(SectionIO &io)
         io(rec.coreCpi);
         io(rec.channelUtil);
     });
+    // The next profile is taken as a difference against epochStart_.
+    if (io.loading() && epochStart_.cores.size() != cores_.size())
+        io.fail("epoch start samples %zu cores of %zu",
+                epochStart_.cores.size(), cores_.size());
+    if (io.loading() && epochStart_.freq >= numFreqPoints)
+        io.fail("epoch start frequency index %u out of range",
+                epochStart_.freq);
 }
 
 EventCallback

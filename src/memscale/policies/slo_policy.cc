@@ -125,6 +125,9 @@ SloPolicy::transfer(SectionIO &io)
     io(decision_.predictedMemJ);
     io(decision_.predictedSysJ);
     io(decision_.ser);
+    if (io.loading() && decision_.chosen >= numFreqPoints)
+        io.fail("chosen frequency index %u out of range",
+                decision_.chosen);
 }
 
 } // namespace memscale

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "snapshot/serializer.hh"
+
 namespace memscale
 {
 
@@ -62,6 +64,40 @@ PowerParams::cpuCorePower(double ghz, double utilization) const
                  utilization;
     double stat = cpuStaticFrac * cpuCorePeakW * v;
     return dyn + stat;
+}
+
+void
+PowerParams::fingerprint(SectionIO &io)
+{
+    io.expect("power.vdd", vdd);
+    io.expect("power.iReadWrite", iReadWrite);
+    io.expect("power.iActPre", iActPre);
+    io.expect("power.iActStandby", iActStandby);
+    io.expect("power.iActPowerdown", iActPowerdown);
+    io.expect("power.iPreStandby", iPreStandby);
+    io.expect("power.iPrePdFast", iPrePdFast);
+    io.expect("power.iPrePdSlow", iPrePdSlow);
+    io.expect("power.iSelfRefresh", iSelfRefresh);
+    io.expect("power.iSrSlowClock", iSrSlowClock);
+    io.expect("power.iDeepPowerdown", iDeepPowerdown);
+    io.expect("power.iRefresh", iRefresh);
+    io.expect("power.termOtherRankW", termOtherRankW);
+    io.expect("power.termSelfWriteW", termSelfWriteW);
+    io.expect("power.pllW", pllW);
+    io.expect("power.regPeakW", regPeakW);
+    io.expect("power.mcPeakW", mcPeakW);
+    io.expect("power.mcVMin", mcVMin);
+    io.expect("power.mcVMax", mcVMax);
+    io.expect("power.proportionality", proportionality);
+    io.expect("power.cpuCorePeakW", cpuCorePeakW);
+    io.expect("power.cpuStaticFrac", cpuStaticFrac);
+    io.expect("power.cpuVMin", cpuVMin);
+    io.expect("power.cpuVMax", cpuVMax);
+    io.expect("power.cpuNominalGHz", cpuNominalGHz);
+    io.expect("power.cpuMinGHz", cpuMinGHz);
+    io.expect("power.chipsPerRank", chipsPerRank);
+    io.expect("power.nominalBusMHz", nominalBusMHz);
+    io.expect("power.minBusMHz", minBusMHz);
 }
 
 } // namespace memscale

@@ -25,6 +25,8 @@
 namespace memscale
 {
 
+class SectionIO;
+
 struct PowerParams
 {
     /// @name DDR3 device currents in amperes, per chip, at 800 MHz
@@ -137,6 +139,12 @@ struct PowerParams
 
     /** PLL power per DIMM at the given frequency. */
     Watts pllPower(std::uint32_t bus_mhz) const;
+
+    /**
+     * Snapshot fingerprint: every field, as `power.<field>`.  Energy is
+     * integrated across a cut, so both halves must price it alike.
+     */
+    void fingerprint(SectionIO &io);
 };
 
 } // namespace memscale

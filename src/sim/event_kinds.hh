@@ -23,14 +23,10 @@ enum EventKind : std::uint32_t
 {
     EvNone = 0,            ///< untagged (not checkpointable)
     EvCoreIssueMiss = 1,   ///< Core compute-chunk end -> issue miss
-    /**
-     * Retired: the row-miss precharge and the ACT are now recorded in
-     * the rank's deferred-transition buffer (dram/rank.hh), not
-     * scheduled.  Both numbers stay reserved; a snapshot carrying
-     * either is rejected on resume as an unknown kind.
-     */
-    EvChanBankClosed = 2,  ///< retired: row-miss precharge done
-    EvChanActOpen = 3,     ///< retired: ACT latched, row open
+    // 2 and 3 are unassigned: they named events that rank open/close
+    // accounting (dram/rank.hh) no longer schedules.  Numbering stays
+    // append-only, so a snapshot carrying either is rejected on
+    // resume as an unknown kind.
     EvChanBurstDone = 4,   ///< data burst completes a request
     /**
      * Trailing precharge done, scheduled only under a powerdown mode.
@@ -49,9 +45,10 @@ enum EventKind : std::uint32_t
     EvChanPdDemote = 14,    ///< idle-ladder demotion timer fires
     EvMemMigrate = 15,      ///< periodic hot-page consolidation pass
     /**
-     * Meta-events of the checkpoint machinery itself (the periodic
-     * snapshot writer).  Never exported: a resumed run re-creates its
-     * own from the command line, so they must not round-trip.
+     * Stop events of the harness itself: advance()'s stop at the cut
+     * tick and a serving run's stop at its horizon.  Never exported:
+     * a resumed System re-arms its own from the config, so they must
+     * not round-trip.
      */
     EvEphemeral = 0xffffffffu,
 };
@@ -63,8 +60,6 @@ eventKindName(std::uint32_t kind)
     switch (kind) {
       case EvNone: return "none";
       case EvCoreIssueMiss: return "core.issueMiss";
-      case EvChanBankClosed: return "chan.bankClosed";
-      case EvChanActOpen: return "chan.actOpen";
       case EvChanBurstDone: return "chan.burstDone";
       case EvChanPreDone: return "chan.preDone";
       case EvChanRelockEnter: return "chan.relockEnter";

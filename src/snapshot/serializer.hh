@@ -44,7 +44,7 @@ namespace memscale
 
 /** "MSCLSNAP" in little-endian byte order. */
 inline constexpr std::uint64_t snapshotMagic = 0x50414e534c43534dull;
-inline constexpr std::uint32_t snapshotVersion = 2;
+inline constexpr std::uint32_t snapshotVersion = 3;
 
 /** CRC-32 (IEEE 802.3 polynomial, reflected). */
 std::uint32_t crc32(const void *data, std::size_t n);
@@ -182,8 +182,9 @@ class SectionReader
  * values, validation) goes in one `if (io.loading())` block after the
  * list.  The helpers keep a damaged file from restoring silently:
  *
- *  - expect() carries a config-fingerprint field; a restored value
- *    that differs from the run's is fatal and names the field;
+ *  - expect() carries a config-fingerprint field, expectList() a
+ *    fingerprinted list; a restored value that differs from the
+ *    run's is fatal and names the field;
  *  - list() refuses a count larger than the bytes left before
  *    anything is allocated (every element takes at least one byte);
  *  - enumByte() refuses a byte past the enum's last value;
@@ -343,21 +344,46 @@ class SectionIO
      * A config-fingerprint field.  Save writes `v`; restore reads the
      * stored value and, when verifying, is fatal naming `what` unless
      * it equals `v` — otherwise it adopts the stored value into `v`.
+     * An enum travels as its underlying integer.
      */
     template <typename T>
     void
     expect(const char *what, T &v)
     {
-        if (!r_) {
+        if constexpr (std::is_enum_v<T>) {
+            auto raw = static_cast<std::underlying_type_t<T>>(v);
+            expect(what, raw);
+            v = static_cast<T>(raw);
+        } else if (!r_) {
             (*this)(v);
-            return;
+        } else {
+            T got{};
+            (*this)(got);
+            if (!verify_)
+                v = std::move(got);
+            else if (!(got == v))
+                mismatch(what, show(got), show(v));
         }
-        T got{};
-        (*this)(got);
-        if (!verify_)
-            v = std::move(got);
-        else if (!(got == v))
-            mismatch(what, show(got), show(v));
+    }
+
+    /**
+     * A fingerprinted list: its length through expect(), then
+     * `each(x)` per element, which expect()s the element's fields.
+     * Adopting a length resizes `v`, once it is known to fit in the
+     * bytes left.
+     */
+    template <typename V, typename F>
+    void
+    expectList(const char *what, V &v, F &&each)
+    {
+        auto n = static_cast<std::uint32_t>(v.size());
+        expect(what, n);
+        if (r_ && n > r_->remaining())
+            fail("%s count %u exceeds the %zu bytes left", what, n,
+                 r_->remaining());
+        v.resize(n);
+        for (auto &x : v)
+            each(x);
     }
 
     /** Restore-side fatal(): the message names the section. */

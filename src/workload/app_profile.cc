@@ -1,6 +1,7 @@
 #include "workload/app_profile.hh"
 
 #include "common/log.hh"
+#include "snapshot/serializer.hh"
 
 namespace memscale
 {
@@ -52,6 +53,21 @@ double
 AppProfile::averageWpki(std::uint64_t horizon) const
 {
     return averageRate(*this, horizon, true);
+}
+
+void
+AppProfile::fingerprint(SectionIO &io)
+{
+    io.expect("app.name", name);
+    io.expectList("app.phases", phases, [&io](AppPhase &ph) {
+        io.expect("app.phase.mpki", ph.mpki);
+        io.expect("app.phase.wpki", ph.wpki);
+        io.expect("app.phase.baseCpi", ph.baseCpi);
+        io.expect("app.phase.streamFrac", ph.streamFrac);
+        io.expect("app.phase.instructions", ph.instructions);
+    });
+    io.expect("app.footprintBytes", footprintBytes);
+    io.expect("app.loopPhases", loopPhases);
 }
 
 } // namespace memscale

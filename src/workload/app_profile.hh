@@ -21,6 +21,8 @@
 namespace memscale
 {
 
+class SectionIO;
+
 struct AppPhase
 {
     double mpki = 1.0;       ///< LLC read misses per kilo-instruction
@@ -44,6 +46,12 @@ struct AppProfile
     double averageMpki(std::uint64_t horizon) const;
     /** Run-average WPKI over the first `horizon` instructions. */
     double averageWpki(std::uint64_t horizon) const;
+
+    /**
+     * Snapshot fingerprint (SystemConfig::customApps): every field, the
+     * phase schedule included, as `app.<field>`.
+     */
+    void fingerprint(SectionIO &io);
 };
 
 } // namespace memscale

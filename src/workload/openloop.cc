@@ -170,4 +170,17 @@ ArrivalGenerator::transfer(SectionIO &io)
     io(stateEnd_);
 }
 
+void
+ArrivalConfig::fingerprint(SectionIO &io)
+{
+    io.expect("serving.arrival.kind", kind);
+    io.expect("serving.arrival.ratePerSec", ratePerSec);
+    io.expect("serving.arrival.seed", seed);
+    io.expect("serving.arrival.burstFactor", burstFactor);
+    io.expect("serving.arrival.burstFraction", burstFraction);
+    io.expect("serving.arrival.meanBurstLen", meanBurstLen);
+    io.expect("serving.arrival.diurnalPeriod", diurnalPeriod);
+    io.expect("serving.arrival.diurnalDepth", diurnalDepth);
+}
+
 } // namespace memscale

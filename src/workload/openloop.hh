@@ -78,6 +78,9 @@ struct ArrivalConfig
     /** Peak-to-mean rate swing, in [0, 1). */
     double diurnalDepth = 0.75;
     /// @}
+
+    /** Snapshot fingerprint: every field, as `serving.arrival.<field>`. */
+    void fingerprint(SectionIO &io);
 };
 
 class ArrivalGenerator

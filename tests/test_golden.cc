@@ -313,12 +313,12 @@ struct SnapshotGolden
 
 // Regenerate: MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_golden
 const SnapshotGolden kSnapshotGoldens[] = {
-    {"MID3/memscale", 0xb75984a1d2008bf7ull},
-    {"MID1/memscale-ladder", 0xda3bd359ce2bce53ull},
-    {"OPENLOOP/slo", 0xca5e2a334e1d9618ull},
-    {"fleet", 0x6d083fe6935932acull},
-    {"fleet.server0", 0x54b49be1d58f2266ull},
-    {"fleet.server1", 0x0395500d7d430a06ull},
+    {"MID3/memscale", 0x054502fc74d4c901ull},
+    {"MID1/memscale-ladder", 0x6d5e3cc1c913c50dull},
+    {"OPENLOOP/slo", 0x49be173d2a9f980cull},
+    {"fleet", 0x94703400a2a663c1ull},
+    {"fleet.server0", 0xb0eb7c505ced8e9aull},
+    {"fleet.server1", 0x12fa8ead3c06f696ull},
 };
 
 } // namespace

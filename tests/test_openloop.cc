@@ -433,10 +433,10 @@ TEST(DemandMix, DeterministicPerSeedAndNamedRoundTrip)
                 << demandMixName(mix) << " diverged at " << i;
         EXPECT_EQ(parseDemandMix(demandMixName(mix)), mix);
     }
-    // fixedDemand predates the enum and overrides it.
-    ServingOptions legacy = demandOpts(DemandMix::LogNormal);
-    legacy.fixedDemand = true;
+    // Fixed ignores the other shapes' knobs.
+    ServingOptions fixed = demandOpts(DemandMix::LogNormal);
+    fixed.demandMix = DemandMix::Fixed;
     Rng rng(5);
     for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(drawServingDemand(legacy, rng), 8u);
+        EXPECT_EQ(drawServingDemand(fixed, rng), 8u);
 }

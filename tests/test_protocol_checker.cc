@@ -217,6 +217,7 @@ TEST(ProtocolChecker, DetectsCommandWhilePoweredDown)
     DramCmdEvent pde;
     pde.cmd = DramCmd::PowerdownEnter;
     pde.at = pde.doneAt = 50000;
+    pde.pdState = static_cast<std::uint8_t>(RankIdleState::FastPd);
     pc.onCommand(pde);
     pc.onCommand(act(60000));
     EXPECT_EQ(pc.violations(), 1u);
@@ -229,6 +230,7 @@ TEST(ProtocolChecker, DetectsCommandBeforePowerdownExitLatency)
     DramCmdEvent pde;
     pde.cmd = DramCmd::PowerdownEnter;
     pde.at = pde.doneAt = 50000;
+    pde.pdState = static_cast<std::uint8_t>(RankIdleState::FastPd);
     pc.onCommand(pde);
     DramCmdEvent pdx;
     pdx.cmd = DramCmd::PowerdownExit;
@@ -238,6 +240,18 @@ TEST(ProtocolChecker, DetectsCommandBeforePowerdownExitLatency)
     pc.onCommand(act(60000 + tp0.tXP - 1));
     EXPECT_EQ(pc.violations(), 1u);
     EXPECT_EQ(firstRule(pc), "powerdown-exit");
+}
+
+TEST(ProtocolChecker, TimingChangeOutOfOrderIsAViolation)
+{
+    // A channel announces timing changes in effective-tick order; one
+    // that goes back in time (a resume from a damaged checker section
+    // can produce it) is recorded instead of aborting the run.
+    ProtocolChecker pc = fresh();
+    pc.onTimingChange(0, 500000, TimingParams::at(numFreqPoints - 1));
+    pc.onTimingChange(0, 400000, tp0);
+    EXPECT_EQ(pc.violations(), 1u);
+    EXPECT_EQ(firstRule(pc), "timing-order");
 }
 
 TEST(ProtocolChecker, DetectsCommandInsideRelockWindow)
@@ -439,7 +453,6 @@ pde(Tick at, RankIdleState state)
     ev.cmd = DramCmd::PowerdownEnter;
     ev.at = ev.doneAt = at;
     ev.pdState = static_cast<std::uint8_t>(state);
-    ev.selfRefresh = selfRefreshing(state);
     return ev;
 }
 

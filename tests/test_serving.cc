@@ -151,7 +151,7 @@ TEST(Serving, BoundedQueueDropsAndConserves)
 TEST(Serving, FixedDemandStillConserves)
 {
     SystemConfig cfg = serveConfig();
-    cfg.serving.fixedDemand = true;
+    cfg.serving.demandMix = DemandMix::Fixed;
     Watts rest = 0.0;
     RunResult r = runBaseline(cfg, rest);
     expectConservation(r.serving);

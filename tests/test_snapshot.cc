@@ -579,7 +579,7 @@ TEST(ResumeEquivalence, ServingBurstyChainOfCuts)
 
 TEST(ResumeEquivalence, ServingResumeRejectsMismatchedArrival)
 {
-    // The serving section carries its own config fingerprint: a
+    // The serving options are part of the meta fingerprint: a
     // snapshot resumed under a different traffic scenario must be
     // refused loudly, not replayed into a silently-wrong tail.
     const std::string path = scratch("serving_mismatch.snap");
@@ -595,17 +595,23 @@ TEST(ResumeEquivalence, ServingResumeRejectsMismatchedArrival)
 
     SystemConfig other = servingConfig(ArrivalKind::Poisson);
     std::string msg = resume(other);
-    EXPECT_NE(msg.find("serving resume"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("snapshot serving.arrival.kind "),
+              std::string::npos)
+        << msg;
 
     other = servingConfig(ArrivalKind::Bursty);
     other.serving.arrival.ratePerSec = 1.0e6;
     msg = resume(other);
-    EXPECT_NE(msg.find("serving resume"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("snapshot serving.arrival.ratePerSec "),
+              std::string::npos)
+        << msg;
 
     other = servingConfig(ArrivalKind::Bursty);
     other.serving.missesPerRequest = 4.0;
     msg = resume(other);
-    EXPECT_NE(msg.find("serving resume"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("snapshot serving.missesPerRequest "),
+              std::string::npos)
+        << msg;
 
     std::remove(path.c_str());
 }
@@ -730,38 +736,242 @@ TEST(ResumeEquivalence, SnapshotFilesAreDeterministic)
     EXPECT_EQ(a, b);
 }
 
+namespace
+{
+
+/** One fingerprinted field and a change to it that still builds. */
+struct FieldMismatch
+{
+    const char *field;
+    std::function<void(SystemConfig &, std::string &policy)> mutate;
+};
+
+/**
+ * A row per field of the meta fingerprint, in file order; a new config
+ * field needs a row here.  dynamicPolicy has none: it follows from the
+ * policy, whose row fails first.  The app.* rows edit the one custom
+ * application of the cut they run against.
+ */
+const std::vector<FieldMismatch> &
+fieldMismatches()
+{
+    using C = SystemConfig;
+    using P = std::string;
+    static const std::vector<FieldMismatch> rows = {
+        {"mix", [](C &c, P &) { c.mixName = "MID2"; }},
+        {"policy", [](C &, P &p) { p = "static"; }},
+        {"numCores", [](C &c, P &) { c.numCores = 8; }},
+        {"cpuGHz", [](C &c, P &) { c.cpuGHz = 3.0; }},
+        {"instrBudget", [](C &c, P &) { c.instrBudget = 400'000; }},
+        {"mem.numChannels", [](C &c, P &) { c.mem.numChannels = 2; }},
+        // 4 DIMMs x 1 rank instead of 2 x 2: same ranks per channel.
+        {"mem.dimmsPerChannel",
+         [](C &c, P &) {
+             c.mem.dimmsPerChannel = 4;
+             c.mem.ranksPerDimm = 1;
+         }},
+        {"mem.ranksPerDimm", [](C &c, P &) { c.mem.ranksPerDimm = 1; }},
+        {"mem.banksPerRank", [](C &c, P &) { c.mem.banksPerRank = 16; }},
+        {"mem.lineBytes", [](C &c, P &) { c.mem.lineBytes = 128; }},
+        {"mem.rowBytes", [](C &c, P &) { c.mem.rowBytes = 16384; }},
+        {"mem.bytesPerRank",
+         [](C &c, P &) { c.mem.bytesPerRank = 2ull << 30; }},
+        {"mem.writeQueueDepth",
+         [](C &c, P &) { c.mem.writeQueueDepth = 64; }},
+        {"mem.pagePolicy",
+         [](C &c, P &) { c.mem.pagePolicy = PagePolicy::OpenPage; }},
+        {"mem.scheduler",
+         [](C &c, P &) { c.mem.scheduler = SchedulerPolicy::FrFcfs; }},
+        {"mem.colLowLines", [](C &c, P &) { c.mem.colLowLines = 2; }},
+        {"mem.ladder.demoteSlowPd",
+         [](C &c, P &) { c.mem.ladder.demoteSlowPd *= 2; }},
+        {"mem.ladder.demoteSelfRefresh",
+         [](C &c, P &) { c.mem.ladder.demoteSelfRefresh *= 2; }},
+        {"mem.ladder.demoteSrSlow",
+         [](C &c, P &) { c.mem.ladder.demoteSrSlow *= 2; }},
+        {"mem.ladder.demoteDeepPd",
+         [](C &c, P &) { c.mem.ladder.demoteDeepPd *= 2; }},
+        {"mem.ladder.migrate",
+         [](C &c, P &) { c.mem.ladder.migrate = true; }},
+        {"mem.ladder.migrateInterval",
+         [](C &c, P &) { c.mem.ladder.migrateInterval *= 2; }},
+        {"mem.ladder.hotRanks",
+         [](C &c, P &) { c.mem.ladder.hotRanks = 2; }},
+        {"mem.ladder.hotThreshold",
+         [](C &c, P &) { c.mem.ladder.hotThreshold = 16; }},
+        {"mem.ladder.maxSwapsPerInterval",
+         [](C &c, P &) { c.mem.ladder.maxSwapsPerInterval = 8; }},
+        {"mem.ladder.migrationLines",
+         [](C &c, P &) { c.mem.ladder.migrationLines = 16; }},
+        {"mem.ladder.counterSets",
+         [](C &c, P &) { c.mem.ladder.counterSets = 512; }},
+        {"power.vdd", [](C &c, P &) { c.power.vdd = 1.5; }},
+        {"power.iReadWrite", [](C &c, P &) { c.power.iReadWrite *= 2; }},
+        {"power.iActPre", [](C &c, P &) { c.power.iActPre *= 2; }},
+        {"power.iActStandby", [](C &c, P &) { c.power.iActStandby *= 2; }},
+        {"power.iActPowerdown",
+         [](C &c, P &) { c.power.iActPowerdown *= 2; }},
+        {"power.iPreStandby", [](C &c, P &) { c.power.iPreStandby *= 2; }},
+        {"power.iPrePdFast", [](C &c, P &) { c.power.iPrePdFast *= 2; }},
+        {"power.iPrePdSlow", [](C &c, P &) { c.power.iPrePdSlow *= 2; }},
+        {"power.iSelfRefresh",
+         [](C &c, P &) { c.power.iSelfRefresh *= 2; }},
+        {"power.iSrSlowClock",
+         [](C &c, P &) { c.power.iSrSlowClock *= 2; }},
+        {"power.iDeepPowerdown",
+         [](C &c, P &) { c.power.iDeepPowerdown *= 2; }},
+        {"power.iRefresh", [](C &c, P &) { c.power.iRefresh *= 2; }},
+        {"power.termOtherRankW",
+         [](C &c, P &) { c.power.termOtherRankW *= 2; }},
+        {"power.termSelfWriteW",
+         [](C &c, P &) { c.power.termSelfWriteW *= 2; }},
+        {"power.pllW", [](C &c, P &) { c.power.pllW *= 2; }},
+        {"power.regPeakW", [](C &c, P &) { c.power.regPeakW *= 2; }},
+        {"power.mcPeakW", [](C &c, P &) { c.power.mcPeakW *= 2; }},
+        {"power.mcVMin", [](C &c, P &) { c.power.mcVMin = 0.7; }},
+        {"power.mcVMax", [](C &c, P &) { c.power.mcVMax = 1.1; }},
+        {"power.proportionality",
+         [](C &c, P &) { c.power.proportionality = 0.9; }},
+        {"power.cpuCorePeakW",
+         [](C &c, P &) { c.power.cpuCorePeakW *= 2; }},
+        {"power.cpuStaticFrac",
+         [](C &c, P &) { c.power.cpuStaticFrac = 0.4; }},
+        {"power.cpuVMin", [](C &c, P &) { c.power.cpuVMin = 0.7; }},
+        {"power.cpuVMax", [](C &c, P &) { c.power.cpuVMax = 1.1; }},
+        {"power.cpuNominalGHz",
+         [](C &c, P &) { c.power.cpuNominalGHz = 3.5; }},
+        {"power.cpuMinGHz", [](C &c, P &) { c.power.cpuMinGHz = 1.5; }},
+        {"power.chipsPerRank", [](C &c, P &) { c.power.chipsPerRank = 18; }},
+        {"power.nominalBusMHz",
+         [](C &c, P &) { c.power.nominalBusMHz = 667; }},
+        {"power.minBusMHz", [](C &c, P &) { c.power.minBusMHz = 100; }},
+        {"gamma", [](C &c, P &) { c.gamma = 0.05; }},
+        {"epochLen", [](C &c, P &) { c.epochLen = msToTick(0.2); }},
+        {"profileLen", [](C &c, P &) { c.profileLen = usToTick(20.0); }},
+        {"restWatts", [](C &c, P &) { c.restWatts = 100.0; }},
+        {"memPowerFraction", [](C &c, P &) { c.memPowerFraction = 0.5; }},
+        {"seed", [](C &c, P &) { c.seed = 777; }},
+        {"customApps",
+         [](C &c, P &) {
+             c.customApps.push_back(appForCore(mixByName("MID1"), 0));
+         }},
+        {"app.name", [](C &c, P &) { c.customApps[0].name += "x"; }},
+        {"app.phases",
+         [](C &c, P &) {
+             c.customApps[0].phases.push_back(c.customApps[0].phases[0]);
+         }},
+        {"app.phase.mpki",
+         [](C &c, P &) { c.customApps[0].phases[0].mpki *= 2; }},
+        {"app.phase.wpki",
+         [](C &c, P &) { c.customApps[0].phases[0].wpki += 1.0; }},
+        {"app.phase.baseCpi",
+         [](C &c, P &) { c.customApps[0].phases[0].baseCpi *= 2; }},
+        {"app.phase.streamFrac",
+         [](C &c, P &) { c.customApps[0].phases[0].streamFrac = 0.25; }},
+        {"app.phase.instructions",
+         [](C &c, P &) {
+             c.customApps[0].phases[0].instructions += 1000;
+         }},
+        {"app.footprintBytes",
+         [](C &c, P &) { c.customApps[0].footprintBytes *= 2; }},
+        {"app.loopPhases",
+         [](C &c, P &) {
+             c.customApps[0].loopPhases = !c.customApps[0].loopPhases;
+         }},
+        {"modelCpuPower", [](C &c, P &) { c.modelCpuPower = true; }},
+        {"maxSimTime", [](C &c, P &) { c.maxSimTime = msToTick(1000.0); }},
+        {"protocolCheck", [](C &c, P &) { c.protocolCheck = true; }},
+        {"observe", [](C &c, P &) { c.observe = true; }},
+        {"serving.enabled", [](C &c, P &) { c.serving.enabled = true; }},
+        {"serving.arrival.kind",
+         [](C &c, P &) { c.serving.arrival.kind = ArrivalKind::Bursty; }},
+        {"serving.arrival.ratePerSec",
+         [](C &c, P &) { c.serving.arrival.ratePerSec = 2.0e6; }},
+        {"serving.arrival.seed",
+         [](C &c, P &) { c.serving.arrival.seed = 2; }},
+        {"serving.arrival.burstFactor",
+         [](C &c, P &) { c.serving.arrival.burstFactor = 4.0; }},
+        {"serving.arrival.burstFraction",
+         [](C &c, P &) { c.serving.arrival.burstFraction = 0.2; }},
+        {"serving.arrival.meanBurstLen",
+         [](C &c, P &) { c.serving.arrival.meanBurstLen *= 2; }},
+        {"serving.arrival.diurnalPeriod",
+         [](C &c, P &) { c.serving.arrival.diurnalPeriod *= 2; }},
+        {"serving.arrival.diurnalDepth",
+         [](C &c, P &) { c.serving.arrival.diurnalDepth = 0.5; }},
+        {"serving.missesPerRequest",
+         [](C &c, P &) { c.serving.missesPerRequest = 4.0; }},
+        {"serving.demandMix",
+         [](C &c, P &) { c.serving.demandMix = DemandMix::LogNormal; }},
+        {"serving.demandSigma",
+         [](C &c, P &) { c.serving.demandSigma = 0.5; }},
+        {"serving.heavyFraction",
+         [](C &c, P &) { c.serving.heavyFraction = 0.1; }},
+        {"serving.heavyMultiplier",
+         [](C &c, P &) { c.serving.heavyMultiplier = 4.0; }},
+        {"serving.instrPerMiss",
+         [](C &c, P &) { c.serving.instrPerMiss = 100; }},
+        {"serving.computeCpi",
+         [](C &c, P &) { c.serving.computeCpi = 2.0; }},
+        {"serving.horizon",
+         [](C &c, P &) { c.serving.horizon = msToTick(4.0); }},
+        {"serving.maxQueue", [](C &c, P &) { c.serving.maxQueue = 8; }},
+        {"serving.sloP99Us", [](C &c, P &) { c.serving.sloP99Us = 3.0; }},
+        {"serving.histMaxUs",
+         [](C &c, P &) { c.serving.histMaxUs = 1000.0; }},
+        {"serving.histBuckets",
+         [](C &c, P &) { c.serving.histBuckets = 2000; }},
+    };
+    return rows;
+}
+
+} // namespace
+
 TEST(ResumeEquivalence, ResumeRejectsMismatchedConfig)
 {
     // A snapshot resumed under a different scenario is a silent-wrong
-    // result factory; the meta fingerprint must catch it loudly.
-    const std::string path = scratch("mismatch.snap");
-    SystemConfig cfg = snapConfig("MID3");
-    ASSERT_TRUE(cutRun(cfg, "memscale", msToTick(0.1), path));
+    // result factory; the meta fingerprint must catch every field
+    // loudly and name it.  The app.* rows resume a second cut, whose
+    // cores run one custom application.
+    const SystemConfig plain = snapConfig("MID1");
+    SystemConfig custom = plain;
+    custom.customApps = {appForCore(mixByName("MID1"), 0)};
+    const std::string plain_path = scratch("mismatch.snap");
+    const std::string custom_path = scratch("mismatch_app.snap");
+    ASSERT_TRUE(cutRun(plain, "memscale", msToTick(0.1), plain_path));
+    ASSERT_TRUE(cutRun(custom, "memscale", msToTick(0.1), custom_path));
 
-    auto resume = [&](SystemConfig rcfg, const std::string &policy) {
-        rcfg.resumePath = path;
-        return fatalMessage(
-            [&] { runPolicy(rcfg, policy, kRestWatts); });
+    // The FatalError message of resuming `cfg` from `path`, or "".
+    auto resume = [](SystemConfig cfg, const std::string &policy,
+                     const std::string &path) {
+        cfg.resumePath = path;
+        return fatalMessage([&] {
+            auto p = makePolicy(policy);
+            System(cfg, *p).run();
+        });
     };
+    SystemConfig same = plain;
+    same.restWatts = kRestWatts;
+    EXPECT_EQ(resume(same, "memscale", plain_path), "");
+    same = custom;
+    same.restWatts = kRestWatts;
+    EXPECT_EQ(resume(same, "memscale", custom_path), "");
 
-    EXPECT_EQ(resume(snapConfig("MID3"), "memscale"), "");
-
-    std::string msg = resume(snapConfig("MID2"), "memscale");
-    EXPECT_NE(msg.find("mix"), std::string::npos) << msg;
-
-    msg = resume(snapConfig("MID3"), "static");
-    EXPECT_NE(msg.find("policy"), std::string::npos) << msg;
-
-    SystemConfig fewer = snapConfig("MID3");
-    fewer.numCores = 8;
-    msg = resume(fewer, "memscale");
-    EXPECT_NE(msg.find("numCores"), std::string::npos) << msg;
-
-    SystemConfig reseeded = snapConfig("MID3");
-    reseeded.seed = 777;
-    EXPECT_NE(resume(reseeded, "memscale"), "");
-
-    std::remove(path.c_str());
+    for (const FieldMismatch &row : fieldMismatches()) {
+        const bool app = std::string(row.field).rfind("app.", 0) == 0;
+        SystemConfig cfg = app ? custom : plain;
+        cfg.restWatts = kRestWatts;
+        std::string policy = "memscale";
+        row.mutate(cfg, policy);
+        const std::string msg =
+            resume(cfg, policy, app ? custom_path : plain_path);
+        EXPECT_NE(msg.find(std::string("meta resume: snapshot ") +
+                           row.field + " "),
+                  std::string::npos)
+            << row.field << ": " << msg;
+    }
+    std::remove(plain_path.c_str());
+    std::remove(custom_path.c_str());
 }
 
 TEST(ResumeEquivalence, ResumeRejectsCorruptSnapshot)
@@ -890,26 +1100,31 @@ TEST(SnapshotChurn, DeferredClosePending)
     std::remove(path.c_str());
 }
 
-TEST(SnapshotChurn, VersionOneSnapshotRejected)
+TEST(SnapshotChurn, OlderVersionsRejected)
 {
-    // Version 1 kept rank open/close transitions as pending events and
-    // had no deferred-transition buffer; it must not resume.
-    const std::string path = scratch("v1.snap");
-    cutCheckedRun(snapConfig("MID3"), "memscale", msToTick(0.13),
-                  path);
-    std::FILE *f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    const std::uint32_t v1 = 1;
-    std::fseek(f, 8, SEEK_SET);   // version follows the 8-byte magic
-    std::fwrite(&v1, sizeof(v1), 1, f);
-    std::fclose(f);
+    // Version 1 kept rank open/close transitions as pending events;
+    // version 2 had a hand-picked fingerprint with a retired
+    // kernel-mode byte and a serving-section fingerprint.  Neither
+    // may resume.
+    const std::string path = scratch("old_version.snap");
+    for (const std::uint32_t version : {1u, 2u}) {
+        cutCheckedRun(snapConfig("MID3"), "memscale", msToTick(0.13),
+                      path);
+        std::FILE *f = std::fopen(path.c_str(), "rb+");
+        ASSERT_NE(f, nullptr);
+        std::fseek(f, 8, SEEK_SET);   // version follows the 8-byte magic
+        std::fwrite(&version, sizeof(version), 1, f);
+        std::fclose(f);
 
-    SystemConfig rcfg = snapConfig("MID3");
-    rcfg.resumePath = path;
-    const std::string msg = fatalMessage(
-        [&] { runPolicy(rcfg, "memscale", kRestWatts); });
-    EXPECT_NE(msg.find("unsupported version 1"), std::string::npos)
-        << msg;
+        SystemConfig rcfg = snapConfig("MID3");
+        rcfg.resumePath = path;
+        const std::string msg = fatalMessage(
+            [&] { runPolicy(rcfg, "memscale", kRestWatts); });
+        EXPECT_NE(msg.find("unsupported version " +
+                           std::to_string(version)),
+                  std::string::npos)
+            << msg;
+    }
     std::remove(path.c_str());
 }
 
@@ -1014,51 +1229,6 @@ TEST(SnapshotChurn, MidMigration)
     std::remove(path.c_str());
 }
 
-TEST(ResumeEquivalence, ResumeRejectsMismatchedLadderConfig)
-{
-    // The ladder config shapes every demotion tick and remap
-    // decision; resuming under different thresholds or consolidation
-    // settings would silently diverge, so the meta fingerprint must
-    // refuse each field loudly.
-    const std::string path = scratch("ladder-mismatch.snap");
-    SystemConfig cfg = snapConfig("MID3");
-    cfg.mem.ladder.migrate = true;
-    ASSERT_TRUE(cutRun(cfg, "ladder", msToTick(0.1), path));
-
-    auto resume = [&](SystemConfig rcfg) {
-        rcfg.resumePath = path;
-        return fatalMessage(
-            [&] { runPolicy(rcfg, "ladder", kRestWatts); });
-    };
-
-    SystemConfig same = snapConfig("MID3");
-    same.mem.ladder.migrate = true;
-    EXPECT_EQ(resume(same), "");
-
-    SystemConfig thresholds = same;
-    thresholds.mem.ladder.demoteDeepPd *= 2;
-    std::string msg = resume(thresholds);
-    EXPECT_NE(msg.find("ladder.demoteDeepPd"), std::string::npos)
-        << msg;
-
-    SystemConfig consolidation = snapConfig("MID3");  // migrate off
-    msg = resume(consolidation);
-    EXPECT_NE(msg.find("ladder.migrate"), std::string::npos) << msg;
-
-    SystemConfig hot = same;
-    hot.mem.ladder.hotRanks = 2;
-    msg = resume(hot);
-    EXPECT_NE(msg.find("ladder.hotRanks"), std::string::npos) << msg;
-
-    SystemConfig interval = same;
-    interval.mem.ladder.migrateInterval *= 2;
-    msg = resume(interval);
-    EXPECT_NE(msg.find("ladder.migrateInterval"), std::string::npos)
-        << msg;
-
-    std::remove(path.c_str());
-}
-
 // ---------------------------------------------------------------------
 // RestoreChecks: bytes a restore cannot trust.  A section must be
 // consumed exactly, and every index, count and enum byte read from it
@@ -1076,6 +1246,17 @@ const char *const kSectionNames[] = {
     "epoch",  "recorder", "policy", "checker", "cluster",
 };
 
+/** Section `name` of `in`, as raw payload bytes. */
+std::vector<std::uint8_t>
+sectionBytes(const SnapshotReader &in, const std::string &name)
+{
+    SectionReader r = in.section(name);
+    std::vector<std::uint8_t> bytes;
+    while (r.remaining() > 0)
+        bytes.push_back(r.u8());
+    return bytes;
+}
+
 /**
  * Rewrite snapshot `path` with section `name`'s payload passed through
  * `edit`.  SnapshotWriter recomputes every CRC, so only the edit
@@ -1090,10 +1271,7 @@ rewrap(const std::string &path, const std::string &name,
     for (const char *n : kSectionNames) {
         if (!in.has(n))
             continue;
-        SectionReader r = in.section(n);
-        std::vector<std::uint8_t> bytes;
-        while (r.remaining() > 0)
-            bytes.push_back(r.u8());
+        std::vector<std::uint8_t> bytes = sectionBytes(in, n);
         if (name == n)
             edit(bytes);
         out.section(n).bytes(bytes.data(), bytes.size());
@@ -1120,16 +1298,17 @@ contains(const std::string &msg, const std::string &what)
     return msg.find(what) != std::string::npos;
 }
 
-/** A "sim" section: the clock at `now` and one pending core event. */
+/** A "sim" section: the clock at `now` and one pending event. */
 std::vector<std::uint8_t>
-simSection(Tick now, Tick when, std::uint8_t cls)
+simSection(Tick now, Tick when, std::uint8_t cls,
+           std::uint32_t kind = EvCoreIssueMiss)
 {
     SectionWriter w;
     w.u64(now);
     w.u32(1);
     w.u64(when);
     w.u8(cls);
-    w.u32(EvCoreIssueMiss);
+    w.u32(kind);
     w.u32(0);
     w.u64(0);
     w.u64(0);
@@ -1182,8 +1361,6 @@ writeChannelPrefix(SectionIO &io, const MemConfig &mem)
     io(decoupled);
     McCounters counters;
     counters.transfer(io);
-    TimingParams tp = TimingParams::at(nominalFreqIndex);
-    tp.transfer(io);
     std::uint64_t nranks = mem.ranksPerChannel();
     io(nranks);
     for (std::uint64_t i = 0; i < nranks; ++i) {
@@ -1210,49 +1387,6 @@ TEST(RestoreChecks, LeftoverBytesInMcAreFatal)
     const std::string msg = resumeMessage(cfg, "memscale", path);
     EXPECT_TRUE(contains(msg, "section mc")) << msg;
     EXPECT_TRUE(contains(msg, "1 bytes left unread")) << msg;
-    std::remove(path.c_str());
-}
-
-TEST(RestoreChecks, RetiredFingerprintByteStillGuards)
-{
-    // The fingerprint keeps the byte of the retired kernel-mode field:
-    // it is written as 0, and any other value refuses the resume.
-    const std::string path = scratch("kernel_mode.snap");
-    SystemConfig cfg = snapConfig("MID3");
-    cfg.restWatts = kRestWatts;
-    ASSERT_TRUE(cutRun(cfg, "memscale", msToTick(0.1), path));
-
-    // The byte's offset: the fingerprint fields that precede it.
-    SectionWriter w;
-    SectionIO io(w);
-    std::string policy = "memscale";
-    auto ranks_per_channel = cfg.mem.ranksPerChannel();
-    io.expect("mix", cfg.mixName);
-    io.expect("policy", policy);
-    io.expect("numCores", cfg.numCores);
-    io.expect("cpuGHz", cfg.cpuGHz);
-    io.expect("instrBudget", cfg.instrBudget);
-    io.expect("epochLen", cfg.epochLen);
-    io.expect("profileLen", cfg.profileLen);
-    io.expect("gamma", cfg.gamma);
-    io.expect("seed", cfg.seed);
-    io.expect("restWatts", cfg.restWatts);
-    io.expect("numChannels", cfg.mem.numChannels);
-    io.expect("ranksPerChannel", ranks_per_channel);
-    io.expect("banksPerRank", cfg.mem.banksPerRank);
-    const std::size_t at = w.data().size();
-
-    rewrap(path, "meta", [at](std::vector<std::uint8_t> &b) {
-        ASSERT_LT(at, b.size());
-        EXPECT_EQ(b[at], 0);
-    });
-    EXPECT_EQ(resumeMessage(cfg, "memscale", path), "");
-
-    rewrap(path, "meta",
-           [at](std::vector<std::uint8_t> &b) { b.at(at) = 1; });
-    const std::string msg = resumeMessage(cfg, "memscale", path);
-    EXPECT_TRUE(contains(msg, "kernel mode")) << msg;
-    EXPECT_TRUE(contains(msg, "meta")) << msg;
     std::remove(path.c_str());
 }
 
@@ -1313,6 +1447,28 @@ TEST(RestoreChecks, PendingEventBeforeNowIsFatal)
     const std::string msg = resumeMessage(cfg, "memscale", path);
     EXPECT_TRUE(contains(msg, "precedes")) << msg;
     EXPECT_TRUE(contains(msg, "section sim")) << msg;
+    std::remove(path.c_str());
+}
+
+TEST(RestoreChecks, UnassignedEventKindIsFatal)
+{
+    // Kinds 2 and 3 named events the simulator no longer schedules;
+    // the numbers stay unassigned, so a pending event carrying either
+    // is refused as an unknown kind.
+    const std::string path = scratch("bad_kind.snap");
+    const SystemConfig cfg = snapConfig("MID3");
+    for (const std::uint32_t kind : {2u, 3u}) {
+        ASSERT_TRUE(cutRun(cfg, "memscale", msToTick(0.1), path));
+        rewrap(path, "sim", [kind](std::vector<std::uint8_t> &b) {
+            const Tick now = SectionReader("sim", b.data(), b.size()).u64();
+            b = simSection(now, now + 1000, 0, kind);
+        });
+        const std::string msg = resumeMessage(cfg, "memscale", path);
+        EXPECT_TRUE(contains(msg, "unknown event kind " +
+                                      std::to_string(kind)))
+            << msg;
+        EXPECT_TRUE(contains(msg, "section sim")) << msg;
+    }
     std::remove(path.c_str());
 }
 
@@ -1429,4 +1585,216 @@ TEST(RestoreChecks, PowerdownModeOutOfRangeIsFatal)
         });
     EXPECT_TRUE(contains(msg, "powerdown mode 9 out of range")) << msg;
     EXPECT_TRUE(contains(msg, "section mc")) << msg;
+}
+
+// ---------------------------------------------------------------------
+// SnapshotFuzz: seeded byte mutations of every section of three real
+// cuts.  Each section is truncated, bit-flipped and extended.  With its
+// CRC left stale, every mutation must be refused by the container,
+// naming the section.  Re-wrapped with a valid CRC (rewrap()), every
+// mutation must be refused naming the section, or resume and run to
+// its end; the CI sanitizer job runs this suite under ASan/UBSan.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** A cut to mutate. */
+struct FuzzCase
+{
+    SystemConfig cfg;
+    std::string policy;
+    Tick cut = 0;
+};
+
+/** The first three cuts test_golden's SnapshotBytesMatch pins. */
+std::vector<FuzzCase>
+fuzzCases()
+{
+    SystemConfig ladder = snapConfig("MID1");
+    ladder.mem.ladder.migrate = true;
+    ladder.protocolCheck = true;
+    ladder.observe = true;
+    std::vector<FuzzCase> cases = {
+        {snapConfig("MID3"), "memscale", msToTick(0.15)},
+        {ladder, "memscale-ladder", msToTick(0.15)},
+        {servingConfig(ArrivalKind::Poisson), "slo", msToTick(0.25)},
+    };
+    // A flipped counter can keep a core from ever finishing; a short
+    // time limit keeps such a resume quick.  The uninterrupted runs
+    // end well inside it.
+    for (FuzzCase &c : cases)
+        c.cfg.maxSimTime = msToTick(1.0);
+    return cases;
+}
+
+enum class Mutation
+{
+    Truncate,
+    Flip,
+    Extend,
+};
+
+/** Mutate `b` in place, drawing every position from `rng`. */
+void
+mutateBytes(std::vector<std::uint8_t> &b, Mutation m, Rng &rng)
+{
+    switch (m) {
+      case Mutation::Truncate:
+        b.resize(rng.below(b.size()));
+        break;
+      case Mutation::Flip:
+        b[rng.below(b.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.below(8));
+        break;
+      case Mutation::Extend:
+        for (std::uint64_t n = 1 + rng.below(8); n > 0; --n)
+            b.push_back(static_cast<std::uint8_t>(rng.below(256)));
+        break;
+    }
+}
+
+/**
+ * Write `in` to `path` with section `name`'s payload replaced by
+ * `payload` under the CRC of the original payload (valid only when
+ * the two are equal).
+ */
+void
+writeStale(const std::string &path, const SnapshotReader &in,
+           const std::string &name,
+           const std::vector<std::uint8_t> &payload)
+{
+    SectionWriter out;
+    std::uint32_t count = 0;
+    for (const char *n : kSectionNames)
+        count += in.has(n) ? 1 : 0;
+    out.u64(snapshotMagic);
+    out.u32(snapshotVersion);
+    out.u32(count);
+    for (const char *n : kSectionNames) {
+        if (!in.has(n))
+            continue;
+        const std::vector<std::uint8_t> orig = sectionBytes(in, n);
+        const std::vector<std::uint8_t> &bytes =
+            name == n ? payload : orig;
+        out.str(n);
+        out.u64(bytes.size());
+        out.bytes(bytes.data(), bytes.size());
+        out.u32(crc32(orig.data(), orig.size()));
+    }
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(out.data().data(), 1, out.data().size(), f);
+    std::fclose(f);
+}
+
+/**
+ * Whether a FatalError message names snapshot section `name`, alone
+ * or in a "(snapshot sections a, b)" list of sections that disagree.
+ */
+bool
+namesSection(const std::string &msg, const std::string &name)
+{
+    if (contains(msg, "section '" + name + "'") ||
+        contains(msg, "section " + name + ")") ||
+        msg.rfind(name + " resume:", 0) == 0)
+        return true;
+    const std::string head = "(snapshot sections ";
+    const std::string::size_type at = msg.find(head);
+    if (at == std::string::npos)
+        return false;
+    const std::string::size_type from = at + head.size();
+    const std::string list = msg.substr(from, msg.find(')', from) - from);
+    return contains(", " + list + ",", ", " + name + ",");
+}
+
+/** One mutation of one section, and what resuming it did. */
+struct FuzzOutcome
+{
+    std::string label;
+    std::string section;
+    std::string staleMsg;   ///< resume with the CRC left stale
+    std::string validMsg;   ///< resume and run, re-wrapped
+};
+
+} // namespace
+
+TEST(SnapshotFuzz, EveryMutationIsRefusedOrResumes)
+{
+    // Per section: one extension, and for a non-empty payload
+    // kTruncations truncations and kFlips single-bit flips.
+    constexpr int kTruncations = 3;
+    constexpr int kFlips = 24;
+    const std::vector<FuzzCase> cases = fuzzCases();
+
+    struct Task
+    {
+        std::size_t fuzzCase;
+        std::string section;
+        Mutation mutation;
+    };
+    std::vector<std::string> cuts;
+    std::vector<Task> tasks;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        cuts.push_back(scratch("fuzz_cut" + std::to_string(c)));
+        ASSERT_TRUE(cutRun(cases[c].cfg, cases[c].policy, cases[c].cut,
+                           cuts[c]));
+        SnapshotReader in(cuts[c]);
+        for (const char *n : kSectionNames) {
+            if (!in.has(n))
+                continue;
+            tasks.push_back({c, n, Mutation::Extend});
+            if (sectionBytes(in, n).empty())
+                continue;
+            for (int k = 0; k < kTruncations; ++k)
+                tasks.push_back({c, n, Mutation::Truncate});
+            for (int k = 0; k < kFlips; ++k)
+                tasks.push_back({c, n, Mutation::Flip});
+        }
+    }
+
+    SweepEngine eng;
+    const std::vector<FuzzOutcome> outs = eng.map<FuzzOutcome>(
+        tasks.size(), [&](std::size_t t) {
+            const Task &task = tasks[t];
+            const FuzzCase &fc = cases[task.fuzzCase];
+            const SnapshotReader in(cuts[task.fuzzCase]);
+            const std::vector<std::uint8_t> orig =
+                sectionBytes(in, task.section);
+            std::vector<std::uint8_t> payload = orig;
+            Rng rng(deriveSeed(0xF022ull, t));
+            mutateBytes(payload, task.mutation, rng);
+
+            FuzzOutcome out;
+            out.label = fc.cfg.mixName + "/" + fc.policy + " " +
+                        task.section + " mutation #" + std::to_string(t);
+            out.section = task.section;
+            const std::string path =
+                scratch("fuzz_" + std::to_string(t));
+            writeStale(path, in, task.section, orig);
+            rewrap(path, task.section,
+                   [&](std::vector<std::uint8_t> &b) { b = payload; });
+            SystemConfig cfg = fc.cfg;
+            cfg.restWatts = kRestWatts;
+            cfg.resumePath = path;
+            out.validMsg = fatalMessage([&] {
+                auto p = makePolicy(fc.policy);
+                System sys(cfg, *p);
+                sys.run();
+            });
+            writeStale(path, in, task.section, payload);
+            out.staleMsg = resumeMessage(fc.cfg, fc.policy, path);
+            std::remove(path.c_str());
+            return out;
+        });
+    for (const std::string &cut : cuts)
+        std::remove(cut.c_str());
+
+    for (const FuzzOutcome &o : outs) {
+        EXPECT_TRUE(namesSection(o.staleMsg, o.section))
+            << o.label << ": " << o.staleMsg;
+        EXPECT_TRUE(o.validMsg.empty() ||
+                    namesSection(o.validMsg, o.section))
+            << o.label << ": " << o.validMsg;
+    }
 }
