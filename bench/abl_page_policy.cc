@@ -37,6 +37,13 @@ main(int argc, char **argv)
          SchedulerPolicy::FrFcfs},
     };
 
+    // Both tables come from one sweep.  The second is a placement
+    // axis beyond the paper, rank-aware page migration: keep the
+    // paper's closed+FCFS combo and compare MemScale-with-ladder
+    // against the same policy plus hot/cold consolidation, which
+    // remaps hot frames onto one rank per channel so the cold ranks
+    // can sink into the deep idle states.  Its static cases share
+    // their baselines with the closed+FCFS cases.
     const std::vector<const char *> mixnames = {"MID2", "MEM1"};
     std::vector<SweepCase> cases;
     for (const char *mixname : mixnames) {
@@ -46,6 +53,14 @@ main(int argc, char **argv)
             c.mem.pagePolicy = combo.page;
             c.mem.scheduler = combo.sched;
             cases.push_back(SweepCase{std::move(c), "memscale"});
+        }
+    }
+    for (const char *mixname : mixnames) {
+        for (int migrate = 0; migrate < 2; ++migrate) {
+            SystemConfig c = cfg;
+            c.mixName = mixname;
+            c.mem.ladder.migrate = migrate != 0;
+            cases.push_back(SweepCase{std::move(c), "memscale-ladder"});
         }
     }
     std::vector<ComparisonResult> results = compareCases(eng, cases);
@@ -64,29 +79,12 @@ main(int argc, char **argv)
         t.print(std::string("page-policy/scheduler ablation, ") +
                 mixname);
     }
-    // Second placement axis (beyond the paper): rank-aware page
-    // migration.  Keep the paper's closed+FCFS combo and compare
-    // MemScale-with-ladder against the same policy plus hot/cold
-    // consolidation, which remaps hot frames onto one rank per
-    // channel so the cold ranks can sink into the deep idle states.
-    std::vector<SweepCase> consol;
-    for (const char *mixname : mixnames) {
-        for (int migrate = 0; migrate < 2; ++migrate) {
-            SystemConfig c = cfg;
-            c.mixName = mixname;
-            c.mem.ladder.migrate = migrate != 0;
-            consol.push_back(
-                SweepCase{std::move(c), "memscale-ladder"});
-        }
-    }
-    std::vector<ComparisonResult> cres = compareCases(eng, consol);
 
     Table ct({"placement", "mix", "deep idle time", "swaps",
               "sys energy saved", "worst CPI incr"});
-    idx = 0;
     for (const char *mixname : mixnames) {
         for (int migrate = 0; migrate < 2; ++migrate) {
-            const ComparisonResult &r = cres[idx++];
+            const ComparisonResult &r = results[idx++];
             const McCounters &mc = r.policy.counters;
             double deep_frac =
                 mc.rankTime

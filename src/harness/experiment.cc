@@ -11,14 +11,24 @@ namespace memscale
 {
 
 RunResult
-runBaseline(const SystemConfig &cfg, Watts &rest_out)
+simulate(const SystemConfig &cfg, const std::string &policy)
 {
-    SystemConfig base_cfg = cfg;
-    base_cfg.restWatts = 0.0;
-    auto policy = makePolicy("baseline");
-    System sys(base_cfg, *policy);
-    RunResult base = sys.run();
+    auto p = makePolicy(policy);
+    System sys(cfg, *p);
+    return sys.run();
+}
 
+SystemConfig
+withRestWatts(const SystemConfig &cfg, Watts rest_watts)
+{
+    SystemConfig out = cfg;
+    out.restWatts = rest_watts;
+    return out;
+}
+
+RunResult
+calibrate(const SystemConfig &cfg, RunResult base, Watts &rest_out)
+{
     // Memory subsystem = fraction of server power at the baseline
     // (paper Section 4.1, default 40%); the remainder is a fixed
     // rest-of-system draw.
@@ -38,52 +48,12 @@ runBaseline(const SystemConfig &cfg, Watts &rest_out)
     return base;
 }
 
-RunResult
-runPolicy(const SystemConfig &cfg, const std::string &policy,
-          Watts rest_watts)
-{
-    SystemConfig pcfg = cfg;
-    pcfg.restWatts = rest_watts;
-    auto p = makePolicy(policy);
-    System sys(pcfg, *p);
-    return sys.run();
-}
-
-RunResult
-runPolicySharded(const SystemConfig &cfg, const std::string &policy,
-                 Watts rest_watts, const std::vector<Tick> &cuts,
-                 const std::string &scratch_prefix)
-{
-    for (std::size_t i = 1; i < cuts.size(); ++i) {
-        if (cuts[i] <= cuts[i - 1])
-            fatal("runPolicySharded: cuts must be strictly "
-                  "ascending");
-    }
-    SystemConfig scfg = cfg;
-    scfg.restWatts = rest_watts;
-
-    std::string resume_from;
-    for (std::size_t shard = 0;; ++shard) {
-        // A fresh policy per shard, exactly as separate processes
-        // would have: everything a shard needs must come from the
-        // snapshot, never from leftover in-memory policy state.
-        auto p = makePolicy(policy);
-        scfg.resumePath = resume_from;
-        System sys(scfg, *p);
-        if (shard == cuts.size() || !sys.advance(cuts[shard]))
-            return sys.run();
-        resume_from = scratch_prefix + ".shard" + std::to_string(shard);
-        sys.checkpoint(resume_from);
-    }
-}
-
 ComparisonResult
-compareWithBase(const SystemConfig &cfg, const RunResult &base,
-                Watts rest_watts, const std::string &policy)
+compareRuns(const RunResult &base, RunResult policy)
 {
     ComparisonResult out;
     out.base = base;
-    out.policy = runPolicy(cfg, policy, rest_watts);
+    out.policy = std::move(policy);
 
     double base_mem = base.energy.memorySubsystem();
     double base_sys = base.energy.total();
@@ -115,6 +85,54 @@ compareWithBase(const SystemConfig &cfg, const RunResult &base,
             : sum / static_cast<double>(out.cpiIncrease.size());
     out.worstCpiIncrease = worst;
     return out;
+}
+
+RunResult
+runBaseline(const SystemConfig &cfg, Watts &rest_out)
+{
+    return calibrate(cfg, simulate(withRestWatts(cfg, 0.0), "baseline"),
+                     rest_out);
+}
+
+RunResult
+runPolicy(const SystemConfig &cfg, const std::string &policy,
+          Watts rest_watts)
+{
+    return simulate(withRestWatts(cfg, rest_watts), policy);
+}
+
+RunResult
+runPolicySharded(const SystemConfig &cfg, const std::string &policy,
+                 Watts rest_watts, const std::vector<Tick> &cuts,
+                 const std::string &scratch_prefix)
+{
+    for (std::size_t i = 1; i < cuts.size(); ++i) {
+        if (cuts[i] <= cuts[i - 1])
+            fatal("runPolicySharded: cuts must be strictly "
+                  "ascending");
+    }
+    SystemConfig scfg = withRestWatts(cfg, rest_watts);
+
+    std::string resume_from;
+    for (std::size_t shard = 0;; ++shard) {
+        // A fresh policy per shard, exactly as separate processes
+        // would have: everything a shard needs must come from the
+        // snapshot, never from leftover in-memory policy state.
+        auto p = makePolicy(policy);
+        scfg.resumePath = resume_from;
+        System sys(scfg, *p);
+        if (shard == cuts.size() || !sys.advance(cuts[shard]))
+            return sys.run();
+        resume_from = scratch_prefix + ".shard" + std::to_string(shard);
+        sys.checkpoint(resume_from);
+    }
+}
+
+ComparisonResult
+compareWithBase(const SystemConfig &cfg, const RunResult &base,
+                Watts rest_watts, const std::string &policy)
+{
+    return compareRuns(base, runPolicy(cfg, policy, rest_watts));
 }
 
 ComparisonResult

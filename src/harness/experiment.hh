@@ -31,10 +31,36 @@ struct ComparisonResult
 };
 
 /**
- * Run the reference (max-frequency, no-powerdown) configuration and
- * return it with the rest-of-system energy patched in so the memory
- * subsystem accounts for cfg.memPowerFraction of server power.
+ * One System run of `cfg` under the named policy, exactly as
+ * configured: no calibration, nothing patched in.  Every helper below
+ * is this run plus pure arithmetic on its result, which is what lets a
+ * SweepEngine memoise it (SweepEngine::simulate).
+ */
+RunResult simulate(const SystemConfig &cfg, const std::string &policy);
+
+/**
+ * `cfg` with its rest-of-system draw set: 0 for the baseline run that
+ * calibrate() takes, the calibrated wattage for a policy run.
+ */
+SystemConfig withRestWatts(const SystemConfig &cfg, Watts rest_watts);
+
+/**
+ * Calibrate a baseline: `base` is the "baseline" policy's run of
+ * withRestWatts(cfg, 0).  Returns it with the rest-of-system energy
+ * patched in so the memory subsystem accounts for cfg.memPowerFraction
+ * of server power (paper Section 4.1).
  * @param rest_out receives the calibrated wattage.
+ */
+RunResult calibrate(const SystemConfig &cfg, RunResult base,
+                    Watts &rest_out);
+
+/** Savings and CPI increases of `policy` against calibrated `base`. */
+ComparisonResult compareRuns(const RunResult &base, RunResult policy);
+
+/**
+ * Run the reference (max-frequency, no-powerdown) configuration and
+ * calibrate it: calibrate(cfg, simulate(withRestWatts(cfg, 0),
+ * "baseline"), rest_out).
  */
 RunResult runBaseline(const SystemConfig &cfg, Watts &rest_out);
 
@@ -56,7 +82,10 @@ RunResult runPolicySharded(const SystemConfig &cfg,
                            const std::vector<Tick> &cuts,
                            const std::string &scratch_prefix);
 
-/** Compare a policy against a precomputed calibrated baseline. */
+/**
+ * Compare a policy against a precomputed calibrated baseline:
+ * compareRuns(base, runPolicy(cfg, policy, rest_watts)).
+ */
 ComparisonResult compareWithBase(const SystemConfig &cfg,
                                  const RunResult &base,
                                  Watts rest_watts,

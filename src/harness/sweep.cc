@@ -1,14 +1,19 @@
 #include "harness/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
 #include <exception>
+#include <future>
 #include <mutex>
+#include <numeric>
 #include <thread>
+#include <unordered_map>
 
 #include "common/log.hh"
+#include "workload/mixes.hh"
 
 namespace memscale
 {
@@ -57,20 +62,36 @@ resolveJobs(unsigned requested)
 }
 
 /**
- * One parallel batch in flight.  Tasks are dealt out as contiguous
- * index chunks, one per worker; an idle worker steals from the back
- * of a victim's deque, scanning victims in a fixed order.  All
- * bookkeeping is mutex-per-deque — task bodies here are entire
- * simulation runs, so queue overhead is noise.
+ * One parallel batch in flight.  Tasks are dealt out one deque per
+ * worker: round-robin in descending predicted cost when the caller
+ * gave costs, else as contiguous index chunks.  An idle worker steals
+ * from the back of a victim's deque, scanning victims in a fixed
+ * order.  All bookkeeping is mutex-per-deque — task bodies here are
+ * entire simulation runs, so queue overhead is noise.
  */
 struct Batch
 {
     explicit Batch(std::size_t n, unsigned workers,
-                   const std::function<void(std::size_t)> &f)
+                   const std::function<void(std::size_t)> &f,
+                   const std::vector<double> &cost)
         : fn(f), queues(workers), remaining(n)
     {
-        for (std::size_t i = 0; i < n; ++i)
-            queues[i * workers / n].q.push_back(i);
+        if (cost.empty()) {
+            for (std::size_t i = 0; i < n; ++i)
+                queues[i * workers / n].q.push_back(i);
+            return;
+        }
+        // Longest first, so the long runs start at once instead of
+        // forming the batch's tail; the stable sort breaks ties by
+        // index.
+        std::vector<std::size_t> order(n);
+        std::iota(order.begin(), order.end(), std::size_t(0));
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return cost[a] > cost[b];
+                         });
+        for (std::size_t k = 0; k < n; ++k)
+            queues[k % workers].q.push_back(order[k]);
     }
 
     struct WorkerQueue
@@ -177,11 +198,12 @@ struct SweepEngine::Impl
     }
 
     void
-    run(std::size_t n, const std::function<void(std::size_t)> &fn)
+    run(std::size_t n, const std::function<void(std::size_t)> &fn,
+        const std::vector<double> &cost)
     {
         // Serialize batches from concurrent callers.
         std::lock_guard<std::mutex> serial(callerMutex);
-        Batch b(n, jobs, fn);
+        Batch b(n, jobs, fn, cost);
         {
             std::lock_guard<std::mutex> g(m);
             batch = &b;
@@ -213,6 +235,15 @@ struct SweepEngine::Impl
     std::uint64_t batchGen = 0;
     unsigned active = 0;
     bool shutdown = false;
+
+    /**
+     * The run memo, keyed by runIdentity().  An entry is added before
+     * its run starts, so a second task that needs the run waits on
+     * the future instead of simulating it again.
+     */
+    std::mutex memoMutex;
+    std::unordered_map<std::string, std::shared_future<RunResult>> memo;
+    std::atomic<std::size_t> simulated{0};
 };
 
 SweepEngine::SweepEngine(unsigned jobs)
@@ -232,8 +263,11 @@ SweepEngine::jobs() const
 
 void
 SweepEngine::forEach(std::size_t n,
-                     const std::function<void(std::size_t)> &fn) const
+                     const std::function<void(std::size_t)> &fn,
+                     const std::vector<double> &cost) const
 {
+    if (!cost.empty() && cost.size() != n)
+        fatal("sweep: %zu task costs for %zu tasks", cost.size(), n);
     if (n == 0)
         return;
     if (impl_->jobs == 1 || n == 1) {
@@ -243,28 +277,129 @@ SweepEngine::forEach(std::size_t n,
             fn(i);
         return;
     }
-    impl_->run(n, fn);
+    impl_->run(n, fn, cost);
 }
+
+RunResult
+SweepEngine::simulate(const SystemConfig &cfg,
+                      const std::string &policy) const
+{
+    Impl &im = *impl_;
+    if (!cfg.resumePath.empty()) {
+        ++im.simulated;
+        return memscale::simulate(cfg, policy);
+    }
+    std::string key = runIdentity(cfg, *makePolicy(policy));
+    std::promise<RunResult> mine;
+    std::shared_future<RunResult> run;
+    bool owner = false;
+    {
+        std::lock_guard<std::mutex> g(im.memoMutex);
+        auto [it, fresh] = im.memo.try_emplace(std::move(key));
+        if (fresh)
+            it->second = mine.get_future().share();
+        run = it->second;
+        owner = fresh;
+    }
+    if (owner) {
+        ++im.simulated;
+        try {
+            mine.set_value(memscale::simulate(cfg, policy));
+        } catch (...) {
+            mine.set_exception(std::current_exception());
+        }
+    }
+    return run.get();
+}
+
+std::size_t
+SweepEngine::runsSimulated() const
+{
+    return impl_->simulated;
+}
+
+double
+predictedCost(const SystemConfig &cfg)
+{
+    if (cfg.serving.enabled) {
+        return cfg.serving.arrival.ratePerSec *
+               tickToSec(cfg.serving.horizon) *
+               cfg.serving.missesPerRequest;
+    }
+    const std::vector<MixSpec> &mixes = allMixes();
+    auto mix = std::find_if(mixes.begin(), mixes.end(),
+                            [&](const MixSpec &m) {
+                                return m.name == cfg.mixName;
+                            });
+    // An unknown mix costs nothing here; its run reports the error.
+    if (cfg.customApps.empty() && mix == mixes.end())
+        return 0.0;
+    const double budget = static_cast<double>(cfg.instrBudget);
+    const double scale = budget / static_cast<double>(canonicalBudget);
+    double pki = 0.0;
+    for (std::uint32_t i = 0; i < cfg.numCores; ++i) {
+        const AppProfile &app =
+            cfg.customApps.empty()
+                ? appForCore(*mix, i)
+                : cfg.customApps[i % cfg.customApps.size()];
+        AppProfile run = scaledProfile(app, scale);
+        pki += run.averageMpki(cfg.instrBudget) +
+               run.averageWpki(cfg.instrBudget);
+    }
+    return budget * pki / 1000.0;
+}
+
+namespace
+{
+
+/** runBaseline() with its System run through the engine's memo. */
+CalibratedBaseline
+calibratedBaseline(const SweepEngine &eng, const SystemConfig &cfg)
+{
+    CalibratedBaseline out;
+    out.base = calibrate(
+        cfg, eng.simulate(withRestWatts(cfg, 0.0), "baseline"), out.rest);
+    return out;
+}
+
+/** compareWithBase() with its System run through the engine's memo. */
+ComparisonResult
+comparedWith(const SweepEngine &eng, const SystemConfig &cfg,
+             const CalibratedBaseline &cb, const std::string &policy)
+{
+    return compareRuns(
+        cb.base, eng.simulate(withRestWatts(cfg, cb.rest), policy));
+}
+
+} // namespace
 
 std::vector<ComparisonResult>
 compareCases(const SweepEngine &eng, const std::vector<SweepCase> &cases)
 {
+    std::vector<double> cost;
+    for (const SweepCase &c : cases)
+        cost.push_back(predictedCost(c.cfg));
     return eng.map<ComparisonResult>(
-        cases.size(), [&](std::size_t i) {
-            return compare(cases[i].cfg, cases[i].policy);
-        });
+        cases.size(),
+        [&](std::size_t i) {
+            const SweepCase &c = cases[i];
+            return comparedWith(eng, c.cfg, calibratedBaseline(eng, c.cfg),
+                                c.policy);
+        },
+        cost);
 }
 
 std::vector<CalibratedBaseline>
 runBaselines(const SweepEngine &eng,
              const std::vector<SystemConfig> &cfgs)
 {
+    std::vector<double> cost;
+    for (const SystemConfig &c : cfgs)
+        cost.push_back(predictedCost(c));
     return eng.map<CalibratedBaseline>(
-        cfgs.size(), [&](std::size_t i) {
-            CalibratedBaseline out;
-            out.base = runBaseline(cfgs[i], out.rest);
-            return out;
-        });
+        cfgs.size(),
+        [&](std::size_t i) { return calibratedBaseline(eng, cfgs[i]); },
+        cost);
 }
 
 std::vector<ComparisonResult>
@@ -277,13 +412,16 @@ comparePolicyGrid(const SweepEngine &eng,
         fatal("comparePolicyGrid: %zu baselines for %zu configs",
               bases.size(), cfgs.size());
     std::size_t n = cfgs.size();
+    std::vector<double> cost;
+    for (std::size_t t = 0; t < policies.size() * n; ++t)
+        cost.push_back(predictedCost(cfgs[t % n]));
     return eng.map<ComparisonResult>(
-        policies.size() * n, [&](std::size_t t) {
-            std::size_t p = t / n;
-            std::size_t i = t % n;
-            return compareWithBase(cfgs[i], bases[i].base,
-                                   bases[i].rest, policies[p]);
-        });
+        policies.size() * n,
+        [&](std::size_t t) {
+            return comparedWith(eng, cfgs[t % n], bases[t % n],
+                                policies[t / n]);
+        },
+        cost);
 }
 
 } // namespace memscale

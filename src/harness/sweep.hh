@@ -10,6 +10,11 @@
  * by completion order, so a sweep produces byte-identical reports
  * whether it runs on 1 thread or 16.
  *
+ * A batch that carries a predicted cost per task is dealt longest
+ * first, so the long runs start at once instead of forming the tail.
+ * The engine also memoises whole runs (simulate()): within one engine,
+ * a run that two tasks need is simulated once.
+ *
  * Job-count control, in increasing precedence: hardware concurrency,
  * the MEMSCALE_JOBS environment variable, an explicit `jobs=N` /
  * `--jobs N` argument.  `jobs=1` is a graceful fallback that executes
@@ -73,9 +78,15 @@ class SweepEngine
      * the remaining tasks still run and the exception from the
      * lowest-indexed failing task is rethrown afterwards (so failure
      * reporting is deterministic too).
+     *
+     * `cost`, when given, holds each task's predicted cost (n
+     * entries): tasks are then dealt to the workers round-robin in
+     * descending cost, ties by index.  Without it each worker gets a
+     * contiguous chunk of indices.  Either way idle workers steal.
      */
     void forEach(std::size_t n,
-                 const std::function<void(std::size_t)> &fn) const;
+                 const std::function<void(std::size_t)> &fn,
+                 const std::vector<double> &cost = {}) const;
 
     /**
      * Parallel map: out[i] = fn(i), with forEach()'s guarantees.
@@ -83,12 +94,26 @@ class SweepEngine
      */
     template <typename T>
     std::vector<T>
-    map(std::size_t n, const std::function<T(std::size_t)> &fn) const
+    map(std::size_t n, const std::function<T(std::size_t)> &fn,
+        const std::vector<double> &cost = {}) const
     {
         std::vector<T> out(n);
-        forEach(n, [&](std::size_t i) { out[i] = fn(i); });
+        forEach(n, [&](std::size_t i) { out[i] = fn(i); }, cost);
         return out;
     }
+
+    /**
+     * memscale::simulate(cfg, policy), at most once per distinct run
+     * for the engine's lifetime.  Runs are keyed by runIdentity(); a
+     * task that needs a run another task is simulating waits for it,
+     * and a run that failed rethrows its error in every task that
+     * needs it.  A run with a resumePath is always simulated.
+     */
+    RunResult simulate(const SystemConfig &cfg,
+                       const std::string &policy) const;
+
+    /** System runs simulate() has started, memo hits not counted. */
+    std::size_t runsSimulated() const;
 
   private:
     struct Impl;
@@ -110,21 +135,31 @@ struct CalibratedBaseline
 };
 
 /**
+ * Predicted cost of one run of `cfg`, in DRAM requests: the budget
+ * times each core's run-average MPKI + WPKI for a closed-loop run,
+ * arrivals times misses per request for a serving run.  Only the
+ * order it puts tasks in matters.
+ */
+double predictedCost(const SystemConfig &cfg);
+
+/**
  * compare() every case concurrently; result[i] corresponds to
- * cases[i].  Each task runs its own baseline + policy pair.
+ * cases[i].  Each task runs its case's baseline and policy through
+ * eng.simulate(), so cases that share a baseline simulate it once.
  */
 std::vector<ComparisonResult>
 compareCases(const SweepEngine &eng, const std::vector<SweepCase> &cases);
 
-/** runBaseline() every configuration concurrently. */
+/** runBaseline() every configuration concurrently, memoised. */
 std::vector<CalibratedBaseline>
 runBaselines(const SweepEngine &eng,
              const std::vector<SystemConfig> &cfgs);
 
 /**
  * The policy-grid shape shared by the figure drivers: every policy
- * against every pre-calibrated (cfg, baseline) pair.  The result for
- * policy p on config i lands at [p * cfgs.size() + i].
+ * against every pre-calibrated (cfg, baseline) pair, each policy run
+ * through eng.simulate().  The result for policy p on config i lands
+ * at [p * cfgs.size() + i].
  */
 std::vector<ComparisonResult>
 comparePolicyGrid(const SweepEngine &eng,

@@ -62,6 +62,17 @@ transferFingerprint(SectionIO &io, SystemConfig &cfg, std::string &policy,
     cfg.serving.fingerprint(io);
 }
 
+/**
+ * Whether the first protocol violation aborts a run of `cfg`.  A
+ * strict run attaches the checker whatever cfg.protocolCheck says, so
+ * MEMSCALE_STRICT=1 in the environment attaches it to every run.
+ */
+bool
+strictRun(const SystemConfig &cfg)
+{
+    return cfg.strictCheck || ProtocolChecker::strictEnv();
+}
+
 /** The meta section's summary block, after the fingerprint. */
 void
 transferSummary(SectionIO &io, SnapshotMeta &m)
@@ -127,10 +138,8 @@ System::System(const SystemConfig &cfg, Policy &policy)
         recorder_ = std::make_shared<EpochRecorder>(registry_.get());
     }
 
-    // Optional online protocol validation.  MEMSCALE_STRICT=1 in the
-    // environment attaches the checker to every run regardless of the
-    // config flag.
-    const bool strict = cfg_.strictCheck || ProtocolChecker::strictEnv();
+    // Optional online protocol validation.
+    const bool strict = strictRun(cfg_);
     if (cfg_.protocolCheck || strict) {
         checker_ = std::make_unique<ProtocolChecker>(strict);
         mc.setCommandObserver(checker_.get());
@@ -654,6 +663,25 @@ readSnapshotMeta(const std::string &path)
     r.finish();
     out.mixName = cfg.mixName;
     return out;
+}
+
+std::string
+runIdentity(const SystemConfig &cfg, const Policy &policy)
+{
+    SectionWriter w;
+    SectionIO io(w);
+    SystemConfig c = cfg;
+    std::string name = policy.name();
+    bool has_checker = c.protocolCheck || strictRun(c);
+    bool dynamic_policy = policy.dynamic();
+    transferFingerprint(io, c, name, has_checker, dynamic_policy);
+    io(c.powerCapW);
+    io(c.strictCheck);
+    // A run with threads != 1 only fails, but its error names the
+    // value, so two such runs are not the same run either.
+    io(c.threads);
+    const std::vector<std::uint8_t> &bytes = w.data();
+    return std::string(bytes.begin(), bytes.end());
 }
 
 } // namespace memscale

@@ -85,7 +85,8 @@ struct SystemConfig
     /**
      * Must be 1; any other value is fatal.  System runs serially (runs
      * parallelise across the sweep engine's jobs= instead).  Kept only
-     * because perfbench assigns it; not part of the result identity.
+     * because perfbench assigns it; not part of the snapshot
+     * fingerprint.
      */
     unsigned threads = 1;
 
@@ -190,6 +191,18 @@ struct SnapshotMeta
 
 /** Parse a snapshot file's meta block (fatal on unreadable files). */
 SnapshotMeta readSnapshotMeta(const std::string &path);
+
+/**
+ * The identity bytes of a run of `cfg` under `policy`: the snapshot
+ * fingerprint's field list (the whole config and the policy name),
+ * then the fields it leaves out that still change the outcome:
+ * powerCapW, strictCheck, and threads (whose only outcome is an error
+ * naming it).  Two fresh runs with equal identities produce identical
+ * results.  A resumed run is not identified by its config (its state
+ * comes from cfg.resumePath), so callers must not key one by these
+ * bytes.
+ */
+std::string runIdentity(const SystemConfig &cfg, const Policy &policy);
 
 /** What finish() would report at the current tick (System::telemetry). */
 struct SystemTelemetry

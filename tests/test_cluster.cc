@@ -27,6 +27,7 @@
 #include "harness/differential.hh"
 #include "harness/experiment.hh"
 #include "obs/stat_registry.hh"
+#include "temp_dir.hh"
 
 using namespace memscale;
 
@@ -114,7 +115,7 @@ cutFleetConfig()
 std::string
 scratch(const std::string &name)
 {
-    return "/tmp/memscale_test_cluster_" + name;
+    return test::tempPath("cluster_" + name);
 }
 
 /** Remove a fleet snapshot and its per-server files. */

@@ -32,6 +32,7 @@
 #include "harness/cluster.hh"
 #include "harness/differential.hh"
 #include "harness/experiment.hh"
+#include "temp_dir.hh"
 
 using namespace memscale;
 
@@ -255,7 +256,7 @@ cutSystem(const SystemConfig &cfg, const std::string &policy, Tick cut,
 std::vector<std::pair<std::string, std::uint64_t>>
 snapshotFileHashes()
 {
-    const std::string dir = "/tmp/memscale_test_golden_";
+    const std::string dir = test::tempPath("golden_");
     std::vector<std::pair<std::string, std::uint64_t>> out;
     auto take = [&](const std::string &label, const std::string &path) {
         out.emplace_back(label, fileHash(path));

@@ -16,6 +16,7 @@
 #include "mem/client.hh"
 #include "mem/controller.hh"
 #include "sim/event_queue.hh"
+#include "temp_dir.hh"
 
 using namespace memscale;
 
@@ -48,7 +49,7 @@ TEST(Report, CsvFileWrite)
 {
     Table t({"h1", "h2"});
     t.addRow({"v1", "v2"});
-    std::string path = "/tmp/memscale_test_table.csv";
+    std::string path = test::tempPath("table.csv");
     t.writeCsv(path);
     std::ifstream in(path);
     std::stringstream ss;
@@ -73,17 +74,18 @@ slurp(const std::string &path)
 
 TEST(Report, EnvDrivenCsvDump)
 {
-    setenv("MEMSCALE_CSV_DIR", "/tmp", 1);
+    setenv("MEMSCALE_CSV_DIR", test::tempDir().c_str(), 1);
     Table t({"col"});
     t.addRow({"val"});
     t.print("My Table: Dump!");
     unsetenv("MEMSCALE_CSV_DIR");
-    std::ifstream in("/tmp/my-table-dump.csv");
+    const std::string path = test::tempPath("my-table-dump.csv");
+    std::ifstream in(path);
     ASSERT_TRUE(in.good());
     std::stringstream ss;
     ss << in.rdbuf();
     EXPECT_EQ(ss.str(), "My Table: Dump!\ncol\nval\n");
-    std::remove("/tmp/my-table-dump.csv");
+    std::remove(path.c_str());
 }
 
 TEST(Report, SlugHelper)
@@ -109,7 +111,7 @@ TEST(Report, CsvTitleEscaping)
 
 TEST(Report, SlugCollisionsGetDistinctFiles)
 {
-    setenv("MEMSCALE_CSV_DIR", "/tmp", 1);
+    setenv("MEMSCALE_CSV_DIR", test::tempDir().c_str(), 1);
     Table a({"x"});
     a.addRow({"first"});
     Table b({"x"});
@@ -122,17 +124,20 @@ TEST(Report, SlugCollisionsGetDistinctFiles)
     c.print("collide:me");
     unsetenv("MEMSCALE_CSV_DIR");
 
-    std::string f1 = slurp("/tmp/collide-me.csv");
-    std::string f2 = slurp("/tmp/collide-me-2.csv");
-    std::string f3 = slurp("/tmp/collide-me-3.csv");
+    const std::string p1 = test::tempPath("collide-me.csv");
+    const std::string p2 = test::tempPath("collide-me-2.csv");
+    const std::string p3 = test::tempPath("collide-me-3.csv");
+    std::string f1 = slurp(p1);
+    std::string f2 = slurp(p2);
+    std::string f3 = slurp(p3);
     EXPECT_NE(f1.find("first"), std::string::npos);
     EXPECT_NE(f2.find("second"), std::string::npos);
     EXPECT_NE(f3.find("third"), std::string::npos);
     // The first file kept its original title (not overwritten).
     EXPECT_NE(f1.find("Collide, me?"), std::string::npos);
-    std::remove("/tmp/collide-me.csv");
-    std::remove("/tmp/collide-me-2.csv");
-    std::remove("/tmp/collide-me-3.csv");
+    std::remove(p1.c_str());
+    std::remove(p2.c_str());
+    std::remove(p3.c_str());
 }
 
 TEST(Report, Formatters)

@@ -44,6 +44,7 @@
 #include "sim/event_kinds.hh"
 #include "snapshot/serializer.hh"
 #include "workload/mixes.hh"
+#include "temp_dir.hh"
 
 using namespace memscale;
 
@@ -68,7 +69,7 @@ constexpr Watts kRestWatts = 150.0;
 std::string
 scratch(const std::string &name)
 {
-    return "/tmp/memscale_test_snapshot_" + name;
+    return test::tempPath("snapshot_" + name);
 }
 
 void
@@ -90,6 +91,21 @@ fatalMessage(Fn &&fn)
     }
     return "";
 }
+
+/**
+ * Swallows stderr while it lives.  Every refused resume prints its
+ * "fatal:" line (and some a "warn:" line) before throwing, so the
+ * loops that refuse hundreds of them would otherwise bury a real
+ * failure's output in the log.  Assertions still print: they are
+ * checked after the loop, outside the guard.
+ */
+struct QuietStderr
+{
+    QuietStderr() { testing::internal::CaptureStderr(); }
+    ~QuietStderr() { testing::internal::GetCapturedStderr(); }
+    QuietStderr(const QuietStderr &) = delete;
+    QuietStderr &operator=(const QuietStderr &) = delete;
+};
 
 /**
  * Run `policy` on `base` up to `cut` and write a checkpoint there, as
@@ -957,18 +973,26 @@ TEST(ResumeEquivalence, ResumeRejectsMismatchedConfig)
     same.restWatts = kRestWatts;
     EXPECT_EQ(resume(same, "memscale", custom_path), "");
 
-    for (const FieldMismatch &row : fieldMismatches()) {
-        const bool app = std::string(row.field).rfind("app.", 0) == 0;
-        SystemConfig cfg = app ? custom : plain;
-        cfg.restWatts = kRestWatts;
-        std::string policy = "memscale";
-        row.mutate(cfg, policy);
-        const std::string msg =
-            resume(cfg, policy, app ? custom_path : plain_path);
-        EXPECT_NE(msg.find(std::string("meta resume: snapshot ") +
-                           row.field + " "),
+    const std::vector<FieldMismatch> rows = fieldMismatches();
+    std::vector<std::string> msgs;
+    {
+        QuietStderr quiet;
+        for (const FieldMismatch &row : rows) {
+            const bool app =
+                std::string(row.field).rfind("app.", 0) == 0;
+            SystemConfig cfg = app ? custom : plain;
+            cfg.restWatts = kRestWatts;
+            std::string policy = "memscale";
+            row.mutate(cfg, policy);
+            msgs.push_back(
+                resume(cfg, policy, app ? custom_path : plain_path));
+        }
+    }
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_NE(msgs[i].find(std::string("meta resume: snapshot ") +
+                               rows[i].field + " "),
                   std::string::npos)
-            << row.field << ": " << msg;
+            << rows[i].field << ": " << msgs[i];
     }
     std::remove(plain_path.c_str());
     std::remove(custom_path.c_str());
@@ -1754,39 +1778,43 @@ TEST(SnapshotFuzz, EveryMutationIsRefusedOrResumes)
     }
 
     SweepEngine eng;
-    const std::vector<FuzzOutcome> outs = eng.map<FuzzOutcome>(
-        tasks.size(), [&](std::size_t t) {
-            const Task &task = tasks[t];
-            const FuzzCase &fc = cases[task.fuzzCase];
-            const SnapshotReader in(cuts[task.fuzzCase]);
-            const std::vector<std::uint8_t> orig =
-                sectionBytes(in, task.section);
-            std::vector<std::uint8_t> payload = orig;
-            Rng rng(deriveSeed(0xF022ull, t));
-            mutateBytes(payload, task.mutation, rng);
+    std::vector<FuzzOutcome> outs;
+    {
+        QuietStderr quiet;
+        outs = eng.map<FuzzOutcome>(
+            tasks.size(), [&](std::size_t t) {
+                const Task &task = tasks[t];
+                const FuzzCase &fc = cases[task.fuzzCase];
+                const SnapshotReader in(cuts[task.fuzzCase]);
+                const std::vector<std::uint8_t> orig =
+                    sectionBytes(in, task.section);
+                std::vector<std::uint8_t> payload = orig;
+                Rng rng(deriveSeed(0xF022ull, t));
+                mutateBytes(payload, task.mutation, rng);
 
-            FuzzOutcome out;
-            out.label = fc.cfg.mixName + "/" + fc.policy + " " +
-                        task.section + " mutation #" + std::to_string(t);
-            out.section = task.section;
-            const std::string path =
-                scratch("fuzz_" + std::to_string(t));
-            writeStale(path, in, task.section, orig);
-            rewrap(path, task.section,
-                   [&](std::vector<std::uint8_t> &b) { b = payload; });
-            SystemConfig cfg = fc.cfg;
-            cfg.restWatts = kRestWatts;
-            cfg.resumePath = path;
-            out.validMsg = fatalMessage([&] {
-                auto p = makePolicy(fc.policy);
-                System sys(cfg, *p);
-                sys.run();
+                FuzzOutcome out;
+                out.label = fc.cfg.mixName + "/" + fc.policy + " " +
+                            task.section + " mutation #" + std::to_string(t);
+                out.section = task.section;
+                const std::string path =
+                    scratch("fuzz_" + std::to_string(t));
+                writeStale(path, in, task.section, orig);
+                rewrap(path, task.section,
+                       [&](std::vector<std::uint8_t> &b) { b = payload; });
+                SystemConfig cfg = fc.cfg;
+                cfg.restWatts = kRestWatts;
+                cfg.resumePath = path;
+                out.validMsg = fatalMessage([&] {
+                    auto p = makePolicy(fc.policy);
+                    System sys(cfg, *p);
+                    sys.run();
+                });
+                writeStale(path, in, task.section, payload);
+                out.staleMsg = resumeMessage(fc.cfg, fc.policy, path);
+                std::remove(path.c_str());
+                return out;
             });
-            writeStale(path, in, task.section, payload);
-            out.staleMsg = resumeMessage(fc.cfg, fc.policy, path);
-            std::remove(path.c_str());
-            return out;
-        });
+    }
     for (const std::string &cut : cuts)
         std::remove(cut.c_str());
 

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "harness/sweep.hh"
 #include "obs/trace_writer.hh"
 #include "workload/mixes.hh"
+#include "temp_dir.hh"
 
 using namespace memscale;
 
@@ -251,9 +256,8 @@ TEST(SweepEngine, ShardedRunsAreThreadCountInvariant)
             SystemConfig cfg = tinyConfig(mixes[i]);
             RunResult full = runPolicy(cfg, "memscale", 150.0);
             const Tick r = full.runtime;
-            const std::string prefix =
-                "/tmp/memscale_test_sweep_shard_" + mixes[i] + "_j" +
-                std::to_string(jobs);
+            const std::string prefix = test::tempPath(
+                "sweep_shard_" + mixes[i] + "_j" + std::to_string(jobs));
             RunResult sharded =
                 runPolicySharded(cfg, "memscale", 150.0,
                                  {r / 4, r / 2, 3 * r / 4}, prefix);
@@ -423,4 +427,277 @@ TEST(SweepHelpers, PolicyGridIndexing)
     EXPECT_EQ(grid[2].policy.policyName, "memscale");
     EXPECT_EQ(grid[3].policy.policyName, "memscale");
     EXPECT_EQ(grid[3].policy.mixName, "MEM2");
+}
+
+namespace
+{
+
+/** hashComparison() of every result, in case order. */
+std::vector<std::uint64_t>
+comparisonHashes(const std::vector<ComparisonResult> &results)
+{
+    std::vector<std::uint64_t> out;
+    for (const ComparisonResult &r : results)
+        out.push_back(hashComparison(r));
+    return out;
+}
+
+/** The FatalError message of `fn`, or "" if it returned. */
+template <typename Fn>
+std::string
+fatalMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.message;
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(RunMemo, RepeatedCasesSimulateOnce)
+{
+    // Five cases, three distinct comparisons: two baselines (MID1,
+    // MEM2) and three policy runs.  Each engine simulates those five
+    // runs once and returns, for every repeat, what an engine that saw
+    // each case alone returns.
+    const std::vector<SweepCase> cases = {
+        {tinyConfig("MID1"), "memscale"},
+        {tinyConfig("MEM2"), "memscale"},
+        {tinyConfig("MID1"), "memscale"},
+        {tinyConfig("MID1"), "fastpd"},
+        {tinyConfig("MEM2"), "memscale"},
+    };
+    std::vector<std::uint64_t> alone;
+    for (const SweepCase &c : cases) {
+        SweepEngine eng(1);
+        alone.push_back(hashComparison(compareCases(eng, {c})[0]));
+    }
+    for (unsigned jobs : {1u, 4u}) {
+        SweepEngine eng(jobs);
+        EXPECT_EQ(comparisonHashes(compareCases(eng, cases)), alone)
+            << "jobs=" << jobs;
+        EXPECT_EQ(eng.runsSimulated(), 5u) << "jobs=" << jobs;
+        // A second sweep over the same cases is all memo hits.
+        EXPECT_EQ(comparisonHashes(compareCases(eng, cases)), alone);
+        EXPECT_EQ(eng.runsSimulated(), 5u);
+
+        // The Fig. 9 shape after the Fig. 5 one: the MID1 baseline and
+        // its memscale run are already in the memo; only the static
+        // run is new.
+        const std::vector<SystemConfig> cfgs = {tinyConfig("MID1")};
+        std::vector<CalibratedBaseline> bases = runBaselines(eng, cfgs);
+        std::vector<ComparisonResult> grid = comparePolicyGrid(
+            eng, cfgs, bases, {"memscale", "static"});
+        EXPECT_EQ(hashComparison(grid[0]), alone[0]);
+        EXPECT_EQ(eng.runsSimulated(), 6u) << "jobs=" << jobs;
+    }
+}
+
+TEST(RunMemo, DistinctRunsAreNeverMerged)
+{
+    // Every variant differs from its reference in one field only, and
+    // each field changes what the run computes, so each must be
+    // simulated on its own.
+    struct Variant
+    {
+        const char *what;
+        std::string policy;
+        std::function<void(SystemConfig &)> mutate;
+    };
+    const std::vector<Variant> variants = {
+        {"restWatts", "memscale",
+         [](SystemConfig &c) { c.restWatts += 10.0; }},
+        {"powerCapW", "fastcap",
+         [](SystemConfig &c) { c.powerCapW = 250.0; }},
+        {"strictCheck", "memscale",
+         [](SystemConfig &c) { c.strictCheck = true; }},
+        {"seed", "memscale", [](SystemConfig &c) { ++c.seed; }},
+        {"mem.pagePolicy", "memscale",
+         [](SystemConfig &c) { c.mem.pagePolicy = PagePolicy::OpenPage; }},
+        {"mem.ladder.migrate", "memscale",
+         [](SystemConfig &c) { c.mem.ladder.migrate = true; }},
+        {"customApps", "memscale",
+         [](SystemConfig &c) {
+             c.customApps = {appForCore(mixByName(c.mixName), 0)};
+         }},
+    };
+    SystemConfig ref = tinyConfig("MID1");
+    ref.restWatts = 150.0;
+    SweepEngine eng(4);
+    for (const Variant &v : variants) {
+        SystemConfig cfg = ref;
+        v.mutate(cfg);
+        EXPECT_NE(runIdentity(ref, *makePolicy(v.policy)),
+                  runIdentity(cfg, *makePolicy(v.policy)))
+            << v.what;
+        eng.simulate(ref, v.policy);
+        const std::size_t before = eng.runsSimulated();
+        const RunResult got = eng.simulate(cfg, v.policy);
+        EXPECT_EQ(eng.runsSimulated(), before + 1) << v.what;
+        EXPECT_EQ(hashRunResult(got), hashRunResult(simulate(cfg, v.policy)))
+            << v.what;
+    }
+    // memscale and fastcap references, plus one run per variant.
+    EXPECT_EQ(eng.runsSimulated(), 2u + variants.size());
+}
+
+TEST(RunMemo, ResumedRunsSkipTheMemo)
+{
+    // A resumed run's state comes from its snapshot, not its config,
+    // so it is simulated on every call.
+    SystemConfig cfg = tinyConfig("MID2");
+    cfg.restWatts = 150.0;
+    const RunResult full = simulate(cfg, "memscale");
+    const std::string path = test::tempPath("memo_resume.snap");
+    {
+        auto p = makePolicy("memscale");
+        System sys(cfg, *p);
+        ASSERT_TRUE(sys.advance(full.runtime / 2));
+        sys.checkpoint(path);
+    }
+    SystemConfig resumed = cfg;
+    resumed.resumePath = path;
+    SweepEngine eng(2);
+    std::vector<std::uint64_t> hashes = eng.map<std::uint64_t>(
+        3, [&](std::size_t) {
+            return hashRunResult(eng.simulate(resumed, "memscale"));
+        });
+    EXPECT_EQ(eng.runsSimulated(), 3u);
+    for (std::uint64_t h : hashes)
+        EXPECT_EQ(h, hashRunResult(full));
+    std::remove(path.c_str());
+}
+
+TEST(RunMemo, FailedRunRethrowsInEveryTaskThatSharesIt)
+{
+    // threads=2 is refused by the System constructor, so these runs
+    // fail.  Tasks 1 and 3 share one failing baseline; task 2 fails on
+    // its own with a different message.
+    SystemConfig bad2 = tinyConfig("MID1");
+    bad2.threads = 2;
+    SystemConfig bad3 = bad2;
+    bad3.threads = 3;
+    const std::vector<SweepCase> cases = {
+        {tinyConfig("ILP1"), "memscale"},
+        {bad2, "memscale"},
+        {bad3, "memscale"},
+        {bad2, "memscale"},
+    };
+    for (int round = 0; round < 3; ++round) {
+        SweepEngine eng(4);
+        const std::string msg =
+            fatalMessage([&] { compareCases(eng, cases); });
+        EXPECT_NE(msg.find("threads=2"), std::string::npos) << msg;
+        // ILP1's two runs, one failing baseline per distinct config.
+        EXPECT_EQ(eng.runsSimulated(), 4u);
+
+        // Every task that needs the failed run gets its error, and
+        // asking again does not simulate it again.
+        std::vector<std::string> msgs = eng.map<std::string>(
+            4, [&](std::size_t) {
+                return fatalMessage([&] {
+                    eng.simulate(withRestWatts(bad2, 0.0), "baseline");
+                });
+            });
+        for (const std::string &m : msgs)
+            EXPECT_NE(m.find("threads=2"), std::string::npos) << m;
+        EXPECT_EQ(eng.runsSimulated(), 4u);
+    }
+}
+
+TEST(SweepEngine, SkewedCostsKeepResultsByIndex)
+{
+    // Costs that disagree with the index order (reversed, tied, zero,
+    // negative) change only which worker runs a task and when.
+    const std::size_t n = 257;
+    std::vector<double> cost(n);
+    for (std::size_t i = 0; i < n; ++i)
+        cost[i] = static_cast<double>((i * 7919) % 13) - 3.0;
+    cost[0] = 1e12;
+    SweepEngine serial(1);
+    const std::vector<std::uint64_t> want = serial.map<std::uint64_t>(
+        n, [](std::size_t i) { return hashTask(i); });
+    for (unsigned jobs : {2u, 4u, 8u}) {
+        SweepEngine eng(jobs);
+        std::vector<std::atomic<int>> hits(n);
+        std::vector<std::uint64_t> got = eng.map<std::uint64_t>(
+            n,
+            [&](std::size_t i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+                return hashTask(i);
+            },
+            cost);
+        EXPECT_EQ(got, want) << "jobs=" << jobs;
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "task " << i;
+    }
+
+    // Whole runs under a cost vector that puts the cheapest first.
+    const std::vector<std::string> mixes = {"ILP1", "MID2", "MEM2",
+                                            "MID1"};
+    auto digests = [&](unsigned jobs, const std::vector<double> &c) {
+        SweepEngine eng(jobs);
+        return eng.map<std::uint64_t>(
+            mixes.size(),
+            [&](std::size_t i) {
+                return hashRunResult(
+                    runPolicy(tinyConfig(mixes[i]), "memscale", 150.0));
+            },
+            c);
+    };
+    EXPECT_EQ(digests(4, {0.0, 1.0, -5.0, 1.0}), digests(1, {}));
+
+    EXPECT_THROW(serial.forEach(3, [](std::size_t) {}, {1.0}),
+                 FatalError);
+}
+
+TEST(SweepEngine, CostedBatchStartsWithTheCostliestTasks)
+{
+    // Dealt round-robin by descending cost, each of the four workers
+    // holds one of the four costliest tasks at the front of its deque.
+    // Every task waits until four have started, so no worker can run
+    // ahead and steal before the others take their first task.
+    SweepEngine eng(4);
+    std::vector<double> cost(12);
+    for (std::size_t i = 0; i < cost.size(); ++i)
+        cost[i] = static_cast<double>(i);
+    std::mutex m;
+    std::condition_variable cv;
+    std::vector<std::size_t> first;
+    eng.forEach(
+        cost.size(),
+        [&](std::size_t i) {
+            std::unique_lock<std::mutex> lk(m);
+            if (first.size() < 4) {
+                first.push_back(i);
+                cv.notify_all();
+                cv.wait(lk, [&] { return first.size() == 4; });
+            }
+        },
+        cost);
+    std::sort(first.begin(), first.end());
+    EXPECT_EQ(first, (std::vector<std::size_t>{8, 9, 10, 11}));
+}
+
+TEST(SweepHelpers, PredictedCostOrdersRuns)
+{
+    // MEM mixes miss far more often than ILP ones, and cost scales
+    // with the budget; a serving run costs arrivals x misses.
+    SystemConfig ilp = tinyConfig("ILP1");
+    SystemConfig mem = tinyConfig("MEM1");
+    EXPECT_GT(predictedCost(mem), 4.0 * predictedCost(ilp));
+    SystemConfig longer = mem;
+    longer.instrBudget *= 2;
+    EXPECT_NEAR(predictedCost(longer), 2.0 * predictedCost(mem),
+                1e-6 * predictedCost(longer));
+
+    SystemConfig serve = tinyConfig("MID1");
+    serve.serving.enabled = true;
+    serve.serving.arrival.ratePerSec = 1.0e6;
+    serve.serving.horizon = msToTick(2.0);
+    serve.serving.missesPerRequest = 8.0;
+    EXPECT_DOUBLE_EQ(predictedCost(serve), 16000.0);
 }

@@ -13,6 +13,7 @@
 #include "common/log.hh"
 #include "workload/trace_file.hh"
 #include "workload/trace_source.hh"
+#include "temp_dir.hh"
 
 using namespace memscale;
 
@@ -50,7 +51,7 @@ mk(std::uint64_t instr, Addr miss, bool wb = false, Addr wba = 0)
 std::string
 tempPath(const char *name)
 {
-    return std::string("/tmp/memscale_test_") + name + ".trc";
+    return test::tempPath(std::string(name) + ".trc");
 }
 
 } // namespace
