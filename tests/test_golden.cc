@@ -116,6 +116,44 @@ const Golden kLadderGoldens[] = {
     {"MEM1", 0x8daca523ae6501b6ull},
 };
 
+/**
+ * Dynamic-policy rows: the MemScale-family policies that no other
+ * golden runs, on MID4 under the fixed scenario with an 8x budget
+ * (about 17 epochs instead of 2), so slack is banked and spent many
+ * times and every policy changes its choice mid-run.  Each runs at
+ * the rest-of-system draw its baseline calibrates, as the bench
+ * drivers run them: at the fixed 150 W, the slack never binds
+ * memscale-perchannel and coscale never slows the cores.  coscale
+ * runs with the CPU power model on, as abl_coscale runs it.  These
+ * pin the slack banking, the (memory x CPU clock) grid walk and the
+ * per-channel search.
+ */
+std::uint64_t
+dynamicPolicyHash(const std::string &policy)
+{
+    SystemConfig cfg = goldenConfig("MID4");
+    cfg.instrBudget = 4'000'000;
+    cfg.modelCpuPower = policy == "coscale";
+    Watts rest = 0.0;
+    runBaseline(cfg, rest);
+    RunResult r = runPolicy(cfg, policy, rest);
+    return hashRunResult(r);
+}
+
+struct PolicyGolden
+{
+    const char *policy;
+    std::uint64_t hash;
+};
+
+// Regenerate: MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_golden
+const PolicyGolden kDynamicPolicyGoldens[] = {
+    {"coscale", 0xb105dabbc426bb1eull},
+    {"memscale-perchannel", 0x271ee3b287a16cccull},
+    {"memscale-memenergy", 0x7df4d2ae8de12392ull},
+    {"memscale-fastpd", 0xb6005cf4301d1c39ull},
+};
+
 /** Fig. 7 scenario: MID3 under MemScale, per-epoch decisions only. */
 std::uint64_t
 fig7TimelineHash()
@@ -362,6 +400,26 @@ TEST(Golden, LadderMixHashesMatch)
             << " (ladder): behaviour changed; if intended, regenerate "
                "with MEMSCALE_REGEN_GOLDENS=1 "
                "./build/tests/test_golden";
+    }
+}
+
+TEST(Golden, DynamicPolicyHashesMatch)
+{
+    if (regenMode()) {
+        std::printf("const PolicyGolden kDynamicPolicyGoldens[] = {\n");
+        for (const PolicyGolden &g : kDynamicPolicyGoldens) {
+            std::printf("    {\"%s\", 0x%016llxull},\n", g.policy,
+                        static_cast<unsigned long long>(
+                            dynamicPolicyHash(g.policy)));
+        }
+        std::printf("};\n");
+        GTEST_SKIP() << "regenerated goldens printed above";
+    }
+    for (const PolicyGolden &g : kDynamicPolicyGoldens) {
+        EXPECT_EQ(dynamicPolicyHash(g.policy), g.hash)
+            << g.policy
+            << ": behaviour changed; if intended, regenerate with "
+               "MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_golden";
     }
 }
 
