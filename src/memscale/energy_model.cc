@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "memscale/slack.hh"
 #include "power/dram_power.hh"
 
 namespace memscale
@@ -106,6 +107,65 @@ EnergyModel::ser(const PerfModel &perf, const ProfileData &profile,
     if (den <= 0.0)
         return 1.0;
     return num / den;
+}
+
+std::vector<GridPoint>
+walkCpuMemGrid(const PerfModel &perf, const ProfileData &profile,
+               const PolicyContext &ctx, FreqIndex current,
+               double current_ghz, const SlackTracker *slack)
+{
+    auto tpi_at = [&](std::uint32_t i, FreqIndex fm, double g) {
+        return perf.tpiCpu(i) * (current_ghz / g) +
+               perf.alpha(i) * perf.tpiMem(fm);
+    };
+    const double epoch_sec = tickToSec(ctx.epochLen);
+    std::vector<GridPoint> out;
+    for (FreqIndex f = 0; f < numFreqPoints; ++f) {
+        const double stretch = switchStretch(f, current, epoch_sec);
+        for (double g : cpuGridGHz) {
+            bool ok = true;
+            double t_sum = 0.0;
+            double cpu_energy = 0.0;
+            std::uint32_t n_active = 0;
+            for (std::uint32_t i = 0; i < profile.cores.size(); ++i) {
+                if (!perf.active(i))
+                    continue;
+                const double tpi_f = tpi_at(i, f, g) * stretch;
+                if (slack &&
+                    !slack->feasible(
+                        i, tpi_f,
+                        tpi_at(i, nominalFreqIndex, ctx.cpuGHz),
+                        epoch_sec)) {
+                    ok = false;
+                    break;
+                }
+                const double t_i =
+                    static_cast<double>(perf.instructions(i)) * tpi_f;
+                const double busy =
+                    tpi_f > 0.0
+                        ? perf.tpiCpu(i) * (current_ghz / g) / tpi_f
+                        : 0.0;
+                cpu_energy += ctx.power.cpuCorePower(g, busy) * t_i;
+                t_sum += t_i;
+                ++n_active;
+            }
+            if (!ok || n_active == 0)
+                continue;
+            GridPoint p;
+            p.f = f;
+            p.g = g;
+            p.tMean = t_sum / static_cast<double>(n_active);
+            p.memJ = EnergyModel::predict(perf, profile, ctx, f,
+                                          p.tMean).memory;
+            const double idle_cores = static_cast<double>(
+                profile.cores.size() - n_active);
+            cpu_energy +=
+                idle_cores * ctx.power.cpuCorePower(g, 0.0) * p.tMean;
+            p.totalJ = p.memJ + cpu_energy + ctx.restWatts * p.tMean;
+            out.push_back(p);
+        }
+    }
+    return out;
 }
 
 } // namespace memscale

@@ -13,6 +13,9 @@
 #ifndef MEMSCALE_MEMSCALE_ENERGY_MODEL_HH
 #define MEMSCALE_MEMSCALE_ENERGY_MODEL_HH
 
+#include <array>
+#include <vector>
+
 #include "common/types.hh"
 #include "dram/timing.hh"
 #include "mem/config.hh"
@@ -21,6 +24,8 @@
 
 namespace memscale
 {
+
+class SlackTracker;
 
 /** Static context a policy needs to reason about energy. */
 struct PolicyContext
@@ -79,6 +84,46 @@ class EnergyModel
                       const PolicyContext &ctx, FreqIndex f,
                       bool memory_only = false);
 };
+
+/** CPU clock candidates in GHz, fastest first (CoScale, FastCap). */
+inline constexpr std::array<double, 7> cpuGridGHz = {
+    4.0, 3.667, 3.333, 3.0, 2.667, 2.333, 2.0,
+};
+
+/** Prediction for one (memory frequency, CPU clock) pair. */
+struct GridPoint
+{
+    FreqIndex f = nominalFreqIndex;
+    double g = 0.0;          ///< CPU clock, GHz
+    double tMean = 0.0;      ///< mean predicted time of active cores
+    Joules memJ = 0.0;       ///< memory-subsystem energy
+    Joules totalJ = 0.0;     ///< memory + CPU + rest-of-system energy
+};
+
+/**
+ * Coordinated CPU + memory DVFS prediction at every (f, g) pair,
+ * memory frequency outer (fastest first) and cpuGridGHz inner.  The
+ * profiling window ran at `current` and `current_ghz`, so the
+ * calibrated CPU-side time is already stretched by nominal/current;
+ * each active core's time per instruction at (f, g) is
+ *
+ *   (TPI_cpu_i * current_ghz / g + alpha_i * TPI_mem(f))
+ *       * switchStretch(f, current)
+ *
+ * Energy is the memory model over the mean core time, V^2 f CPU
+ * power at each core's busy share, idle (finished) cores' leakage,
+ * and the rest-of-system draw.  With `slack`, a pair where some
+ * active core misses its slack-adjusted target (against nominal
+ * memory and CPU clocks) is left out.  A profile with no active core
+ * yields no points.
+ */
+std::vector<GridPoint> walkCpuMemGrid(const PerfModel &perf,
+                                      const ProfileData &profile,
+                                      const PolicyContext &ctx,
+                                      FreqIndex current,
+                                      double current_ghz,
+                                      const SlackTracker *slack =
+                                          nullptr);
 
 } // namespace memscale
 

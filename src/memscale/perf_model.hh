@@ -110,6 +110,20 @@ class PerfModel
     std::vector<CoreCal> cores_;
 };
 
+/**
+ * Factor by which re-locking the bus to `f` stretches an epoch of
+ * `epoch_sec` (1 when `f` is already `current`).  Policies fold it
+ * into a candidate's predicted per-instruction time so short epochs
+ * cannot overshoot the bound through transition overhead.
+ */
+inline double
+switchStretch(FreqIndex f, FreqIndex current, double epoch_sec)
+{
+    if (f == current)
+        return 1.0;
+    return 1.0 + tickToSec(TimingParams::at(f).tRELOCK) / epoch_sec;
+}
+
 } // namespace memscale
 
 #endif // MEMSCALE_MEMSCALE_PERF_MODEL_HH

@@ -16,8 +16,6 @@
 #ifndef MEMSCALE_MEMSCALE_POLICIES_COSCALE_POLICY_HH
 #define MEMSCALE_MEMSCALE_POLICIES_COSCALE_POLICY_HH
 
-#include <array>
-
 #include "memscale/policies/policy.hh"
 #include "memscale/slack.hh"
 
@@ -27,11 +25,6 @@ namespace memscale
 class CoScalePolicy : public Policy
 {
   public:
-    /** CPU clock candidates in GHz, fastest first. */
-    static constexpr std::array<double, 7> cpuGridGHz = {
-        4.0, 3.667, 3.333, 3.0, 2.667, 2.333, 2.0,
-    };
-
     std::string name() const override { return "coscale"; }
     bool dynamic() const override { return true; }
 
@@ -49,33 +42,17 @@ class CoScalePolicy : public Policy
 
     const SlackTracker &slack() const { return slack_; }
 
-    void
-    saveState(SectionWriter &w) const override
-    {
-        SectionIO io(w);
-        const_cast<CoScalePolicy &>(*this).transfer(io);
-    }
-
-    void
-    restoreState(SectionReader &r) override
-    {
-        SectionIO io(r);
-        transfer(io);
-    }
-
   private:
     void
-    transfer(SectionIO &io)
+    transfer(SectionIO &io) override
     {
         slack_.transfer(io);
-        io(slackReady_);
         io(chosenGHz_);
         io(currentGHz_);
     }
 
     SlackTracker slack_;
     PerfModel perf_;
-    bool slackReady_ = false;
     double chosenGHz_ = 0.0;
     double currentGHz_ = 0.0;
 };

@@ -1,15 +1,11 @@
 #include "memscale/policies/fastcap_policy.hh"
 
-#include <limits>
-
 #include "memscale/energy_model.hh"
 #include "obs/stat_registry.hh"
 #include "snapshot/serializer.hh"
 
 namespace memscale
 {
-
-constexpr std::array<double, 7> FastCapPolicy::cpuGridGHz;
 
 void
 FastCapPolicy::configure(MemoryController &mc,
@@ -31,102 +27,42 @@ FastCapPolicy::selectFrequency(const ProfileData &profile,
     if (currentGHz_ <= 0.0)
         currentGHz_ = ctx.cpuGHz;
 
-    // The profiling window ran at currentGHz_; a candidate clock g
-    // stretches the CPU share by (currentGHz_ / g).  Same performance
-    // model as CoScale — only the objective differs.
+    // Same grid walk as CoScale, without the slack cut: only the
+    // objective differs.
     const double g_nom = ctx.cpuGHz;
-    auto tpi_at = [&](std::uint32_t i, FreqIndex fm, double g) {
-        return perf_.tpiCpu(i) * (currentGHz_ / g) +
-               perf_.alpha(i) * perf_.tpiMem(fm);
-    };
-
-    const double epoch_sec = tickToSec(ctx.epochLen);
     const Watts budget = ctx.powerCapW;
 
     struct Candidate
     {
         bool valid = false;
-        FreqIndex f = nominalFreqIndex;
-        double g = 0.0;
-        double tMean = 0.0;
+        GridPoint p;
         Watts watts = 0.0;
-        Joules memJ = 0.0;
-        Joules totalJ = 0.0;
     };
     Candidate perf_best;   // fastest pair, ignoring the budget
     Candidate min_power;   // slowest knob: the power floor
     Candidate feasible;    // fastest pair fitting the budget
     Candidate nominal;     // (f_nom, g_nom): the uncapped demand
 
-    for (FreqIndex f = 0; f < numFreqPoints; ++f) {
-        double switch_stretch = 1.0;
-        if (f != current) {
-            switch_stretch +=
-                tickToSec(TimingParams::at(f).tRELOCK) / epoch_sec;
-        }
-        for (double g : cpuGridGHz) {
-            double t_sum = 0.0;
-            double cpu_energy = 0.0;
-            std::uint32_t n_active = 0;
-            for (std::uint32_t i = 0; i < profile.cores.size();
-                 ++i) {
-                if (!perf_.active(i))
-                    continue;
-                const double tpi_f = tpi_at(i, f, g) * switch_stretch;
-                const double t_i =
-                    static_cast<double>(perf_.instructions(i)) *
-                    tpi_f;
-                const double busy =
-                    tpi_f > 0.0
-                        ? perf_.tpiCpu(i) * (currentGHz_ / g) / tpi_f
-                        : 0.0;
-                cpu_energy += ctx.power.cpuCorePower(g, busy) * t_i;
-                t_sum += t_i;
-                ++n_active;
-            }
-            if (n_active == 0)
-                continue;
-            const double t_mean =
-                t_sum / static_cast<double>(n_active);
-            if (!(t_mean > 0.0))
-                continue;
-
-            EnergyPrediction mem = EnergyModel::predict(
-                perf_, profile, ctx, f, t_mean);
-            const double idle_cores = static_cast<double>(
-                profile.cores.size() - n_active);
-            cpu_energy +=
-                idle_cores * ctx.power.cpuCorePower(g, 0.0) * t_mean;
-            const double total =
-                mem.memory + cpu_energy + ctx.restWatts * t_mean;
-            const Watts watts = total / t_mean;
-
-            Candidate c;
-            c.valid = true;
-            c.f = f;
-            c.g = g;
-            c.tMean = t_mean;
-            c.watts = watts;
-            c.memJ = mem.memory;
-            c.totalJ = total;
-
-            if (!perf_best.valid || c.tMean < perf_best.tMean ||
-                (c.tMean == perf_best.tMean &&
-                 c.watts < perf_best.watts))
-                perf_best = c;
-            if (!min_power.valid || c.watts < min_power.watts ||
-                (c.watts == min_power.watts &&
-                 c.tMean < min_power.tMean))
-                min_power = c;
-            if (budget > 0.0 &&
-                c.watts <= opts_.headroom * budget &&
-                (!feasible.valid || c.tMean < feasible.tMean ||
-                 (c.tMean == feasible.tMean &&
-                  c.watts < feasible.watts)))
-                feasible = c;
-            if (f == nominalFreqIndex && g == g_nom)
-                nominal = c;
-        }
+    for (const GridPoint &p :
+         walkCpuMemGrid(perf_, profile, ctx, current, currentGHz_)) {
+        if (!(p.tMean > 0.0))
+            continue;
+        const Candidate c{true, p, p.totalJ / p.tMean};
+        if (!perf_best.valid || c.p.tMean < perf_best.p.tMean ||
+            (c.p.tMean == perf_best.p.tMean &&
+             c.watts < perf_best.watts))
+            perf_best = c;
+        if (!min_power.valid || c.watts < min_power.watts ||
+            (c.watts == min_power.watts &&
+             c.p.tMean < min_power.p.tMean))
+            min_power = c;
+        if (budget > 0.0 && c.watts <= opts_.headroom * budget &&
+            (!feasible.valid || c.p.tMean < feasible.p.tMean ||
+             (c.p.tMean == feasible.p.tMean &&
+              c.watts < feasible.watts)))
+            feasible = c;
+        if (p.f == nominalFreqIndex && p.g == g_nom)
+            nominal = c;
     }
 
     if (!perf_best.valid) {
@@ -146,16 +82,16 @@ FastCapPolicy::selectFrequency(const ProfileData &profile,
         infeasible = true;
     }
 
-    chosenGHz_ = chosen.g;
-    currentGHz_ = chosen.g;
+    chosenGHz_ = chosen.p.g;
+    currentGHz_ = chosen.p.g;
 
     const Candidate &demand = nominal.valid ? nominal : perf_best;
     tele_.valid = true;
     tele_.demandW = demand.watts;
     tele_.minW = min_power.watts;
     tele_.chosenW = chosen.watts;
-    tele_.slowdown = perf_best.tMean > 0.0
-                         ? chosen.tMean / perf_best.tMean
+    tele_.slowdown = perf_best.p.tMean > 0.0
+                         ? chosen.p.tMean / perf_best.p.tMean
                          : 1.0;
     tele_.budgetW = budget;
     ++tele_.epochs;
@@ -165,15 +101,16 @@ FastCapPolicy::selectFrequency(const ProfileData &profile,
         tele_.maxChosenW = chosen.watts;
 
     decision_.valid = true;
-    decision_.chosen = chosen.f;
+    decision_.chosen = chosen.p.f;
     decision_.predictedCpi = 0.0;
-    decision_.predictedMemJ = chosen.memJ;
-    decision_.predictedSysJ = chosen.totalJ;
-    decision_.ser =
-        demand.totalJ > 0.0 ? chosen.totalJ / demand.totalJ : 1.0;
+    decision_.predictedMemJ = chosen.p.memJ;
+    decision_.predictedSysJ = chosen.p.totalJ;
+    decision_.ser = demand.p.totalJ > 0.0
+                        ? chosen.p.totalJ / demand.p.totalJ
+                        : 1.0;
     decision_.minSlack = 0.0;
 
-    return chosen.f;
+    return chosen.p.f;
 }
 
 void
@@ -191,20 +128,6 @@ FastCapPolicy::registerStats(StatRegistry &reg,
     reg.addGauge(prefix + ".infeasibleEpochs", [this] {
         return static_cast<double>(tele_.infeasibleEpochs);
     });
-}
-
-void
-FastCapPolicy::saveState(SectionWriter &w) const
-{
-    SectionIO io(w);
-    const_cast<FastCapPolicy &>(*this).transfer(io);
-}
-
-void
-FastCapPolicy::restoreState(SectionReader &r)
-{
-    SectionIO io(r);
-    transfer(io);
 }
 
 void

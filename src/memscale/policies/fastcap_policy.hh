@@ -26,7 +26,6 @@
 #ifndef MEMSCALE_MEMSCALE_POLICIES_FASTCAP_POLICY_HH
 #define MEMSCALE_MEMSCALE_POLICIES_FASTCAP_POLICY_HH
 
-#include <array>
 #include <cstdint>
 
 #include "memscale/policies/policy.hh"
@@ -68,11 +67,6 @@ class FastCapPolicy : public Policy
         double headroom = 0.95;
     };
 
-    /** CPU clock candidates in GHz, fastest first (CoScale grid). */
-    static constexpr std::array<double, 7> cpuGridGHz = {
-        4.0, 3.667, 3.333, 3.0, 2.667, 2.333, 2.0,
-    };
-
     FastCapPolicy() = default;
     explicit FastCapPolicy(const Options &opts) : opts_(opts) {}
 
@@ -96,11 +90,8 @@ class FastCapPolicy : public Policy
     const FastCapTelemetry &telemetry() const { return tele_; }
     const Options &options() const { return opts_; }
 
-    void saveState(SectionWriter &w) const override;
-    void restoreState(SectionReader &r) override;
-
   private:
-    void transfer(SectionIO &io);
+    void transfer(SectionIO &io) override;
 
     Options opts_;
     PerfModel perf_;

@@ -56,26 +56,11 @@ class MemScalePolicy : public Policy
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) override;
 
-    void
-    saveState(SectionWriter &w) const override
-    {
-        SectionIO io(w);
-        const_cast<MemScalePolicy &>(*this).transfer(io);
-    }
-
-    void
-    restoreState(SectionReader &r) override
-    {
-        SectionIO io(r);
-        transfer(io);
-    }
-
   private:
     void
-    transfer(SectionIO &io)
+    transfer(SectionIO &io) override
     {
         slack_.transfer(io);
-        io(slackReady_);
         io(decision_.valid);
         io(decision_.chosen);
         io(decision_.predictedCpi);
@@ -88,7 +73,6 @@ class MemScalePolicy : public Policy
     Options opts_;
     SlackTracker slack_;
     PerfModel perf_;
-    bool slackReady_ = false;
     PolicyDecision decision_;
 };
 

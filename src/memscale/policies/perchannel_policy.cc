@@ -42,7 +42,7 @@ PerChannelMemScalePolicy::configure(MemoryController &mc,
     mc.setPowerdownMode(PowerdownMode::None);
     mc_ = &mc;
     perf_ = PerfModel(ctx.cpuGHz);
-    slackReady_ = false;
+    slack_ = SlackTracker();
     choices_.assign(ctx.mem.numChannels, nominalFreqIndex);
     chanPrev_.clear();
 }
@@ -55,10 +55,9 @@ PerChannelMemScalePolicy::selectFrequency(const ProfileData &profile,
     (void)current;
     if (mc_ == nullptr)
         panic("PerChannelMemScalePolicy used without configure()");
-    if (!slackReady_) {
-        slack_.reset(profile.cores.size(), ctx.gamma * 0.90);   // wider band: staler per-channel windows
-        slackReady_ = true;
-    }
+    // Wider guard band than MemScale's: the per-channel windows are
+    // staler.
+    slack_.start(profile.cores.size(), ctx.gamma * 0.90);
     perf_.calibrate(profile);
 
     const std::uint32_t channels = ctx.mem.numChannels;
@@ -225,25 +224,6 @@ PerChannelMemScalePolicy::selectFrequency(const ProfileData &profile,
     // The subsystem-level interface reports the MC domain (fastest
     // channel); the epoch controller's setFrequency is then a no-op.
     return mc_->frequency();
-}
-
-void
-PerChannelMemScalePolicy::endEpoch(const ProfileData &epoch,
-                                   const PolicyContext &ctx)
-{
-    if (!slackReady_) {
-        slack_.reset(epoch.cores.size(), ctx.gamma * 0.90);   // wider band: staler per-channel windows
-        slackReady_ = true;
-    }
-    PerfModel epoch_model(ctx.cpuGHz);
-    epoch_model.calibrate(epoch);
-    const double actual = tickToSec(epoch.windowLen);
-    for (std::uint32_t c = 0; c < epoch.cores.size(); ++c) {
-        if (!epoch_model.active(c))
-            continue;
-        double max_sec = epoch_model.coreTime(c, nominalFreqIndex);
-        slack_.update(c, max_sec, actual);
-    }
 }
 
 } // namespace memscale

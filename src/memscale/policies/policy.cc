@@ -9,6 +9,7 @@
 #include "memscale/policies/powerdown_policy.hh"
 #include "memscale/policies/slo_policy.hh"
 #include "memscale/policies/static_policy.hh"
+#include "snapshot/serializer.hh"
 
 namespace memscale
 {
@@ -19,6 +20,20 @@ Policy::configure(MemoryController &mc, const PolicyContext &ctx)
     (void)ctx;
     mc.setFrequency(nominalFreqIndex);
     mc.setPowerdownMode(PowerdownMode::None);
+}
+
+void
+Policy::saveState(SectionWriter &w) const
+{
+    SectionIO io(w);
+    const_cast<Policy &>(*this).transfer(io);
+}
+
+void
+Policy::restoreState(SectionReader &r)
+{
+    SectionIO io(r);
+    transfer(io);
 }
 
 std::unique_ptr<Policy>

@@ -123,21 +123,30 @@ class Policy
 
     /**
      * @name Checkpoint/restore of policy-internal state (slack
-     * accounts, decision trails).  Static policies are stateless
-     * after configure(); the defaults serialize nothing.  Restore
-     * runs after configure() on the resumed run.  Stateful policies
-     * implement both through one private transfer(SectionIO &).
+     * accounts, decision trails), both through transfer().  Restore
+     * runs after configure() on the resumed run.  They stay virtual
+     * so a decorator can wrap a policy's state section.
      */
     /// @{
-    virtual void saveState(SectionWriter &w) const { (void)w; }
-    virtual void restoreState(SectionReader &r) { (void)r; }
+    virtual void saveState(SectionWriter &w) const;
+    virtual void restoreState(SectionReader &r);
     /// @}
+
+  protected:
+    /**
+     * The policy's state as one field list for both directions.
+     * Static policies are stateless after configure(); the default
+     * transfers nothing.
+     */
+    virtual void transfer(SectionIO &io) { (void)io; }
 };
 
 /**
- * Policy factory.  Known names: "baseline", "static", "fastpd",
- * "slowpd", "decoupled", "memscale", "memscale-memenergy",
- * "memscale-fastpd".
+ * Policy factory: every name in policyNames(), plus "coscale" and
+ * "fastcap".  Those two are left out of policyNames() on purpose:
+ * coscale re-clocks the cores and fastcap obeys a power budget, so
+ * the tests and sweeps that walk policyNames() stay memory-only and
+ * uncapped.
  */
 std::unique_ptr<Policy> makePolicy(const std::string &name);
 

@@ -100,20 +100,6 @@ SloPolicy::registerStats(StatRegistry &reg, const std::string &prefix)
 }
 
 void
-SloPolicy::saveState(SectionWriter &w) const
-{
-    SectionIO io(w);
-    const_cast<SloPolicy &>(*this).transfer(io);
-}
-
-void
-SloPolicy::restoreState(SectionReader &r)
-{
-    SectionIO io(r);
-    transfer(io);
-}
-
-void
 SloPolicy::transfer(SectionIO &io)
 {
     io(lastP99Us_);

@@ -73,11 +73,8 @@ class SloPolicy final : public Policy
     void registerStats(StatRegistry &reg,
                        const std::string &prefix) override;
 
-    void saveState(SectionWriter &w) const override;
-    void restoreState(SectionReader &r) override;
-
   private:
-    void transfer(SectionIO &io);
+    void transfer(SectionIO &io) override;
 
     Options opts_;
     std::function<TailWindow()> probe_;

@@ -11,7 +11,9 @@
 
 #include "cpu/core.hh"
 #include "harness/experiment.hh"
+#include "memscale/energy_model.hh"
 #include "memscale/policies/coscale_policy.hh"
+#include "memscale/slack.hh"
 #include "sim/event_queue.hh"
 
 using namespace memscale;
@@ -99,6 +101,53 @@ TEST(CoreDvfs, BadFrequencyPanics)
     CoreParams cp;
     Core core(eq, 0, src, mc, cp);
     EXPECT_DEATH(core.setFrequencyGHz(0.0), "non-positive");
+}
+
+TEST(CpuMemGrid, WalksEveryPairInOrderAndCutsOnSlack)
+{
+    ProfileData prof;
+    prof.windowLen = usToTick(25.0);
+    prof.freqDuring = nominalFreqIndex;
+    prof.cores = {CoreSample{40'000, 600}, CoreSample{25'000, 900},
+                  CoreSample{0, 0}};
+    prof.mc.cbmc = 1'500;
+    prof.mc.btc = 1'500;
+    prof.mc.ctc = 1'500;
+    PolicyContext ctx;
+    ctx.restWatts = 20.0;
+    PerfModel perf(ctx.cpuGHz);
+    perf.calibrate(prof);
+
+    // Memory frequency outer, CPU clock inner, fastest first.
+    const auto all = walkCpuMemGrid(perf, prof, ctx, nominalFreqIndex,
+                                    ctx.cpuGHz);
+    ASSERT_EQ(all.size(), numFreqPoints * cpuGridGHz.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        EXPECT_EQ(all[i].f, i / cpuGridGHz.size());
+        EXPECT_EQ(all[i].g, cpuGridGHz[i % cpuGridGHz.size()]);
+        EXPECT_GT(all[i].tMean, 0.0);
+        EXPECT_GT(all[i].totalJ, all[i].memJ);
+    }
+
+    // With gamma 0 and no banked slack only the nominal pair keeps
+    // every core on target, and the cut leaves its numbers alone.
+    SlackTracker slack;
+    slack.start(prof.cores.size(), 0.0);
+    const auto cut = walkCpuMemGrid(perf, prof, ctx, nominalFreqIndex,
+                                    ctx.cpuGHz, &slack);
+    ASSERT_EQ(cut.size(), 1u);
+    EXPECT_EQ(cut[0].f, nominalFreqIndex);
+    EXPECT_EQ(cut[0].g, ctx.cpuGHz);
+    EXPECT_EQ(cut[0].tMean, all[0].tMean);
+    EXPECT_EQ(cut[0].totalJ, all[0].totalJ);
+
+    // No active core, no points.
+    ProfileData idle = prof;
+    for (CoreSample &c : idle.cores)
+        c = CoreSample{};
+    perf.calibrate(idle);
+    EXPECT_TRUE(walkCpuMemGrid(perf, idle, ctx, nominalFreqIndex,
+                               ctx.cpuGHz).empty());
 }
 
 TEST(CoScale, PolicyRegistered)
