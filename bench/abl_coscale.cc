@@ -18,10 +18,10 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
     cfg.modelCpuPower = true;
-    benchHeader("Extension", "coordinated CPU+memory DVFS (CoScale)",
+    benchHeader(conf, "Extension", "coordinated CPU+memory DVFS (CoScale)",
                 cfg);
 
     const std::vector<const char *> mixnames = {"ILP2", "MID1", "MID2",

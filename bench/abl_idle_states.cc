@@ -18,9 +18,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Ablation",
+    benchHeader(conf, "Ablation",
                 "idle states + throttling vs active low-power modes",
                 cfg);
 

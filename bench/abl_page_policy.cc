@@ -17,9 +17,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Ablation", "page policy x scheduler", cfg);
+    benchHeader(conf, "Ablation", "page policy x scheduler", cfg);
 
     struct Combo
     {

@@ -29,9 +29,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Extension", "per-channel DVFS vs lockstep MemScale",
+    benchHeader(conf, "Extension", "per-channel DVFS vs lockstep MemScale",
                 cfg);
 
     const std::vector<std::string> policies = {"memscale",

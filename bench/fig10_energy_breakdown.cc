@@ -16,9 +16,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Figure 10", "system energy breakdown by policy (MID)",
+    benchHeader(conf, "Figure 10", "system energy breakdown by policy (MID)",
                 cfg);
 
     const std::vector<std::string> policies = {

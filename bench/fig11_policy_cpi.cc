@@ -15,9 +15,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Figure 11", "CPI overhead by policy (MID)", cfg);
+    benchHeader(conf, "Figure 11", "CPI overhead by policy (MID)", cfg);
 
     const std::vector<std::string> policies = {
         "fastpd", "slowpd", "decoupled", "static",

@@ -17,9 +17,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Figure 12", "sensitivity to the CPI bound (MID)", cfg);
+    benchHeader(conf, "Figure 12", "sensitivity to the CPI bound (MID)", cfg);
 
     const std::vector<double> bounds = {0.01, 0.05, 0.10, 0.15};
     std::vector<SystemConfig> cfgs;

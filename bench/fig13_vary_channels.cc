@@ -16,9 +16,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Figure 13", "sensitivity to channel count (MID)", cfg);
+    benchHeader(conf, "Figure 13", "sensitivity to channel count (MID)", cfg);
 
     const std::vector<std::uint32_t> channels = {4u, 3u, 2u};
     std::vector<SystemConfig> cfgs;

@@ -15,9 +15,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Figure 14",
+    benchHeader(conf, "Figure 14",
                 "sensitivity to memory power fraction (MID)", cfg);
 
     const std::vector<double> fracs = {0.30, 0.40, 0.50};

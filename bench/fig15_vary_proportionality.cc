@@ -17,9 +17,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Figure 15",
+    benchHeader(conf, "Figure 15",
                 "sensitivity to MC/register power proportionality (MID)",
                 cfg);
 

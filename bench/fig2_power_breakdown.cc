@@ -14,9 +14,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Figure 2", "baseline memory power breakdown by class",
+    benchHeader(conf, "Figure 2", "baseline memory power breakdown by class",
                 cfg);
 
     struct ClassAgg

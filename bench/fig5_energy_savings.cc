@@ -16,11 +16,11 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
-    if (int rc = maybeSelfCheck(argc, argv, conf, cfg); rc >= 0)
+    SystemConfig cfg = benchConfig(argc, argv, conf);
+    if (int rc = maybeSelfCheck(conf, cfg); rc >= 0)
         return rc;
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Figure 5", "MemScale energy savings per mix", cfg);
+    benchHeader(conf, "Figure 5", "MemScale energy savings per mix", cfg);
 
     std::vector<SweepCase> cases;
     for (const MixSpec &mix : allMixes()) {

@@ -15,9 +15,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Figure 6", "MemScale CPI overhead per mix", cfg);
+    benchHeader(conf, "Figure 6", "MemScale CPI overhead per mix", cfg);
 
     std::vector<SweepCase> cases;
     for (const MixSpec &mix : allMixes()) {

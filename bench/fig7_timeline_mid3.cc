@@ -16,10 +16,10 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
     cfg.mixName = "MID3";
-    benchHeader("Figure 7",
+    benchHeader(conf, "Figure 7",
                 "MID3 timeline: frequency tracks the apsi phase change",
                 cfg);
 

@@ -16,11 +16,11 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
     cfg.mixName = "MEM4";
     cfg.numCores = 8;   // the paper uses an 8-core system here
-    benchHeader("Figure 8",
+    benchHeader(conf, "Figure 8",
                 "MEM4 (8 cores): virtual-frequency oscillation", cfg);
 
     CalibratedBaseline cal = runBaselines(eng, {cfg})[0];

@@ -16,11 +16,11 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
-    if (int rc = maybeSelfCheck(argc, argv, conf, cfg); rc >= 0)
+    SystemConfig cfg = benchConfig(argc, argv, conf);
+    if (int rc = maybeSelfCheck(conf, cfg); rc >= 0)
         return rc;
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Figure 9", "policy comparison, MID average", cfg);
+    benchHeader(conf, "Figure 9", "policy comparison, MID average", cfg);
 
     const std::vector<std::string> policies = {
         "fastpd", "slowpd", "decoupled", "static",

@@ -57,7 +57,7 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
 
     // A coordination epoch must contain a few policy epochs or the
     // per-server controller cannot settle onto its budget before the
@@ -96,7 +96,7 @@ main(int argc, char **argv)
     const std::vector<double> caps =
         conf.getList<double>("caps", "0.99,0.97,0.95");
 
-    benchHeader("fleet_energy",
+    benchHeader(conf, "fleet_energy",
                 "rack power capping: coordinated FastCap vs "
                 "uncoordinated MemScale",
                 cfg);

@@ -43,7 +43,7 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
 
     cfg.mixName = "OPENLOOP";
@@ -60,7 +60,7 @@ main(int argc, char **argv)
         conf.getInt("hot-ranks", 1));
     const double migrate_us = conf.getDouble("migrate-us", 50.0);
 
-    benchHeader("idle_ladder_tail",
+    benchHeader(conf, "idle_ladder_tail",
                 "idle-state ladder: energy vs wake-up tail", cfg);
     std::printf("(rate=%.2f Mreq/s, %.1f misses/req, horizon=%.2f ms, "
                 "hot-ranks=%u, migrate-every=%.0f us)\n",

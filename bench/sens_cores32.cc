@@ -15,9 +15,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Sens. 32 cores",
+    benchHeader(conf, "Sens. 32 cores",
                 "traffic scaling: 32 cores on 4 channels (MID)", cfg);
 
     std::vector<SweepCase> cases;

@@ -17,9 +17,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Sens. epoch/profile",
+    benchHeader(conf, "Sens. epoch/profile",
                 "sensitivity to epoch and profiling lengths (MID)",
                 cfg);
 

@@ -30,7 +30,7 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
 
     cfg.mixName = "OPENLOOP";
@@ -51,7 +51,7 @@ main(int argc, char **argv)
     std::vector<std::string> policies = conf.getList<std::string>(
         "policies", "baseline,memscale,slo");
 
-    benchHeader("serve_energy", "open-loop serving: energy vs tail",
+    benchHeader(conf, "serve_energy", "open-loop serving: energy vs tail",
                 cfg);
     std::printf("(arrival=%s, horizon=%.2f ms, %.1f misses/req, "
                 "slo-p99=%.0f us)\n",

@@ -41,12 +41,18 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     cfg.mixName = conf.getString("mix", "MID3");
     const std::string policy = conf.getString("policy", "memscale");
     const double rest = conf.getDouble("rest", 150.0);
 
     const std::string meta_path = conf.getString("meta", "");
+    const Tick cut_at = msToTick(conf.getDouble("checkpoint-at", 0.0));
+    const std::string out = conf.getString("checkpoint-out", "");
+    const bool stop = conf.getBool("checkpoint-stop", false);
+    cfg.resumePath = conf.getString("resume", "");
+    conf.refuseUnread();
+
     if (!meta_path.empty()) {
         // Fleet snapshots carry a "cluster" section on top of the
         // per-server files; print its summary and stop.
@@ -77,12 +83,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const Tick cut_at = msToTick(conf.getDouble("checkpoint-at", 0.0));
-    const std::string out = conf.getString("checkpoint-out", "");
-    const bool stop = conf.getBool("checkpoint-stop", false);
     if (cut_at > 0 && out.empty())
         fatal("snapshot_tool: checkpoint-at needs checkpoint-out");
-    cfg.resumePath = conf.getString("resume", "");
     cfg.restWatts = rest;
 
     auto p = makePolicy(policy);

@@ -13,9 +13,9 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
-    benchHeader("Table 1", "workload mixes: measured vs paper RPKI/WPKI",
+    benchHeader(conf, "Table 1", "workload mixes: measured vs paper RPKI/WPKI",
                 cfg);
 
     std::vector<SystemConfig> cfgs;

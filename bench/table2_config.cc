@@ -14,8 +14,9 @@ using namespace memscale;
 int
 main(int argc, char **argv)
 {
-    SystemConfig cfg = benchConfig(argc, argv);
-    benchHeader("Table 2", "main system settings as instantiated", cfg);
+    Config conf;
+    SystemConfig cfg = benchConfig(argc, argv, conf);
+    benchHeader(conf, "Table 2", "main system settings as instantiated", cfg);
 
     const TimingParams &tp = TimingParams::at(nominalFreqIndex);
     Table t({"parameter", "value", "paper"});

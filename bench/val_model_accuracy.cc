@@ -20,10 +20,10 @@ int
 main(int argc, char **argv)
 {
     Config conf;
-    SystemConfig cfg = benchConfig(argc, argv, &conf);
+    SystemConfig cfg = benchConfig(argc, argv, conf);
     SweepEngine eng = benchEngine(conf);
     cfg.mixName = "MID2";
-    benchHeader("Validation", "perf-model predicted vs measured CPI",
+    benchHeader(conf, "Validation", "perf-model predicted vs measured CPI",
                 cfg);
 
     CalibratedBaseline cal = runBaselines(eng, {cfg})[0];

@@ -30,6 +30,7 @@ main(int argc, char **argv)
     conf.parseArgs(argc, argv);
     const auto budget = static_cast<std::uint64_t>(
         conf.getInt("budget", 1'000'000));
+    conf.refuseUnread();
     const std::uint32_t ncores = 16;
 
     EventQueue eq;

@@ -63,6 +63,7 @@ main(int argc, char **argv)
     cfg.gamma = conf.getDouble("gamma", 0.05);
     cfg.epochLen = msToTick(conf.getDouble("epoch_ms", 0.25));
     cfg.profileLen = usToTick(conf.getDouble("profile_us", 25.0));
+    conf.refuseUnread();
 
     std::printf("Custom workload: 8x analytics + 8x frontend, "
                 "gamma=%.0f%%\n", cfg.gamma * 100.0);

@@ -39,11 +39,11 @@ main(int argc, char **argv)
     // CPU power modelled explicitly so the coordinated-DVFS policy
     // (coscale) competes on equal accounting.
     cfg.modelCpuPower = true;
+    SweepEngine eng(checkedJobs(conf.getInt("jobs", 0)));
+    conf.refuseUnread();
 
     std::printf("Comparing all policies on %s (gamma=%.0f%%)\n",
                 cfg.mixName.c_str(), cfg.gamma * 100.0);
-
-    SweepEngine eng(checkedJobs(conf.getInt("jobs", 0)));
 
     Watts rest = 0.0;
     RunResult base = runBaseline(cfg, rest);

@@ -28,6 +28,7 @@ main(int argc, char **argv)
     cfg.gamma = conf.getDouble("gamma", 0.10);
     cfg.epochLen = msToTick(conf.getDouble("epoch_ms", 0.25));
     cfg.profileLen = usToTick(conf.getDouble("profile_us", 25.0));
+    conf.refuseUnread();
 
     std::printf("MemScale quickstart: mix=%s budget=%llu gamma=%.0f%%\n",
                 cfg.mixName.c_str(),

@@ -66,6 +66,7 @@ main(int argc, char **argv)
     const auto budget = static_cast<std::uint64_t>(
         conf.getInt("budget", 500'000));
     const std::string dir = conf.getString("tracedir", "/tmp");
+    conf.refuseUnread();
     const std::uint32_t ncores = 4;
 
     // Step 1: record.  Each core's synthetic stream is teed to disk.

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "common/config.hh"
 #include "common/log.hh"
 #include "dram/rank.hh"
 #include "snapshot/serializer.hh"
@@ -81,7 +81,7 @@ ProtocolChecker::ProtocolChecker(bool strict) : strict_(strict) {}
 bool
 ProtocolChecker::strictEnv()
 {
-    const char *v = std::getenv("MEMSCALE_STRICT");
+    const char *v = envSwitch(EnvSwitch::Strict);
     if (!v)
         return false;
     return std::strcmp(v, "1") == 0 || std::strcmp(v, "on") == 0 ||

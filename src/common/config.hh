@@ -1,18 +1,27 @@
 /**
  * @file
- * Minimal key=value configuration store for examples and benches.
+ * Minimal key=value configuration store for examples and benches, and
+ * the one list of environment switches.
  *
- * Values come, in increasing precedence, from programmatic defaults,
- * `MEMSCALE_*` environment variables, and `key=value` command-line
- * arguments.  This keeps every bench/example runnable with no
- * arguments while letting users sweep parameters without recompiling.
+ * Keys come from the command line only; a key absent there takes the
+ * default its reader passes.  Every argument must be `key=value`,
+ * `--key=value`, `--key value` or a bare `--flag` (meaning "1"), and a
+ * program calls refuseUnread() once it has read its keys, so a
+ * misspelled or unsupported key stops the run instead of leaving a
+ * default in place.  The read calls themselves are the list of keys a
+ * program accepts.
+ *
+ * The environment is read through envSwitch() alone, and only for the
+ * MEMSCALE_* names in envSwitchNames.
  */
 
 #ifndef MEMSCALE_COMMON_CONFIG_HH
 #define MEMSCALE_COMMON_CONFIG_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,22 +34,22 @@ class Config
     Config() = default;
 
     /**
-     * Parse argv entries of the form key=value, --key=value, or
-     * --key value.  Other entries are ignored (so google-benchmark
-     * flags pass through).
+     * Parse argv[1..]: `key=value`, `--key=value`, `--key value` (the
+     * next argument is the value unless it contains '=' or starts with
+     * "--") and a bare `--flag`, which sets the key to "1".  Any other
+     * argument is fatal.  A repeated key keeps its last value.
      */
     void parseArgs(int argc, char **argv);
 
     /** Explicitly set a key. */
     void set(const std::string &key, const std::string &value);
 
-    /** True when the key is set via args or environment. */
+    /** True when the key was given.  Counts as a read of the key. */
     bool has(const std::string &key) const;
 
     /**
-     * Typed getters.  Lookup order: explicit/args value, then the
-     * environment variable MEMSCALE_<KEY> (upper-cased), then the
-     * provided default.
+     * Typed getters: the given value, else `def`.  Numbers must parse
+     * whole (integers in base 10), or fatal() names the key.
      */
     std::string getString(const std::string &key,
                           const std::string &def) const;
@@ -57,11 +66,39 @@ class Config
     std::vector<T> getList(const std::string &key,
                            const std::string &def) const;
 
-  private:
-    const char *envLookup(const std::string &key) const;
+    /**
+     * fatal() naming the first given key that no getter or has() has
+     * read, and listing the keys that were read.  Call it after the
+     * program's last read.
+     */
+    void refuseUnread() const;
 
+  private:
     std::map<std::string, std::string> values_;
+    mutable std::set<std::string> read_;
 };
+
+/**
+ * The environment switches: the only MEMSCALE_* variables any program
+ * of this project reads.  The library reads JOBS (default sweep
+ * workers), STRICT (abort on a protocol violation) and CSV_DIR (also
+ * write every printed table as CSV there); the golden tests read
+ * REGEN_GOLDENS and scripts/perf_compare.py reads PERF.
+ */
+enum class EnvSwitch { Jobs, Strict, CsvDir, RegenGoldens, Perf };
+
+inline constexpr std::array<const char *, 5> envSwitchNames = {
+    "MEMSCALE_JOBS", "MEMSCALE_STRICT", "MEMSCALE_CSV_DIR",
+    "MEMSCALE_REGEN_GOLDENS", "MEMSCALE_PERF"};
+
+/** The switch's value, or nullptr when it is unset or empty. */
+const char *envSwitch(EnvSwitch s);
+
+/**
+ * fatal() naming the first MEMSCALE_* variable in the environment that
+ * is not in envSwitchNames: driver keys are set on the command line.
+ */
+void refuseUnknownEnvSwitches();
 
 } // namespace memscale
 

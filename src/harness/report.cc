@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 
+#include "common/config.hh"
 #include "common/log.hh"
 
 namespace memscale
@@ -51,7 +51,7 @@ Table::print(const std::string &title) const
     for (const auto &row : rows_)
         print_row(row);
 
-    if (const char *dir = std::getenv("MEMSCALE_CSV_DIR")) {
+    if (const char *dir = envSwitch(EnvSwitch::CsvDir)) {
         // Distinct titles can slugify identically ("Fig 5" and
         // "Fig: 5"), and several benches reuse generic titles;
         // suffix repeats instead of silently overwriting the

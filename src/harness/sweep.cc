@@ -12,6 +12,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "common/config.hh"
 #include "common/log.hh"
 #include "workload/mixes.hh"
 
@@ -46,8 +47,7 @@ resolveJobs(unsigned requested)
 {
     if (requested > 0)
         return clampJobs(requested);
-    const char *env = std::getenv("MEMSCALE_JOBS");
-    if (env && *env) {
+    if (const char *env = envSwitch(EnvSwitch::Jobs)) {
         char *end = nullptr;
         long long v = std::strtoll(env, &end, 10);
         if (*end != '\0' || v < 0)

@@ -1,7 +1,6 @@
 #include "memscale/epoch_controller.hh"
 
 #include "common/log.hh"
-#include "obs/epoch_recorder.hh"
 #include "sim/event_kinds.hh"
 #include "snapshot/serializer.hh"
 
@@ -113,26 +112,8 @@ EpochController::endEpoch()
          static_cast<double>(epoch.windowLen));
     history_.push_back(std::move(rec));
 
-    if (recorder_) {
-        const EpochRecord &er = history_.back();
-        EpochSample s;
-        s.start = er.start;
-        s.end = er.end;
-        s.busMHz = er.busMHz;
-        s.cpuGHz = er.cpuGHz;
-        s.channelUtil = er.channelUtil;
-        s.coreCpi = er.coreCpi;
-        PolicyDecision d = policy_.lastDecision();
-        s.haveDecision = d.valid;
-        if (d.valid) {
-            s.predCpi = d.predictedCpi;
-            s.predMemJ = d.predictedMemJ;
-            s.predSysJ = d.predictedSysJ;
-            s.ser = d.ser;
-            s.minSlack = d.minSlack;
-        }
-        recorder_->record(s);
-    }
+    if (recorder_)
+        recorder_->record(history_.back(), policy_.lastDecision());
 
     beginEpoch();
 }

@@ -16,24 +16,13 @@
 #include "mem/controller.hh"
 #include "memscale/perf_model.hh"
 #include "memscale/policies/policy.hh"
+#include "obs/epoch_recorder.hh"
 #include "sim/event_queue.hh"
 
 namespace memscale
 {
 
-class EpochRecorder;
 class SectionIO;
-
-/** One epoch of recorded history. */
-struct EpochRecord
-{
-    Tick start = 0;
-    Tick end = 0;
-    std::uint32_t busMHz = 0;          ///< frequency chosen this epoch
-    double cpuGHz = 0.0;               ///< core clock this epoch
-    std::vector<double> coreCpi;       ///< measured CPI over the epoch
-    double channelUtil = 0.0;          ///< mean data-bus utilization
-};
 
 class EpochController
 {

@@ -21,6 +21,7 @@
 #include "memscale/energy_model.hh"
 #include "memscale/perf_model.hh"
 #include "memscale/tail_window.hh"
+#include "obs/epoch_recorder.hh"
 
 namespace memscale
 {
@@ -36,15 +37,9 @@ class StatRegistry;
  * values are pure by-products of computations the policy already
  * performs; filling the struct must never change policy behaviour.
  */
-struct PolicyDecision
+struct PolicyDecision : DecisionTrail
 {
-    bool valid = false;
     FreqIndex chosen = nominalFreqIndex;
-    double predictedCpi = 0.0;  ///< mean predicted CPI at `chosen`
-    double predictedMemJ = 0.0; ///< predicted memory energy (J)
-    double predictedSysJ = 0.0; ///< predicted system energy (J)
-    double ser = 1.0;           ///< system energy ratio vs. nominal
-    double minSlack = 0.0;      ///< tightest per-core slack (s)
 };
 
 class Policy

@@ -43,14 +43,14 @@ writeFile(const std::string &path, const std::string &body,
 } // namespace
 
 void
-EpochRecorder::record(const EpochSample &s)
+EpochRecorder::record(const EpochRecord &e, const DecisionTrail &d)
 {
     if (ncols_ == 0) {
         names_ = {"epoch",     "start_ms",   "end_ms",
                   "bus_mhz",   "cpu_ghz",    "channel_util",
                   "actual_cpi", "pred_cpi",  "pred_mem_j",
                   "pred_sys_j", "ser",       "min_slack"};
-        for (std::size_t c = 0; c < s.coreCpi.size(); ++c)
+        for (std::size_t c = 0; c < e.coreCpi.size(); ++c)
             names_.push_back("core" + std::to_string(c) + ".cpi");
         if (reg_) {
             for (const std::string &n : reg_->names())
@@ -59,7 +59,7 @@ EpochRecorder::record(const EpochSample &s)
         ncols_ = names_.size();
     }
 
-    const std::size_t fixed = 12 + s.coreCpi.size() +
+    const std::size_t fixed = 12 + e.coreCpi.size() +
                               (reg_ ? reg_->size() : 0);
     if (fixed != ncols_) {
         fatal("EpochRecorder: schema changed mid-run (%zu columns, "
@@ -69,25 +69,25 @@ EpochRecorder::record(const EpochSample &s)
     }
 
     double actual = 0.0;
-    for (double c : s.coreCpi)
+    for (double c : e.coreCpi)
         actual += c;
-    if (!s.coreCpi.empty())
-        actual /= static_cast<double>(s.coreCpi.size());
+    if (!e.coreCpi.empty())
+        actual /= static_cast<double>(e.coreCpi.size());
 
     data_.reserve(data_.size() + ncols_);
     data_.push_back(static_cast<double>(epochs()));
-    data_.push_back(tickToMs(s.start));
-    data_.push_back(tickToMs(s.end));
-    data_.push_back(static_cast<double>(s.busMHz));
-    data_.push_back(s.cpuGHz);
-    data_.push_back(s.channelUtil);
+    data_.push_back(tickToMs(e.start));
+    data_.push_back(tickToMs(e.end));
+    data_.push_back(static_cast<double>(e.busMHz));
+    data_.push_back(e.cpuGHz);
+    data_.push_back(e.channelUtil);
     data_.push_back(actual);
-    data_.push_back(s.haveDecision ? s.predCpi : 0.0);
-    data_.push_back(s.haveDecision ? s.predMemJ : 0.0);
-    data_.push_back(s.haveDecision ? s.predSysJ : 0.0);
-    data_.push_back(s.haveDecision ? s.ser : 1.0);
-    data_.push_back(s.haveDecision ? s.minSlack : 0.0);
-    for (double c : s.coreCpi)
+    data_.push_back(d.valid ? d.predictedCpi : 0.0);
+    data_.push_back(d.valid ? d.predictedMemJ : 0.0);
+    data_.push_back(d.valid ? d.predictedSysJ : 0.0);
+    data_.push_back(d.valid ? d.ser : 1.0);
+    data_.push_back(d.valid ? d.minSlack : 0.0);
+    for (double c : e.coreCpi)
         data_.push_back(c);
     if (reg_) {
         reg_->snapshot(scratch_);

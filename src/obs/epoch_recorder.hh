@@ -41,25 +41,30 @@ struct ObsMeta
     std::string label;                   ///< e.g. "MID3/memscale"
 };
 
-/** Everything the epoch controller hands over at an epoch boundary. */
-struct EpochSample
+/** One epoch as the epoch controller measured it. */
+struct EpochRecord
 {
     Tick start = 0;
     Tick end = 0;
-    std::uint32_t busMHz = 0;
-    double cpuGHz = 0.0;
-    double channelUtil = 0.0;
-    std::vector<double> coreCpi;
+    std::uint32_t busMHz = 0;          ///< frequency chosen this epoch
+    double cpuGHz = 0.0;               ///< core clock this epoch
+    std::vector<double> coreCpi;       ///< measured CPI over the epoch
+    double channelUtil = 0.0;          ///< mean data-bus utilization
+};
 
-    /// @name Policy decision trail (valid for deciding policies only).
-    /// @{
-    bool haveDecision = false;
-    double predCpi = 0.0;    ///< mean predicted CPI at the chosen f
-    double predMemJ = 0.0;   ///< predicted memory energy, joules
-    double predSysJ = 0.0;   ///< predicted system energy, joules
-    double ser = 1.0;        ///< system energy ratio vs. nominal
-    double minSlack = 0.0;   ///< tightest per-core slack, seconds
-    /// @}
+/**
+ * A dynamic policy's predictions for one epoch, the recorder's
+ * decision-trail columns (PolicyDecision adds the chosen frequency).
+ * `valid` is false for policies that make no prediction.
+ */
+struct DecisionTrail
+{
+    bool valid = false;
+    double predictedCpi = 0.0;  ///< mean predicted CPI at the chosen f
+    double predictedMemJ = 0.0; ///< predicted memory energy (J)
+    double predictedSysJ = 0.0; ///< predicted system energy (J)
+    double ser = 1.0;           ///< system energy ratio vs. nominal
+    double minSlack = 0.0;      ///< tightest per-core slack (s)
 };
 
 class EpochRecorder
@@ -80,7 +85,7 @@ class EpochRecorder
     const ObsMeta &meta() const { return meta_; }
 
     /** Append one epoch row.  The schema locks in on the first call. */
-    void record(const EpochSample &s);
+    void record(const EpochRecord &e, const DecisionTrail &d = {});
 
     /** Forget the registry pointer (call when the run tears down). */
     void detach() { reg_ = nullptr; }

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <set>
+#include <string>
 
 #include "common/config.hh"
 #include "common/log.hh"
@@ -234,8 +236,8 @@ TEST(Config, ParseAndTypes)
 {
     Config c;
     const char *argv[] = {"prog", "mix=MEM1", "budget=1000",
-                          "gamma=0.05", "verbose=true", "notakv"};
-    c.parseArgs(6, const_cast<char **>(argv));
+                          "gamma=0.05", "verbose=true"};
+    c.parseArgs(5, const_cast<char **>(argv));
     EXPECT_EQ(c.getString("mix", "x"), "MEM1");
     EXPECT_EQ(c.getInt("budget", 0), 1000);
     EXPECT_DOUBLE_EQ(c.getDouble("gamma", 0.0), 0.05);
@@ -264,6 +266,102 @@ TEST(Config, DashDashFlagBeforeKeyValue)
     const char *argv[] = {"prog", "--fast", "budget=10"};
     c.parseArgs(3, const_cast<char **>(argv));
     EXPECT_EQ(c.getInt("budget", 0), 10);
+    EXPECT_TRUE(c.getBool("fast", false));
+}
+
+TEST(Config, BareFlagsMeanOne)
+{
+    // A bare --flag is "1" when it is last or followed by another
+    // --key, so a trailing --check needs no value.
+    Config c;
+    const char *argv[] = {"prog", "--check", "--jobs", "2", "--observe"};
+    c.parseArgs(5, const_cast<char **>(argv));
+    EXPECT_EQ(c.getString("check", ""), "1");
+    EXPECT_EQ(c.getInt("jobs", 0), 2);
+    EXPECT_TRUE(c.getBool("observe", false));
+}
+
+TEST(Config, MalformedArgumentsFatal)
+{
+    for (const char *bad : {"budget", "-j4", "=5", "--", "--=5", "---x"}) {
+        Config c;
+        const char *argv[] = {"prog", bad};
+        EXPECT_THROW(c.parseArgs(2, const_cast<char **>(argv)),
+                     FatalError)
+            << bad;
+    }
+    // A value may start with a single '-' (fatal later, by its reader).
+    Config c;
+    const char *argv[] = {"prog", "--jobs", "-3"};
+    c.parseArgs(3, const_cast<char **>(argv));
+    EXPECT_EQ(c.getInt("jobs", 0), -3);
+}
+
+TEST(Config, IntegersAreDecimal)
+{
+    Config c;
+    c.set("budget", "010");
+    EXPECT_EQ(c.getInt("budget", 0), 10);
+    c.set("seed", "08");
+    EXPECT_EQ(c.getInt("seed", 0), 8);
+    c.set("hex", "0x10");
+    EXPECT_THROW(c.getInt("hex", 0), FatalError);
+    c.set("list", "010,0x10");
+    EXPECT_THROW(c.getList<std::int64_t>("list", ""), FatalError);
+}
+
+TEST(Config, UnreadKeysAreRefused)
+{
+    Config c;
+    const char *argv[] = {"prog", "budjet=1000", "seed=3", "--check"};
+    c.parseArgs(4, const_cast<char **>(argv));
+    EXPECT_EQ(c.getInt("budget", 5), 5);
+    EXPECT_EQ(c.getInt("seed", 0), 3);
+    EXPECT_TRUE(c.has("check"));
+    try {
+        c.refuseUnread();
+        ADD_FAILURE() << "budjet was not refused";
+    } catch (const FatalError &e) {
+        const std::string &msg = e.message;
+        EXPECT_NE(msg.find("unknown key 'budjet'"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("budget, check, seed"), std::string::npos)
+            << msg;
+    }
+    // A key read with has() alone, or read and left at its default,
+    // counts as read.
+    EXPECT_EQ(c.getString("budjet", ""), "1000");
+    EXPECT_NO_THROW(c.refuseUnread());
+}
+
+TEST(Config, IgnoresTheEnvironment)
+{
+    setenv("MEMSCALE_BUDGET", "1000", 1);
+    Config c;
+    EXPECT_FALSE(c.has("budget"));
+    EXPECT_EQ(c.getInt("budget", 7), 7);
+    EXPECT_THROW(refuseUnknownEnvSwitches(), FatalError);
+    unsetenv("MEMSCALE_BUDGET");
+    EXPECT_NO_THROW(refuseUnknownEnvSwitches());
+}
+
+TEST(Config, EnvSwitchesAreTheNamedList)
+{
+    const char *saved = std::getenv("MEMSCALE_CSV_DIR");
+    const std::string restore = saved ? saved : "";
+    setenv("MEMSCALE_CSV_DIR", "", 1);
+    EXPECT_EQ(envSwitch(EnvSwitch::CsvDir), nullptr);
+    setenv("MEMSCALE_CSV_DIR", "out", 1);
+    ASSERT_NE(envSwitch(EnvSwitch::CsvDir), nullptr);
+    EXPECT_STREQ(envSwitch(EnvSwitch::CsvDir), "out");
+    EXPECT_NO_THROW(refuseUnknownEnvSwitches());
+    if (saved)
+        setenv("MEMSCALE_CSV_DIR", restore.c_str(), 1);
+    else
+        unsetenv("MEMSCALE_CSV_DIR");
+    EXPECT_STREQ(envSwitchNames[static_cast<std::size_t>(
+                     EnvSwitch::RegenGoldens)],
+                 "MEMSCALE_REGEN_GOLDENS");
 }
 
 TEST(Config, BadValuesFatal)
@@ -275,13 +373,3 @@ TEST(Config, BadValuesFatal)
     EXPECT_THROW(c.getBool("b", false), FatalError);
 }
 
-TEST(Config, EnvOverride)
-{
-    setenv("MEMSCALE_TESTKEY", "99", 1);
-    Config c;
-    EXPECT_EQ(c.getInt("testkey", 1), 99);
-    // Explicit args beat the environment.
-    c.set("testkey", "5");
-    EXPECT_EQ(c.getInt("testkey", 1), 5);
-    unsetenv("MEMSCALE_TESTKEY");
-}

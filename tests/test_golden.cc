@@ -29,6 +29,7 @@
 #include <iterator>
 
 #include "check/state_hash.hh"
+#include "common/config.hh"
 #include "harness/cluster.hh"
 #include "harness/differential.hh"
 #include "harness/experiment.hh"
@@ -42,7 +43,7 @@ namespace
 bool
 regenMode()
 {
-    const char *v = std::getenv("MEMSCALE_REGEN_GOLDENS");
+    const char *v = envSwitch(EnvSwitch::RegenGoldens);
     return v && v[0] == '1';
 }
 

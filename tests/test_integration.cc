@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hh"
 #include "memscale/policies/policy.hh"
@@ -193,6 +195,55 @@ TEST(Integration, EpochTimelineRecorded)
         EXPECT_LE(er.channelUtil, 1.0);
         EXPECT_EQ(er.coreCpi.size(), 16u);
     }
+}
+
+/**
+ * Fig. 7 at fig7_timeline_mid3's defaults (5M instructions, 0.25 ms
+ * epochs, 25 us profiling: 10 epochs).  apsi's phase change shows as
+ * its epoch CPI doubling; MemScale must then run the bus faster than
+ * at any epoch before it (467 vs 333 MHz at seed 12345) and still keep
+ * every core, apsi's included, within gamma (worst 9.7%).
+ */
+TEST(Integration, Fig7FrequencyRisesAfterApsiPhaseChange)
+{
+    SystemConfig cfg;
+    cfg.mixName = "MID3";
+    cfg.epochLen = msToTick(0.25);
+    cfg.profileLen = usToTick(25.0);
+    ComparisonResult r = compare(cfg, "memscale");
+
+    std::vector<std::size_t> apsi;
+    for (std::size_t c = 0; c < r.policy.coreApp.size(); ++c) {
+        if (r.policy.coreApp[c] == "apsi")
+            apsi.push_back(c);
+    }
+    ASSERT_FALSE(apsi.empty());
+    auto apsiCpi = [&apsi](const EpochRecord &e) {
+        double sum = 0.0;
+        for (std::size_t c : apsi)
+            sum += e.coreCpi[c];
+        return sum / static_cast<double>(apsi.size());
+    };
+
+    const std::vector<EpochRecord> &tl = r.policy.timeline;
+    ASSERT_GE(tl.size(), 3u);
+    std::size_t change = 1;
+    while (change < tl.size() &&
+           apsiCpi(tl[change]) < 2.0 * apsiCpi(tl[0]))
+        ++change;
+    ASSERT_LT(change, tl.size()) << "apsi's CPI never doubled";
+
+    std::uint32_t before = 0, after = 0;
+    for (std::size_t i = 0; i < tl.size(); ++i) {
+        std::uint32_t &peak = i < change ? before : after;
+        peak = std::max(peak, tl[i].busMHz);
+    }
+    EXPECT_GT(after, before)
+        << "phase change at epoch " << change << " of " << tl.size();
+
+    for (std::size_t c : apsi)
+        EXPECT_LE(r.cpiIncrease[c], cfg.gamma) << "apsi core " << c;
+    EXPECT_LE(r.worstCpiIncrease, cfg.gamma);
 }
 
 TEST(Integration, TwoChannelConfigRuns)

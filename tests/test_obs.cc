@@ -178,11 +178,11 @@ TEST(StatRegistry, SnapshotFollowsRegistrationOrder)
 namespace
 {
 
-EpochSample
+EpochRecord
 sampleAt(double start_ms, double end_ms, std::uint32_t mhz,
          std::vector<double> cpi)
 {
-    EpochSample s;
+    EpochRecord s;
     s.start = msToTick(start_ms);
     s.end = msToTick(end_ms);
     s.busMHz = mhz;
@@ -231,14 +231,14 @@ TEST(EpochRecorder, SchemaAndValues)
 TEST(EpochRecorder, DecisionTrailIsRecorded)
 {
     EpochRecorder rec;
-    EpochSample s = sampleAt(0.0, 0.1, 600, {1.5});
-    s.haveDecision = true;
-    s.predCpi = 1.45;
-    s.predMemJ = 0.01;
-    s.predSysJ = 0.05;
-    s.ser = 0.93;
-    s.minSlack = 2e-5;
-    rec.record(s);
+    DecisionTrail d;
+    d.valid = true;
+    d.predictedCpi = 1.45;
+    d.predictedMemJ = 0.01;
+    d.predictedSysJ = 0.05;
+    d.ser = 0.93;
+    d.minSlack = 2e-5;
+    rec.record(sampleAt(0.0, 0.1, 600, {1.5}), d);
     EXPECT_DOUBLE_EQ(rec.column("pred_cpi")[0], 1.45);
     EXPECT_DOUBLE_EQ(rec.column("pred_mem_j")[0], 0.01);
     EXPECT_DOUBLE_EQ(rec.column("pred_sys_j")[0], 0.05);
