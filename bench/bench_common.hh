@@ -24,8 +24,6 @@
 #define MEMSCALE_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <cstdlib>
-#include <exception>
 
 #include "common/config.hh"
 #include "common/log.hh"
@@ -39,44 +37,16 @@
 namespace memscale
 {
 
-/** The terminate handler exitOnFatal() replaced. */
-inline std::terminate_handler previousTerminate = nullptr;
-
-/**
- * Terminate handler for the drivers: a fatal() (user error) that
- * escapes main ends the process with status 1 instead of an abort and
- * a core dump.  fatal() has already printed the message.  Any other
- * exception goes to the previous handler.
- */
-[[noreturn]] inline void
-exitOnFatal()
-{
-    if (std::exception_ptr e = std::current_exception()) {
-        try {
-            std::rethrow_exception(e);
-        } catch (const FatalError &) {
-            std::fflush(nullptr);
-            // Sweep workers may still run: skip static destructors.
-            std::_Exit(1);
-        } catch (...) {
-        }
-    }
-    if (previousTerminate)
-        previousTerminate();
-    std::abort();
-}
-
 /**
  * Parse the command line into the drivers' common SystemConfig.  Every
- * driver calls this first, so it also installs exitOnFatal().  It
- * reads every key all drivers accept (the SystemConfig keys, `jobs`,
- * `observe`, `stats-out` and `trace-out`) into `conf`.
+ * driver calls this first, so it also calls exitOnFatal().  It reads
+ * every key all drivers accept (the SystemConfig keys, `jobs` and
+ * `observe`) into `conf`.
  */
 inline SystemConfig
 benchConfig(int argc, char **argv, Config &conf)
 {
-    if (std::get_terminate() != exitOnFatal)
-        previousTerminate = std::set_terminate(exitOnFatal);
+    exitOnFatal();
     refuseUnknownEnvSwitches();
     conf.parseArgs(argc, argv);
     SystemConfig cfg;
@@ -92,16 +62,25 @@ benchConfig(int argc, char **argv, Config &conf)
     cfg.memPowerFraction = conf.getDouble("memfrac", 0.40);
     cfg.power.proportionality = conf.getDouble("proportionality", 0.5);
     cfg.seed = static_cast<std::uint64_t>(conf.getInt("seed", 12345));
-    // Observability rides along whenever an export was requested
-    // (`--trace-out f.json`, `--stats-out f.csv`, or observe=1); the
-    // recording path never changes simulation results.  All three keys
-    // are read here, not short-circuited, so benchHeader() accepts any
-    // combination of them.
-    const bool trace = conf.has("trace-out");
-    const bool stats = conf.has("stats-out");
-    cfg.observe = conf.getBool("observe", false) || trace || stats;
+    // The recording path never changes simulation results.
+    cfg.observe = conf.getBool("observe", false);
     checkedJobs(conf.getInt("jobs", 0));
     return cfg;
+}
+
+/**
+ * Read `--stats-out` and `--trace-out` and turn observability on when
+ * either is given.  Only the drivers that export with maybeExportObs()
+ * (fig5, fig7, fig8 and serve_energy) call this, so benchHeader()
+ * refuses the two keys everywhere else instead of writing nothing.
+ * Both are read, not short-circuited, so any combination is accepted.
+ */
+inline void
+benchExportKeys(const Config &conf, SystemConfig &cfg)
+{
+    const bool trace = conf.has("trace-out");
+    const bool stats = conf.has("stats-out");
+    cfg.observe = cfg.observe || trace || stats;
 }
 
 /** Insert `-label` before the extension: ("t.json", "MID3") -> "t-MID3.json". */
@@ -121,8 +100,9 @@ obsOutPath(std::string path, const std::string &label)
 /**
  * Export the run's recorded timeline per the `--stats-out` (CSV, or
  * JSON when the path ends in .json) and `--trace-out` (Chrome-trace /
- * Perfetto JSON) flags.  `label` distinguishes runs when a driver
- * produces several (one file per run).  No-op without the flags.
+ * Perfetto JSON) flags, which the driver read with benchExportKeys().
+ * `label` distinguishes runs when a driver produces several (one file
+ * per run).  No-op without the flags.
  */
 inline void
 maybeExportObs(const Config &conf, const RunResult &r,

@@ -17,6 +17,7 @@ main(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, conf);
+    benchExportKeys(conf, cfg);
     if (int rc = maybeSelfCheck(conf, cfg); rc >= 0)
         return rc;
     SweepEngine eng = benchEngine(conf);

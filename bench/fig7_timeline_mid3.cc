@@ -17,6 +17,7 @@ main(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, conf);
+    benchExportKeys(conf, cfg);
     SweepEngine eng = benchEngine(conf);
     cfg.mixName = "MID3";
     benchHeader(conf, "Figure 7",

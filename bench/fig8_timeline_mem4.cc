@@ -17,6 +17,7 @@ main(int argc, char **argv)
 {
     Config conf;
     SystemConfig cfg = benchConfig(argc, argv, conf);
+    benchExportKeys(conf, cfg);
     SweepEngine eng = benchEngine(conf);
     cfg.mixName = "MEM4";
     cfg.numCores = 8;   // the paper uses an 8-core system here

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/log.hh"
 #include "cpu/core.hh"
 #include "harness/report.hh"
 #include "mem/controller.hh"
@@ -26,6 +27,7 @@ using namespace memscale;
 int
 main(int argc, char **argv)
 {
+    exitOnFatal();
     Config conf;
     conf.parseArgs(argc, argv);
     const auto budget = static_cast<std::uint64_t>(

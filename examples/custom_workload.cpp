@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "common/config.hh"
+#include "common/log.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 
@@ -52,6 +53,7 @@ frontendApp()
 int
 main(int argc, char **argv)
 {
+    exitOnFatal();
     Config conf;
     conf.parseArgs(argc, argv);
 

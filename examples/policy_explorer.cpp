@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "common/config.hh"
+#include "common/log.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "harness/sweep.hh"
@@ -22,6 +23,7 @@ using namespace memscale;
 int
 main(int argc, char **argv)
 {
+    exitOnFatal();
     Config conf;
     conf.parseArgs(argc, argv);
 

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "common/config.hh"
+#include "common/log.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 
@@ -18,6 +19,7 @@ using namespace memscale;
 int
 main(int argc, char **argv)
 {
+    exitOnFatal();
     Config conf;
     conf.parseArgs(argc, argv);
 

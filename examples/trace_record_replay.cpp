@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/log.hh"
 #include "cpu/core.hh"
 #include "mem/controller.hh"
 #include "sim/event_queue.hh"
@@ -61,6 +62,7 @@ runCores(std::vector<std::unique_ptr<TraceSource>> &sources,
 int
 main(int argc, char **argv)
 {
+    exitOnFatal();
     Config conf;
     conf.parseArgs(argc, argv);
     const auto budget = static_cast<std::uint64_t>(

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 namespace memscale
 {
@@ -21,7 +22,36 @@ vformat(const char *fmt, va_list ap)
     return out;
 }
 
+/** The terminate handler exitOnFatal() replaced. */
+std::terminate_handler previousTerminate = nullptr;
+
+[[noreturn]] void
+terminateOnFatal()
+{
+    if (std::exception_ptr e = std::current_exception()) {
+        try {
+            std::rethrow_exception(e);
+        } catch (const FatalError &) {
+            // fatal() has already printed the message.
+            std::fflush(nullptr);
+            // Sweep workers may still run: skip static destructors.
+            std::_Exit(1);
+        } catch (...) {
+        }
+    }
+    if (previousTerminate)
+        previousTerminate();
+    std::abort();
+}
+
 } // namespace
+
+void
+exitOnFatal()
+{
+    if (std::get_terminate() != terminateOnFatal)
+        previousTerminate = std::set_terminate(terminateOnFatal);
+}
 
 void
 warn(const char *fmt, ...)

@@ -4,7 +4,9 @@
  *
  * `fatal()` terminates on user error (bad configuration); `panic()`
  * aborts on internal invariant violations; `warn()` is a non-fatal
- * notice.  All accept printf-style formatting.
+ * notice.  All accept printf-style formatting.  A program's main
+ * calls exitOnFatal() so that a fatal() it does not catch exits with
+ * status 1.
  */
 
 #ifndef MEMSCALE_COMMON_LOG_HH
@@ -32,6 +34,15 @@ struct FatalError
 {
     std::string message;
 };
+
+/**
+ * From now on, a fatal() (user error) that escapes main ends the
+ * process with status 1 instead of an abort and a core dump; any other
+ * uncaught exception still goes to the previous terminate handler.
+ * The bench drivers (through benchConfig) and the examples call it
+ * first thing.  Calling it again is a no-op.
+ */
+void exitOnFatal();
 
 } // namespace memscale
 

@@ -20,12 +20,14 @@
 #ifndef MEMSCALE_DRAM_RANK_HH
 #define MEMSCALE_DRAM_RANK_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/types.hh"
 #include "dram/timing.hh"
 
@@ -239,6 +241,150 @@ class Rank
     std::array<Transition, maxPendingTransitions> pending_ = {};
     std::uint32_t numPending_ = 0;
 };
+
+/*
+ * The members below run once or more per request (the channel settles
+ * and plans against a rank on every access, and the burst completion
+ * notes its burst), so they are inline; the calls cost 2.3% of a
+ * paper-scale run (DESIGN.md §6, "Per-request hot path").
+ */
+
+inline void
+Rank::defer(Tick at, bool open)
+{
+    if (at < lastUpdate_)
+        panic("Rank: deferred transition at %llu precedes the last "
+              "update at %llu",
+              static_cast<unsigned long long>(at),
+              static_cast<unsigned long long>(lastUpdate_));
+    if (numPending_ == pending_.size())
+        panic("Rank: deferred-transition buffer full (%zu entries)",
+              pending_.size());
+    // Transitions arrive nearly in tick order: one insertion step
+    // from the back, after any entry at the same tick.
+    std::uint32_t i = numPending_++;
+    for (; i > 0 && pending_[i - 1].at > at; --i)
+        pending_[i] = pending_[i - 1];
+    pending_[i] = {at, open};
+}
+
+inline void
+Rank::sync(Tick now)
+{
+    if (now < lastUpdate_)
+        panic("Rank accounting timestamp regressed (%llu < %llu)",
+              static_cast<unsigned long long>(now),
+              static_cast<unsigned long long>(lastUpdate_));
+    std::uint32_t n = 0;
+    for (; n < numPending_ && pending_[n].at <= now; ++n) {
+        const Transition &t = pending_[n];
+        integrate(t.at);
+        if (t.open) {
+            ++openBanks_;
+            ++activity_.actPreCount;
+        } else {
+            if (openBanks_ == 0)
+                panic("Rank: deferred close with no open banks");
+            --openBanks_;
+        }
+    }
+    if (n > 0) {
+        std::copy(pending_.begin() + n, pending_.begin() + numPending_,
+                  pending_.begin());
+        numPending_ -= n;
+    }
+    integrate(now);
+}
+
+inline void
+Rank::integrate(Tick to)
+{
+    Tick dt = to - lastUpdate_;
+    lastUpdate_ = to;
+    if (dt == 0)
+        return;
+    activity_.totalTime += dt;
+    if (openBanks_ == 0) {
+        switch (idle_) {
+          case RankIdleState::Up:
+            activity_.preStandbyTime += dt;
+            break;
+          case RankIdleState::FastPd:
+            activity_.prePowerdownTime += dt;
+            break;
+          case RankIdleState::SlowPd:
+            activity_.prePowerdownTime += dt;
+            activity_.slowPowerdownTime += dt;
+            break;
+          case RankIdleState::SelfRefresh:
+            activity_.prePowerdownTime += dt;
+            activity_.selfRefreshTime += dt;
+            break;
+          case RankIdleState::SrSlowClock:
+            activity_.prePowerdownTime += dt;
+            activity_.srSlowClockTime += dt;
+            break;
+          case RankIdleState::DeepPd:
+            activity_.prePowerdownTime += dt;
+            activity_.deepPowerdownTime += dt;
+            break;
+        }
+    } else {
+        if (idle_ != RankIdleState::Up)
+            activity_.actPowerdownTime += dt;
+        else
+            activity_.actStandbyTime += dt;
+    }
+}
+
+inline void
+Rank::noteBurst(bool is_write, Tick duration)
+{
+    if (is_write) {
+        ++activity_.writeBursts;
+        activity_.writeBurstTime += duration;
+    } else {
+        ++activity_.readBursts;
+        activity_.readBurstTime += duration;
+    }
+}
+
+inline Tick
+Rank::earliestAct(Tick t, const TimingParams &tp) const
+{
+    Tick earliest = t;
+    if (numRecentActs_ > 0) {
+        // tRRD from the latest recorded ACT.
+        Tick latest = recentActs_[numRecentActs_ - 1];
+        if (latest + tp.tRRD > earliest)
+            earliest = latest + tp.tRRD;
+    }
+    if (numRecentActs_ >= 4) {
+        // tFAW: at most 4 ACTs within any tFAW window; the new ACT
+        // must wait until the 4th-most-recent ACT ages out.
+        Tick fourth = recentActs_[numRecentActs_ - 4];
+        if (fourth + tp.tFAW > earliest)
+            earliest = fourth + tp.tFAW;
+    }
+    return earliest;
+}
+
+inline void
+Rank::recordAct(Tick when)
+{
+    // Keep the window sorted; planning may insert slightly out of
+    // wall-clock order across banks, so place `when` with one
+    // insertion step into the already sorted window.
+    if (numRecentActs_ == recentActs_.size()) {
+        std::copy(recentActs_.begin() + 1, recentActs_.end(),
+                  recentActs_.begin());
+        --numRecentActs_;
+    }
+    std::size_t i = numRecentActs_++;
+    for (; i > 0 && recentActs_[i - 1] > when; --i)
+        recentActs_[i] = recentActs_[i - 1];
+    recentActs_[i] = when;
+}
 
 } // namespace memscale
 

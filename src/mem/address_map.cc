@@ -32,32 +32,8 @@ AddressMap::AddressMap(const MemConfig &cfg)
 }
 
 DecodedAddr
-AddressMap::decodePow2(Addr addr) const
-{
-    // Field for field the division chain below, with x % 2^k == x &
-    // (2^k - 1) and x / 2^k == x >> k.
-    auto take = [](std::uint64_t &line, unsigned bits) {
-        std::uint64_t v = line & ((std::uint64_t(1) << bits) - 1);
-        line >>= bits;
-        return v;
-    };
-    std::uint64_t line = (addr & (capacity_ - 1)) >> shifts_[0];
-    DecodedAddr loc;
-    loc.channel = static_cast<std::uint32_t>(take(line, shifts_[1]));
-    std::uint64_t col_low = take(line, shifts_[2]);
-    loc.bank = static_cast<std::uint32_t>(take(line, shifts_[3]));
-    loc.rank = static_cast<std::uint32_t>(take(line, shifts_[4]));
-    std::uint64_t col_high = take(line, shifts_[5]);
-    loc.row = line & (rows_ - 1);
-    loc.column = (col_high << shifts_[2]) | col_low;
-    return loc;
-}
-
-DecodedAddr
 AddressMap::decode(Addr addr) const
 {
-    if (pow2_)
-        return decodePow2(addr);
     std::uint64_t line = (addr % capacity_) / lineBytes_;
     DecodedAddr loc;
     loc.channel = static_cast<std::uint32_t>(line % channels_);

@@ -9,9 +9,11 @@
  * back-to-back), then interleaves across banks and ranks.
  *
  * The mapping is defined by division/modulo so that non-power-of-two
- * channel counts (the 3-channel point of Fig. 13) work unchanged.
- * When every geometry factor is a power of two (the default
- * configuration), decode() computes the same fields by shift/mask.
+ * channel counts (the 3-channel point of Fig. 13) work unchanged;
+ * decode() is that division chain.  decodeInto() is the per-request
+ * path: when every geometry factor is a power of two (the default
+ * configuration) it computes the same fields inline by shift/mask,
+ * straight into the request, and otherwise it calls decode().
  */
 
 #ifndef MEMSCALE_MEM_ADDRESS_MAP_HH
@@ -32,6 +34,35 @@ class AddressMap
     /** Decode a byte address into its physical location. */
     DecodedAddr decode(Addr addr) const;
 
+    /**
+     * decode(addr) written into `loc`.  Inline, so the location goes
+     * into the request without a 32-byte return through memory.
+     */
+    void
+    decodeInto(Addr addr, DecodedAddr &loc) const
+    {
+        if (!pow2_) {
+            loc = decode(addr);
+            return;
+        }
+        // Field for field the division chain, with x % 2^k ==
+        // x & (2^k - 1) and x / 2^k == x >> k.
+        std::uint64_t line = (addr & (capacity_ - 1)) >> shifts_[0];
+        auto take = [&line](unsigned bits) {
+            const std::uint64_t v =
+                line & ((std::uint64_t(1) << bits) - 1);
+            line >>= bits;
+            return v;
+        };
+        loc.channel = static_cast<std::uint32_t>(take(shifts_[1]));
+        const std::uint64_t col_low = take(shifts_[2]);
+        loc.bank = static_cast<std::uint32_t>(take(shifts_[3]));
+        loc.rank = static_cast<std::uint32_t>(take(shifts_[4]));
+        const std::uint64_t col_high = take(shifts_[5]);
+        loc.row = line & (rows_ - 1);
+        loc.column = (col_high << shifts_[2]) | col_low;
+    }
+
     /** Inverse of decode (line-aligned); used by tests. */
     Addr encode(const DecodedAddr &loc) const;
 
@@ -39,9 +70,6 @@ class AddressMap
     std::uint64_t capacity() const { return capacity_; }
 
   private:
-    /** Shift/mask decode; valid only when pow2_ is set. */
-    DecodedAddr decodePow2(Addr addr) const;
-
     std::uint64_t lineBytes_;
     std::uint64_t channels_;
     std::uint64_t colLow_;

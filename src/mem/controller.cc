@@ -35,7 +35,7 @@ MemoryController::makeRequest(Addr addr, CoreId core, bool is_write)
     req->core = core;
     req->arrival = eq_.now();
     req->seq = nextSeq_++;
-    req->loc = map_.decode(addr);
+    map_.decodeInto(addr, req->loc);
     if (migrator_) {
         migrator_->noteAccess(req->loc);
         req->loc.rank = migrator_->remap(req->loc);

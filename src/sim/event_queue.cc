@@ -8,32 +8,9 @@
 namespace memscale
 {
 
-namespace
-{
-
-/** The whole ordering story: (when, class, seq) ascending. */
-struct Lt
-{
-    template <typename E>
-    bool
-    operator()(const E &a, const E &b) const
-    {
-        if (a.when != b.when)
-            return a.when < b.when;
-        return a.key < b.key;
-    }
-};
-
-} // namespace
-
 std::uint32_t
-EventQueue::allocSlot()
+EventQueue::growSlots()
 {
-    if (freeHead_ != NoSlot) {
-        std::uint32_t idx = freeHead_;
-        freeHead_ = slots_[idx].nextFree;
-        return idx;
-    }
     slots_.emplace_back();
     return static_cast<std::uint32_t>(slots_.size() - 1);
 }
@@ -52,32 +29,12 @@ EventQueue::releaseSlot(std::uint32_t idx)
     freeHead_ = idx;
 }
 
-EventId
-EventQueue::schedule(Tick when, EventCallback fn, EventClass cls,
-                     EventTag tag)
+void
+EventQueue::pastTick(Tick when) const
 {
-    if (when < now_)
-        panic("event scheduled in the past (when=%llu now=%llu)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(now_));
-    std::uint32_t slot = allocSlot();
-    Slot &s = slots_[slot];
-    s.fn = std::move(fn);
-    s.tag = tag;
-    s.live = true;
-    std::uint64_t seq = nextSeq_++;
-    Entry e{when,
-            (static_cast<std::uint64_t>(cls) << ClsShift) | seq,
-            (static_cast<std::uint64_t>(s.gen) << 32) | slot};
-    // One insertion-sort step from the soonest end: new events mostly
-    // land a few entries from the back, so this touches only the
-    // entries that run before `e`.
-    events_.push_back(e);
-    std::size_t i = events_.size() - 1;
-    for (; i > 0 && Lt{}(events_[i - 1], e); --i)
-        events_[i] = events_[i - 1];
-    events_[i] = e;
-    return e.id;
+    panic("event scheduled in the past (when=%llu now=%llu)",
+          static_cast<unsigned long long>(when),
+          static_cast<unsigned long long>(now_));
 }
 
 bool

@@ -10,7 +10,10 @@
  * Internals are built for throughput.  Callbacks live in a slab of
  * pooled slots recycled through a free list, so scheduling never
  * allocates once the slab has grown (EventCallback stores every
- * capture inline).
+ * capture inline).  schedule() is inline, so a call site's closure
+ * and tag go into the slot from registers instead of crossing a call
+ * through the stack; slab growth and the past-tick panic stay out of
+ * line.
  * EventIds carry a generation so a recycled slot can never be
  * cancelled through a stale id.
  *
@@ -100,9 +103,35 @@ class EventQueue
      * are legal to run but fatal to checkpoint.
      * @return an id usable with cancel().
      */
-    EventId schedule(Tick when, EventCallback fn,
-                     EventClass cls = EventClass::Hardware,
-                     EventTag tag = {});
+    EventId
+    schedule(Tick when, EventCallback fn,
+             EventClass cls = EventClass::Hardware, EventTag tag = {})
+    {
+        if (when < now_)
+            pastTick(when);
+        std::uint32_t slot = freeHead_;
+        if (slot != NoSlot)
+            freeHead_ = slots_[slot].nextFree;
+        else
+            slot = growSlots();
+        Slot &s = slots_[slot];
+        s.fn = std::move(fn);
+        s.tag = tag;
+        s.live = true;
+        std::uint64_t seq = nextSeq_++;
+        Entry e{when,
+                (static_cast<std::uint64_t>(cls) << ClsShift) | seq,
+                (static_cast<std::uint64_t>(s.gen) << 32) | slot};
+        // One insertion-sort step from the soonest end: new events
+        // mostly land a few entries from the back, so this touches
+        // only the entries that run before `e`.
+        events_.push_back(e);
+        std::size_t i = events_.size() - 1;
+        for (; i > 0 && runsBefore(events_[i - 1], e); --i)
+            events_[i] = events_[i - 1];
+        events_[i] = e;
+        return e.id;
+    }
 
     /** Schedule fn `delta` ticks from now. */
     EventId
@@ -193,6 +222,15 @@ class EventQueue
         return static_cast<std::uint8_t>(e.key >> ClsShift);
     }
 
+    /** The whole ordering story: (when, class, seq) ascending. */
+    static bool
+    runsBefore(const Entry &a, const Entry &b)
+    {
+        if (a.when != b.when)
+            return a.when < b.when;
+        return a.key < b.key;
+    }
+
     /** Pooled callback storage, recycled through freeHead_. */
     struct Slot
     {
@@ -205,8 +243,12 @@ class EventQueue
 
     static constexpr std::uint32_t NoSlot = ~std::uint32_t(0);
 
-    std::uint32_t allocSlot();
+    /** Append a fresh slot when the free list is empty. */
+    std::uint32_t growSlots();
     void releaseSlot(std::uint32_t idx);
+
+    /** schedule() at a tick before now(): an internal bug. */
+    [[noreturn]] void pastTick(Tick when) const;
 
     /** Pop the soonest entry, release its slot and run its callback. */
     void fireBack();

@@ -1,9 +1,10 @@
 /**
  * @file
  * Address-mapping tests: decode against the defining division
- * formula on both decode paths, decode/encode round-trips (property
- * sweep across configurations including the non-power-of-two
- * 3-channel case), interleaving behaviour, and field ranges.
+ * formula, the per-request in-place decode against decode() on both
+ * of its paths, decode/encode round-trips (property sweep across
+ * configurations including the non-power-of-two 3-channel case),
+ * interleaving behaviour, and field ranges.
  */
 
 #include <gtest/gtest.h>
@@ -54,10 +55,10 @@ divisionDecode(const MemConfig &cfg, Addr addr)
 
 TEST(AddressMap, DecodeMatchesDivisionFormula)
 {
-    // The default geometry is all powers of two (shift/mask path);
-    // 3 channels forces the division chain.  Both must agree with the
-    // formula field by field, on line-aligned and unaligned addresses
-    // and past the capacity wrap.
+    // The default geometry is all powers of two; 3 channels is not.
+    // Both must agree with the formula field by field, on
+    // line-aligned and unaligned addresses and past the capacity
+    // wrap.
     for (std::uint32_t channels : {4u, 3u}) {
         MemConfig cfg = cfgWithChannels(channels);
         AddressMap map(cfg);
@@ -72,6 +73,28 @@ TEST(AddressMap, DecodeMatchesDivisionFormula)
             ASSERT_EQ(got.bank, want.bank) << channels << " " << a;
             ASSERT_EQ(got.row, want.row) << channels << " " << a;
             ASSERT_EQ(got.column, want.column) << channels << " " << a;
+        }
+    }
+}
+
+TEST(AddressMap, DecodeIntoMatchesDecode)
+{
+    // decodeInto() takes the inline shift/mask path on the default
+    // all-power-of-two geometry and calls decode() on 3 channels.
+    // Every field it writes must equal decode()'s, whatever `loc`
+    // held before.
+    for (std::uint32_t channels : {4u, 3u}) {
+        MemConfig cfg = cfgWithChannels(channels);
+        AddressMap map(cfg);
+        Rng rng(channels * 31 + 9);
+        for (int i = 0; i < 100000; ++i) {
+            const Addr a = i % 8 == 0 ? rng.next()
+                                      : rng.next() % cfg.totalBytes();
+            DecodedAddr got;
+            got.channel = got.rank = got.bank = ~0u;
+            got.row = got.column = ~std::uint64_t(0);
+            map.decodeInto(a, got);
+            ASSERT_EQ(got, map.decode(a)) << channels << " " << a;
         }
     }
 }

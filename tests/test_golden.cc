@@ -5,9 +5,11 @@
  * Every Table-1 mix is run under the MemScale policy at a fixed seed
  * and its entire observable state (counters, energy, per-core CPI,
  * per-epoch decisions) is folded into one StateHasher digest; the
- * digests below pin the simulator's exact behaviour.  A separate
- * golden pins the Fig. 7 MID3 timeline (the apsi phase change) at
- * per-epoch granularity.
+ * digests below pin the simulator's exact behaviour.  Those runs take
+ * 1-2 epochs each, so multi-epoch rows run one mix per class plus MID3
+ * for 11-37 epochs to pin the epoch loop itself.  A separate golden
+ * pins the Fig. 7 MID3 timeline (the apsi phase change) at per-epoch
+ * granularity.
  *
  * These hashes are sensitive to any behavioural change, including
  * last-ulp floating-point drift.  After an *intended* change,
@@ -118,12 +120,45 @@ const Golden kLadderGoldens[] = {
 };
 
 /**
+ * The fixed scenario at an 8x budget (10-37 epochs instead of 1-2),
+ * run at the rest-of-system draw its baseline calibrates, as the bench
+ * drivers run it.  At the fixed 150 W the slack rarely binds, so the
+ * short rows above cannot see how it is banked and spent.
+ */
+RunResult
+multiEpochRun(const std::string &mix, const std::string &policy,
+              bool model_cpu_power = false)
+{
+    SystemConfig cfg = goldenConfig(mix);
+    cfg.instrBudget = 4'000'000;
+    cfg.modelCpuPower = model_cpu_power;
+    Watts rest = 0.0;
+    runBaseline(cfg, rest);
+    return runPolicy(cfg, policy, rest);
+}
+
+/**
+ * Multi-epoch rows: memscale on one mix per class plus MID3 (the
+ * Fig. 7 mix).  These pin the epoch loop itself: each of them changes
+ * when MemScale's guard band (`ctx.gamma * 0.95`) moves, which leaves
+ * every row of kMixGoldens as it was.
+ */
+// Regenerate: MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_golden
+const Golden kMultiEpochGoldens[] = {
+    {"ILP1", 0xf9a13185fc5dcc54ull},
+    {"MID2", 0x2da1deca5ba6d9e6ull},
+    {"MID3", 0x439798b4ed01425dull},
+    {"MEM4", 0x7774daa2110184b6ull},
+};
+
+/** Fewest epoch decisions a multi-epoch row may take. */
+constexpr std::size_t kMultiEpochMin = 8;
+
+/**
  * Dynamic-policy rows: the MemScale-family policies that no other
- * golden runs, on MID4 under the fixed scenario with an 8x budget
- * (about 17 epochs instead of 2), so slack is banked and spent many
- * times and every policy changes its choice mid-run.  Each runs at
- * the rest-of-system draw its baseline calibrates, as the bench
- * drivers run them: at the fixed 150 W, the slack never binds
+ * golden runs, on MID4 in the multi-epoch scenario (about 17 epochs),
+ * so slack is banked and spent many times and every policy changes
+ * its choice mid-run.  At the fixed 150 W, the slack never binds
  * memscale-perchannel and coscale never slows the cores.  coscale
  * runs with the CPU power model on, as abl_coscale runs it.  These
  * pin the slack banking, the (memory x CPU clock) grid walk and the
@@ -132,13 +167,8 @@ const Golden kLadderGoldens[] = {
 std::uint64_t
 dynamicPolicyHash(const std::string &policy)
 {
-    SystemConfig cfg = goldenConfig("MID4");
-    cfg.instrBudget = 4'000'000;
-    cfg.modelCpuPower = policy == "coscale";
-    Watts rest = 0.0;
-    runBaseline(cfg, rest);
-    RunResult r = runPolicy(cfg, policy, rest);
-    return hashRunResult(r);
+    return hashRunResult(
+        multiEpochRun("MID4", policy, policy == "coscale"));
 }
 
 struct PolicyGolden
@@ -400,6 +430,29 @@ TEST(Golden, LadderMixHashesMatch)
             << g.mix
             << " (ladder): behaviour changed; if intended, regenerate "
                "with MEMSCALE_REGEN_GOLDENS=1 "
+               "./build/tests/test_golden";
+    }
+}
+
+TEST(Golden, MultiEpochMixHashesMatch)
+{
+    if (regenMode()) {
+        std::printf("const Golden kMultiEpochGoldens[] = {\n");
+        for (const Golden &g : kMultiEpochGoldens) {
+            std::printf("    {\"%s\", 0x%016llxull},\n", g.mix,
+                        static_cast<unsigned long long>(hashRunResult(
+                            multiEpochRun(g.mix, "memscale"))));
+        }
+        std::printf("};\n");
+        GTEST_SKIP() << "regenerated goldens printed above";
+    }
+    for (const Golden &g : kMultiEpochGoldens) {
+        const RunResult r = multiEpochRun(g.mix, "memscale");
+        EXPECT_GE(r.timeline.size(), kMultiEpochMin) << g.mix;
+        EXPECT_EQ(hashRunResult(r), g.hash)
+            << g.mix
+            << " (multi-epoch): behaviour changed; if intended, "
+               "regenerate with MEMSCALE_REGEN_GOLDENS=1 "
                "./build/tests/test_golden";
     }
 }

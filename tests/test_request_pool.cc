@@ -1,7 +1,8 @@
 /**
  * @file
  * Request lifecycle under the RequestPool: slab recycling across a
- * full run (bounded capacity, zero leakage), completion ordering
+ * full run (bounded capacity, zero leakage), a recycled request equal
+ * to MemRequest{} field by field, completion ordering
  * unchanged under heavy write-drain + FR-FCFS promotion, and channel
  * destruction with queued and in-flight pooled requests (ASan-clean).
  */
@@ -105,6 +106,57 @@ TEST(RequestPool, AllocReleaseRoundTrip)
     pool.release(b);
     pool.release(c);
     EXPECT_EQ(pool.inUse(), 0u);
+}
+
+TEST(RequestPool, RecycledRequestEqualsValueInitialised)
+{
+    // alloc() resets a recycled request field by field; every field,
+    // the intrusive links included, must come back as MemRequest{}.
+    RequestPool pool;
+    MemRequest *r = pool.alloc();
+    FnClient client([](Tick) {});
+    r->addr = 0x1234'5678'9abcull;
+    r->isWrite = true;
+    r->core = 7;
+    r->arrival = 11;
+    r->seq = 13;
+    r->loc.channel = 3;
+    r->loc.rank = 1;
+    r->loc.bank = 5;
+    r->loc.row = 17;
+    r->loc.column = 19;
+    r->serviceStart = 23;
+    r->dataReady = 29;
+    r->burstStart = 31;
+    r->burstEnd = 37;
+    r->outcome = RowOutcome::Hit;
+    r->sawPowerdownExit = true;
+    r->bankBurstExtra = 41;
+    r->client = &client;
+    r->prev = r;
+    r->next = r;
+    pool.release(r);
+
+    MemRequest *again = pool.alloc();
+    ASSERT_EQ(again, r);
+    const MemRequest want{};
+    EXPECT_EQ(again->addr, want.addr);
+    EXPECT_EQ(again->isWrite, want.isWrite);
+    EXPECT_EQ(again->core, want.core);
+    EXPECT_EQ(again->arrival, want.arrival);
+    EXPECT_EQ(again->seq, want.seq);
+    EXPECT_EQ(again->loc, want.loc);
+    EXPECT_EQ(again->serviceStart, want.serviceStart);
+    EXPECT_EQ(again->dataReady, want.dataReady);
+    EXPECT_EQ(again->burstStart, want.burstStart);
+    EXPECT_EQ(again->burstEnd, want.burstEnd);
+    EXPECT_EQ(again->outcome, want.outcome);
+    EXPECT_EQ(again->sawPowerdownExit, want.sawPowerdownExit);
+    EXPECT_EQ(again->bankBurstExtra, want.bankBurstExtra);
+    EXPECT_EQ(again->client, want.client);
+    EXPECT_EQ(again->prev, want.prev);
+    EXPECT_EQ(again->next, want.next);
+    pool.release(again);
 }
 
 TEST(RequestPool, SlabGrowsPastOneChunk)
