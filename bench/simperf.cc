@@ -46,35 +46,12 @@ BM_EventQueue(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueue);
 
-void
-BM_EventQueueCancel(benchmark::State &state)
-{
-    // Heavy cancel churn: half of all scheduled events are cancelled
-    // before they fire, exercising lazy purge + slab recycling.
-    for (auto _ : state) {
-        EventQueue eq;
-        std::uint64_t fired = 0;
-        std::vector<EventId> ids;
-        ids.reserve(10000);
-        for (int i = 0; i < 10000; ++i)
-            ids.push_back(
-                eq.schedule(static_cast<Tick>(i * 7 % 9973),
-                            [&fired] { ++fired; }));
-        for (int i = 0; i < 10000; i += 2)
-            eq.cancel(ids[i]);
-        eq.runUntil();
-        benchmark::DoNotOptimize(fired);
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_EventQueueCancel);
-
 /**
  * Steady-state hold model: `depth` events stay pending while every
  * fired event schedules its successor 2^12-2^18 ticks out, the range
  * of deltas the simulator produces, so each pop pairs with one insert
  * at the queue depth real runs keep (tens of events).  BM_EventQueue
- * and BM_EventQueueCancel instead preload 10,000 events.
+ * instead preloads 10,000 events.
  */
 struct HoldModel
 {

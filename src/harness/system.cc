@@ -526,14 +526,20 @@ System::advance(Tick until)
     // The stop is one more EvEphemeral Sample-class event: it runs
     // after every Hardware and Policy event at `until` and every
     // Sample event already pending there, and before any Sample event
-    // scheduled there from here on.
-    EventId stop = InvalidEventId;
+    // scheduled there from here on.  If the run completes first, the
+    // stop stays pending, harmlessly: exportPending() skips EvEphemeral
+    // events, and the phase has left Running, so no later advance()
+    // runs the queue again.
+    cutReached_ = false;
     if (until < cfg_.maxSimTime)
-        stop = eq_.schedule(until, [this] { eq_.stop(); },
-                            EventClass::Sample, {EvEphemeral});
+        eq_.schedule(until,
+                     [this] {
+                         cutReached_ = true;
+                         eq_.stop();
+                     },
+                     EventClass::Sample, {EvEphemeral});
     eventsRun_ += eq_.runUntil(cfg_.maxSimTime);
-    const bool reached = stop != InvalidEventId && !eq_.cancel(stop);
-    if (phase_ == Phase::Running && !reached)
+    if (phase_ == Phase::Running && !cutReached_)
         phase_ = Phase::TimeLimit;
     return phase_ == Phase::Running;
 }

@@ -303,6 +303,8 @@ class System
     /** Where the run stands; advance() only moves a Running one. */
     enum class Phase { Running, Complete, TimeLimit, Finished };
     Phase phase_ = Phase::Running;
+    /** Set by advance()'s stop event: the run reached `until`. */
+    bool cutReached_ = false;
     std::uint32_t done_ = 0;
     std::uint64_t eventsRun_ = 0;
 };

@@ -62,11 +62,15 @@ struct MemRequest
     Tick dataReady = 0;         ///< column access complete at device
     Tick burstStart = 0;
     Tick burstEnd = 0;          ///< data fully transferred (completion)
-    RowOutcome outcome = RowOutcome::ClosedMiss;
-    bool sawPowerdownExit = false;
     /** Extra bank occupancy beyond the channel burst (Decoupled). */
     Tick bankBurstExtra = 0;
+    RowOutcome outcome = RowOutcome::ClosedMiss;
+    bool sawPowerdownExit = false;
     /// @}
+
+    /** Slab index in the owning RequestPool, set once when the pool
+     *  grows; alloc() leaves it alone. */
+    std::uint32_t poolIndex = 0;
 
     /** Completion sink (reads only); valid until the request retires. */
     MemClient *client = nullptr;

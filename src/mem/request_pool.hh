@@ -69,18 +69,7 @@ class RequestPool
      * slots as the uninterrupted run.
      */
     /// @{
-    std::size_t
-    indexOf(const MemRequest *r) const
-    {
-        for (std::size_t c = 0; c < chunks_.size(); ++c) {
-            const MemRequest *base = chunks_[c].get();
-            if (r >= base && r < base + ChunkSize) {
-                return c * ChunkSize +
-                       static_cast<std::size_t>(r - base);
-            }
-        }
-        panic("RequestPool: request not from this pool");
-    }
+    std::size_t indexOf(const MemRequest *r) const { return r->poolIndex; }
 
     MemRequest *
     at(std::size_t idx)
@@ -137,7 +126,8 @@ class RequestPool
      * Give `r` the value of MemRequest{}, field by field.  The
      * aggregate assignment compiles to a `rep stosq` over the whole
      * struct; these stores are cheaper on the per-request path, and
-     * makeRequest's own writes make most of them dead.  The size
+     * makeRequest's own writes make most of them dead.  poolIndex
+     * is the one field left alone: grow() set it for good.  The size
      * check stops a new field from going unreset, and
      * test_request_pool compares the result with MemRequest{}.
      */
@@ -161,9 +151,9 @@ class RequestPool
         r.dataReady = 0;
         r.burstStart = 0;
         r.burstEnd = 0;
+        r.bankBurstExtra = 0;
         r.outcome = RowOutcome::ClosedMiss;
         r.sawPowerdownExit = false;
-        r.bankBurstExtra = 0;
         r.client = nullptr;
         r.prev = nullptr;
         r.next = nullptr;
@@ -172,9 +162,11 @@ class RequestPool
     void
     grow()
     {
+        const std::size_t base = capacity();
         chunks_.push_back(std::make_unique<MemRequest[]>(ChunkSize));
         MemRequest *chunk = chunks_.back().get();
         for (std::size_t i = ChunkSize; i-- > 0;) {
+            chunk[i].poolIndex = static_cast<std::uint32_t>(base + i);
             chunk[i].next = freeHead_;
             freeHead_ = &chunk[i];
         }

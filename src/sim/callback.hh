@@ -57,6 +57,12 @@ class EventCallback
                       "EventCallback: the capture must fit 48 bytes and "
                       "be trivially copyable and destructible "
                       "(capture pointers, not owners)");
+        // A move copies the whole buffer.  A capture-less closure
+        // writes none of it, so zero it then; zeroing it for every
+        // capture would make each schedule copy 48 bytes, not the
+        // capture's own.
+        if constexpr (std::is_empty_v<D>)
+            std::memset(buf_, 0, InlineCapacity);
         ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
         invoke_ = [](void *p) { (*std::launder(static_cast<D *>(p)))(); };
     }

@@ -1,7 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "sim/event_kinds.hh"
 
@@ -20,11 +18,6 @@ EventQueue::releaseSlot(std::uint32_t idx)
 {
     Slot &s = slots_[idx];
     s.fn.reset();
-    s.live = false;
-    // Bumping the generation invalidates every outstanding EventId for
-    // this slot; skip 0 on wrap so InvalidEventId never matches.
-    if (++s.gen == 0)
-        s.gen = 1;
     s.nextFree = freeHead_;
     freeHead_ = idx;
 }
@@ -37,34 +30,15 @@ EventQueue::pastTick(Tick when) const
           static_cast<unsigned long long>(now_));
 }
 
-bool
-EventQueue::cancel(EventId id)
-{
-    std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffffu);
-    std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-    if (slot >= slots_.size() || !slots_[slot].live ||
-        slots_[slot].gen != gen) {
-        return false;
-    }
-    // A live slot always has its entry in events_.
-    events_.erase(std::find_if(events_.begin(), events_.end(),
-                               [id](const Entry &e) {
-                                   return e.id == id;
-                               }));
-    releaseSlot(slot);
-    return true;
-}
-
 void
 EventQueue::fireBack()
 {
     const Entry e = events_.back();
     events_.pop_back();
     // Release the slot before invoking so the callback can freely
-    // schedule new events (possibly reusing this slot) and so
-    // cancelling the in-flight id is a no-op, as documented.
-    EventCallback fn = std::move(slots_[entrySlot(e)].fn);
-    releaseSlot(entrySlot(e));
+    // schedule new events, possibly reusing this slot.
+    EventCallback fn = std::move(slots_[e.slot].fn);
+    releaseSlot(e.slot);
     now_ = e.when;
     fn();
 }
@@ -105,7 +79,7 @@ EventQueue::exportPending() const
     out.reserve(events_.size());
     for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
         const Entry &e = *it;
-        const EventTag &tag = slots_[entrySlot(e)].tag;
+        const EventTag &tag = slots_[e.slot].tag;
         if (tag.kind == EvEphemeral)
             continue;
         if (tag.kind == EvNone)
@@ -123,7 +97,7 @@ void
 EventQueue::clearPending()
 {
     for (const Entry &e : events_)
-        releaseSlot(entrySlot(e));
+        releaseSlot(e.slot);
     events_.clear();
 }
 

@@ -4,16 +4,14 @@
  *
  * ReferenceQueue restates what sim/event_queue.hh promises and shares
  * none of its code: events sit in an ordered map keyed by
- * (when, class, seq), callbacks are std::function, an id is the
- * event's seq, and cancel erases eagerly.  The tests run EventQueue
- * and this model side by side on the same inputs and compare firing
- * order, cancel results, the clock, pending() and exportPending().
+ * (when, class, seq) and callbacks are std::function.  The tests run
+ * EventQueue and this model side by side on the same inputs and
+ * compare firing order, the clock, pending() and exportPending().
  *
  * The contract it models:
  *  - events fire in (when, class, seq) order, seq counting schedules;
- *  - the in-flight event is gone before its callback runs, so
- *    cancelling its id is a no-op, as is cancelling an unknown, fired
- *    or cancelled id;
+ *  - an event, once scheduled, runs (there is no cancellation); the
+ *    in-flight event is gone before its callback runs;
  *  - runUntil(limit) runs every event due at or before `limit`, unless
  *    a callback calls stop(), in which case it returns right after
  *    that callback; otherwise it leaves the clock at `limit` (never at
@@ -46,8 +44,6 @@ namespace memscale
 class ReferenceQueue
 {
   public:
-    using Id = std::uint64_t;
-
     struct Tag
     {
         std::uint32_t kind = 0;
@@ -68,29 +64,15 @@ class ReferenceQueue
     bool empty() const { return events_.empty(); }
 
     template <typename Cls = std::uint8_t, typename TagT = Tag>
-    Id
+    void
     schedule(Tick when, std::function<void()> fn, Cls cls = {},
              const TagT &tag = {})
     {
         if (when < now_)
             throw std::logic_error("ReferenceQueue: scheduled in the past");
-        const Id id = nextSeq_++;
-        const Key key{when, static_cast<std::uint8_t>(cls), id};
+        const Key key{when, static_cast<std::uint8_t>(cls), nextSeq_++};
         events_.emplace(key, Event{std::move(fn),
                                    Tag{tag.kind, tag.owner, tag.a, tag.b}});
-        keys_.emplace(id, key);
-        return id;
-    }
-
-    bool
-    cancel(Id id)
-    {
-        auto it = keys_.find(id);
-        if (it == keys_.end())
-            return false;
-        events_.erase(it->second);
-        keys_.erase(it);
-        return true;
     }
 
     void stop() { stopped_ = true; }
@@ -138,7 +120,7 @@ class ReferenceQueue
 
   private:
     /** (when, class, seq): std::tuple's order is the firing order. */
-    using Key = std::tuple<Tick, std::uint8_t, Id>;
+    using Key = std::tuple<Tick, std::uint8_t, std::uint64_t>;
 
     struct Event
     {
@@ -155,15 +137,13 @@ class ReferenceQueue
         const Key key = it->first;
         std::function<void()> fn = std::move(it->second.fn);
         events_.erase(it);
-        keys_.erase(std::get<2>(key));
         now_ = whenOf(key);
         fn();
     }
 
     std::map<Key, Event> events_;
-    std::map<Id, Key> keys_;   ///< pending ids only
     Tick now_ = 0;
-    Id nextSeq_ = 1;
+    std::uint64_t nextSeq_ = 1;
     bool stopped_ = false;
 };
 

@@ -418,7 +418,6 @@ TEST(Channel, RefreshRuns)
         refreshes += r.refreshes;
     // tREFI = 7.8 us: every rank refreshed at least once in 20 us.
     EXPECT_GE(refreshes, static_cast<std::uint64_t>(ia.ranks.size()));
-    h.eq.cancel(InvalidEventId);
 }
 
 TEST(Channel, RefreshDelaysColocatedRead)

@@ -2,13 +2,12 @@
  * @file
  * Edge cases of the event kernel's sorted event array that the basic
  * kernel suite (test_sim) does not reach: far-future events more than
- * 2^48 ticks out interleaving with near ones, cancel-then-reschedule
- * across tick ranges many orders of magnitude apart, same-tick FIFO
- * across channel and core tags, exportPending/restore byte-identity,
- * and mirrored fuzzing of the kernel against ReferenceQueue
+ * 2^48 ticks out interleaving with near ones, same-tick FIFO across
+ * channel and core tags, exportPending/restore byte-identity, and
+ * mirrored fuzzing of the kernel against ReferenceQueue
  * (reference_queue.hh), an independent model of its contract, both
  * with everything scheduled up front and with callbacks that
- * schedule, cancel and stop while the queue runs.
+ * schedule and stop while the queue runs.
  */
 
 #include <gtest/gtest.h>
@@ -111,43 +110,6 @@ TEST(EventHierarchy, RolloverThenRescheduleFromAdvancedClock)
                                         base + kHorizon + 7}));
 }
 
-TEST(EventHierarchy, CancelThenRescheduleAcrossBuckets)
-{
-    // Kill an event at one tick, reschedule the same logical work at
-    // a tick orders of magnitude away, or earlier than the cancelled
-    // one (alternating core and channel tags); only the replacement
-    // may fire and the dead id must stay dead (generation check).
-    EventQueue eq;
-    int fired = 0;
-    const Tick spots[] = {
-        100,                      // a few ns out
-        (Tick(1) << 13) + 3,      // ~8 ns
-        (Tick(1) << 25),          // ~30 us
-        (Tick(1) << 44),          // ~17 s
-        kHorizon + 1,             // past 2^48 ticks
-        kHorizon + 2,             // past 2^48, channel tag
-        50,                       // back before the first spot
-    };
-    auto tagAt = [](std::size_t i) {
-        return i % 2 ? chanTag(static_cast<std::uint32_t>(i), i)
-                     : coreTag(i);
-    };
-    EventId id = eq.schedule(spots[0], [&] { ++fired; },
-                             EventClass::Hardware, tagAt(0));
-    for (std::size_t i = 1; i < std::size(spots); ++i) {
-        EXPECT_TRUE(eq.cancel(id));
-        EXPECT_FALSE(eq.cancel(id));     // double-cancel is a no-op
-        id = eq.schedule(spots[i], [&] { ++fired; },
-                         EventClass::Hardware, tagAt(i));
-        EXPECT_EQ(eq.pending(), 1u);
-    }
-    const EventId last = id;
-    eq.runUntil();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.now(), spots[std::size(spots) - 1]);
-    EXPECT_FALSE(eq.cancel(last));       // already fired
-}
-
 TEST(EventHierarchy, SameTickFifoAcrossTagKinds)
 {
     // Five events at one tick, channel and core tags interleaved:
@@ -215,19 +177,15 @@ TEST(EventHierarchy, ExportRestoreByteIdentity)
 {
     // Round-trip a queue with near and far channel- and core-tagged
     // events through export -> clear -> setNow -> re-schedule; the
-    // second export must be byte-identical, including after a cancel
-    // (a cancelled event must not leak into the export).
+    // second export must be byte-identical.
     EventQueue eq;
     auto noop = [] {};
     eq.schedule(40, noop, EventClass::Hardware, chanTag(1, 11));
     eq.schedule(40, noop, EventClass::Hardware, chanTag(1, 12));
-    EventId dead = eq.schedule(50, noop, EventClass::Hardware,
-                               chanTag(1, 13));
     eq.schedule(60, noop, EventClass::Hardware, chanTag(9, 14));
     eq.schedule(25, noop, EventClass::Policy, coreTag(15));
     eq.schedule(kHorizon + 9, noop, EventClass::Hardware, coreTag(16));
     eq.schedule(25, noop, EventClass::Sample, coreTag(17));
-    EXPECT_TRUE(eq.cancel(dead));
 
     const std::vector<PendingEvent> before = eq.exportPending();
     ASSERT_EQ(before.size(), 6u);
@@ -276,23 +234,15 @@ TEST(EventHierarchy, ExportMatchesReference)
 
 TEST(EventHierarchy, MirroredFuzzAgainstReference)
 {
-    // Randomized schedule/cancel churn mirrored into the kernel and
-    // the model, biased toward channel traffic and 2^12-aligned
-    // ticks; firing sequences must match exactly.
+    // Randomized schedules mirrored into the kernel and the model,
+    // biased toward channel traffic and 2^12-aligned ticks; firing
+    // sequences must match exactly.
     std::mt19937 rng(777);
     for (int round = 0; round < 5; ++round) {
         EventQueue eq;
         ReferenceQueue ref;
         std::vector<std::uint64_t> efired, rfired;
-        std::vector<std::pair<EventId, ReferenceQueue::Id>> ids;
-        std::uint64_t label = 0;
-        for (int i = 0; i < 400; ++i) {
-            if (!ids.empty() && rng() % 4 == 0) {
-                const auto [ea, ra] =
-                    ids[rng() % ids.size()];
-                EXPECT_EQ(eq.cancel(ea), ref.cancel(ra));
-                continue;
-            }
+        for (std::uint64_t l = 0; l < 400; ++l) {
             Tick when = rng() & 0x3fffff;
             if (rng() % 8 == 0)         // 2^12-aligned: more ties
                 when &= ~Tick(0xfff);
@@ -301,12 +251,10 @@ TEST(EventHierarchy, MirroredFuzzAgainstReference)
             const auto cls = static_cast<EventClass>(rng() % 3);
             const EventTag tag = (rng() % 3) ? chanTag(rng() % 100, 0)
                                              : EventTag{};
-            const std::uint64_t l = label++;
-            ids.emplace_back(
-                eq.schedule(when, [&efired, l] { efired.push_back(l); },
-                            cls, tag),
-                ref.schedule(when, [&rfired, l] { rfired.push_back(l); },
-                             cls, tag));
+            eq.schedule(when, [&efired, l] { efired.push_back(l); }, cls,
+                        tag);
+            ref.schedule(when, [&rfired, l] { rfired.push_back(l); }, cls,
+                         tag);
         }
         EXPECT_EQ(eq.pending(), ref.pending());
         eq.runUntil();
@@ -330,13 +278,10 @@ struct LiveFuzzSide
 {
     explicit LiveFuzzSide(std::uint64_t seed) : rng(seed) {}
 
-    static constexpr std::uint64_t CancelMark = std::uint64_t(1) << 63;
-
     Queue eq;
     std::mt19937_64 rng;
-    std::vector<std::uint64_t> ids;  ///< by label
-    /** Fired labels, and each cancel as CancelMark | victim << 1 | ok. */
-    std::vector<std::uint64_t> log;
+    std::uint64_t spawned = 0;  ///< events scheduled, the next label
+    std::vector<std::uint64_t> log;  ///< fired labels
     int budget = 0;            ///< schedules left for callbacks
     int stops = 0;             ///< callbacks that called stop()
 
@@ -344,7 +289,7 @@ struct LiveFuzzSide
     void
     spawn()
     {
-        const std::uint64_t label = ids.size();
+        const std::uint64_t label = spawned++;
         Tick when = eq.now();
         switch (rng() % 8) {
           case 0:
@@ -366,17 +311,7 @@ struct LiveFuzzSide
             label % 2 ? chanTag(static_cast<std::uint32_t>(rng() % 8),
                                 label)
                       : coreTag(label);
-        ids.push_back(eq.schedule(when, [this, label] { fire(label); },
-                                  cls, tag));
-    }
-
-    /** Cancel `victim` and log the outcome. */
-    bool
-    cancel(std::uint64_t victim)
-    {
-        const bool ok = eq.cancel(ids[victim]);
-        log.push_back(CancelMark | (victim << 1) | (ok ? 1 : 0));
-        return ok;
+        eq.schedule(when, [this, label] { fire(label); }, cls, tag);
     }
 
     void
@@ -385,21 +320,6 @@ struct LiveFuzzSide
         log.push_back(label);
         for (unsigned k = rng() % 3; k > 0 && budget > 0; --k, --budget)
             spawn();
-        switch (rng() % 6) {
-          case 0:  // the in-flight id: always a no-op
-            EXPECT_FALSE(cancel(label));
-            break;
-          case 1:
-          case 2:  // a recent id, most likely still pending
-            cancel(ids.size() - 1 - rng() % std::min<std::size_t>(
-                                            ids.size(), 32));
-            break;
-          case 3:  // any id: mostly already fired
-            cancel(rng() % ids.size());
-            break;
-          default:
-            break;
-        }
         // End the current runUntil() early, as System's done, horizon
         // and advance() stop events do.
         if (rng() % 16 == 0) {
@@ -414,10 +334,9 @@ struct LiveFuzzSide
 TEST(EventHierarchy, MirroredLiveFuzzAgainstReference)
 {
     // Callbacks schedule at now in every class, near, 2^12-2^18 ticks
-    // out (the deltas the simulator produces) and past 2^48, cancel
-    // pending, in-flight and already-fired ids, and sometimes call
-    // stop() while the queue runs.  The driver interleaves step()
-    // with runUntil(limit) horizons.  Firing order, cancel results,
+    // out (the deltas the simulator produces) and past 2^48, and
+    // sometimes call stop() while the queue runs.  The driver
+    // interleaves step() with runUntil(limit) horizons.  Firing order,
     // each call's return value, the clock, pending() and
     // exportPending() must match the reference model after every call.
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -457,13 +376,8 @@ TEST(EventHierarchy, MirroredLiveFuzzAgainstReference)
             for (std::size_t i = 0; i < a.size(); ++i)
                 ASSERT_TRUE(samePending(a[i], b[i]))
                     << "seed " << seed << " position " << i;
-            // Between calls: cancel from outside, or reseed a drained
-            // queue while budget remains.
-            if (drive() % 2 == 0) {
-                const std::uint64_t victim = drive() % kern.ids.size();
-                kern.cancel(victim);
-                ref.cancel(victim);
-            }
+            // Between calls: reseed a drained queue while budget
+            // remains.
             if (kern.eq.empty() && kern.budget > 0) {
                 kern.budget -= 20;
                 ref.budget -= 20;
@@ -475,7 +389,7 @@ TEST(EventHierarchy, MirroredLiveFuzzAgainstReference)
         }
         EXPECT_EQ(kern.log, ref.log) << "seed " << seed;
         EXPECT_EQ(kern.stops, ref.stops) << "seed " << seed;
-        EXPECT_GT(kern.ids.size(), 1000u) << "seed " << seed;
+        EXPECT_GT(kern.spawned, 1000u) << "seed " << seed;
         EXPECT_GT(kern.stops, 10) << "seed " << seed;
         EXPECT_GT(steps, 10) << "seed " << seed;
     }

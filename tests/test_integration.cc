@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/differential.hh"
 #include "harness/experiment.hh"
 #include "memscale/policies/policy.hh"
 #include "workload/mixes.hh"
@@ -339,4 +340,42 @@ TEST(Integration, PoccMatchesActivatesPerChannel)
         const RunResult r = sys.finish();
         EXPECT_EQ(r.counters.pocc, activates) << name;
     }
+}
+
+TEST(System, AdvanceAndTimeLimitOutcomes)
+{
+    // advance() reports whether the run is still live.  A cut short of
+    // maxSimTime keeps it live; running into maxSimTime ends it with
+    // hitTimeLimit.  A cut past the workload's end ends it without,
+    // and leaves the result bit-identical to an uninterrupted run.
+    SystemConfig cfg = smallConfig("MID1");
+    cfg.restWatts = 150.0;
+    auto p = makePolicy("memscale");
+    const RunResult full = System(cfg, *p).run();
+    ASSERT_FALSE(full.hitTimeLimit);
+    ASSERT_GT(full.runtime, 3 * cfg.epochLen);
+
+    SystemConfig capped = cfg;
+    capped.maxSimTime = full.runtime / 2;
+    {
+        auto q = makePolicy("memscale");
+        System sys(capped, *q);
+        EXPECT_TRUE(sys.advance(capped.maxSimTime / 2));
+        EXPECT_EQ(sys.now(), capped.maxSimTime / 2);
+        EXPECT_FALSE(sys.advance(capped.maxSimTime));
+        EXPECT_FALSE(sys.advance(capped.maxSimTime + 1));
+        const RunResult r = sys.finish();
+        EXPECT_TRUE(r.hitTimeLimit);
+        EXPECT_LE(r.runtime, capped.maxSimTime);
+    }
+
+    auto q = makePolicy("memscale");
+    System sys(cfg, *q);
+    EXPECT_TRUE(sys.advance(full.runtime / 3));
+    EXPECT_FALSE(sys.advance(full.runtime * 2));
+    EXPECT_EQ(sys.now(), full.runtime);
+    EXPECT_FALSE(sys.advance(full.runtime * 3));
+    const RunResult r = sys.finish();
+    EXPECT_FALSE(r.hitTimeLimit);
+    EXPECT_EQ(hashRunResult(r), hashRunResult(full));
 }

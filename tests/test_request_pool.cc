@@ -2,7 +2,8 @@
  * @file
  * Request lifecycle under the RequestPool: slab recycling across a
  * full run (bounded capacity, zero leakage), a recycled request equal
- * to MemRequest{} field by field, completion ordering
+ * to MemRequest{} field by field, slab indices that name their
+ * requests across chunks and a restored layout, completion ordering
  * unchanged under heavy write-drain + FR-FCFS promotion, and channel
  * destruction with queued and in-flight pooled requests (ASan-clean).
  */
@@ -112,6 +113,8 @@ TEST(RequestPool, RecycledRequestEqualsValueInitialised)
 {
     // alloc() resets a recycled request field by field; every field,
     // the intrusive links included, must come back as MemRequest{}.
+    // poolIndex belongs to the slot, not the request, and is left
+    // alone (SlabIndexRoundTrips).
     RequestPool pool;
     MemRequest *r = pool.alloc();
     FnClient client([](Tick) {});
@@ -170,6 +173,48 @@ TEST(RequestPool, SlabGrowsPastOneChunk)
     for (MemRequest *r : live)
         pool.release(r);
     EXPECT_EQ(pool.inUse(), 0u);
+}
+
+TEST(RequestPool, SlabIndexRoundTrips)
+{
+    // Every request's stored slab index names it, in all of at least
+    // three chunks, before and after recycling and in a pool rebuilt
+    // by restoreLayout().
+    RequestPool pool;
+    std::vector<MemRequest *> live;
+    for (std::size_t i = 0; i < 3 * RequestPool::ChunkSize + 5; ++i)
+        live.push_back(pool.alloc());
+    ASSERT_GE(pool.capacity(), 4 * RequestPool::ChunkSize);
+    std::vector<bool> seen(pool.capacity(), false);
+    for (MemRequest *r : live) {
+        const std::size_t idx = pool.indexOf(r);
+        ASSERT_LT(idx, pool.capacity());
+        EXPECT_FALSE(seen[idx]) << "index " << idx << " given twice";
+        seen[idx] = true;
+        EXPECT_EQ(pool.at(idx), r);
+    }
+    for (std::size_t i = 0; i < live.size(); i += 2)
+        pool.release(live[i]);
+    for (std::size_t i = 0; i < live.size(); i += 2) {
+        live[i] = pool.alloc();
+        EXPECT_EQ(pool.at(pool.indexOf(live[i])), live[i]);
+    }
+
+    RequestPool restored;
+    const std::size_t cap = 4 * RequestPool::ChunkSize;
+    std::vector<std::size_t> free_order;
+    for (std::size_t i = cap; i-- > 0;)
+        if (i % 3 == 0)
+            free_order.push_back(i);
+    restored.restoreLayout(cap, free_order);
+    for (std::size_t i = 0; i < cap; ++i)
+        EXPECT_EQ(restored.indexOf(restored.at(i)), i);
+    EXPECT_EQ(restored.freeListIndices(), free_order);
+    for (std::size_t want : free_order) {
+        MemRequest *r = restored.alloc();
+        EXPECT_EQ(restored.indexOf(r), want);
+        EXPECT_EQ(restored.at(want), r);
+    }
 }
 
 TEST(RequestPool, RecyclesAcrossFullRun)
