@@ -147,6 +147,14 @@ benchEngine(const Config &conf)
     return SweepEngine(checkedJobs(conf.getInt("jobs", 0)));
 }
 
+/**
+ * The policies Figs. 9-11 compare against the max-frequency baseline,
+ * in the order the figures print them.
+ */
+inline const std::vector<std::string> paperPolicies = {
+    "fastpd", "slowpd", "decoupled", "static",
+    "memscale-memenergy", "memscale", "memscale-fastpd"};
+
 /** The configurations of all MID mixes under a base setting. */
 inline std::vector<SystemConfig>
 midConfigs(const SystemConfig &cfg)

@@ -21,11 +21,9 @@ main(int argc, char **argv)
     benchHeader(conf, "Figure 10", "system energy breakdown by policy (MID)",
                 cfg);
 
-    const std::vector<std::string> policies = {
-        "baseline", "fastpd", "slowpd", "decoupled", "static",
-        "memscale-memenergy", "memscale", "memscale-fastpd"};
-    const std::vector<std::string> realPolicies(policies.begin() + 1,
-                                                policies.end());
+    std::vector<std::string> policies = {"baseline"};
+    policies.insert(policies.end(), paperPolicies.begin(),
+                    paperPolicies.end());
 
     std::vector<SystemConfig> cfgs = midConfigs(cfg);
     std::vector<CalibratedBaseline> bases = runBaselines(eng, cfgs);
@@ -33,7 +31,7 @@ main(int argc, char **argv)
     for (const CalibratedBaseline &b : bases)
         base_total += b.base.energy.total();
     std::vector<ComparisonResult> results =
-        comparePolicyGrid(eng, cfgs, bases, realPolicies);
+        comparePolicyGrid(eng, cfgs, bases, paperPolicies);
 
     Table t({"policy", "DRAM", "PLL/Reg", "MC", "rest of system",
              "total (vs base)"});

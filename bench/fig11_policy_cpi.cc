@@ -19,25 +19,21 @@ main(int argc, char **argv)
     SweepEngine eng = benchEngine(conf);
     benchHeader(conf, "Figure 11", "CPI overhead by policy (MID)", cfg);
 
-    const std::vector<std::string> policies = {
-        "fastpd", "slowpd", "decoupled", "static",
-        "memscale-memenergy", "memscale", "memscale-fastpd"};
-
     std::vector<SystemConfig> cfgs = midConfigs(cfg);
     std::vector<CalibratedBaseline> bases = runBaselines(eng, cfgs);
     std::vector<ComparisonResult> results =
-        comparePolicyGrid(eng, cfgs, bases, policies);
+        comparePolicyGrid(eng, cfgs, bases, paperPolicies);
 
     Table t({"policy", "avg CPI increase", "worst CPI increase",
              "bound"});
-    for (std::size_t p = 0; p < policies.size(); ++p) {
+    for (std::size_t p = 0; p < paperPolicies.size(); ++p) {
         double avg = 0.0, worst = 0.0;
         for (std::size_t i = 0; i < cfgs.size(); ++i) {
             const ComparisonResult &r = results[p * cfgs.size() + i];
             avg += r.avgCpiIncrease;
             worst = std::max(worst, r.worstCpiIncrease);
         }
-        t.addRow({policies[p], pct(avg / cfgs.size()), pct(worst),
+        t.addRow({paperPolicies[p], pct(avg / cfgs.size()), pct(worst),
                   pct(cfg.gamma)});
     }
     t.print("Fig. 11: CPI overhead by policy");

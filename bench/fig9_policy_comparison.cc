@@ -22,19 +22,15 @@ main(int argc, char **argv)
     SweepEngine eng = benchEngine(conf);
     benchHeader(conf, "Figure 9", "policy comparison, MID average", cfg);
 
-    const std::vector<std::string> policies = {
-        "fastpd", "slowpd", "decoupled", "static",
-        "memscale-memenergy", "memscale", "memscale-fastpd"};
-
     // Calibrated baselines per MID mix, shared across policies.
     std::vector<SystemConfig> cfgs = midConfigs(cfg);
     std::vector<CalibratedBaseline> bases = runBaselines(eng, cfgs);
     std::vector<ComparisonResult> results =
-        comparePolicyGrid(eng, cfgs, bases, policies);
+        comparePolicyGrid(eng, cfgs, bases, paperPolicies);
 
     Table t({"policy", "sys energy saved", "mem energy saved",
              "avg CPI incr", "worst CPI incr"});
-    for (std::size_t p = 0; p < policies.size(); ++p) {
+    for (std::size_t p = 0; p < paperPolicies.size(); ++p) {
         double sys = 0.0, mem = 0.0, avg = 0.0, worst = 0.0;
         for (std::size_t i = 0; i < cfgs.size(); ++i) {
             const ComparisonResult &r = results[p * cfgs.size() + i];
@@ -44,8 +40,8 @@ main(int argc, char **argv)
             worst = std::max(worst, r.worstCpiIncrease);
         }
         double n = static_cast<double>(cfgs.size());
-        t.addRow({policies[p], pct(sys / n), pct(mem / n), pct(avg / n),
-                  pct(worst)});
+        t.addRow({paperPolicies[p], pct(sys / n), pct(mem / n),
+                  pct(avg / n), pct(worst)});
     }
     t.print("Fig. 9: MID-average energy savings by policy "
             "(paper: MemScale ~3x Decoupled; Slow-PD negative)");

@@ -101,13 +101,16 @@ BENCHMARK(BM_EventQueueHold)->Arg(32)->Arg(128);
 void
 BM_SweepEngine(benchmark::State &state)
 {
-    // Fan 24 tiny systems out on the pool; items/sec tracks sweep
-    // scheduling overhead plus parallel scaling.
-    SweepEngine eng;
+    // Fan 24 tiny systems (12 mixes x 2 seeds) out on the pool;
+    // items/sec tracks sweep scheduling overhead plus parallel scaling.
+    // The engine memoises runs for its lifetime, so each iteration
+    // builds a fresh one and really runs all 24.
     for (auto _ : state) {
+        SweepEngine eng;
         std::vector<SweepCase> cases(24);
         for (std::size_t i = 0; i < cases.size(); ++i) {
             cases[i].cfg.mixName = allMixes()[i % 12].name;
+            cases[i].cfg.seed = i / 12;
             cases[i].cfg.instrBudget = 20000;
             cases[i].cfg.epochLen = msToTick(0.25);
             cases[i].cfg.profileLen = usToTick(25.0);

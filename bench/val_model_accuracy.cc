@@ -59,7 +59,7 @@ main(int argc, char **argv)
         numFreqPoints, [&](std::size_t f) {
             SystemConfig c = cfg;
             c.restWatts = rest;
-            StaticPolicy policy(busFreqGridMHz[f]);
+            StaticPolicy policy("static", {.busMHz = busFreqGridMHz[f]});
             System sys(c, policy);
             return sys.run();
         });

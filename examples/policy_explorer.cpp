@@ -1,13 +1,14 @@
 /**
  * @file
- * Policy explorer: compare every registered energy-management policy
- * on one workload mix and print the savings/performance frontier.
+ * Policy explorer: compare every energy-management policy makePolicy()
+ * knows (coscale and fastcap included) on one workload mix and print
+ * the savings/performance frontier.
  *
  * Usage: policy_explorer [mix=MID3] [budget=3000000] [gamma=0.10]
  *                        [channels=4] [cores=16] [jobs=N]
  *
  * The per-policy runs fan out on the shared sweep engine; results are
- * printed in registration order regardless of completion order.
+ * printed in table order regardless of completion order.
  */
 
 #include <cstdio>
@@ -54,7 +55,7 @@ main(int argc, char **argv)
                 tickToMs(base.runtime), base.avgSystemPower, rest);
 
     std::vector<std::string> names;
-    for (const std::string &name : policyNames()) {
+    for (const std::string &name : allPolicyNames()) {
         if (name != "baseline")
             names.push_back(name);
     }

@@ -40,17 +40,6 @@ parseValue(const std::string &key, const std::string &s)
     }
 }
 
-/** "a, b, c" */
-template <typename Names>
-std::string
-joined(const Names &names)
-{
-    std::string out;
-    for (const auto &n : names)
-        out += (out.empty() ? "" : ", ") + std::string(n);
-    return out;
-}
-
 } // namespace
 
 void

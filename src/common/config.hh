@@ -100,6 +100,17 @@ const char *envSwitch(EnvSwitch s);
  */
 void refuseUnknownEnvSwitches();
 
+/** "a, b, c": the accepted names a refusal lists. */
+template <typename Names>
+std::string
+joined(const Names &names)
+{
+    std::string out;
+    for (const auto &n : names)
+        out += (out.empty() ? "" : ", ") + std::string(n);
+    return out;
+}
+
 } // namespace memscale
 
 #endif // MEMSCALE_COMMON_CONFIG_HH

@@ -22,10 +22,10 @@
 namespace memscale
 {
 
-class CoScalePolicy : public Policy
+class CoScalePolicy : public NamedPolicy
 {
   public:
-    std::string name() const override { return "coscale"; }
+    using NamedPolicy::NamedPolicy;
     bool dynamic() const override { return true; }
 
     void configure(MemoryController &mc,

@@ -54,7 +54,7 @@ struct FastCapTelemetry
     Watts maxChosenW = 0.0;
 };
 
-class FastCapPolicy : public Policy
+class FastCapPolicy : public NamedPolicy
 {
   public:
     struct Options
@@ -67,10 +67,8 @@ class FastCapPolicy : public Policy
         double headroom = 0.95;
     };
 
-    FastCapPolicy() = default;
-    explicit FastCapPolicy(const Options &opts) : opts_(opts) {}
+    using NamedPolicy::NamedPolicy;
 
-    std::string name() const override { return "fastcap"; }
     bool dynamic() const override { return true; }
 
     void configure(MemoryController &mc,

@@ -8,25 +8,11 @@
 namespace memscale
 {
 
-std::string
-MemScalePolicy::name() const
-{
-    if (opts_.withLadder)
-        return "memscale-ladder";
-    if (opts_.withFastPd)
-        return "memscale-fastpd";
-    if (opts_.memoryEnergyOnly)
-        return "memscale-memenergy";
-    return "memscale";
-}
-
 void
 MemScalePolicy::configure(MemoryController &mc, const PolicyContext &ctx)
 {
     mc.setFrequency(nominalFreqIndex);
-    mc.setPowerdownMode(opts_.withLadder ? PowerdownMode::Ladder
-                        : opts_.withFastPd ? PowerdownMode::FastExit
-                                           : PowerdownMode::None);
+    mc.setPowerdownMode(opts_.pd);
     perf_ = PerfModel(ctx.cpuGHz);
     slack_ = SlackTracker();
     decision_ = PolicyDecision();

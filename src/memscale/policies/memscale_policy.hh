@@ -4,7 +4,8 @@
  * predict CPI and system energy at every grid frequency, keep the
  * candidates whose predicted slowdown fits each core's accumulated
  * slack, and pick the one minimizing the (full-system or memory-only)
- * energy.  Optionally combines with Fast-PD (MemScale + Fast-PD).
+ * energy.  Optionally combines with an idle-rank powerdown mode
+ * (MemScale + Fast-PD, MemScale + Ladder).
  */
 
 #ifndef MEMSCALE_MEMSCALE_POLICIES_MEMSCALE_POLICY_HH
@@ -16,24 +17,23 @@
 namespace memscale
 {
 
-class MemScalePolicy : public Policy
+class MemScalePolicy : public NamedPolicy
 {
   public:
     struct Options
     {
+        /** Idle-rank powerdown alongside scaling (MemScale + Fast-PD,
+         * MemScale + Ladder). */
+        PowerdownMode pd = PowerdownMode::None;
         /** Minimize memory energy only (MemScale(MemEnergy)). */
         bool memoryEnergyOnly = false;
-        /** Also enable fast-exit powerdown (MemScale + Fast-PD). */
-        bool withFastPd = false;
-        /** Also enable the adaptive idle-state demotion ladder
-         * (MemScale + Ladder); takes precedence over withFastPd. */
-        bool withLadder = false;
     };
 
-    MemScalePolicy() : opts_() {}
-    explicit MemScalePolicy(const Options &opts) : opts_(opts) {}
+    using NamedPolicy::NamedPolicy;
+    MemScalePolicy(std::string name, const Options &opts)
+        : NamedPolicy(std::move(name)), opts_(opts)
+    {}
 
-    std::string name() const override;
     bool dynamic() const override { return true; }
 
     void configure(MemoryController &mc,

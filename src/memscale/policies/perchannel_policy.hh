@@ -18,10 +18,10 @@
 namespace memscale
 {
 
-class PerChannelMemScalePolicy : public Policy
+class PerChannelMemScalePolicy : public NamedPolicy
 {
   public:
-    std::string name() const override { return "memscale-perchannel"; }
+    using NamedPolicy::NamedPolicy;
     bool dynamic() const override { return true; }
 
     void configure(MemoryController &mc,

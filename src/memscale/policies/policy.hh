@@ -2,10 +2,12 @@
  * @file
  * Energy-management policy interface and registry.
  *
- * Policies come in two flavours: static configurations (baseline,
- * Static, Fast-PD, Slow-PD, Decoupled) that only set up the memory
- * controller once, and dynamic policies (the MemScale variants) that
- * the epoch controller consults at every profiling boundary.
+ * Policies come in two flavours: fixed settings (StaticPolicy: the
+ * baseline, Static, the powerdown modes, Decoupled, Throttle) that
+ * only set up the memory controller once, and dynamic policies (the
+ * MemScale variants, CoScale, FastCap, SLO) that the epoch controller
+ * consults at every profiling boundary.  Every name is spelled once,
+ * in makePolicy()'s table (policy.cc).
  */
 
 #ifndef MEMSCALE_MEMSCALE_POLICIES_POLICY_HH
@@ -14,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dram/timing.hh"
@@ -137,15 +140,32 @@ class Policy
 };
 
 /**
- * Policy factory: every name in policyNames(), plus "coscale" and
- * "fastcap".  Those two are left out of policyNames() on purpose:
- * coscale re-clocks the cores and fastcap obeys a power budget, so
- * the tests and sweeps that walk policyNames() stay memory-only and
- * uncapped.
+ * A policy that answers name() with the name makePolicy() made it
+ * under, so no class spells its own name.
  */
+class NamedPolicy : public Policy
+{
+  public:
+    explicit NamedPolicy(std::string name) : name_(std::move(name)) {}
+
+    std::string name() const override { return name_; }
+
+  private:
+    std::string name_;
+};
+
+/** Policy factory: any name in allPolicyNames(). */
 std::unique_ptr<Policy> makePolicy(const std::string &name);
 
-/** All registered policy names. */
+/** Every name makePolicy() accepts, in table order. */
+std::vector<std::string> allPolicyNames();
+
+/**
+ * allPolicyNames() minus coscale and fastcap, left out on
+ * purpose: coscale re-clocks the cores and fastcap obeys a power
+ * budget, so the tests and sweeps that walk policyNames() stay
+ * memory-only and uncapped.
+ */
 std::vector<std::string> policyNames();
 
 } // namespace memscale

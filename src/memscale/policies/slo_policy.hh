@@ -37,7 +37,7 @@
 namespace memscale
 {
 
-class SloPolicy final : public Policy
+class SloPolicy final : public NamedPolicy
 {
   public:
     struct Options
@@ -50,10 +50,8 @@ class SloPolicy final : public Policy
         double headroom = 0.85;
     };
 
-    SloPolicy() = default;
-    explicit SloPolicy(const Options &opts) : opts_(opts) {}
+    using NamedPolicy::NamedPolicy;
 
-    std::string name() const override { return "slo"; }
     bool dynamic() const override { return true; }
 
     void configure(MemoryController &mc,

@@ -4,17 +4,14 @@ namespace memscale
 {
 
 void
-BaselinePolicy::configure(MemoryController &mc, const PolicyContext &)
-{
-    mc.setFrequency(nominalFreqIndex);
-    mc.setPowerdownMode(PowerdownMode::None);
-}
-
-void
 StaticPolicy::configure(MemoryController &mc, const PolicyContext &)
 {
-    mc.setFrequency(freqIndexForMHz(mhz_));
-    mc.setPowerdownMode(PowerdownMode::None);
+    mc.setFrequency(freqIndexForMHz(setup_.busMHz));
+    mc.setPowerdownMode(setup_.pd);
+    if (setup_.deviceMHz != 0)
+        mc.setDecoupled(setup_.deviceMHz);
+    if (setup_.throttle != 0.0)
+        mc.setThrottle(setup_.throttle);
 }
 
 } // namespace memscale

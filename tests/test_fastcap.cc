@@ -221,7 +221,7 @@ TEST(FastCapPolicyRun, UncappedNeverSlowsDown)
     runBaseline(cfg, rest);
     cfg.restWatts = rest;
 
-    FastCapPolicy p;
+    FastCapPolicy p("fastcap");
     System sys(cfg, p);
     RunResult r = sys.run();
 
@@ -250,7 +250,7 @@ TEST(FastCapPolicyRun, PredictionFitsBudgetEveryEpoch)
         base.energy.total() / tickToSec(base.runtime);
     cfg.powerCapW = 0.9 * uncapped;
 
-    FastCapPolicy p;
+    FastCapPolicy p("fastcap");
     System sys(cfg, p);
     RunResult r = sys.run();
 
@@ -279,7 +279,7 @@ TEST(FastCapPolicyRun, TighterCapMoreSlowdownLessPower)
     auto run_at = [&](double frac, FastCapTelemetry &tele_out) {
         SystemConfig c = cfg;
         c.powerCapW = frac * uncapped;
-        FastCapPolicy p;
+        FastCapPolicy p("fastcap");
         System sys(c, p);
         RunResult r = sys.run();
         tele_out = p.telemetry();
@@ -308,7 +308,7 @@ TEST(FastCapPolicyRun, ImpossibleBudgetDegradesToFloor)
     // infeasible and the policy pins the min-power pair.
     cfg.powerCapW = 1.0;
 
-    FastCapPolicy p;
+    FastCapPolicy p("fastcap");
     System sys(cfg, p);
     RunResult r = sys.run();
 

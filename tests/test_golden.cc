@@ -185,6 +185,33 @@ const PolicyGolden kDynamicPolicyGoldens[] = {
     {"memscale-fastpd", 0xb6005cf4301d1c39ull},
 };
 
+/**
+ * Fixed-setting rows: every policy that makePolicy() builds as a
+ * StaticPolicy, on the short MEM1 scenario.  Each row pins one table
+ * row's bus clock, powerdown mode, device clock or throttle cap; no
+ * other golden runs a fixed policy.
+ */
+std::uint64_t
+fixedPolicyHash(const std::string &policy)
+{
+    return hashRunResult(
+        runPolicy(goldenConfig("MEM1"), policy, GoldenRestWatts));
+}
+
+// Regenerate: MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_golden
+const PolicyGolden kFixedPolicyGoldens[] = {
+    {"baseline", 0xaeb661cf1f977658ull},
+    {"static", 0xb844c7f6960f11fdull},
+    {"fastpd", 0xe1c9f38dce21871dull},
+    {"slowpd", 0xf894454a2c06dd6bull},
+    {"srpd", 0x817f10712a307607ull},
+    {"srslowpd", 0x97685dc9923fff92ull},
+    {"deeppd", 0x1b2f4d12383c1816ull},
+    {"ladder", 0x8ceb05a160d20933ull},
+    {"throttle", 0x0fb7b4e15ad1d008ull},
+    {"decoupled", 0xbc8b6d092c1fba34ull},
+};
+
 /** Fig. 7 scenario: MID3 under MemScale, per-epoch decisions only. */
 std::uint64_t
 fig7TimelineHash()
@@ -471,6 +498,26 @@ TEST(Golden, DynamicPolicyHashesMatch)
     }
     for (const PolicyGolden &g : kDynamicPolicyGoldens) {
         EXPECT_EQ(dynamicPolicyHash(g.policy), g.hash)
+            << g.policy
+            << ": behaviour changed; if intended, regenerate with "
+               "MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_golden";
+    }
+}
+
+TEST(Golden, FixedPolicyHashesMatch)
+{
+    if (regenMode()) {
+        std::printf("const PolicyGolden kFixedPolicyGoldens[] = {\n");
+        for (const PolicyGolden &g : kFixedPolicyGoldens) {
+            std::printf("    {\"%s\", 0x%016llxull},\n", g.policy,
+                        static_cast<unsigned long long>(
+                            fixedPolicyHash(g.policy)));
+        }
+        std::printf("};\n");
+        GTEST_SKIP() << "regenerated goldens printed above";
+    }
+    for (const PolicyGolden &g : kFixedPolicyGoldens) {
+        EXPECT_EQ(fixedPolicyHash(g.policy), g.hash)
             << g.policy
             << ": behaviour changed; if intended, regenerate with "
                "MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_golden";

@@ -4,10 +4,12 @@
  * controller, and MemScale frequency selection on crafted profiles.
  */
 
+#include <set>
+
 #include <gtest/gtest.h>
 
+#include "common/config.hh"
 #include "common/log.hh"
-#include "memscale/policies/decoupled_policy.hh"
 #include "memscale/policies/memscale_policy.hh"
 #include "memscale/policies/policy.hh"
 #include "memscale/policies/static_policy.hh"
@@ -55,23 +57,41 @@ defaultContext()
 
 TEST(PolicyFactory, AllNamesConstruct)
 {
-    for (const std::string &name : policyNames()) {
+    const std::set<std::string> fixed = {
+        "baseline", "static", "fastpd", "slowpd", "srpd", "srslowpd",
+        "deeppd", "ladder", "throttle", "decoupled"};
+    const std::vector<std::string> all = allPolicyNames();
+    EXPECT_EQ(all.size(), 18u);
+    for (const std::string &name : all) {
         auto p = makePolicy(name);
         ASSERT_NE(p, nullptr);
         EXPECT_EQ(p->name(), name);
+        EXPECT_EQ(p->dynamic(), !fixed.count(name)) << name;
     }
-    EXPECT_THROW(makePolicy("bogus"), FatalError);
+
+    // policyNames() is the table minus exactly coscale and fastcap.
+    std::vector<std::string> listed;
+    for (const std::string &name : all) {
+        if (name != "coscale" && name != "fastcap")
+            listed.push_back(name);
+    }
+    EXPECT_EQ(listed.size(), all.size() - 2);
+    EXPECT_EQ(policyNames(), listed);
 }
 
-TEST(PolicyFactory, DynamicFlags)
+TEST(PolicyFactory, UnknownNameListsTheTable)
 {
-    EXPECT_FALSE(makePolicy("baseline")->dynamic());
-    EXPECT_FALSE(makePolicy("static")->dynamic());
-    EXPECT_FALSE(makePolicy("fastpd")->dynamic());
-    EXPECT_FALSE(makePolicy("decoupled")->dynamic());
-    EXPECT_TRUE(makePolicy("memscale")->dynamic());
-    EXPECT_TRUE(makePolicy("memscale-memenergy")->dynamic());
-    EXPECT_TRUE(makePolicy("memscale-fastpd")->dynamic());
+    try {
+        makePolicy("nope");
+        FAIL() << "makePolicy accepted an unknown name";
+    } catch (const FatalError &e) {
+        // The refusal lists every accepted name.
+        EXPECT_NE(e.message.find("unknown policy 'nope'"),
+                  std::string::npos);
+        EXPECT_NE(e.message.find(joined(allPolicyNames())),
+                  std::string::npos)
+            << e.message;
+    }
 }
 
 TEST(PolicyConfigure, StaticSetsPaperFrequency)
@@ -79,10 +99,22 @@ TEST(PolicyConfigure, StaticSetsPaperFrequency)
     EventQueue eq;
     MemConfig cfg;
     MemoryController mc(eq, cfg);
-    StaticPolicy p;   // 467 MHz
-    p.configure(mc, defaultContext());
+    makePolicy("static")->configure(mc, defaultContext());
     eq.runUntil();
     EXPECT_EQ(mc.busMHz(), 467u);
+    EXPECT_EQ(mc.decoupledDeviceMHz(), 0u);
+}
+
+TEST(PolicyConfigure, StaticSetupPicksGridFrequency)
+{
+    EventQueue eq;
+    MemConfig cfg;
+    MemoryController mc(eq, cfg);
+    StaticPolicy p("static", {.busMHz = 333});
+    p.configure(mc, defaultContext());
+    eq.runUntil();
+    EXPECT_EQ(p.name(), "static");
+    EXPECT_EQ(mc.busMHz(), 333u);
 }
 
 TEST(PolicyConfigure, DecoupledSetsDeviceClock)
@@ -90,15 +122,14 @@ TEST(PolicyConfigure, DecoupledSetsDeviceClock)
     EventQueue eq;
     MemConfig cfg;
     MemoryController mc(eq, cfg);
-    DecoupledPolicy p;
-    p.configure(mc, defaultContext());
+    makePolicy("decoupled")->configure(mc, defaultContext());
     EXPECT_EQ(mc.busMHz(), 800u);
     EXPECT_EQ(mc.decoupledDeviceMHz(), 400u);
 }
 
 TEST(MemScaleSelect, ComputeBoundPicksLowestFrequency)
 {
-    MemScalePolicy p;
+    MemScalePolicy p("memscale");
     PolicyContext ctx = defaultContext();
     // Near-zero miss rate: everything is feasible; lowest frequency
     // minimizes energy.
@@ -109,7 +140,7 @@ TEST(MemScaleSelect, ComputeBoundPicksLowestFrequency)
 
 TEST(MemScaleSelect, MemoryBoundKeepsHighFrequency)
 {
-    MemScalePolicy p;
+    MemScalePolicy p("memscale");
     PolicyContext ctx = defaultContext();
     // alpha 3% with heavy queueing: deep scaling infeasible within a
     // 10% CPI bound.
@@ -125,7 +156,7 @@ TEST(MemScaleSelect, BoundTightensSelection)
     PolicyContext tight = defaultContext();
     tight.gamma = 0.01;
     ProfileData prof = profileWithAlpha(0.01, 1.3);
-    MemScalePolicy p1, p2;
+    MemScalePolicy p1("memscale"), p2("memscale");
     FreqIndex f_loose =
         p1.selectFrequency(prof, loose, nominalFreqIndex);
     FreqIndex f_tight =
@@ -135,7 +166,7 @@ TEST(MemScaleSelect, BoundTightensSelection)
 
 TEST(MemScaleSelect, NegativeSlackForcesSpeedup)
 {
-    MemScalePolicy p;
+    MemScalePolicy p("memscale");
     PolicyContext ctx = defaultContext();
     // Memory-heavy profile so frequency-induced slowdown is visible
     // to the model (slack only tracks modelled, i.e. memory-induced,
@@ -161,10 +192,9 @@ TEST(MemScaleSelect, NegativeSlackForcesSpeedup)
 
 TEST(MemScaleSelect, MemEnergyVariantScalesAtLeastAsDeep)
 {
-    MemScalePolicy::Options o;
-    o.memoryEnergyOnly = true;
-    MemScalePolicy mem_only(o);
-    MemScalePolicy full;
+    MemScalePolicy mem_only("memscale-memenergy",
+                            {.memoryEnergyOnly = true});
+    MemScalePolicy full("memscale");
     PolicyContext ctx = defaultContext();
     ctx.restWatts = 200.0;   // make slowdown expensive system-wide
     ProfileData prof = profileWithAlpha(0.02, 1.5);
@@ -177,7 +207,7 @@ TEST(MemScaleSelect, MemEnergyVariantScalesAtLeastAsDeep)
 
 TEST(MemScaleSelect, InactiveCoresDoNotConstrain)
 {
-    MemScalePolicy p;
+    MemScalePolicy p("memscale");
     PolicyContext ctx = defaultContext();
     ProfileData prof = profileWithAlpha(1e-5, 1.0, 2);
     prof.cores.push_back(CoreSample{0, 0});   // finished core
