@@ -436,7 +436,7 @@ MemoryController::ranksPoweredDown() const
 }
 
 std::uint32_t
-MemoryController::pendingRankCloses() const
+MemoryController::pendingRankCloses()
 {
     std::uint32_t n = 0;
     for (const auto &ch : channels_)

@@ -156,7 +156,7 @@ class MemoryController
     std::uint32_t ranksPoweredDown() const;
 
     /** Deferred bank closes not yet applied (checkpoint metadata). */
-    std::uint32_t pendingRankCloses() const;
+    std::uint32_t pendingRankCloses();
 
     /** Request slab shared by this controller's channels. */
     const RequestPool &requestPool() const { return pool_; }

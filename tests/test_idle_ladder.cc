@@ -19,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/protocol_checker.hh"
@@ -275,5 +277,376 @@ TEST(IdleLadderFuzz, EnergyIntegralsNonNegativeAndMonotone)
             prev = cur;
         }
         EXPECT_EQ(pc.violations(), 0u) << "seed=" << seed;
+    }
+}
+
+namespace
+{
+
+/**
+ * Records every announced command (and forwards it to a strict
+ * checker), so a test can read each rank's CKE walk back.
+ */
+struct CommandLog final : CommandObserver
+{
+    ProtocolChecker pc{/*strict=*/true};
+    std::vector<DramCmdEvent> cmds;
+
+    void
+    onCommand(const DramCmdEvent &ev) override
+    {
+        cmds.push_back(ev);
+        pc.onCommand(ev);
+    }
+
+    void
+    onTimingChange(std::uint32_t ch, Tick at,
+                   const TimingParams &tp) override
+    {
+        pc.onTimingChange(ch, at, tp);
+    }
+
+    /** Powerdown enters of one rank: (tick, rung), in announce order. */
+    std::vector<std::pair<Tick, RankIdleState>>
+    enters(std::uint32_t rank) const
+    {
+        std::vector<std::pair<Tick, RankIdleState>> out;
+        for (const DramCmdEvent &ev : cmds) {
+            if (ev.cmd == DramCmd::PowerdownEnter && ev.rank == rank)
+                out.emplace_back(ev.at,
+                                 static_cast<RankIdleState>(ev.pdState));
+        }
+        return out;
+    }
+
+    /** Powerdown exits of one rank, in announce order. */
+    std::vector<DramCmdEvent>
+    exits(std::uint32_t rank) const
+    {
+        std::vector<DramCmdEvent> out;
+        for (const DramCmdEvent &ev : cmds) {
+            if (ev.cmd == DramCmd::PowerdownExit && ev.rank == rank)
+                out.push_back(ev);
+        }
+        return out;
+    }
+};
+
+/** One channel, no migration, the given dwell per rung. */
+MemConfig
+planConfig(Tick slow, Tick sr, Tick sr_slow, Tick deep)
+{
+    MemConfig cfg;
+    cfg.numChannels = 1;
+    cfg.ladder.demoteSlowPd = slow;
+    cfg.ladder.demoteSelfRefresh = sr;
+    cfg.ladder.demoteSrSlow = sr_slow;
+    cfg.ladder.demoteDeepPd = deep;
+    return cfg;
+}
+
+Addr
+rankAddr(const MemoryController &mc, std::uint32_t rank,
+         std::uint32_t bank, std::uint64_t row = 0)
+{
+    DecodedAddr d;
+    d.rank = rank;
+    d.bank = bank;
+    d.row = row;
+    return mc.addressMap().encode(d);
+}
+
+/** Time a rank entered at `t0` has spent in the rungs of `a` at `t`. */
+struct Residency
+{
+    Tick pd, slow, sr, srSlow, deep;
+};
+
+Residency
+expectedResidency(Tick t0, const Tick (&at)[4], Tick t)
+{
+    auto span = [&](Tick from, Tick to) -> Tick {
+        const Tick hi = std::min(t, to);
+        return hi > from ? hi - from : 0;
+    };
+    return {span(t0, MaxTick), span(at[0], at[1]), span(at[1], at[2]),
+            span(at[2], at[3]), span(at[3], MaxTick)};
+}
+
+} // namespace
+
+TEST(IdleLadderPlan, StateAndResidencyAtEachRungTick)
+{
+    // Every rank goes idle when the mode is set at tick 0, so each one
+    // walks the default ladder from there: rungs at 200 ns, 1.2 us,
+    // 5.2 us and 21.2 us.  Sample one tick before, on and after each
+    // rung.
+    const MemConfig cfg = planConfig(nsToTick(200.0), nsToTick(1000.0),
+                                     nsToTick(4000.0), nsToTick(16000.0));
+    EventQueue eq;
+    MemoryController mc(eq, cfg);
+    CommandLog log;
+    mc.setCommandObserver(&log);
+    mc.setPowerdownMode(PowerdownMode::Ladder);
+
+    const Tick at[4] = {nsToTick(200.0), nsToTick(1200.0),
+                        nsToTick(5200.0), nsToTick(21200.0)};
+    const std::uint32_t ranks = cfg.ranksPerChannel();
+    for (int k = 0; k < 4; ++k) {
+        for (Tick t : {at[k] - 1, at[k], at[k] + 1}) {
+            eq.runUntil(t);
+            ASSERT_EQ(eq.now(), t);
+            const McCounters c = mc.sampleCounters();
+            const std::uint64_t rungs = t >= at[k] ? k + 1 : k;
+            EXPECT_EQ(c.pdDemotions, rungs * ranks) << "t=" << t;
+            const Residency want = expectedResidency(0, at, t);
+            const IntervalActivity ia = mc.sampleActivity();
+            for (std::uint32_t r = 0; r < ranks; ++r) {
+                const RankActivity &a = ia.ranks[r];
+                EXPECT_EQ(a.totalTime, t);
+                EXPECT_EQ(a.prePowerdownTime, want.pd) << "t=" << t;
+                EXPECT_EQ(a.slowPowerdownTime, want.slow) << "t=" << t;
+                EXPECT_EQ(a.selfRefreshTime, want.sr) << "t=" << t;
+                EXPECT_EQ(a.srSlowClockTime, want.srSlow) << "t=" << t;
+                EXPECT_EQ(a.deepPowerdownTime, want.deep) << "t=" << t;
+                const auto e = log.enters(r);
+                ASSERT_EQ(e.size(), rungs + 1) << "t=" << t;
+                EXPECT_EQ(e.back().second,
+                          static_cast<RankIdleState>(
+                              static_cast<int>(RankIdleState::FastPd) +
+                              static_cast<int>(rungs)));
+                if (rungs > 0) {
+                    EXPECT_EQ(e.back().first, at[rungs - 1]);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(log.pc.violations(), 0u);
+}
+
+TEST(IdleLadderPlan, WakeMidPlanExitsFromReachedRungAndDropsTheRest)
+{
+    const MemConfig cfg = planConfig(nsToTick(200.0), nsToTick(1000.0),
+                                     nsToTick(4000.0), nsToTick(16000.0));
+    EventQueue eq;
+    MemoryController mc(eq, cfg);
+    CommandLog log;
+    mc.setCommandObserver(&log);
+    mc.setPowerdownMode(PowerdownMode::Ladder);
+
+    // Rank 0 sits in self-refresh (1.2 us .. 5.2 us) when a read wakes
+    // it at 3 us.
+    const Tick wake = usToTick(3.0);
+    eq.runUntil(wake);
+    FnClient client([](Tick) {});
+    mc.read(rankAddr(mc, 0, 0), 0, &client);
+    eq.runUntil(usToTick(60.0));
+    // Rungs apply (and are announced) when the rank is next touched.
+    const RankActivity a = mc.sampleActivity().ranks[0];
+
+    const auto x = log.exits(0);
+    ASSERT_EQ(x.size(), 1u);
+    EXPECT_EQ(x[0].at, wake);
+    EXPECT_EQ(x[0].doneAt - x[0].at,
+              idleExitLatency(RankIdleState::SelfRefresh,
+                              TimingParams::at(nominalFreqIndex)));
+
+    // Before the wake: fast-PD at 0, then the two rungs it reached.
+    // After it: a fresh walk from the new idle entry, and none of the
+    // old plan's later rungs (5.2 us, 21.2 us).
+    const auto e = log.enters(0);
+    ASSERT_EQ(e.size(), 3u + 5u);
+    EXPECT_EQ(e[1], std::make_pair(nsToTick(200.0),
+                                   RankIdleState::SlowPd));
+    EXPECT_EQ(e[2], std::make_pair(nsToTick(1200.0),
+                                   RankIdleState::SelfRefresh));
+    const Tick t1 = e[3].first;
+    EXPECT_GT(t1, wake);
+    EXPECT_EQ(e[3].second, RankIdleState::FastPd);
+    const Tick walk[4] = {nsToTick(200.0), nsToTick(1200.0),
+                          nsToTick(5200.0), nsToTick(21200.0)};
+    for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(e[4 + k].first, t1 + walk[k]) << "rung " << k;
+        EXPECT_EQ(static_cast<int>(e[4 + k].second),
+                  static_cast<int>(RankIdleState::SlowPd) + k);
+    }
+    // The other ranks kept walking their first plan.
+    const auto e1 = log.enters(1);
+    ASSERT_EQ(e1.size(), 5u);
+    EXPECT_EQ(e1[3].first, nsToTick(5200.0));
+    EXPECT_EQ(e1[4].first, nsToTick(21200.0));
+
+    EXPECT_EQ(a.selfRefreshTime,
+              (wake - nsToTick(1200.0)) +
+                  (nsToTick(4000.0)));  // first walk + second walk
+    EXPECT_EQ(log.pc.violations(), 0u);
+}
+
+TEST(IdleLadderPlan, RelockParkedRankWithPlannedActRefusesChain)
+{
+    // A rung inside the re-lock window (50 ns < tRELOCK) finds rank 0
+    // parked in fast-PD but holding a request whose ACT was planned
+    // past the stall: the bank is busy, so the chain is refused and
+    // the rank wakes with the parked ranks at the window's end.
+    const MemConfig cfg = planConfig(nsToTick(50.0), nsToTick(1000.0),
+                                     nsToTick(4000.0), nsToTick(16000.0));
+    EventQueue eq;
+    MemoryController mc(eq, cfg);
+    CommandLog log;
+    mc.setCommandObserver(&log);
+    mc.setPowerdownMode(PowerdownMode::Ladder);
+
+    bool a_done = false, b_done = false;
+    FnClient ca([&](Tick) { a_done = true; });
+    FnClient cb([&](Tick) { b_done = true; });
+    mc.read(rankAddr(mc, 0, 0), 0, &ca);
+    // Run up to the read's burst completion: its trailing precharge is
+    // announced then, and finishes later.
+    auto pre_seen = [&] {
+        for (const DramCmdEvent &ev : log.cmds)
+            if (ev.cmd == DramCmd::Pre && ev.rank == 0)
+                return true;
+        return false;
+    };
+    while (!pre_seen())
+        ASSERT_TRUE(eq.step());
+    ASSERT_TRUE(a_done);
+    const Tick stall_end = mc.setFrequency(numFreqPoints - 1);
+    mc.read(rankAddr(mc, 0, 1), 0, &cb);
+    eq.runUntil(stall_end + usToTick(10.0));
+    ASSERT_TRUE(b_done);
+
+    // Parked at the re-lock entry, no rung until the window's end.
+    Tick parked = MaxTick;
+    for (const auto &[t, s] : log.enters(0)) {
+        if (t > 0 && t < stall_end && s == RankIdleState::FastPd)
+            parked = t;
+    }
+    ASSERT_NE(parked, MaxTick);
+    for (const auto &[t, s] : log.enters(0)) {
+        if (t >= parked && t <= stall_end) {
+            EXPECT_EQ(s, RankIdleState::FastPd) << "tick " << t;
+        }
+    }
+    bool woke_at_end = false;
+    for (const DramCmdEvent &x : log.exits(0))
+        woke_at_end |= x.at == stall_end;
+    EXPECT_TRUE(woke_at_end);
+    EXPECT_EQ(log.pc.violations(), 0u);
+}
+
+namespace
+{
+
+/**
+ * Rank 0's first refresh tick (tREFI / 5 with four ranks) lands on its
+ * rung `rung` when the dwells up to it sum to that tick.  Returns the
+ * rank's log after 3 us; `plan_first` sets the mode (arming every
+ * rank's plan at tick 0) before the refresh engine is armed.
+ */
+CommandLog
+refreshOnRung(int rung, bool plan_first)
+{
+    const TimingParams &tp = TimingParams::at(nominalFreqIndex);
+    const Tick phase = tp.tREFI / 5;
+    const Tick d1 = rung == 0 ? phase : nsToTick(200.0);
+    const Tick d2 = rung == 0 ? nsToTick(1000.0) : phase - d1;
+    const MemConfig cfg =
+        planConfig(d1, d2, nsToTick(4000.0), nsToTick(16000.0));
+    EventQueue eq;
+    MemoryController mc(eq, cfg);
+    CommandLog log;
+    mc.setCommandObserver(&log);
+    if (plan_first) {
+        mc.setPowerdownMode(PowerdownMode::Ladder);
+        mc.startRefresh();
+    } else {
+        mc.startRefresh();
+        mc.setPowerdownMode(PowerdownMode::Ladder);
+    }
+    eq.runUntil(usToTick(3.0));
+    return log;
+}
+
+} // namespace
+
+TEST(IdleLadderPlan, RefreshOnRungTickKeepsTimerOrder)
+{
+    const TimingParams &tp = TimingParams::at(nominalFreqIndex);
+    const Tick phase = tp.tREFI / 5;
+    // Rung 1, refresh armed first: the refresh runs first and wakes the
+    // rank from fast-PD; the rung never applies.
+    {
+        const CommandLog log = refreshOnRung(0, false);
+        const auto x = log.exits(0);
+        ASSERT_FALSE(x.empty());
+        EXPECT_EQ(x[0].at, phase);
+        EXPECT_EQ(x[0].doneAt - x[0].at,
+                  idleExitLatency(RankIdleState::FastPd, tp));
+        for (const auto &[t, s] : log.enters(0))
+            EXPECT_NE(s, RankIdleState::SlowPd) << "tick " << t;
+        EXPECT_EQ(log.pc.violations(), 0u);
+    }
+    // Rung 1, plan armed first: the rung applies first, and the
+    // refresh then wakes the rank from slow-PD.
+    {
+        const CommandLog log = refreshOnRung(0, true);
+        const auto e = log.enters(0);
+        ASSERT_GE(e.size(), 2u);
+        EXPECT_EQ(e[1], std::make_pair(phase, RankIdleState::SlowPd));
+        const auto x = log.exits(0);
+        ASSERT_FALSE(x.empty());
+        EXPECT_EQ(x[0].at, phase);
+        EXPECT_EQ(x[0].doneAt - x[0].at,
+                  idleExitLatency(RankIdleState::SlowPd, tp));
+        EXPECT_EQ(log.pc.violations(), 0u);
+    }
+    // Rung 2: its timer is armed at rung 1, after the refresh was
+    // scheduled, so the refresh wins the tie either way and wakes the
+    // rank from slow-PD before it can self-refresh.
+    for (bool plan_first : {false, true}) {
+        const CommandLog log = refreshOnRung(1, plan_first);
+        const auto x = log.exits(0);
+        ASSERT_FALSE(x.empty());
+        EXPECT_EQ(x[0].at, phase);
+        EXPECT_EQ(x[0].doneAt - x[0].at,
+                  idleExitLatency(RankIdleState::SlowPd, tp));
+        for (const auto &[t, s] : log.enters(0))
+            EXPECT_LT(s, RankIdleState::SelfRefresh) << "tick " << t;
+        EXPECT_EQ(log.pc.violations(), 0u);
+    }
+}
+
+TEST(IdleLadderPlan, TieOrderFollowsWhenTheTimerWouldBeArmed)
+{
+    // A read lands on rung 2's tick (1.2 us).  Rung 2's timer would be
+    // armed at rung 1 (200 ns): a read scheduled before that runs
+    // first and wakes the rank from slow-PD; one scheduled after it
+    // finds the rank already in self-refresh.
+    const TimingParams &tp = TimingParams::at(nominalFreqIndex);
+    const Tick rung1 = nsToTick(200.0);
+    const Tick rung2 = nsToTick(1200.0);
+    for (const Tick sched_at : {rung1 - 1, rung1 + 1}) {
+        const MemConfig cfg =
+            planConfig(nsToTick(200.0), nsToTick(1000.0),
+                       nsToTick(4000.0), nsToTick(16000.0));
+        EventQueue eq;
+        MemoryController mc(eq, cfg);
+        CommandLog log;
+        mc.setCommandObserver(&log);
+        mc.setPowerdownMode(PowerdownMode::Ladder);
+        FnClient client([](Tick) {});
+        eq.runUntil(sched_at);
+        eq.schedule(rung2, [&] { mc.read(rankAddr(mc, 0, 0), 0, &client); });
+        eq.runUntil(usToTick(3.0));
+        const auto x = log.exits(0);
+        ASSERT_FALSE(x.empty());
+        EXPECT_EQ(x[0].at, rung2);
+        const RankIdleState from = sched_at < rung1
+                                       ? RankIdleState::SlowPd
+                                       : RankIdleState::SelfRefresh;
+        EXPECT_EQ(x[0].doneAt - x[0].at, idleExitLatency(from, tp))
+            << "read scheduled at " << sched_at;
+        EXPECT_EQ(log.pc.violations(), 0u);
     }
 }
