@@ -365,11 +365,20 @@ ClusterHarness::advance(std::size_t epochs)
     const std::uint32_t n = cfg_.numServers;
     const Tick horizon = cfg_.server.serving.horizon;
 
-    for (; epoch_ < target; ++epoch_) {
-        const std::size_t e = epoch_;
-        const Tick start = e == 0 ? 0 : cuts_[e - 1];
-        const Tick end = e < cuts_.size() ? cuts_[e] : horizon;
-        const double dt_sec = tickToSec(end - start);
+    // A capped fleet steps one epoch per batch: epoch e's budgets come
+    // from epoch e-1's telemetry, so every server must finish e-1
+    // first.  Uncapped, nothing couples the servers, so each steps the
+    // whole span in one batch, and the rows are recorded in epoch order
+    // afterwards.
+    while (epoch_ < target) {
+        const std::size_t first = epoch_;
+        const std::size_t span = cfg_.capW > 0.0 ? 1 : target - first;
+        auto epochStart = [&](std::size_t e) {
+            return e == 0 ? Tick(0) : cuts_[e - 1];
+        };
+        auto epochEnd = [&](std::size_t e) {
+            return e < cuts_.size() ? cuts_[e] : horizon;
+        };
 
         // Budgets for epoch e come from epoch e-1's telemetry — the
         // coordinator always acts on stale-by-one-epoch reports.  The
@@ -392,60 +401,71 @@ ClusterHarness::advance(std::size_t epochs)
             }
         }
 
-        std::vector<ServerTelemetry> new_tele(n);
+        // new_tele[i][k]: server k's report for epoch first + i.
+        std::vector<std::vector<ServerTelemetry>> new_tele(
+            span, std::vector<ServerTelemetry>(n));
         eng_->forEach(n, [&](std::size_t k) {
             System &sys = *servers_[k];
-            sys.setPowerCap(alloc.budgetW.empty() ? 0.0
-                                                  : alloc.budgetW[k]);
-            if (!sys.advance(end) && e < cuts_.size())
-                fatal("cluster: server %zu stopped at %0.3f ms, short "
-                      "of the epoch cut at %0.3f ms",
-                      k, tickToMs(sys.now()), tickToMs(end));
-            const SystemTelemetry st = sys.telemetry();
-            obsP99Us_[k] = st.serving.p99Us;
-            ServerTelemetry t;
-            t.valid = true;
-            t.measuredW = (st.energy.total() - prevEnergy_[k]) / dt_sec;
-            prevEnergy_[k] = st.energy.total();
-            const auto *fc =
-                dynamic_cast<const FastCapPolicy *>(policies_[k].get());
-            if (fc != nullptr && fc->telemetry().valid) {
-                t.demandW = fc->telemetry().demandW;
-                t.minW = fc->telemetry().minW;
-                t.slowdown = fc->telemetry().slowdown;
-            } else {
-                // Cap-oblivious policies report measurements only:
-                // the coordinator still splits the budget, the server
-                // just won't honour it.
-                t.demandW = t.measuredW;
+            for (std::size_t i = 0; i < span; ++i) {
+                const std::size_t e = first + i;
+                const Tick end = epochEnd(e);
+                const double dt_sec = tickToSec(end - epochStart(e));
+                sys.setPowerCap(alloc.budgetW.empty() ? 0.0
+                                                      : alloc.budgetW[k]);
+                if (!sys.advance(end) && e < cuts_.size())
+                    fatal("cluster: server %zu stopped at %0.3f ms, "
+                          "short of the epoch cut at %0.3f ms",
+                          k, tickToMs(sys.now()), tickToMs(end));
+                const SystemTelemetry st = sys.telemetry();
+                obsP99Us_[k] = st.serving.p99Us;
+                ServerTelemetry t;
+                t.valid = true;
+                t.measuredW =
+                    (st.energy.total() - prevEnergy_[k]) / dt_sec;
+                prevEnergy_[k] = st.energy.total();
+                const auto *fc = dynamic_cast<const FastCapPolicy *>(
+                    policies_[k].get());
+                if (fc != nullptr && fc->telemetry().valid) {
+                    t.demandW = fc->telemetry().demandW;
+                    t.minW = fc->telemetry().minW;
+                    t.slowdown = fc->telemetry().slowdown;
+                } else {
+                    // Cap-oblivious policies report measurements
+                    // only: the coordinator still splits the budget,
+                    // the server just won't honour it.
+                    t.demandW = t.measuredW;
+                }
+                new_tele[i][k] = t;
             }
-            new_tele[k] = t;
         });
 
-        FleetEpochRow row;
-        row.epoch = static_cast<std::uint32_t>(e);
-        row.start = start;
-        row.end = end;
-        row.budgetW = alloc.budgetW;
-        row.allocFeasible = alloc.feasible;
-        for (std::uint32_t k = 0; k < n; ++k) {
-            row.measuredW.push_back(new_tele[k].measuredW);
-            row.fleetW += new_tele[k].measuredW;
-        }
-        for (double b : row.budgetW)
-            row.fleetBudgetW += b;
-        row.capMet = cfg_.capW <= 0.0 ||
-                     row.fleetW <= cfg_.capW * (1.0 + 1e-9);
-        rows_.push_back(row);
-        tele_ = new_tele;
+        for (std::size_t i = 0; i < span; ++i, ++epoch_) {
+            const std::size_t e = epoch_;
+            FleetEpochRow row;
+            row.epoch = static_cast<std::uint32_t>(e);
+            row.start = epochStart(e);
+            row.end = epochEnd(e);
+            row.budgetW = alloc.budgetW;
+            row.allocFeasible = alloc.feasible;
+            for (std::uint32_t k = 0; k < n; ++k) {
+                row.measuredW.push_back(new_tele[i][k].measuredW);
+                row.fleetW += new_tele[i][k].measuredW;
+            }
+            for (double b : row.budgetW)
+                row.fleetBudgetW += b;
+            row.capMet = cfg_.capW <= 0.0 ||
+                         row.fleetW <= cfg_.capW * (1.0 + 1e-9);
+            rows_.push_back(row);
+            tele_ = new_tele[i];
 
-        obsEpoch_ = static_cast<double>(e);
-        obsFleetW_ = row.fleetW;
-        for (std::uint32_t k = 0; k < n; ++k) {
-            obsBudgetW_[k] =
-                row.budgetW.empty() ? 0.0 : row.budgetW[k];
-            obsPowerW_[k] = row.measuredW[k];
-            obsSlowdown_[k] = new_tele[k].slowdown;
+            obsEpoch_ = static_cast<double>(e);
+            obsFleetW_ = row.fleetW;
+            for (std::uint32_t k = 0; k < n; ++k) {
+                obsBudgetW_[k] =
+                    row.budgetW.empty() ? 0.0 : row.budgetW[k];
+                obsPowerW_[k] = row.measuredW[k];
+                obsSlowdown_[k] = new_tele[i][k].slowdown;
+            }
         }
     }
     return epoch_ < numEpochs();

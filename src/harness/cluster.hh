@@ -7,10 +7,13 @@
  * end, seeded independently via splitmix64 stream derivation
  * (deriveSeed(fleetSeed, k) depends only on the server index, so
  * server k's stream never changes when the fleet grows).  Servers
- * advance in lockstep coordination epochs, fanned out across the
- * SweepEngine; after each epoch the Coordinator reads every server's
- * telemetry and divides the fleet budget for the *next* epoch — stale
+ * advance in coordination epochs, fanned out across the SweepEngine;
+ * after each epoch the Coordinator reads every server's telemetry and,
+ * under a cap, divides the fleet budget for the *next* epoch — stale
  * by exactly one epoch, as a real out-of-band controller would see it.
+ * A capped fleet therefore steps in lockstep, one epoch per batch; an
+ * uncapped one lets each server run every epoch of an advance() in one
+ * batch and records the epochs' rows in order afterwards.
  *
  * A fleet is stepped the way a System is: advance() to an epoch
  * boundary, checkpoint() there, finish() to collect the results.
