@@ -77,8 +77,8 @@ enum class SchedulerPolicy : std::uint8_t
  * Idle-state ladder + rank-consolidation knobs (active only under
  * `PowerdownMode::Ladder`; the migrator additionally requires
  * `migrate`).  Thresholds are idle time *beyond* the previous rung's
- * threshold crossing, i.e. the demotion timer chain re-arms after
- * every successful demotion.
+ * threshold crossing: a rank that went idle at t0 reaches rung k at
+ * t0 plus the first k thresholds (the channel's demotion plan).
  */
 struct IdleLadderConfig
 {
