@@ -394,3 +394,64 @@ TEST(EventHierarchy, MirroredLiveFuzzAgainstReference)
         EXPECT_GT(steps, 10) << "seed " << seed;
     }
 }
+
+TEST(EventHierarchy, PositionLogGivesAChainedTimersSequence)
+{
+    // A virtual timer armed at tick 0 for tick 100 takes the sequence
+    // a schedule() at tick 0 would have: it sorts before the real
+    // event given that same sequence, which was scheduled after it.
+    EventQueue eq;
+    eq.keepPositions(1000);
+    auto noop = [] {};
+    const std::uint64_t s0 = eq.nextSeq();
+    eq.schedule(100, noop);                                 // seq s0
+    eq.schedule(50, [&] { eq.schedule(150, noop); });       // s0 + 1
+    eq.runUntil(99);                                        // 150: s0 + 2
+    EXPECT_FALSE(eq.reached(100, s0));
+    eq.runUntil(100);
+    EXPECT_TRUE(eq.reached(100, s0));
+    // Its successor timer would have been scheduled as it ran, before
+    // the real event of tick 100, with every earlier schedule done.
+    EXPECT_EQ(eq.seqWhenReached(100, s0), s0 + 3);
+
+    // Scheduled at tick 100 after the run passed all of it, this event
+    // runs after every virtual event of that tick.
+    eq.schedule(100, noop);                                 // s0 + 3
+    ASSERT_TRUE(eq.step());
+    EXPECT_TRUE(eq.reached(100, s0 + 10));
+    EXPECT_EQ(eq.seqWhenReached(100, s0 + 10), s0 + 3);
+
+    // A tie inside a run: a virtual timer at 150 whose sequence is
+    // above the real event's there has not run when that event runs.
+    bool checked = false;
+    eq.schedule(150, [&] {
+        EXPECT_TRUE(eq.reached(150, s0 + 2));
+        EXPECT_FALSE(eq.reached(150, s0 + 5));
+        checked = true;
+    });                                                     // s0 + 4
+    eq.runUntil(150);
+    EXPECT_TRUE(checked);
+}
+
+TEST(EventHierarchy, PositionLogKeepsItsSpanWhileTrimming)
+{
+    // Thousands of events over a span far longer than the kept one:
+    // the log trims, and positions inside the span still resolve.
+    // Each event schedules one more at its own tick, so the sequence
+    // counter differs at every position.
+    EventQueue eq;
+    eq.keepPositions(100);
+    std::uint64_t seq_at_9999 = 0;
+    for (Tick t = 1; t <= 10000; ++t) {
+        eq.schedule(t, [&eq, &seq_at_9999, t] {
+            if (t == 9999)
+                seq_at_9999 = eq.nextSeq();
+            eq.schedule(t, [] {});
+        });
+    }
+    eq.runUntil(10000);
+    // Before tick 9999's first event: the counter as it started.
+    EXPECT_EQ(eq.seqWhenReached(9999, 0), seq_at_9999);
+    // Between it and the event it scheduled: one more.
+    EXPECT_EQ(eq.seqWhenReached(9999, 10000), seq_at_9999 + 1);
+}
