@@ -98,6 +98,53 @@ BM_EventQueueHold(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueHold)->Arg(32)->Arg(128);
 
+/**
+ * The hold model at depth 32, of which 16 events are a refresh-like
+ * chain: links staggered over one tREFI (7.8 us), each rescheduling
+ * itself one tREFI ahead, so a reschedule lands behind most of the
+ * queue.  Arg 0 reschedules with schedule(), arg 1 with scheduleLast().
+ */
+struct RefreshLink
+{
+    HoldModel *m;
+    bool lane;
+
+    void
+    operator()() const
+    {
+        if (++m->fired > m->hops)
+            return;
+        const Tick when = m->eq.now() + nsToTick(7800.0);
+        if (lane)
+            m->eq.scheduleLast(when, RefreshLink{m, lane});
+        else
+            m->eq.schedule(when, RefreshLink{m, lane});
+    }
+};
+
+void
+BM_EventQueueHoldRefresh(benchmark::State &state)
+{
+    const bool lane = state.range(0) != 0;
+    constexpr std::uint64_t kHops = 100000;
+    constexpr std::uint64_t kLinks = 16;
+    for (auto _ : state) {
+        HoldModel m;
+        m.hops = kHops;
+        for (std::uint64_t i = 0; i < kLinks; ++i) {
+            m.eq.schedule(m.delta(), HoldEvent{&m});
+            m.eq.schedule(nsToTick(7800.0) * (i + 1) / (kLinks + 1),
+                          RefreshLink{&m, lane});
+        }
+        m.eq.runUntil();
+        benchmark::DoNotOptimize(m.fired);
+    }
+    state.SetLabel(lane ? "scheduleLast" : "schedule");
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kHops + 2 * kLinks));
+}
+BENCHMARK(BM_EventQueueHoldRefresh)->Arg(0)->Arg(1);
+
 void
 BM_SweepEngine(benchmark::State &state)
 {

@@ -27,12 +27,19 @@ and the medians differ by more than the base's IQR; otherwise the
 verdict is "no change".  The last line of standard output is the same
 result as one JSON object.
 
+After a workload's first pair, the two sides' memscale_perfbench
+binaries are compared byte for byte.  If they are identical, no
+difference between the sides can come from the code, so the script
+skips that workload's remaining pairs and every metric's verdict is
+"identical binaries".
+
 Layout and placement alone move wall_s by 1-3% between builds of one
 tree, so take at least five pairs before reading anything into a
 change.
 """
 
 import argparse
+import filecmp
 import json
 import os
 import statistics
@@ -67,6 +74,12 @@ def base_checkout(rev):
         os.makedirs(os.path.dirname(WORKTREE), exist_ok=True)
         git("worktree", "add", "--detach", "--quiet", WORKTREE, commit)
     return WORKTREE, commit
+
+
+def binary(checkout):
+    """The memscale_perfbench a side's run.py built."""
+    return os.path.join(checkout, ".bench_build", "cmake",
+                        "memscale_perfbench")
 
 
 def run_side(checkout, workload, seconds, seed):
@@ -157,6 +170,7 @@ def main():
     result = {}
     for w in workloads:
         base_runs, head_runs = [], []
+        identical = False
         for i in range(args.pairs):
             sides = [(base_dir, base_runs), (ROOT, head_runs)]
             if i % 2:
@@ -167,14 +181,22 @@ def main():
             print(f"  {w} pair {i + 1}/{args.pairs}: wall_s base "
                   f"{base_runs[-1]['wall_s']:.6g} head "
                   f"{head_runs[-1]['wall_s']:.6g}", file=sys.stderr)
+            if i == 0 and filecmp.cmp(binary(base_dir), binary(ROOT),
+                                      shallow=False):
+                identical = True
+                print(f"  {w}: identical binaries, skipping the "
+                      "remaining pairs", file=sys.stderr)
+                break
         result[w] = {}
-        print(f"\n{w}: {args.pairs} pairs of {args.seconds:g} s runs")
+        print(f"\n{w}: {len(base_runs)} pairs of {args.seconds:g} s runs")
         print(f"  {'metric':<16} {'base median [IQR]':<36} "
               f"{'head median [IQR]':<36} {'change':>8}  won  verdict")
         for m in bench["end_to_end"]:
             name = m["name"]
             r = compare(m, [x[name] for x in base_runs],
                         [x[name] for x in head_runs])
+            if identical:
+                r["verdict"] = "identical binaries"
             result[w][name] = r
             b = (f"{r['base_median']:.6g} [{r['base_iqr'][0]:.6g}, "
                  f"{r['base_iqr'][1]:.6g}]")

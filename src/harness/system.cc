@@ -330,17 +330,17 @@ System::transfer(SnapshotIO &snap)
         }
         // The list is in execution order, and a sequence follows from
         // its position (EventQueue::exportPending()): the i-th event
-        // takes 2(i+1) and the next schedule() 2n+2.  That keeps every
-        // tie-break, against the channels' demotion plans too.
+        // takes i + 1 and the next schedule() n + 1.  That keeps every
+        // tie-break.
         for (std::size_t i = 0; i < pend.size(); ++i)
-            pend[i].seq = 2 * (i + 1);
+            pend[i].seq = i + 1;
         // Drop everything the fresh construction scheduled (refresh
         // arming, relocks and demotion plans from configure()) and
         // jump the clock; the snapshot's own event list replaces it
         // wholesale.
         eq_.clearPending();
         eq_.setNow(now);
-        eq_.setNextSeq(2 * pend.size() + 2);
+        eq_.setNextSeq(pend.size() + 1);
     });
 
     std::vector<MemClient *> clients;

@@ -536,13 +536,8 @@ Channel::armPlan(std::uint32_t r)
         at += d;
         p.at[p.size++] = at;
     }
-    if (p.size == 0)
-        return;
-    // The first rung's timer would be scheduled now.
-    p.seq[0] = eq_.nextSeq();
-    p.known = 1;
-    ++armedPlans_;
-    eq_.keepPositions(at - eq_.now());
+    if (p.size != 0)
+        ++armedPlans_;
 }
 
 void
@@ -555,17 +550,6 @@ Channel::dropPlan(std::uint32_t r)
     --armedPlans_;
 }
 
-std::uint64_t
-Channel::rungSeq(std::uint32_t r, std::uint8_t i)
-{
-    // Rung k's timer was scheduled as rung k - 1's ran.
-    DemotionPlan &p = plans_[r];
-    for (; p.known <= i; ++p.known)
-        p.seq[p.known] = eq_.seqWhenReached(p.at[p.known - 1],
-                                            p.seq[p.known - 1]);
-    return p.seq[i];
-}
-
 void
 Channel::applyDueRungs(std::uint32_t r)
 {
@@ -573,7 +557,8 @@ Channel::applyDueRungs(std::uint32_t r)
     const Tick now = eq_.now();
     while (p.next < p.size) {
         const Tick at = p.at[p.next];
-        if (at > now || (at == now && !eq_.reached(at, rungSeq(r, p.next))))
+        // A rung due at the touching tick applies first.
+        if (at > now)
             return;
         // The timer's body, at its own tick: settle the rank there,
         // then refuse the rest of the walk unless it is fully idle.
@@ -696,7 +681,6 @@ void
 Channel::refreshRank(std::uint32_t r)
 {
     settlePlan(r);
-    const TimingParams tp = tp_;
     const Tick now = eq_.now();
     Rank &rk = ranks_[r];
 
@@ -704,12 +688,13 @@ Channel::refreshRank(std::uint32_t r)
     // or deeper) refresh themselves; skip the external refresh
     // entirely.
     if (rk.selfRefreshing()) {
-        eq_.schedule(now + tp.tREFI, [this, r] { refreshRank(r); },
-                     EventClass::Hardware,
-                     {EvChanRefreshTick, id_, r});
+        eq_.scheduleLast(now + tp_.tREFI, [this, r] { refreshRank(r); },
+                         EventClass::Hardware,
+                         {EvChanRefreshTick, id_, r});
         return;
     }
 
+    const TimingParams tp = tp_;
     Tick start = std::max(now, suspendedUntil_);
     if (rk.powerdown()) {
         const Tick exit_lat = idleExitLatency(rk.idleState(), tp);
@@ -732,8 +717,8 @@ Channel::refreshRank(std::uint32_t r)
     }
     eq_.schedule(end, [this, r] { evRefreshDone(r); },
                  EventClass::Hardware, {EvChanRefreshDone, id_, r});
-    eq_.schedule(now + tp.tREFI, [this, r] { refreshRank(r); },
-                 EventClass::Hardware, {EvChanRefreshTick, id_, r});
+    eq_.scheduleLast(now + tp.tREFI, [this, r] { refreshRank(r); },
+                     EventClass::Hardware, {EvChanRefreshTick, id_, r});
 }
 
 EventCallback
@@ -781,6 +766,7 @@ Channel::checkPendingEvents(const std::vector<PendingEvent> &pend)
 {
     std::vector<std::uint32_t> bursts(banks_.size(), 0);
     std::vector<std::uint32_t> closes(ranks_.size(), 0);
+    std::vector<std::uint32_t> ticks(ranks_.size(), 0);
     for (const PendingEvent &pe : pend) {
         if (pe.tag.owner != id_)
             continue;
@@ -797,6 +783,8 @@ Channel::checkPendingEvents(const std::vector<PendingEvent> &pend)
             ++bursts[req->loc.rank * cfg_.banksPerRank + req->loc.bank];
         } else if (pe.tag.kind == EvChanPreDone && pe.tag.b != 0) {
             ++closes[pe.tag.a];
+        } else if (pe.tag.kind == EvChanRefreshTick) {
+            ++ticks[pe.tag.a];
         }
     }
     for (std::size_t i = 0; i < banks_.size(); ++i) {
@@ -807,6 +795,12 @@ Channel::checkPendingEvents(const std::vector<PendingEvent> &pend)
                   banks_[i].bank.inService() ? "" : "not ");
     }
     for (std::uint32_t r = 0; r < ranks_.size(); ++r) {
+        // A running refresh engine keeps one tick per rank pending.
+        if (ticks[r] != (refreshRunning_ ? 1u : 0u))
+            fatal("resume: channel %u rank %u has %u pending refresh "
+                  "ticks, but its refresh engine is %s (snapshot "
+                  "sections mc, sim)",
+                  id_, r, ticks[r], refreshRunning_ ? "on" : "off");
         std::uint32_t open = 0;
         for (std::uint32_t b = 0; b < cfg_.banksPerRank; ++b)
             open += bankCtl(r, b).bank.rowState() == Bank::RowState::Open;
@@ -928,17 +922,11 @@ Channel::transfer(SectionIO &io, const TimingParams &tp,
 void
 Channel::transferPlan(SectionIO &io, std::uint32_t r)
 {
-    // The pending rungs' ticks, then the next one's timer sequence,
-    // renumbered with the pending events (EventQueue::exportSeq()).
-    // Each rung goes one state down from the last, starting below the
-    // rank's current state.
+    // The pending rungs' ticks.  Each rung goes one state down from
+    // the last, starting below the rank's current state.
     DemotionPlan &p = plans_[r];
     std::vector<Tick> rungs(p.at.begin() + p.next, p.at.begin() + p.size);
     io.list<std::uint8_t>(rungs);
-    std::uint64_t seq = 0;
-    if (!io.loading() && !rungs.empty())
-        seq = eq_.exportSeq(p.at[p.next], rungSeq(r, p.next));
-    io(seq);
     if (!io.loading())
         return;
     p.next = p.size = 0;
@@ -967,17 +955,9 @@ Channel::transferPlan(SectionIO &io, std::uint32_t r)
                     r, i, static_cast<unsigned long long>(rungs[i]),
                     static_cast<unsigned long long>(rungs[i - 1]));
     }
-    if (seq >= eq_.nextSeq())
-        io.fail("rank %u demotion timer sequence %llu is not below the "
-                "snapshot's next sequence %llu",
-                r, static_cast<unsigned long long>(seq),
-                static_cast<unsigned long long>(eq_.nextSeq()));
     p.next = static_cast<std::uint8_t>(first);
     p.size = static_cast<std::uint8_t>(first + rungs.size());
     std::copy(rungs.begin(), rungs.end(), p.at.begin() + first);
-    p.seq[p.next] = seq;
-    p.known = static_cast<std::uint8_t>(p.next + 1);
-    eq_.keepPositions(p.at[p.size - 1] - eq_.now());
 }
 
 void

@@ -213,16 +213,15 @@ class Channel
      * access, a burst or precharge completion, a refresh, a relock
      * edge, a sample or a checkpoint), settlePlan() first applies the
      * rungs due by then, in tick order and piecewise with the rank's
-     * deferred bank transitions (a transition first at a tie), exactly
-     * as the timer chain that armed each rung at idle entry or at the
-     * previous rung would have: a rung on the touch's own tick applies
-     * first iff its timer would have been scheduled before the
-     * touching event (EventQueue::reached()).  A rung that finds the
-     * rank not fully idle refuses the rest, and any wake drops the
-     * plan.  Demotions re-announce PowerdownEnter with the deeper
-     * state (the checker validates the walk) and may apply inside a
-     * frequency re-lock window: the rank then stays resident through
-     * the relock instead of waking with the parked ranks.
+     * deferred bank transitions (a transition first at a tie), as the
+     * timer chain that armed each rung at idle entry or at the
+     * previous rung did.  A rung on the touch's own tick applies
+     * before the touch.  A rung that finds the rank not fully idle
+     * refuses the rest, and any wake drops the plan.  Demotions
+     * re-announce PowerdownEnter with the deeper state (the checker
+     * validates the walk) and may apply inside a frequency re-lock
+     * window: the rank then stays resident through the relock instead
+     * of waking with the parked ranks.
      */
     /// @{
     void armPlan(std::uint32_t rank);
@@ -242,8 +241,6 @@ class Channel
             settlePlan(r);
     }
     void applyDueRungs(std::uint32_t rank);
-    /** Sequence of rung i's timer, resolved from its predecessor's. */
-    std::uint64_t rungSeq(std::uint32_t rank, std::uint8_t i);
     /** One rank's plan, in the rank's checkpoint record. */
     void transferPlan(SectionIO &io, std::uint32_t rank);
     /// @}
@@ -292,17 +289,13 @@ class Channel
     /**
      * A rank's demotion plan.  Rung i demotes to the state i + 1 below
      * fast-PD, so the rank sits at fast-PD + `next` while rungs
-     * [next, size) are pending.  seq[i] is the insertion sequence rung
-     * i's timer would have taken (known for i < `known`; rungSeq()
-     * resolves the rest).
+     * [next, size) are pending.
      */
     struct DemotionPlan
     {
         std::array<Tick, 4> at = {};
-        std::array<std::uint64_t, 4> seq = {};
         std::uint8_t next = 0;
         std::uint8_t size = 0;
-        std::uint8_t known = 0;
     };
     std::vector<DemotionPlan> plans_;   ///< per rank
     std::uint32_t armedPlans_ = 0;      ///< ranks with pending rungs

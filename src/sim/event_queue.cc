@@ -1,7 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "sim/event_kinds.hh"
 
@@ -33,10 +31,51 @@ EventQueue::pastTick(Tick when) const
 }
 
 void
-EventQueue::fireBack()
+EventQueue::append(const Entry &e)
 {
-    const Entry e = events_.back();
+    if (laneHead_ == lane_.size()) {
+        lane_.clear();
+        laneHead_ = 0;
+        laneWhen_ = e.when;
+    } else if (laneHead_ >= 32 && 2 * laneHead_ >= lane_.size()) {
+        // Drop the popped prefix once it outgrows the pending part:
+        // one memmove, at most one entry per append amortised.
+        lane_.erase(lane_.begin(),
+                    lane_.begin() + static_cast<std::ptrdiff_t>(laneHead_));
+        laneHead_ = 0;
+    }
+    lane_.push_back(e);
+}
+
+bool
+EventQueue::popDue(Tick limit, Entry &e)
+{
+    bool from_lane;
+    if (events_.empty())
+        from_lane = laneHead_ != lane_.size();
+    else if (events_.back().when != laneWhen_)
+        from_lane = laneWhen_ < events_.back().when;
+    else
+        from_lane = laneHead_ != lane_.size() &&
+                    lane_[laneHead_].key < events_.back().key;
+    if (from_lane) {
+        if (laneWhen_ > limit)
+            return false;
+        e = lane_[laneHead_++];
+        laneWhen_ = laneHead_ == lane_.size() ? MaxTick
+                                               : lane_[laneHead_].when;
+        return true;
+    }
+    if (events_.empty() || events_.back().when > limit)
+        return false;
+    e = events_.back();
     events_.pop_back();
+    return true;
+}
+
+void
+EventQueue::fire(const Entry &e)
+{
     // Release the slot before invoking so the callback can freely
     // schedule new events, possibly reusing this slot.
     EventCallback fn = std::move(slots_[e.slot].fn);
@@ -48,11 +87,10 @@ EventQueue::fireBack()
 bool
 EventQueue::step()
 {
-    if (events_.empty())
+    Entry e;
+    if (!popDue(MaxTick, e))
         return false;
-    if (logging_)
-        logPosition(events_.back());
-    fireBack();
+    fire(e);
     return true;
 }
 
@@ -61,79 +99,31 @@ EventQueue::runUntil(Tick limit)
 {
     stopped_ = false;
     std::uint64_t executed = 0;
-    while (!stopped_ && !events_.empty() &&
-           events_.back().when <= limit) {
-        if (logging_)
-            logPosition(events_.back());
-        fireBack();
+    Entry e;
+    while (!stopped_ && popDue(limit, e)) {
+        fire(e);
         ++executed;
     }
     // Advance the clock to the horizon unless stopped early; any
     // remaining events all lie beyond it.
     if (!stopped_ && limit != MaxTick && now_ < limit)
         now_ = limit;
-    if (!stopped_ && logging_)
-        logRunEnd();
     return executed;
-}
-
-void
-EventQueue::logPosition(const Entry &e)
-{
-    // An event run at the tick a run already passed in full was
-    // scheduled after that: it runs after every virtual event there.
-    curKey_ = e.when == runEndAt_ ? ~std::uint64_t(0) : e.key;
-    passed_.push_back({e.when, curKey_, nextSeq_});
-    if (passed_.size() < trimAt_)
-        return;
-    // Keep the last logSpan_ ticks; amortised O(1) per event.
-    if (e.when > logSpan_) {
-        const Tick cutoff = e.when - logSpan_;
-        auto keep = std::partition_point(
-            passed_.begin(), passed_.end(),
-            [cutoff](const Passed &p) { return p.when < cutoff; });
-        passed_.erase(passed_.begin(), keep);
-        logFrom_ = std::max(logFrom_, cutoff);
-    }
-    trimAt_ = std::max<std::size_t>(256, 2 * passed_.size());
-}
-
-void
-EventQueue::logRunEnd()
-{
-    curKey_ = ~std::uint64_t(0);
-    runEndAt_ = now_;
-    passed_.push_back({now_, curKey_, nextSeq_});
-}
-
-std::uint64_t
-EventQueue::seqWhenReached(Tick when, std::uint64_t seq) const
-{
-    if (when < logFrom_)
-        panic("EventQueue: virtual event at tick %llu precedes the "
-              "position log (from tick %llu)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(logFrom_));
-    // The first logged position the virtual event comes before: the
-    // queue left it with the sequence that position records.
-    auto it = std::partition_point(
-        passed_.begin(), passed_.end(), [&](const Passed &p) {
-            return p.when < when || (p.when == when && p.key < seq);
-        });
-    if (it == passed_.end())
-        panic("EventQueue: virtual event at tick %llu not reached",
-              static_cast<unsigned long long>(when));
-    return it->seq;
 }
 
 std::vector<PendingEvent>
 EventQueue::exportPending() const
 {
-    // events_ is already in reverse execution order.
+    // Merge the array, in reverse, with the lane: execution order.
     std::vector<PendingEvent> out;
-    out.reserve(events_.size());
-    for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
-        const Entry &e = *it;
+    out.reserve(pending());
+    std::size_t i = events_.size();
+    std::size_t j = laneHead_;
+    while (i > 0 || j < lane_.size()) {
+        const bool from_lane =
+            j < lane_.size() &&
+            (i == 0 || runsBefore(lane_[j], events_[i - 1]));
+        const Entry &e = from_lane ? lane_[j++] : events_[--i];
         const EventTag &tag = slots_[e.slot].tag;
         if (tag.kind == EvEphemeral)
             continue;
@@ -143,27 +133,9 @@ EventQueue::exportPending() const
                   static_cast<unsigned long long>(e.when),
                   static_cast<unsigned>(entryCls(e)));
         out.push_back({e.when, static_cast<EventClass>(entryCls(e)),
-                       2 * (out.size() + 1), tag});
+                       out.size() + 1, tag});
     }
     return out;
-}
-
-std::uint64_t
-EventQueue::exportedBefore(Tick when, std::uint64_t key) const
-{
-    std::uint64_t n = 0;
-    for (const Entry &e : events_) {
-        if ((e.when < when || (e.when == when && e.key < key)) &&
-            slots_[e.slot].tag.kind != EvEphemeral)
-            ++n;
-    }
-    return n;
-}
-
-std::uint64_t
-EventQueue::exportSeq(Tick when, std::uint64_t seq) const
-{
-    return 2 * exportedBefore(when, seq) + 1;
 }
 
 void
@@ -171,19 +143,19 @@ EventQueue::clearPending()
 {
     for (const Entry &e : events_)
         releaseSlot(e.slot);
+    for (std::size_t j = laneHead_; j < lane_.size(); ++j)
+        releaseSlot(lane_[j].slot);
     events_.clear();
+    lane_.clear();
+    laneHead_ = 0;
+    laneWhen_ = MaxTick;
 }
 
 void
 EventQueue::setNow(Tick t)
 {
-    passed_.clear();
-    curKey_ = ~std::uint64_t(0);
-    runEndAt_ = t;
-    logFrom_ = t;
-    if (!events_.empty())
-        panic("EventQueue::setNow with %zu events pending",
-              events_.size());
+    if (!empty())
+        panic("EventQueue::setNow with %zu events pending", pending());
     if (t < now_)
         panic("EventQueue::setNow moving backwards (%llu -> %llu)",
               static_cast<unsigned long long>(now_),
@@ -194,9 +166,9 @@ EventQueue::setNow(Tick t)
 void
 EventQueue::setNextSeq(std::uint64_t seq)
 {
-    if (!events_.empty())
+    if (!empty())
         panic("EventQueue::setNextSeq with %zu events pending",
-              events_.size());
+              pending());
     nextSeq_ = seq;
 }
 
@@ -205,16 +177,9 @@ EventQueue::restore(const PendingEvent &pe, EventCallback fn)
 {
     if (pe.when < now_)
         pastTick(pe.when);
-    std::uint32_t slot = freeHead_;
-    if (slot != NoSlot)
-        freeHead_ = slots_[slot].nextFree;
-    else
-        slot = growSlots();
-    slots_[slot].fn = std::move(fn);
-    slots_[slot].tag = pe.tag;
     insert({pe.when,
             (static_cast<std::uint64_t>(pe.cls) << ClsShift) | pe.seq,
-            slot});
+            takeSlot(std::move(fn), pe.tag)});
 }
 
 } // namespace memscale

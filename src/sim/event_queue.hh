@@ -32,15 +32,14 @@
  * models the same contract on an ordered map, sharing no code with
  * this kernel, and the mirrored fuzzes check one against the other.
  *
- * Virtual events.  A component may stand in for a chain of timer
- * events with state it applies lazily (mem/channel's idle-ladder
- * demotion plans).  It then has to know, on a tie, whether such a
- * timer would already have run, and which insertion sequence the next
- * timer of the chain would have taken.  keepPositions() turns on a
- * short log of the positions the queue has passed, one entry per
- * event run, and reached() and seqWhenReached() answer both
- * questions.  A run that never turns the log on pays one untaken
- * branch per event for it.
+ * The refresh lane.  A chain that reschedules itself a fixed period
+ * ahead (mem/channel's refresh ticks, every tREFI) lands behind most
+ * of the array, so an insertion walk would pass nearly every pending
+ * event.  scheduleLast() appends such an entry to a second, ascending
+ * FIFO lane instead, whenever it runs after the lane's last entry; a
+ * pop takes the sooner of the lane's head and the array's back.  The
+ * entry keeps the sequence schedule() would give it, so the lane
+ * changes no order.
  */
 
 #ifndef MEMSCALE_SIM_EVENT_QUEUE_HH
@@ -110,19 +109,23 @@ class EventQueue
     schedule(Tick when, EventCallback fn,
              EventClass cls = EventClass::Hardware, EventTag tag = {})
     {
-        if (when < now_)
-            pastTick(when);
-        std::uint32_t slot = freeHead_;
-        if (slot != NoSlot)
-            freeHead_ = slots_[slot].nextFree;
+        insert(entry(when, std::move(fn), cls, tag));
+    }
+
+    /**
+     * schedule() for a periodic chain (see the file comment): appended
+     * to the lane if it runs after the lane's last entry, else placed
+     * in the array as schedule() would.
+     */
+    void
+    scheduleLast(Tick when, EventCallback fn,
+                 EventClass cls = EventClass::Hardware, EventTag tag = {})
+    {
+        const Entry e = entry(when, std::move(fn), cls, tag);
+        if (laneHead_ == lane_.size() || runsBefore(lane_.back(), e))
+            append(e);
         else
-            slot = growSlots();
-        Slot &s = slots_[slot];
-        s.fn = std::move(fn);
-        s.tag = tag;
-        std::uint64_t seq = nextSeq_++;
-        insert({when, (static_cast<std::uint64_t>(cls) << ClsShift) | seq,
-                slot});
+            insert(e);
     }
 
     /** Schedule fn `delta` ticks from now. */
@@ -134,9 +137,13 @@ class EventQueue
     }
 
     /** Number of pending events. */
-    std::size_t pending() const { return events_.size(); }
+    std::size_t
+    pending() const
+    {
+        return events_.size() + (lane_.size() - laneHead_);
+    }
 
-    bool empty() const { return events_.empty(); }
+    bool empty() const { return pending() == 0; }
 
     /** Callback slots ever allocated (the slab's high-water mark). */
     std::size_t slabSize() const { return slots_.size(); }
@@ -154,48 +161,6 @@ class EventQueue
     /** Abort the current runUntil() after the in-flight event returns. */
     void stop() { stopped_ = true; }
 
-    /** The insertion sequence the next schedule() takes. */
-    std::uint64_t nextSeq() const { return nextSeq_; }
-
-    /** @name Virtual events (see the file comment) */
-    /// @{
-    /**
-     * Start (or keep) logging passed positions, holding at least the
-     * last `span` ticks of them.  A virtual event is a Hardware event
-     * at tick `when` that a timer scheduled when nextSeq() was `seq`
-     * would be; it sorts before a real event of the same tick and
-     * sequence, which was scheduled after it.
-     */
-    void
-    keepPositions(Tick span)
-    {
-        if (span > logSpan_)
-            logSpan_ = span;
-        if (!logging_) {
-            logging_ = true;
-            logFrom_ = now_ + 1;
-        }
-    }
-
-    /**
-     * Whether the virtual event (when, seq) would have run by now:
-     * before the running event, or, between runs, before everything
-     * the last run got to.  Needs keepPositions().
-     */
-    bool
-    reached(Tick when, std::uint64_t seq) const
-    {
-        return when < now_ || (when == now_ && seq <= curKey_);
-    }
-
-    /**
-     * The insertion sequence a timer scheduled by the reached virtual
-     * event (when, seq) would take, i.e. nextSeq() when the queue
-     * passed it.  `when` must lie within the logged span.
-     */
-    std::uint64_t seqWhenReached(Tick when, std::uint64_t seq) const;
-    /// @}
-
     /** @name Checkpoint support */
     /// @{
     /**
@@ -209,17 +174,13 @@ class EventQueue
      * is a total order and seq is assigned at schedule time.
      *
      * Sequences are renumbered from list position: the i-th exported
-     * event (from 0) gets 2(i+1), and a virtual event exportSeq() the
-     * odd number just above the last exported event before it.  A
-     * restore that gives the events those numbers and the queue 2n+2
-     * as its next sequence (restore(), setNextSeq()) keeps every
-     * tie-break, and a checkpoint's bytes do not depend on how many
-     * sequences the run used up.
+     * event (from 0) gets i + 1.  A restore that gives the events
+     * those numbers and the queue n + 1 as its next sequence
+     * (restore(), setNextSeq()) keeps every tie-break, and a
+     * checkpoint's bytes do not depend on how many sequences the run
+     * used up.
      */
     std::vector<PendingEvent> exportPending() const;
-
-    /** The renumbered sequence of the virtual event (when, seq). */
-    std::uint64_t exportSeq(Tick when, std::uint64_t seq) const;
 
     /**
      * Destroy every pending event (restore drops the freshly
@@ -228,10 +189,7 @@ class EventQueue
      */
     void clearPending();
 
-    /**
-     * Jump the clock to `t` on an empty queue (restore only); the
-     * position log restarts there.
-     */
+    /** Jump the clock to `t` on an empty queue (restore only). */
     void setNow(Tick t);
 
     /** Set the next insertion sequence on an empty queue (restore). */
@@ -291,62 +249,70 @@ class EventQueue
     /** schedule() at a tick before now(): an internal bug. */
     [[noreturn]] void pastTick(Tick when) const;
 
+    /** A free slot holding `fn` and `tag`. */
+    std::uint64_t
+    takeSlot(EventCallback fn, const EventTag &tag)
+    {
+        std::uint32_t slot = freeHead_;
+        if (slot != NoSlot)
+            freeHead_ = slots_[slot].nextFree;
+        else
+            slot = growSlots();
+        Slot &s = slots_[slot];
+        s.fn = std::move(fn);
+        s.tag = tag;
+        return slot;
+    }
+
+    /** The ordering entry of a new event, with the next sequence. */
+    Entry
+    entry(Tick when, EventCallback fn, EventClass cls,
+          const EventTag &tag)
+    {
+        if (when < now_)
+            pastTick(when);
+        const std::uint64_t slot = takeSlot(std::move(fn), tag);
+        return {when,
+                (static_cast<std::uint64_t>(cls) << ClsShift) | nextSeq_++,
+                slot};
+    }
+
     /** Insert an ordering entry: one insertion step from the back. */
     void insert(const Entry &e);
 
-    /** Pop the soonest entry, release its slot and run its callback. */
-    void fireBack();
-
-    /** Exported (non-ephemeral) events that run before (when, key). */
-    std::uint64_t exportedBefore(Tick when, std::uint64_t key) const;
+    /** Append to the lane; `e` runs after its last entry. */
+    void append(const Entry &e);
 
     /**
-     * One passed position: an event run, or the end of a run that
-     * passed everything up to `when`.  `seq` is nextSeq() as the queue
-     * left the position before.
+     * Take the soonest entry, the lane's head or the array's back, if
+     * it is due by `limit`.
      */
-    struct Passed
-    {
-        Tick when;
-        std::uint64_t key;
-        std::uint64_t seq;
-    };
+    bool popDue(Tick limit, Entry &e);
 
-    /** Log the position of `e`, about to run (keepPositions() on). */
-    void logPosition(const Entry &e);
-    /** Log that a run passed everything up to now(). */
-    void logRunEnd();
+    /** Release `e`'s slot and run its callback at its tick. */
+    void fire(const Entry &e);
 
     /**
      * Every pending entry, sorted *descending* by (when, cls, seq):
-     * the next event is events_.back().
+     * the array's next event is events_.back().
      */
     std::vector<Entry> events_;
+
+    /**
+     * The lane: entries [laneHead_, size) are pending, ascending by
+     * (when, cls, seq).  laneWhen_ is the head's tick (MaxTick on an
+     * empty lane), so a pop usually settles which side runs first
+     * with one compare.
+     */
+    std::vector<Entry> lane_;
+    std::size_t laneHead_ = 0;
+    Tick laneWhen_ = MaxTick;
 
     std::vector<Slot> slots_;
     std::uint32_t freeHead_ = NoSlot;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 1;
     bool stopped_ = false;
-
-    /** @name Position log (keepPositions()) */
-    /// @{
-    bool logging_ = false;
-    Tick logSpan_ = 0;
-    /** Passed positions in passing order, oldest first. */
-    std::vector<Passed> passed_;
-    /** Key of the running (or last run) event; ~0 between runs. */
-    std::uint64_t curKey_ = ~std::uint64_t(0);
-    /**
-     * Tick of the last run end: an event run later at that tick was
-     * scheduled after the run passed the whole tick.
-     */
-    Tick runEndAt_ = MaxTick;
-    /** Positions before this tick are not (or no longer) logged. */
-    Tick logFrom_ = 0;
-    /** Log size that triggers the next trim. */
-    std::size_t trimAt_ = 256;
-    /// @}
 };
 
 inline void

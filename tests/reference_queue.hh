@@ -18,7 +18,9 @@
  *    MaxTick) even if no event was due there;
  *  - step() runs the soonest event, if any;
  *  - exportPending() lists pending events in firing order, skipping
- *    EvEphemeral tags; an untagged (EvNone) event cannot be exported.
+ *    EvEphemeral tags; an untagged (EvNone) event cannot be exported;
+ *  - scheduleLast() is schedule(): the kernel's lane is an internal
+ *    shortcut that changes no order.
  *
  * schedule() takes the class and tag by duck type (anything with an
  * integral value and kind/owner/a/b fields), so tests pass the same
@@ -33,6 +35,7 @@
 #include <map>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -73,6 +76,14 @@ class ReferenceQueue
         const Key key{when, static_cast<std::uint8_t>(cls), nextSeq_++};
         events_.emplace(key, Event{std::move(fn),
                                    Tag{tag.kind, tag.owner, tag.a, tag.b}});
+    }
+
+    template <typename Cls = std::uint8_t, typename TagT = Tag>
+    void
+    scheduleLast(Tick when, std::function<void()> fn, Cls cls = {},
+                 const TagT &tag = {})
+    {
+        schedule(when, std::move(fn), cls, tag);
     }
 
     void stop() { stopped_ = true; }

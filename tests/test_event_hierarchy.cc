@@ -7,7 +7,10 @@
  * mirrored fuzzing of the kernel against ReferenceQueue
  * (reference_queue.hh), an independent model of its contract, both
  * with everything scheduled up front and with callbacks that
- * schedule and stop while the queue runs.
+ * schedule and stop while the queue runs.  The live fuzz also feeds
+ * scheduleLast()'s lane, in and out of order, and a refresh-like chain
+ * on the lane must export, restore and fire exactly as it does
+ * through schedule() alone.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include <random>
 #include <vector>
 
+#include "common/rng.hh"
 #include "reference_queue.hh"
 #include "sim/event_kinds.hh"
 #include "sim/event_queue.hh"
@@ -285,7 +289,13 @@ struct LiveFuzzSide
     int budget = 0;            ///< schedules left for callbacks
     int stops = 0;             ///< callbacks that called stop()
 
-    /** Schedule one event: at now, near, 2^12-2^18 out, or past 2^48. */
+    /**
+     * Schedule one event: at now, near, 2^12-2^18 out, or past 2^48,
+     * through schedule() or scheduleLast(); or one fixed period out
+     * through scheduleLast(), as a refresh chain does.  The random
+     * ticks make scheduleLast() fall back to the array as often as
+     * they let it append to the lane.
+     */
     void
     spawn()
     {
@@ -311,7 +321,19 @@ struct LiveFuzzSide
             label % 2 ? chanTag(static_cast<std::uint32_t>(rng() % 8),
                                 label)
                       : coreTag(label);
-        eq.schedule(when, [this, label] { fire(label); }, cls, tag);
+        auto fn = [this, label] { fire(label); };
+        switch (rng() % 4) {
+          case 0:
+          case 1:
+            eq.schedule(when, fn, cls, tag);
+            break;
+          case 2:
+            eq.scheduleLast(when, fn, cls, tag);
+            break;
+          default:
+            eq.scheduleLast(eq.now() + (Tick(1) << 16), fn, cls, tag);
+            break;
+        }
     }
 
     void
@@ -395,63 +417,152 @@ TEST(EventHierarchy, MirroredLiveFuzzAgainstReference)
     }
 }
 
-TEST(EventHierarchy, PositionLogGivesAChainedTimersSequence)
+namespace
 {
-    // A virtual timer armed at tick 0 for tick 100 takes the sequence
-    // a schedule() at tick 0 would have: it sorts before the real
-    // event given that same sequence, which was scheduled after it.
+
+/**
+ * A queue running a refresh-like chain, eight links a fixed period
+ * apart that each reschedule themselves one period ahead (through
+ * scheduleLast() if `lane`, else schedule()), beside hold-model
+ * traffic whose every event schedules a successor 2^12-2^18 ticks out.
+ * Both stop after `budget` reschedules.  Every event logs its tag's
+ * label as it fires.
+ */
+struct ChainSide
+{
+    static constexpr Tick kPeriod = Tick(1) << 17;
+
     EventQueue eq;
-    eq.keepPositions(1000);
-    auto noop = [] {};
-    const std::uint64_t s0 = eq.nextSeq();
-    eq.schedule(100, noop);                                 // seq s0
-    eq.schedule(50, [&] { eq.schedule(150, noop); });       // s0 + 1
-    eq.runUntil(99);                                        // 150: s0 + 2
-    EXPECT_FALSE(eq.reached(100, s0));
-    eq.runUntil(100);
-    EXPECT_TRUE(eq.reached(100, s0));
-    // Its successor timer would have been scheduled as it ran, before
-    // the real event of tick 100, with every earlier schedule done.
-    EXPECT_EQ(eq.seqWhenReached(100, s0), s0 + 3);
+    bool lane = false;
+    int budget = 4000;
+    std::uint64_t draws = 0;
+    std::vector<std::uint64_t> log;
 
-    // Scheduled at tick 100 after the run passed all of it, this event
-    // runs after every virtual event of that tick.
-    eq.schedule(100, noop);                                 // s0 + 3
-    ASSERT_TRUE(eq.step());
-    EXPECT_TRUE(eq.reached(100, s0 + 10));
-    EXPECT_EQ(eq.seqWhenReached(100, s0 + 10), s0 + 3);
+    void
+    start()
+    {
+        for (std::uint64_t i = 0; i < 8; ++i)
+            link(kPeriod * (i + 1) / 9, i, false);
+        for (std::uint64_t i = 0; i < 16; ++i)
+            hop(100 + i);
+    }
 
-    // A tie inside a run: a virtual timer at 150 whose sequence is
-    // above the real event's there has not run when that event runs.
-    bool checked = false;
-    eq.schedule(150, [&] {
-        EXPECT_TRUE(eq.reached(150, s0 + 2));
-        EXPECT_FALSE(eq.reached(150, s0 + 5));
-        checked = true;
-    });                                                     // s0 + 4
-    eq.runUntil(150);
-    EXPECT_TRUE(checked);
+    EventCallback
+    rebuild(const EventTag &tag)
+    {
+        if (tag.kind == EvChanRefreshTick)
+            return [this, i = tag.a] { fireLink(i); };
+        return [this, l = tag.a] { fireHop(l); };
+    }
+
+    void
+    link(Tick when, std::uint64_t i, bool periodic)
+    {
+        const EventTag tag{EvChanRefreshTick, 0, i, 0};
+        if (periodic && lane)
+            eq.scheduleLast(when, rebuild(tag), EventClass::Hardware, tag);
+        else
+            eq.schedule(when, rebuild(tag), EventClass::Hardware, tag);
+    }
+
+    void
+    hop(std::uint64_t label)
+    {
+        const Tick d =
+            (Tick(1) << 12) + splitmix64(++draws) % (Tick(1) << 18);
+        eq.schedule(eq.now() + d, rebuild(coreTag(label)),
+                    EventClass::Hardware, coreTag(label));
+    }
+
+    void
+    fireLink(std::uint64_t i)
+    {
+        log.push_back(i);
+        if (--budget > 0)
+            link(eq.now() + kPeriod, i, true);
+    }
+
+    void
+    fireHop(std::uint64_t label)
+    {
+        log.push_back(label);
+        if (--budget > 0)
+            hop(label);
+    }
+};
+
+} // namespace
+
+TEST(EventHierarchy, LaneExportRestoreMatchesScheduleOnly)
+{
+    // The same run with the chain on the lane and with schedule()
+    // only: mid-run, with lane entries pending, both export the same
+    // list (sequences included); each restores into a fresh queue that
+    // exports it unchanged; and every side, restored or not, fires the
+    // same events in the same order to the end.
+    ChainSide sides[2];
+    sides[1].lane = true;
+    for (ChainSide &s : sides) {
+        s.start();
+        s.eq.runUntil(ChainSide::kPeriod * 40 + 12345);
+    }
+    const std::vector<PendingEvent> a = sides[0].eq.exportPending();
+    const std::vector<PendingEvent> b = sides[1].eq.exportPending();
+    ASSERT_EQ(a.size(), 24u);
+    ASSERT_EQ(b.size(), a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_TRUE(samePending(a[i], b[i])) << "position " << i;
+        EXPECT_EQ(a[i].seq, b[i].seq) << "position " << i;
+    }
+    ASSERT_EQ(sides[0].log, sides[1].log);
+
+    ChainSide restored[2];
+    for (int k = 0; k < 2; ++k) {
+        ChainSide &r = restored[k];
+        r.lane = sides[k].lane;
+        r.budget = sides[k].budget;
+        r.draws = sides[k].draws;
+        r.log = sides[k].log;
+        r.eq.setNow(sides[k].eq.now());
+        r.eq.setNextSeq(a.size() + 1);
+        for (const PendingEvent &pe : k ? b : a)
+            r.eq.restore(pe, r.rebuild(pe.tag));
+        const std::vector<PendingEvent> again = r.eq.exportPending();
+        ASSERT_EQ(again.size(), a.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_TRUE(samePending(again[i], a[i])) << "position " << i;
+            EXPECT_EQ(again[i].seq, a[i].seq) << "position " << i;
+        }
+    }
+    for (ChainSide &s : sides)
+        s.eq.runUntil();
+    for (ChainSide &r : restored)
+        r.eq.runUntil();
+    EXPECT_EQ(sides[1].log, sides[0].log);
+    EXPECT_EQ(restored[0].log, sides[0].log);
+    EXPECT_EQ(restored[1].log, sides[0].log);
+    EXPECT_GT(sides[0].log.size(), 3000u);
 }
 
-TEST(EventHierarchy, PositionLogKeepsItsSpanWhileTrimming)
+TEST(EventHierarchy, LaneFallsBackOutOfOrder)
 {
-    // Thousands of events over a span far longer than the kept one:
-    // the log trims, and positions inside the span still resolve.
-    // Each event schedules one more at its own tick, so the sequence
-    // counter differs at every position.
+    // scheduleLast() in descending tick order, and at one tick across
+    // classes: every entry after the first falls back to the array,
+    // and the pops still follow (when, class, seq) against events
+    // scheduled normally around them.
     EventQueue eq;
-    eq.keepPositions(100);
-    std::uint64_t seq_at_9999 = 0;
-    for (Tick t = 1; t <= 10000; ++t) {
-        eq.schedule(t, [&eq, &seq_at_9999, t] {
-            if (t == 9999)
-                seq_at_9999 = eq.nextSeq();
-            eq.schedule(t, [] {});
-        });
-    }
-    eq.runUntil(10000);
-    // Before tick 9999's first event: the counter as it started.
-    EXPECT_EQ(eq.seqWhenReached(9999, 0), seq_at_9999);
-    // Between it and the event it scheduled: one more.
-    EXPECT_EQ(eq.seqWhenReached(9999, 10000), seq_at_9999 + 1);
+    std::vector<int> order;
+    eq.scheduleLast(500, [&] { order.push_back(5); });
+    eq.scheduleLast(300, [&] { order.push_back(3); });
+    eq.schedule(300, [&] { order.push_back(4); });
+    eq.scheduleLast(100, [&] { order.push_back(2); }, EventClass::Sample);
+    eq.scheduleLast(100, [&] { order.push_back(1); }, EventClass::Policy);
+    eq.schedule(100, [&] { order.push_back(0); });
+    eq.scheduleLast(500, [&] { order.push_back(6); });
+    EXPECT_EQ(eq.pending(), 7u);
+    EXPECT_EQ(eq.runUntil(300), 5u);
+    EXPECT_EQ(eq.pending(), 2u);
+    eq.runUntil();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+    EXPECT_TRUE(eq.empty());
 }

@@ -410,12 +410,12 @@ struct SnapshotGolden
 
 // Regenerate: MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_golden
 const SnapshotGolden kSnapshotGoldens[] = {
-    {"MID3/memscale", 0xfe62d298c233fc21ull},
-    {"MID1/memscale-ladder", 0x94dd62606081c3d7ull},
-    {"OPENLOOP/slo", 0x468c767947e2a78bull},
-    {"fleet", 0x64eda863ef9ef132ull},
-    {"fleet.server0", 0x4b54739a8bd1e055ull},
-    {"fleet.server1", 0x74cbfddf8c0a82cdull},
+    {"MID3/memscale", 0x95d542685967d03cull},
+    {"MID1/memscale-ladder", 0xae45ea3a115572c3ull},
+    {"OPENLOOP/slo", 0x9f72bf65c96cf480ull},
+    {"fleet", 0x69740a3cbb2c8f87ull},
+    {"fleet.server0", 0x9a732678f9cc125bull},
+    {"fleet.server1", 0x60692d411cdc669bull},
 };
 
 } // namespace

@@ -570,63 +570,52 @@ refreshOnRung(int rung, bool plan_first)
 
 } // namespace
 
-TEST(IdleLadderPlan, RefreshOnRungTickKeepsTimerOrder)
+TEST(IdleLadderPlan, RungOnARefreshTickAppliesFirst)
 {
+    // A rung due on the tick of a refresh applies before the refresh,
+    // whichever of the plan and the refresh engine was armed first.
     const TimingParams &tp = TimingParams::at(nominalFreqIndex);
     const Tick phase = tp.tREFI / 5;
-    // Rung 1, refresh armed first: the refresh runs first and wakes the
-    // rank from fast-PD; the rung never applies.
-    {
-        const CommandLog log = refreshOnRung(0, false);
-        const auto x = log.exits(0);
-        ASSERT_FALSE(x.empty());
-        EXPECT_EQ(x[0].at, phase);
-        EXPECT_EQ(x[0].doneAt - x[0].at,
-                  idleExitLatency(RankIdleState::FastPd, tp));
-        for (const auto &[t, s] : log.enters(0))
-            EXPECT_NE(s, RankIdleState::SlowPd) << "tick " << t;
-        EXPECT_EQ(log.pc.violations(), 0u);
-    }
-    // Rung 1, plan armed first: the rung applies first, and the
-    // refresh then wakes the rank from slow-PD.
-    {
-        const CommandLog log = refreshOnRung(0, true);
-        const auto e = log.enters(0);
-        ASSERT_GE(e.size(), 2u);
-        EXPECT_EQ(e[1], std::make_pair(phase, RankIdleState::SlowPd));
-        const auto x = log.exits(0);
-        ASSERT_FALSE(x.empty());
-        EXPECT_EQ(x[0].at, phase);
-        EXPECT_EQ(x[0].doneAt - x[0].at,
-                  idleExitLatency(RankIdleState::SlowPd, tp));
-        EXPECT_EQ(log.pc.violations(), 0u);
-    }
-    // Rung 2: its timer is armed at rung 1, after the refresh was
-    // scheduled, so the refresh wins the tie either way and wakes the
-    // rank from slow-PD before it can self-refresh.
     for (bool plan_first : {false, true}) {
-        const CommandLog log = refreshOnRung(1, plan_first);
-        const auto x = log.exits(0);
-        ASSERT_FALSE(x.empty());
-        EXPECT_EQ(x[0].at, phase);
-        EXPECT_EQ(x[0].doneAt - x[0].at,
-                  idleExitLatency(RankIdleState::SlowPd, tp));
-        for (const auto &[t, s] : log.enters(0))
-            EXPECT_LT(s, RankIdleState::SelfRefresh) << "tick " << t;
-        EXPECT_EQ(log.pc.violations(), 0u);
+        // Rung 1: the refresh wakes the rank from slow-PD.
+        {
+            const CommandLog log = refreshOnRung(0, plan_first);
+            const auto e = log.enters(0);
+            ASSERT_GE(e.size(), 2u);
+            EXPECT_EQ(e[1], std::make_pair(phase, RankIdleState::SlowPd));
+            const auto x = log.exits(0);
+            ASSERT_FALSE(x.empty());
+            EXPECT_EQ(x[0].at, phase);
+            EXPECT_EQ(x[0].doneAt - x[0].at,
+                      idleExitLatency(RankIdleState::SlowPd, tp));
+            EXPECT_EQ(log.pc.violations(), 0u);
+        }
+        // Rung 2: the rank self-refreshes by the refresh tick, so the
+        // refresh is skipped and the rank stays down.
+        {
+            const CommandLog log = refreshOnRung(1, plan_first);
+            const auto e = log.enters(0);
+            ASSERT_EQ(e.size(), 3u);
+            EXPECT_EQ(e[2],
+                      std::make_pair(phase, RankIdleState::SelfRefresh));
+            EXPECT_TRUE(log.exits(0).empty());
+            for (const DramCmdEvent &ev : log.cmds)
+                EXPECT_FALSE(ev.cmd == DramCmd::Refresh && ev.rank == 0)
+                    << "refresh at tick " << ev.at;
+            EXPECT_EQ(log.pc.violations(), 0u);
+        }
     }
 }
 
-TEST(IdleLadderPlan, TieOrderFollowsWhenTheTimerWouldBeArmed)
+TEST(IdleLadderPlan, RungOnAReadTickAppliesFirst)
 {
-    // A read lands on rung 2's tick (1.2 us).  Rung 2's timer would be
-    // armed at rung 1 (200 ns): a read scheduled before that runs
-    // first and wakes the rank from slow-PD; one scheduled after it
-    // finds the rank already in self-refresh.
+    // A read lands on rung 2's tick (1.2 us).  Whether it was
+    // scheduled before rung 1 (200 ns) or after, the rung applies
+    // first and the read wakes the rank from self-refresh.
     const TimingParams &tp = TimingParams::at(nominalFreqIndex);
     const Tick rung1 = nsToTick(200.0);
     const Tick rung2 = nsToTick(1200.0);
-    for (const Tick sched_at : {rung1 - 1, rung1 + 1}) {
+    for (const Tick sched_at : {Tick(0), rung1 - 1, rung1 + 1}) {
         const MemConfig cfg =
             planConfig(nsToTick(200.0), nsToTick(1000.0),
                        nsToTick(4000.0), nsToTick(16000.0));
@@ -642,10 +631,8 @@ TEST(IdleLadderPlan, TieOrderFollowsWhenTheTimerWouldBeArmed)
         const auto x = log.exits(0);
         ASSERT_FALSE(x.empty());
         EXPECT_EQ(x[0].at, rung2);
-        const RankIdleState from = sched_at < rung1
-                                       ? RankIdleState::SlowPd
-                                       : RankIdleState::SelfRefresh;
-        EXPECT_EQ(x[0].doneAt - x[0].at, idleExitLatency(from, tp))
+        EXPECT_EQ(x[0].doneAt - x[0].at,
+                  idleExitLatency(RankIdleState::SelfRefresh, tp))
             << "read scheduled at " << sched_at;
         EXPECT_EQ(log.pc.violations(), 0u);
     }

@@ -195,6 +195,8 @@ TEST(EventQueueStress, MatchesReferenceOrdering)
     // Bulk schedule rounds with random ticks, classes and tags (some
     // EvEphemeral, which export skips), mirrored into the kernel and
     // ReferenceQueue: the export and the firing order must agree.
+    // A quarter go through scheduleLast(), half of those at ticks that
+    // rise with the label, so the lane both appends and falls back.
     EventQueue eq;
     ReferenceQueue ref;
     Rng rng(1234);
@@ -210,10 +212,24 @@ TEST(EventQueueStress, MatchesReferenceOrdering)
             if (rng.below(10) == 0)
                 tag.kind = EvEphemeral;
             const int t = label++;
-            eq.schedule(when, [&fired, t] { fired.push_back(t); }, cls,
-                        tag);
-            ref.schedule(when, [&rfired, t] { rfired.push_back(t); }, cls,
-                         tag);
+            auto kfn = [&fired, t] { fired.push_back(t); };
+            auto rfn = [&rfired, t] { rfired.push_back(t); };
+            switch (rng.below(8)) {
+              case 0: {
+                const Tick rising = 100000 + 50 * static_cast<Tick>(t);
+                eq.scheduleLast(rising, kfn, cls, tag);
+                ref.scheduleLast(rising, rfn, cls, tag);
+                break;
+              }
+              case 1:
+                eq.scheduleLast(when, kfn, cls, tag);
+                ref.scheduleLast(when, rfn, cls, tag);
+                break;
+              default:
+                eq.schedule(when, kfn, cls, tag);
+                ref.schedule(when, rfn, cls, tag);
+                break;
+            }
         }
     }
     ASSERT_EQ(eq.pending(), ref.pending());

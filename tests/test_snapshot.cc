@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
@@ -1130,9 +1131,10 @@ TEST(SnapshotChurn, OlderVersionsRejected)
     // version 2 had a hand-picked fingerprint with a retired
     // kernel-mode byte and a serving-section fingerprint; version 3
     // kept idle-ladder demotion timers as pending events and stored no
-    // demotion plans.  None may resume.
+    // demotion plans; version 4 stored each plan's next timer
+    // sequence.  None may resume.
     const std::string path = scratch("old_version.snap");
-    for (const std::uint32_t version : {1u, 2u, 3u}) {
+    for (const std::uint32_t version : {1u, 2u, 3u, 4u}) {
         cutCheckedRun(snapConfig("MID3"), "memscale", msToTick(0.13),
                       path);
         std::FILE *f = std::fopen(path.c_str(), "rb+");
@@ -1371,13 +1373,12 @@ writePool(SectionIO &io, std::uint64_t cap,
 
 /**
  * Controller header, then one channel up to its first bank queue, with
- * rank 0 in `state` holding the demotion plan `plan` (rung ticks, then
- * the next rung's timer sequence `seq`).
+ * rank 0 in `state` holding the demotion plan `plan` (rung ticks).
  */
 void
 writeChannelPrefix(SectionIO &io, const MemConfig &mem,
                    RankIdleState state = RankIdleState::Up,
-                   std::vector<Tick> plan = {}, std::uint64_t seq = 0)
+                   std::vector<Tick> plan = {})
 {
     std::uint32_t nchan = 1;
     std::uint32_t freq = nominalFreqIndex;
@@ -1397,15 +1398,12 @@ writeChannelPrefix(SectionIO &io, const MemConfig &mem,
     for (std::uint64_t i = 0; i < nranks; ++i) {
         Rank rk;
         std::vector<Tick> rungs;
-        std::uint64_t plan_seq = 0;
         if (i == 0) {
             rk.setIdleState(0, state);
             rungs = plan;
-            plan_seq = seq;
         }
         rk.transfer(io);
         io.list<std::uint8_t>(rungs);
-        io(plan_seq);
     }
     std::uint64_t nbanks = nranks * mem.banksPerRank;
     io(nbanks);
@@ -1631,38 +1629,82 @@ TEST(RestoreChecks, BadDemotionPlanIsFatal)
 {
     // A restored idle-ladder plan must be one the channel could have
     // recorded: on a powered-down rank, one rung per state below it,
-    // ticks ascending and after the snapshot's, and a timer sequence
-    // the restored queue has not handed out yet.  The fresh queue
-    // restores at tick 0 with next sequence 1.
+    // ticks ascending and after the snapshot's.  The fresh queue
+    // restores at tick 0.
     struct Case
     {
         RankIdleState state;
         std::vector<Tick> plan;
-        std::uint64_t seq;
         const char *message;
     };
     const Case cases[] = {
-        {RankIdleState::Up, {100}, 0,
+        {RankIdleState::Up, {100},
          "rank 0 has a demotion plan but is not powered down"},
-        {RankIdleState::DeepPd, {100}, 0,
+        {RankIdleState::DeepPd, {100},
          "rank 0 in deep-pd plans 1 rungs, but only 0 lie below it"},
-        {RankIdleState::FastPd, {100, 300, 200}, 0,
+        {RankIdleState::FastPd, {100, 300, 200},
          "rank 0 demotion plan ticks out of order (rung 2 at tick 200"},
-        {RankIdleState::FastPd, {0, 100}, 0,
+        {RankIdleState::FastPd, {0, 100},
          "rank 0 demotion rung at tick 0 is not after the snapshot's"},
-        {RankIdleState::FastPd, {100}, 1,
-         "rank 0 demotion timer sequence 1 is not below the snapshot's "
-         "next sequence 1"},
     };
     for (const Case &c : cases) {
         const std::string msg =
             restoreMc([&c](SectionIO &io, const MemConfig &mem) {
                 writePool(io, 0, {});
-                writeChannelPrefix(io, mem, c.state, c.plan, c.seq);
+                writeChannelPrefix(io, mem, c.state, c.plan);
             });
         EXPECT_TRUE(contains(msg, c.message)) << msg;
         EXPECT_TRUE(contains(msg, "section mc")) << msg;
     }
+}
+
+TEST(SnapshotChurn, BrokenRefreshChainIsRefused)
+{
+    // Every rank of a running refresh engine keeps exactly one
+    // refresh tick pending.  Dropping one would resume a rank that is
+    // never refreshed again; duplicating one would refresh it twice
+    // per tREFI.  Both are refused, naming the channel and the rank.
+    const std::string path = scratch("refresh_chain.snap");
+    const SystemConfig cfg = snapConfig("MID3");
+    // One "sim" event record: when, class, kind, owner, a, b.
+    constexpr std::size_t kHeader = 8 + 4;
+    constexpr std::size_t kRecord = 8 + 1 + 4 + 4 + 8 + 8;
+    for (const bool duplicate : {false, true}) {
+        ASSERT_TRUE(cutRun(cfg, "memscale", msToTick(0.15), path));
+        std::uint32_t chan = 0;
+        std::uint64_t rank = 0;
+        rewrap(path, "sim", [&](std::vector<std::uint8_t> &b) {
+            std::uint32_t n = 0;
+            std::memcpy(&n, b.data() + 8, 4);
+            for (std::uint32_t i = 0; i < n; ++i) {
+                const std::size_t at = kHeader + i * kRecord;
+                std::uint32_t kind = 0;
+                std::memcpy(&kind, b.data() + at + 9, 4);
+                if (kind != EvChanRefreshTick)
+                    continue;
+                std::memcpy(&chan, b.data() + at + 13, 4);
+                std::memcpy(&rank, b.data() + at + 17, 8);
+                const std::vector<std::uint8_t> rec(
+                    b.begin() + at, b.begin() + at + kRecord);
+                if (duplicate)
+                    b.insert(b.begin() + at, rec.begin(), rec.end());
+                else
+                    b.erase(b.begin() + at, b.begin() + at + kRecord);
+                n = duplicate ? n + 1 : n - 1;
+                std::memcpy(b.data() + 8, &n, 4);
+                return;
+            }
+            FAIL() << "no refresh tick pending at the cut";
+        });
+        const std::string msg = resumeMessage(cfg, "memscale", path);
+        const std::string want =
+            "channel " + std::to_string(chan) + " rank " +
+            std::to_string(rank) + " has " + (duplicate ? "2" : "0") +
+            " pending refresh ticks, but its refresh engine is on";
+        EXPECT_TRUE(contains(msg, want)) << msg;
+        EXPECT_TRUE(contains(msg, "snapshot sections mc, sim")) << msg;
+    }
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
