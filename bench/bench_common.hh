@@ -52,8 +52,10 @@ benchConfig(int argc, char **argv, Config &conf)
     SystemConfig cfg;
     cfg.instrBudget = static_cast<std::uint64_t>(
         conf.getInt("budget", 5'000'000));
-    cfg.epochLen = msToTick(conf.getDouble("epoch_ms", 0.25));
-    cfg.profileLen = usToTick(conf.getDouble("profile_us", 25.0));
+    cfg.epochLen = msToTick(
+        conf.getDouble("epoch_ms", 0.25, Config::Bound::NonNegative));
+    cfg.profileLen = usToTick(
+        conf.getDouble("profile_us", 25.0, Config::Bound::NonNegative));
     cfg.gamma = conf.getDouble("gamma", 0.10);
     cfg.numCores =
         static_cast<std::uint32_t>(conf.getInt("cores", 16));

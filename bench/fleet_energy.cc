@@ -63,8 +63,10 @@ main(int argc, char **argv)
     // per-server controller cannot settle onto its budget before the
     // next telemetry cut; re-read the epoch keys with serving-scale
     // defaults (user overrides still win).
-    cfg.epochLen = msToTick(conf.getDouble("epoch_ms", 0.1));
-    cfg.profileLen = usToTick(conf.getDouble("profile_us", 10.0));
+    cfg.epochLen = msToTick(
+        conf.getDouble("epoch_ms", 0.1, Config::Bound::NonNegative));
+    cfg.profileLen = usToTick(
+        conf.getDouble("profile_us", 10.0, Config::Bound::NonNegative));
 
     cfg.mixName = "OPENLOOP";
     cfg.numCores = static_cast<std::uint32_t>(conf.getInt("cores", 8));
@@ -74,14 +76,15 @@ main(int argc, char **argv)
         parseArrivalKind(conf.getString("arrival", "poisson"));
     cfg.serving.arrival.ratePerSec =
         conf.getDouble("rate", 0.5) * 1e6;
-    cfg.serving.horizon = msToTick(conf.getDouble("horizon-ms", 1.0));
+    cfg.serving.horizon = msToTick(
+        conf.getDouble("horizon-ms", 1.0, Config::Bound::NonNegative));
     cfg.serving.missesPerRequest = conf.getDouble("misses", 8.0);
     cfg.serving.sloP99Us = conf.getDouble("slo-p99-us", 5.0);
 
     ClusterConfig base;
     base.policy = "fastcap";
-    base.coordEpoch =
-        msToTick(conf.getDouble("coord-epoch-ms", 0.2));
+    base.coordEpoch = msToTick(conf.getDouble(
+        "coord-epoch-ms", 0.2, Config::Bound::NonNegative));
     base.jobs = checkedJobs(conf.getInt("jobs", 0));
     base.rateScale = conf.getList<double>("rate-scale", "");
     base.weights = conf.getList<double>("weights", "");

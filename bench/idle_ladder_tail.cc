@@ -53,12 +53,14 @@ main(int argc, char **argv)
     cfg.serving.arrival.seed = cfg.seed;
     cfg.serving.arrival.ratePerSec =
         conf.getDouble("rate", 0.25) * 1e6;
-    cfg.serving.horizon = msToTick(conf.getDouble("horizon-ms", 2.0));
+    cfg.serving.horizon = msToTick(
+        conf.getDouble("horizon-ms", 2.0, Config::Bound::NonNegative));
     cfg.serving.missesPerRequest = conf.getDouble("misses", 8.0);
 
     const std::uint32_t hot_ranks = static_cast<std::uint32_t>(
-        conf.getInt("hot-ranks", 1));
-    const double migrate_us = conf.getDouble("migrate-us", 50.0);
+        conf.getInt("hot-ranks", 1, Config::Bound::Positive));
+    const double migrate_us =
+        conf.getDouble("migrate-us", 50.0, Config::Bound::Positive);
 
     benchHeader(conf, "idle_ladder_tail",
                 "idle-state ladder: energy vs wake-up tail", cfg);

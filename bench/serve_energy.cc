@@ -39,8 +39,8 @@ main(int argc, char **argv)
     cfg.serving.arrival.kind =
         parseArrivalKind(conf.getString("arrival", "poisson"));
     cfg.serving.arrival.seed = cfg.seed;
-    cfg.serving.horizon =
-        msToTick(conf.getDouble("horizon-ms", 2.0));
+    cfg.serving.horizon = msToTick(
+        conf.getDouble("horizon-ms", 2.0, Config::Bound::NonNegative));
     cfg.serving.missesPerRequest = conf.getDouble("misses", 8.0);
     cfg.serving.sloP99Us = conf.getDouble("slo-p99-us", 0.0);
 

@@ -47,7 +47,8 @@ main(int argc, char **argv)
     const double rest = conf.getDouble("rest", 150.0);
 
     const std::string meta_path = conf.getString("meta", "");
-    const Tick cut_at = msToTick(conf.getDouble("checkpoint-at", 0.0));
+    const Tick cut_at = msToTick(
+        conf.getDouble("checkpoint-at", 0.0, Config::Bound::NonNegative));
     const std::string out = conf.getString("checkpoint-out", "");
     const bool stop = conf.getBool("checkpoint-stop", false);
     cfg.resumePath = conf.getString("resume", "");

@@ -63,8 +63,10 @@ main(int argc, char **argv)
     cfg.instrBudget =
         static_cast<std::uint64_t>(conf.getInt("budget", 4'000'000));
     cfg.gamma = conf.getDouble("gamma", 0.05);
-    cfg.epochLen = msToTick(conf.getDouble("epoch_ms", 0.25));
-    cfg.profileLen = usToTick(conf.getDouble("profile_us", 25.0));
+    cfg.epochLen = msToTick(
+        conf.getDouble("epoch_ms", 0.25, Config::Bound::NonNegative));
+    cfg.profileLen = usToTick(
+        conf.getDouble("profile_us", 25.0, Config::Bound::NonNegative));
     conf.refuseUnread();
 
     std::printf("Custom workload: 8x analytics + 8x frontend, "

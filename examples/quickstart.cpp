@@ -28,8 +28,10 @@ main(int argc, char **argv)
     cfg.instrBudget =
         static_cast<std::uint64_t>(conf.getInt("budget", 2'000'000));
     cfg.gamma = conf.getDouble("gamma", 0.10);
-    cfg.epochLen = msToTick(conf.getDouble("epoch_ms", 0.25));
-    cfg.profileLen = usToTick(conf.getDouble("profile_us", 25.0));
+    cfg.epochLen = msToTick(
+        conf.getDouble("epoch_ms", 0.25, Config::Bound::NonNegative));
+    cfg.profileLen = usToTick(
+        conf.getDouble("profile_us", 25.0, Config::Bound::NonNegative));
     conf.refuseUnread();
 
     std::printf("MemScale quickstart: mix=%s budget=%llu gamma=%.0f%%\n",

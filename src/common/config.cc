@@ -1,6 +1,7 @@
 #include "common/config.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <type_traits>
@@ -38,6 +39,25 @@ parseValue(const std::string &key, const std::string &s)
                   real ? "numeric" : "integer", s.c_str());
         return v;
     }
+}
+
+/** parseValue, then fatal() naming the key if `bound` refuses it. */
+template <typename T>
+T
+parseBounded(const std::string &key, const std::string &s,
+             Config::Bound bound)
+{
+    const T v = parseValue<T>(key, s);
+    const double d = static_cast<double>(v);
+    if ((bound == Config::Bound::NonNegative &&
+         !(std::isfinite(d) && d >= 0.0)) ||
+        (bound == Config::Bound::Positive &&
+         !(std::isfinite(d) && d > 0.0)))
+        fatal("config: key '%s' must be %s, got '%s'", key.c_str(),
+              bound == Config::Bound::Positive ? "positive"
+                                               : "non-negative",
+              s.c_str());
+    return v;
 }
 
 } // namespace
@@ -87,17 +107,18 @@ Config::getString(const std::string &key, const std::string &def) const
 }
 
 std::int64_t
-Config::getInt(const std::string &key, std::int64_t def) const
+Config::getInt(const std::string &key, std::int64_t def,
+               Bound bound) const
 {
     const std::string s = getString(key, "");
-    return s.empty() ? def : parseValue<std::int64_t>(key, s);
+    return s.empty() ? def : parseBounded<std::int64_t>(key, s, bound);
 }
 
 double
-Config::getDouble(const std::string &key, double def) const
+Config::getDouble(const std::string &key, double def, Bound bound) const
 {
     const std::string s = getString(key, "");
-    return s.empty() ? def : parseValue<double>(key, s);
+    return s.empty() ? def : parseBounded<double>(key, s, bound);
 }
 
 bool

@@ -31,6 +31,13 @@ namespace memscale
 class Config
 {
   public:
+    /**
+     * The range a numeric getter enforces: a value outside it is
+     * fatal() naming the key.  Both bounds also refuse a non-finite
+     * double, so a duration never wraps into a huge tick count.
+     */
+    enum class Bound { Any, NonNegative, Positive };
+
     Config() = default;
 
     /**
@@ -49,12 +56,15 @@ class Config
 
     /**
      * Typed getters: the given value, else `def`.  Numbers must parse
-     * whole (integers in base 10), or fatal() names the key.
+     * whole (integers in base 10) and lie within `bound`, or fatal()
+     * names the key.
      */
     std::string getString(const std::string &key,
                           const std::string &def) const;
-    std::int64_t getInt(const std::string &key, std::int64_t def) const;
-    double getDouble(const std::string &key, double def) const;
+    std::int64_t getInt(const std::string &key, std::int64_t def,
+                        Bound bound = Bound::Any) const;
+    double getDouble(const std::string &key, double def,
+                     Bound bound = Bound::Any) const;
     bool getBool(const std::string &key, bool def) const;
 
     /**

@@ -36,7 +36,6 @@ void
 Core::beginChunk()
 {
     if (!source_.next(chunk_)) {
-        halted_ = true;
         if (doneAt_ == MaxTick) {
             doneAt_ = eq_.now();
             if (onDone_)
@@ -82,10 +81,8 @@ Core::onMemComplete(Tick when, const MemRequest &)
         doneAt_ = when;
         if (onDone_)
             onDone_();
-        if (!params_.runPastBudget) {
-            halted_ = true;
+        if (!params_.runPastBudget)
             return;
-        }
     }
     beginChunk();
 }
@@ -115,7 +112,6 @@ Core::transfer(SectionIO &io)
     io(chunk_.hasWriteback);
     io(chunk_.writebackAddr);
     io(computing_);
-    io(halted_);
     io(chunkStart_);
     io(chunkLen_);
     io(retired_);

@@ -104,7 +104,6 @@ class Core final : public MemClient, public CpuSampler
 
     TraceChunk chunk_;
     bool computing_ = false;
-    bool halted_ = false;
     Tick chunkStart_ = 0;
     Tick chunkLen_ = 0;
 

@@ -68,16 +68,6 @@ class Bank
         readyAt_ = t;
     }
 
-    void
-    reset()
-    {
-        rowState_ = RowState::Closed;
-        openRow_ = 0;
-        readyAt_ = 0;
-        lastActAt_ = 0;
-        inService_ = false;
-    }
-
     /** Checkpoint/restore: every field, in file order. */
     void transfer(SectionIO &io);
 

@@ -253,17 +253,4 @@ Rank::registerStats(StatRegistry &reg, const std::string &prefix) const
     reg.addCounter(prefix + ".pdExits", &activity_.pdExits);
 }
 
-void
-Rank::reset()
-{
-    activity_ = RankActivity();
-    lastUpdate_ = 0;
-    openBanks_ = 0;
-    idle_ = RankIdleState::Up;
-    recentActs_ = {};
-    numRecentActs_ = 0;
-    pending_ = {};
-    numPending_ = 0;
-}
-
 } // namespace memscale

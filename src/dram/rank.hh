@@ -197,9 +197,6 @@ class Rank
     /** Tick of the latest deferred close, if any is pending. */
     std::optional<Tick> latestPendingClose() const;
 
-    /** Reset all state (used between experiment runs). */
-    void reset();
-
     /**
      * Checkpoint/restore.  Raw state transfer: never sync()s, so the
      * time integration resumes exactly where it left off.  A restored

@@ -139,7 +139,6 @@ struct FleetSection
     Tick epochLen = 0;
     std::vector<double> weights;
     std::vector<double> rateScale;
-    std::vector<std::uint8_t> demandMix;
     std::uint32_t epochsDone = 0;
     std::vector<ServerTelemetry> tele;
     std::vector<double> energy;
@@ -163,7 +162,6 @@ transfer(FleetSection &f, SectionIO &io)
     io.expect("server epoch length", f.epochLen);
     io.expect("fairness weights", f.weights);
     io.expect("rate scales", f.rateScale);
-    io.expect("demand mixes", f.demandMix);
     io(f.epochsDone);
     if (io.loading() && f.numServers > io.reader().remaining())
         io.fail("%u servers exceed the section", f.numServers);
@@ -205,8 +203,6 @@ fleetFingerprint(const ClusterConfig &cfg)
     f.epochLen = cfg.server.epochLen;
     f.weights = cfg.weights;
     f.rateScale = cfg.rateScale;
-    for (DemandMix m : cfg.demandMix)
-        f.demandMix.push_back(static_cast<std::uint8_t>(m));
     return f;
 }
 
@@ -304,8 +300,6 @@ ClusterHarness::serverConfig(std::uint32_t k) const
     if (!cfg_.rateScale.empty())
         c.serving.arrival.ratePerSec *=
             cfg_.rateScale[k % cfg_.rateScale.size()];
-    if (!cfg_.demandMix.empty())
-        c.serving.demandMix = cfg_.demandMix[k % cfg_.demandMix.size()];
     return c;
 }
 

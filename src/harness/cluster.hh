@@ -115,9 +115,6 @@ struct ClusterConfig
     /** Arrival-rate multipliers, cycled (heterogeneous load). */
     std::vector<double> rateScale;
 
-    /** Demand-mix override per server, cycled (empty = template's). */
-    std::vector<DemandMix> demandMix;
-
     /** Ignored: servers stay in memory.  Kept for old callers. */
     std::string scratchDir;
 

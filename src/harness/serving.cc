@@ -12,95 +12,15 @@
 namespace memscale
 {
 
-const char *
-demandMixName(DemandMix mix)
-{
-    switch (mix) {
-      case DemandMix::Geometric:
-        return "geometric";
-      case DemandMix::Fixed:
-        return "fixed";
-      case DemandMix::LogNormal:
-        return "lognormal";
-      case DemandMix::TwoClass:
-        return "twoclass";
-    }
-    return "?";
-}
-
-DemandMix
-parseDemandMix(const std::string &name)
-{
-    if (name == "geometric")
-        return DemandMix::Geometric;
-    if (name == "fixed")
-        return DemandMix::Fixed;
-    if (name == "lognormal")
-        return DemandMix::LogNormal;
-    if (name == "twoclass")
-        return DemandMix::TwoClass;
-    fatal("unknown demand mix '%s' (geometric|fixed|lognormal|"
-          "twoclass)",
-          name.c_str());
-}
-
 void
 ServingOptions::fingerprint(SectionIO &io)
 {
     io.expect("serving.enabled", enabled);
     arrival.fingerprint(io);
     io.expect("serving.missesPerRequest", missesPerRequest);
-    io.expect("serving.demandMix", demandMix);
-    io.expect("serving.demandSigma", demandSigma);
-    io.expect("serving.heavyFraction", heavyFraction);
-    io.expect("serving.heavyMultiplier", heavyMultiplier);
-    io.expect("serving.instrPerMiss", instrPerMiss);
-    io.expect("serving.computeCpi", computeCpi);
     io.expect("serving.horizon", horizon);
     io.expect("serving.maxQueue", maxQueue);
     io.expect("serving.sloP99Us", sloP99Us);
-    io.expect("serving.histMaxUs", histMaxUs);
-    io.expect("serving.histBuckets", histBuckets);
-}
-
-std::uint64_t
-drawServingDemand(const ServingOptions &opts, Rng &rng)
-{
-    const double mean = opts.missesPerRequest;
-    switch (opts.demandMix) {
-      case DemandMix::Fixed:
-        return std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(std::llround(mean)));
-      case DemandMix::Geometric:
-        return rng.geometric(1.0 / mean);
-      case DemandMix::LogNormal: {
-        // Box-Muller from two uniforms; mu chosen so the arithmetic
-        // mean stays missesPerRequest regardless of sigma.
-        double u1 = 1.0 - rng.uniform();   // (0, 1]
-        double u2 = rng.uniform();
-        const double z = std::sqrt(-2.0 * std::log(u1)) *
-                         std::cos(2.0 * M_PI * u2);
-        const double sigma = opts.demandSigma;
-        const double mu = std::log(mean) - 0.5 * sigma * sigma;
-        const double x = std::exp(mu + sigma * z);
-        return std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(std::llround(x)));
-      }
-      case DemandMix::TwoClass: {
-        // Class means solve (1-p)*light + p*mult*light = mean, so
-        // the blend keeps the configured mean; each class spreads
-        // geometrically around its own mean.
-        const double p = opts.heavyFraction;
-        const double m = opts.heavyMultiplier;
-        const bool heavy = rng.chance(p);
-        double class_mean =
-            mean / (1.0 - p + p * m) * (heavy ? m : 1.0);
-        class_mean = std::max(class_mean, 1.0);
-        return rng.geometric(1.0 / class_mean);
-      }
-    }
-    fatal("drawServingDemand: bad mix %u",
-          static_cast<unsigned>(opts.demandMix));
 }
 
 // ---------------------------------------------------------------------------
@@ -156,11 +76,12 @@ ServingWorker::beginRequest(Tick arrival, std::uint64_t misses)
 void
 ServingWorker::scheduleCompute()
 {
-    // Compute segment before the next miss: instrPerMiss instructions
-    // at computeCpi cycles each, at the current core clock.
+    // Compute segment before the next miss: servingInstrPerMiss
+    // instructions at servingComputeCpi cycles each, at the current
+    // core clock.
     const Tick gap = static_cast<Tick>(
-        std::llround(static_cast<double>(fe_.opts_.instrPerMiss) *
-                     fe_.opts_.computeCpi *
+        std::llround(static_cast<double>(servingInstrPerMiss) *
+                     servingComputeCpi *
                      static_cast<double>(cpuPeriod_)));
     if (gap == 0) {
         issueMiss();
@@ -173,7 +94,7 @@ ServingWorker::scheduleCompute()
 void
 ServingWorker::issueMiss()
 {
-    retired_ += fe_.opts_.instrPerMiss;
+    retired_ += servingInstrPerMiss;
     ++tlm_;
     fe_.mc_.read(nextLineAddr(), id_, this);
 }
@@ -188,7 +109,6 @@ ServingWorker::onMemComplete(Tick when, const MemRequest &req)
         scheduleCompute();
         return;
     }
-    ++served_;
     busy_ = false;
     busyTime_ += when - busyStart_;
     fe_.onRequestDone(*this, when, reqArrival_);
@@ -206,7 +126,6 @@ ServingWorker::transfer(SectionIO &io)
     io(streamLine_);
     io(retired_);
     io(tlm_);
-    io(served_);
     io(busyTime_);
     io(busyStart_);
     if (!io.loading())
@@ -234,8 +153,8 @@ ServingFrontEnd::ServingFrontEnd(EventQueue &eq, MemoryController &mc,
           return ac;
       }()),
       demandRng_(deriveSeed(run_seed, 0xDE3Au)),
-      latUs_(0.0, opts.histMaxUs, opts.histBuckets),
-      winUs_(0.0, opts.histMaxUs, opts.histBuckets)
+      latUs_(0.0, latencyHistMaxUs, latencyHistBuckets),
+      winUs_(0.0, latencyHistMaxUs, latencyHistBuckets)
 {
     if (num_workers == 0)
         fatal("ServingFrontEnd: no workers");
@@ -244,22 +163,6 @@ ServingFrontEnd::ServingFrontEnd(EventQueue &eq, MemoryController &mc,
               opts_.missesPerRequest);
     if (opts_.horizon == 0)
         fatal("ServingFrontEnd: zero horizon");
-    if (opts_.demandMix == DemandMix::LogNormal &&
-        !(opts_.demandSigma > 0.0))
-        fatal("ServingFrontEnd: lognormal demand needs sigma > 0, "
-              "got %g",
-              opts_.demandSigma);
-    if (opts_.demandMix == DemandMix::TwoClass) {
-        if (!(opts_.heavyFraction > 0.0) ||
-            !(opts_.heavyFraction < 1.0))
-            fatal("ServingFrontEnd: two-class heavy fraction %g must "
-                  "be in (0,1)",
-                  opts_.heavyFraction);
-        if (!(opts_.heavyMultiplier >= 1.0))
-            fatal("ServingFrontEnd: two-class heavy multiplier %g "
-                  "must be >= 1",
-                  opts_.heavyMultiplier);
-    }
     const std::uint64_t region =
         mc_.config().totalBytes() / num_workers;
     const std::uint64_t lines = region / mc_.config().lineBytes;
@@ -287,18 +190,10 @@ ServingFrontEnd::scheduleNextArrival()
     // next, so a checkpoint carries at most one EvServeArrival and
     // the generator Rng sits exactly at the consumption point.
     const Tick when = gen_.next();
-    if (when > opts_.horizon) {
-        arrivalsClosed_ = true;
+    if (when > opts_.horizon)
         return;
-    }
     eq_.schedule(std::max(when, eq_.now()), [this] { onArrival(); },
                  EventClass::Hardware, {EvServeArrival, 0});
-}
-
-std::uint64_t
-ServingFrontEnd::drawDemand()
-{
-    return drawServingDemand(opts_, demandRng_);
 }
 
 void
@@ -313,7 +208,8 @@ ServingFrontEnd::onArrival()
     ++arrived_;
     // Demand is drawn at arrival time from a dedicated Rng, so a
     // request's size never depends on which worker it lands on.
-    const QueuedRequest req{eq_.now(), drawDemand()};
+    const QueuedRequest req{
+        eq_.now(), demandRng_.geometric(1.0 / opts_.missesPerRequest)};
 
     // Lowest-index idle worker; deterministic dispatch.
     ServingWorker *idle = nullptr;
@@ -449,7 +345,6 @@ ServingFrontEnd::transfer(SectionIO &io)
 {
     gen_.transfer(io);
     io(demandRng_);
-    io(arrivalsClosed_);
 
     io(arrived_);
     io(completed_);

@@ -5,13 +5,16 @@
  *
  * An ArrivalGenerator (workload/openloop) supplies the request clock;
  * the front end fans requests out across per-core ServingWorkers.  A
- * request is a service demand of N LLC misses with a fixed compute
- * segment between them; a worker serves one request at a time through
+ * request is a service demand of N LLC misses, drawn geometrically
+ * around `missesPerRequest`, with a fixed compute segment between
+ * them (`servingInstrPerMiss` instructions at `servingComputeCpi`);
+ * a worker serves one request at a time through
  * the ordinary MemClient completion interface, so every DRAM-level
  * mechanism — FR-FCFS, frequency relocks, refresh, powerdown — shapes
  * the end-to-end latency exactly as it would a trace core's stalls.
- * Completed requests feed two obs Histograms (cumulative for the
- * run's p50/p99/p99.9, windowed for the SLO policy's probe).
+ * Completed requests feed two obs Histograms of `latencyHistBuckets`
+ * buckets over [0, `latencyHistMaxUs`) (cumulative for the run's
+ * p50/p99/p99.9, windowed for the SLO policy's probe).
  *
  * Workers implement CpuSampler, so the unchanged epoch controller
  * profiles them and dynamic policies (memscale, slo) re-clock the bus
@@ -44,22 +47,17 @@ class MemoryController;
 class SectionIO;
 class StatRegistry;
 
-/**
- * Request service-demand distribution.  All mixes share the same mean
- * (`missesPerRequest`), so switching the shape never changes the
- * offered *work*, only how it is bundled into requests — the knob
- * that matters for tail latency and for heterogeneous fleet load.
- */
-enum class DemandMix : std::uint8_t
-{
-    Geometric = 0,  ///< memoryless around the mean (the default)
-    Fixed = 1,      ///< every request exactly round(missesPerRequest)
-    LogNormal = 2,  ///< multiplicative spread, demandSigma of ln
-    TwoClass = 3,   ///< bimodal: rare heavy requests among light ones
-};
-
-const char *demandMixName(DemandMix mix);
-DemandMix parseDemandMix(const std::string &name);
+/** @name Fixed request shape and latency-histogram geometry. */
+/// @{
+/** Instructions retired in the compute segment before each miss. */
+inline constexpr std::uint32_t servingInstrPerMiss = 200;
+/** CPI of those compute segments at the core clock. */
+inline constexpr double servingComputeCpi = 1.0;
+/** Upper edge of the latency histograms, µs (beyond it: overflow). */
+inline constexpr double latencyHistMaxUs = 2000.0;
+/** Equal-width buckets below that edge (0.5 µs each). */
+inline constexpr std::uint32_t latencyHistBuckets = 4000;
+/// @}
 
 /** Open-loop serving configuration (SystemConfig::serving). */
 struct ServingOptions
@@ -71,23 +69,9 @@ struct ServingOptions
 
     /**
      * Service demand: the mean number of LLC misses a request must
-     * resolve.  `demandMix` shapes the per-request draw around it.
+     * resolve.  Each request draws its demand geometrically around it.
      */
     double missesPerRequest = 8.0;
-
-    /** Demand-distribution shape. */
-    DemandMix demandMix = DemandMix::Geometric;
-    /** LogNormal: standard deviation of ln(demand). */
-    double demandSigma = 0.75;
-    /** TwoClass: fraction of requests in the heavy class. */
-    double heavyFraction = 0.05;
-    /** TwoClass: heavy-class mean as a multiple of the light mean. */
-    double heavyMultiplier = 8.0;
-
-    /** Instructions retired in the compute segment before each miss. */
-    std::uint32_t instrPerMiss = 200;
-    /** CPI of those compute segments at the core clock. */
-    double computeCpi = 1.0;
 
     /** Accept arrivals and simulate until this tick, then stop. */
     Tick horizon = msToTick(2.0);
@@ -97,12 +81,6 @@ struct ServingOptions
 
     /** p99 target handed to SLO-aware policies, µs (0 = none). */
     double sloP99Us = 0.0;
-
-    /** @name Latency histogram geometry (microseconds). */
-    /// @{
-    double histMaxUs = 2000.0;
-    std::uint32_t histBuckets = 4000;
-    /// @}
 
     /**
      * Snapshot fingerprint: every field, as `serving.<field>`, the
@@ -133,14 +111,6 @@ struct ServingStats
     /** Samples outside the histogram range (tail credibility check). */
     std::uint64_t histOverflow = 0;
 };
-
-/**
- * Draw one request's service demand (LLC misses, >= 1) from the
- * configured mix.  Exposed as a free function so the distribution
- * tests can sample it directly; the front end draws through the same
- * path with its dedicated demand Rng.
- */
-std::uint64_t drawServingDemand(const ServingOptions &opts, Rng &rng);
 
 class ServingFrontEnd;
 
@@ -213,7 +183,6 @@ class ServingWorker final : public MemClient, public CpuSampler
 
     std::uint64_t retired_ = 0;     ///< instructions (TIC)
     std::uint64_t tlm_ = 0;         ///< misses issued (TLM)
-    std::uint64_t served_ = 0;      ///< requests completed
     Tick busyTime_ = 0;             ///< busy ticks (request service)
     Tick busyStart_ = 0;
 };
@@ -282,7 +251,6 @@ class ServingFrontEnd
 
     void onArrival();
     void scheduleNextArrival();
-    std::uint64_t drawDemand();
     void noteQueuePeak();
 
     EventQueue &eq_;
@@ -293,7 +261,6 @@ class ServingFrontEnd
     std::vector<std::unique_ptr<ServingWorker>> workers_;
 
     std::deque<QueuedRequest> queue_;
-    bool arrivalsClosed_ = false;  ///< generator passed the horizon
 
     std::uint64_t arrived_ = 0;
     std::uint64_t completed_ = 0;

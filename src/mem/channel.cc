@@ -11,6 +11,14 @@
 namespace memscale
 {
 
+namespace
+{
+
+/** Latency the Decoupled synchronization buffer adds to each burst. */
+constexpr Tick syncBufferLatency = nsToTick(5.0);
+
+} // namespace
+
 Channel::Channel(EventQueue &eq, const MemConfig &cfg,
                  RequestPool &pool, const TimingParams &tp)
     : eq_(eq), cfg_(cfg), pool_(pool), tp_(tp),
@@ -222,7 +230,7 @@ Channel::tryService(std::uint32_t r, std::uint32_t b)
         Tick dev_burst = 4 * periodFromMHz(decoupledDeviceMHz_);
         if (dev_burst > tp.tBURST)
             bank_burst_extra = dev_burst - tp.tBURST;
-        data_at_bus += syncBufferLatency_;
+        data_at_bus += syncBufferLatency;
     }
     double residual = 0.0;
     if (busFreeAt_ > data_at_bus) {
@@ -386,7 +394,6 @@ void
 Channel::onBurstDone(MemRequest *req, Tick chan_burst)
 {
     const Tick now = eq_.now();
-    burstTime_ += chan_burst;
     counters_.busBusyTime += chan_burst;
 
     std::uint32_t r = req->loc.rank;
@@ -880,14 +887,12 @@ Channel::transfer(SectionIO &io, const TimingParams &tp,
     io(drainMode_);
     io(busFreeAt_);
     io(suspendedUntil_);
-    io(burstTime_);
     io(pending_);
     io(pendingReads_);
     io.enumByte("powerdown mode", pdMode_, PowerdownMode::Ladder);
     io(decoupledDeviceMHz_);
     io(throttleUtil_);
     io(lastBurstStart_);
-    io(syncBufferLatency_);
     io(refreshRunning_);
     for (std::uint8_t &p : relockParked_)
         io(p);

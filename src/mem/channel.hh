@@ -108,9 +108,6 @@ class Channel
     /** Flush rank accounting to `now`; returns per-rank activity. */
     void sampleRanks(Tick now, std::vector<RankActivity> &out);
 
-    /** Cumulative data-bus busy time on this channel. */
-    Tick burstTime() const { return burstTime_; }
-
     /**
      * This channel's cumulative counter block, after the ranks' due
      * demotion rungs apply (they count in pdDemotions).
@@ -313,7 +310,6 @@ class Channel
 
     Tick busFreeAt_ = 0;
     Tick suspendedUntil_ = 0;
-    Tick burstTime_ = 0;
 
     std::size_t pending_ = 0;
     std::size_t pendingReads_ = 0;
@@ -322,7 +318,6 @@ class Channel
     std::uint32_t decoupledDeviceMHz_ = 0;
     double throttleUtil_ = 0.0;       ///< 0 disables
     Tick lastBurstStart_ = 0;
-    Tick syncBufferLatency_ = nsToTick(5.0);
     bool refreshRunning_ = false;
 
     CommandObserver *obs_ = nullptr;

@@ -34,7 +34,6 @@ MemoryController::makeRequest(Addr addr, CoreId core, bool is_write)
     req->isWrite = is_write;
     req->core = core;
     req->arrival = eq_.now();
-    req->seq = nextSeq_++;
     map_.decodeInto(addr, req->loc);
     if (migrator_) {
         migrator_->noteAccess(req->loc);
@@ -215,7 +214,6 @@ MemoryController::issueCopy(const DecodedAddr &loc, bool is_write)
     req->isWrite = is_write;
     req->core = 0;
     req->arrival = eq_.now();
-    req->seq = nextSeq_++;
     channels_[loc.channel]->access(req);
 }
 
@@ -277,7 +275,7 @@ MemoryController::sampleActivity()
     const Tick now = eq_.now();
     for (std::uint32_t c = 0; c < channels_.size(); ++c) {
         channels_[c]->sampleRanks(now, ia.ranks);
-        ia.channelBurst.push_back(channels_[c]->burstTime());
+        ia.channelBurst.push_back(channels_[c]->counters().busBusyTime);
         ia.channelMHz.push_back(
             TimingParams::at(chanFreq_[c]).busMHz);
     }
@@ -345,7 +343,6 @@ MemoryController::transfer(SectionIO &io,
         io(q->isWrite);
         io(q->core);
         io(q->arrival);
-        io(q->seq);
         io(q->loc.channel);
         io(q->loc.rank);
         io(q->loc.bank);
@@ -384,9 +381,7 @@ MemoryController::transfer(SectionIO &io,
         if (f >= numFreqPoints)
             io.fail("channel frequency index %u out of range", f);
     }
-    io(nextSeq_);
     io(freqTransitions_);
-    io(relockStall_);
     io(decoupledMHz_);
     for (std::uint32_t c = 0; c < channels_.size(); ++c)
         channels_[c]->transfer(io, TimingParams::at(chanFreq_[c]), is_free);

@@ -204,9 +204,7 @@ class MemoryController
     RequestPool pool_;
     std::vector<FreqIndex> chanFreq_;
     std::vector<std::unique_ptr<Channel>> channels_;
-    std::uint64_t nextSeq_ = 1;
     std::uint64_t freqTransitions_ = 0;
-    Tick relockStall_ = 0;
     std::uint32_t decoupledMHz_ = 0;
     std::function<void()> beforeFreqChange_;
     std::unique_ptr<PageMigrator> migrator_;

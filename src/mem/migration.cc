@@ -35,6 +35,9 @@ PageMigrator::PageMigrator(const MemConfig &cfg)
 {
     if (cfg_.counterSets == 0)
         fatal("PageMigrator: counterSets must be > 0");
+    // A zero period would re-arm the pass at the same tick forever.
+    if (cfg_.migrateInterval == 0)
+        fatal("PageMigrator: migrateInterval must be > 0");
     if (cfg_.hotRanks == 0 || cfg_.hotRanks >= ranks_) {
         fatal("PageMigrator: hotRanks %u must be in [1, %llu)",
               cfg_.hotRanks,

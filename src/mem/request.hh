@@ -53,7 +53,6 @@ struct MemRequest
     bool isWrite = false;
     CoreId core = 0;
     Tick arrival = 0;           ///< tick the MC accepted the request
-    std::uint64_t seq = 0;      ///< global arrival order
     DecodedAddr loc;
 
     /// @name Filled in by the channel scheduler.

@@ -134,14 +134,13 @@ class RequestPool
     static void
     reset(MemRequest &r)
     {
-        static_assert(sizeof(MemRequest) == 136,
+        static_assert(sizeof(MemRequest) == 128,
                       "MemRequest changed: reset the new field here, "
                       "then update this size");
         r.addr = 0;
         r.isWrite = false;
         r.core = 0;
         r.arrival = 0;
-        r.seq = 0;
         r.loc.channel = 0;
         r.loc.rank = 0;
         r.loc.bank = 0;

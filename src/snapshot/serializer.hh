@@ -44,7 +44,7 @@ namespace memscale
 
 /** "MSCLSNAP" in little-endian byte order. */
 inline constexpr std::uint64_t snapshotMagic = 0x50414e534c43534dull;
-inline constexpr std::uint32_t snapshotVersion = 5;
+inline constexpr std::uint32_t snapshotVersion = 6;
 
 /** CRC-32 (IEEE 802.3 polynomial, reflected). */
 std::uint32_t crc32(const void *data, std::size_t n);

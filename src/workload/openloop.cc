@@ -46,6 +46,14 @@ secondsToTicks(double sec)
     return static_cast<Tick>(std::llround(t));
 }
 
+/** @name MMPP-2 dwell means, seconds: time in burst over time in calm
+ * is f / (1-f). */
+/// @{
+constexpr double meanBurstSec = tickToSec(burstyMeanDwell);
+constexpr double meanCalmSec =
+    meanBurstSec * (1.0 - burstyTimeShare) / burstyTimeShare;
+/// @}
+
 } // namespace
 
 ArrivalGenerator::ArrivalGenerator(const ArrivalConfig &cfg)
@@ -55,36 +63,15 @@ ArrivalGenerator::ArrivalGenerator(const ArrivalConfig &cfg)
         fatal("ArrivalGenerator: rate %g must be positive",
               cfg_.ratePerSec);
     if (cfg_.kind == ArrivalKind::Bursty) {
-        if (!(cfg_.burstFactor >= 1.0))
-            fatal("ArrivalGenerator: burst factor %g must be >= 1",
-                  cfg_.burstFactor);
-        if (!(cfg_.burstFraction > 0.0 && cfg_.burstFraction < 1.0))
-            fatal("ArrivalGenerator: burst fraction %g must be in "
-                  "(0, 1)",
-                  cfg_.burstFraction);
-        if (cfg_.meanBurstLen == 0)
-            fatal("ArrivalGenerator: zero mean burst length");
         // Solve the state rates so the time-weighted mean is exactly
         // the configured λ:  (1-f)·r_calm + f·b·r_calm = λ.
-        const double f = cfg_.burstFraction;
-        const double b = cfg_.burstFactor;
+        const double f = burstyTimeShare;
+        const double b = burstyRateRatio;
         rateCalm_ = cfg_.ratePerSec / ((1.0 - f) + f * b);
         rateBurst_ = b * rateCalm_;
-        // Dwell means follow from the stationary split: time in burst
-        // over time in calm must equal f / (1-f).
-        meanBurstSec_ = tickToSec(cfg_.meanBurstLen);
-        meanCalmSec_ = meanBurstSec_ * (1.0 - f) / f;
         // Start calm, with a full exponential dwell ahead.
         inBurst_ = false;
-        stateEnd_ = secondsToTicks(rng_.exponential(meanCalmSec_));
-    }
-    if (cfg_.kind == ArrivalKind::Diurnal) {
-        if (!(cfg_.diurnalDepth >= 0.0 && cfg_.diurnalDepth < 1.0))
-            fatal("ArrivalGenerator: diurnal depth %g must be in "
-                  "[0, 1)",
-                  cfg_.diurnalDepth);
-        if (cfg_.diurnalPeriod == 0)
-            fatal("ArrivalGenerator: zero diurnal period");
+        stateEnd_ = secondsToTicks(rng_.exponential(meanCalmSec));
     }
 }
 
@@ -114,8 +101,7 @@ ArrivalGenerator::nextBursty()
             return t + gap;
         t = stateEnd_;
         inBurst_ = !inBurst_;
-        const double dwell_mean =
-            inBurst_ ? meanBurstSec_ : meanCalmSec_;
+        const double dwell_mean = inBurst_ ? meanBurstSec : meanCalmSec;
         Tick dwell = secondsToTicks(rng_.exponential(dwell_mean));
         if (dwell == 0)
             dwell = 1;
@@ -128,9 +114,9 @@ ArrivalGenerator::nextDiurnal()
 {
     // Lewis–Shedler thinning against the peak rate: candidate gaps at
     // λ_max = λ(1 + d), each accepted with probability λ(t)/λ_max.
-    const double d = cfg_.diurnalDepth;
+    const double d = diurnalSwing;
     const double rate_max = cfg_.ratePerSec * (1.0 + d);
-    const double period_sec = tickToSec(cfg_.diurnalPeriod);
+    const double period_sec = tickToSec(diurnalDay);
     Tick t = last_;
     for (;;) {
         t += gapTicks(rate_max);
@@ -176,11 +162,6 @@ ArrivalConfig::fingerprint(SectionIO &io)
     io.expect("serving.arrival.kind", kind);
     io.expect("serving.arrival.ratePerSec", ratePerSec);
     io.expect("serving.arrival.seed", seed);
-    io.expect("serving.arrival.burstFactor", burstFactor);
-    io.expect("serving.arrival.burstFraction", burstFraction);
-    io.expect("serving.arrival.meanBurstLen", meanBurstLen);
-    io.expect("serving.arrival.diurnalPeriod", diurnalPeriod);
-    io.expect("serving.arrival.diurnalDepth", diurnalDepth);
 }
 
 } // namespace memscale

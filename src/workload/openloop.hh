@@ -13,11 +13,15 @@
  *  - Poisson: i.i.d. exponential gaps at a fixed rate λ.
  *  - Bursty: a 2-state Markov-modulated Poisson process (MMPP-2),
  *    alternating exponential dwells in a low-rate and a high-rate
- *    state.  Parameterized by the long-run burst time fraction f and
- *    the burst/calm rate ratio b; the state rates are solved so the
- *    long-run mean rate is exactly the configured λ.
+ *    state.  The burst state's share of time f (`burstyTimeShare`),
+ *    the burst/calm rate ratio b (`burstyRateRatio`) and the mean
+ *    burst dwell (`burstyMeanDwell`) are fixed; the state rates are
+ *    solved so the long-run mean rate is exactly the configured λ.
  *  - Diurnal: a sinusoidal rate curve λ(t) = λ(1 + d·sin(2πt/T)),
- *    sampled exactly by Lewis–Shedler thinning against λ(1 + d).
+ *    with d = `diurnalSwing` and T = `diurnalDay`, sampled exactly by
+ *    Lewis–Shedler thinning against λ(1 + d).
+ *
+ * The kind, the rate and the seed are the only knobs.
  *
  * Every generator owns its Rng (seeded from the experiment seed), is
  * bit-reproducible, and checkpoints its full state — the arrival
@@ -51,6 +55,20 @@ ArrivalKind parseArrivalKind(const std::string &name);
 /** Inverse of parseArrivalKind. */
 const char *arrivalKindName(ArrivalKind kind);
 
+/** @name Fixed arrival-process shapes. */
+/// @{
+/** Bursty: burst-state rate over calm-state rate (>= 1). */
+inline constexpr double burstyRateRatio = 8.0;
+/** Bursty: long-run fraction of time spent bursting, in (0, 1). */
+inline constexpr double burstyTimeShare = 0.1;
+/** Bursty: mean dwell in the burst state. */
+inline constexpr Tick burstyMeanDwell = usToTick(50.0);
+/** Diurnal: one "day" of the compressed rate curve. */
+inline constexpr Tick diurnalDay = msToTick(2.0);
+/** Diurnal: peak-to-mean rate swing, in [0, 1). */
+inline constexpr double diurnalSwing = 0.75;
+/// @}
+
 struct ArrivalConfig
 {
     ArrivalKind kind = ArrivalKind::Poisson;
@@ -61,24 +79,6 @@ struct ArrivalConfig
     /** Generator seed (an experiment derives it from the run seed). */
     std::uint64_t seed = 1;
 
-    /** @name Bursty (MMPP-2) shape. */
-    /// @{
-    /** Burst-state rate over calm-state rate (>= 1). */
-    double burstFactor = 8.0;
-    /** Long-run fraction of time spent bursting, in (0, 1). */
-    double burstFraction = 0.1;
-    /** Mean dwell in the burst state. */
-    Tick meanBurstLen = usToTick(50.0);
-    /// @}
-
-    /** @name Diurnal shape. */
-    /// @{
-    /** One "day" of the compressed rate curve. */
-    Tick diurnalPeriod = msToTick(2.0);
-    /** Peak-to-mean rate swing, in [0, 1). */
-    double diurnalDepth = 0.75;
-    /// @}
-
     /** Snapshot fingerprint: every field, as `serving.arrival.<field>`. */
     void fingerprint(SectionIO &io);
 };
@@ -86,7 +86,7 @@ struct ArrivalConfig
 class ArrivalGenerator
 {
   public:
-    /** Validates the config (fatal on nonsense parameters). */
+    /** Validates the config (fatal on a non-positive rate). */
     explicit ArrivalGenerator(const ArrivalConfig &cfg);
 
     /**
@@ -118,8 +118,6 @@ class ArrivalGenerator
     Tick stateEnd_ = 0;            ///< current dwell expires here
     double rateCalm_ = 0.0;
     double rateBurst_ = 0.0;
-    double meanCalmSec_ = 0.0;     ///< calm-state dwell mean, seconds
-    double meanBurstSec_ = 0.0;
     /// @}
 };
 

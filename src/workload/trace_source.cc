@@ -92,7 +92,6 @@ SyntheticTraceSource::next(TraceChunk &chunk)
             (streamLine_ + rng_.below(1024)) % footprintLines_;
         chunk.writebackAddr = base_ + victim * lineBytes_;
     }
-    lastMiss_ = chunk.missAddr;
 
     phaseInstr_ += gap + 1;
     generated_ += gap + 1;
@@ -107,7 +106,6 @@ SyntheticTraceSource::transfer(SectionIO &io)
     io(phaseInstr_);
     io(generated_);
     io(streamLine_);
-    io(lastMiss_);
     io(exhausted_);
     if (io.loading() && phaseIdx_ >= profile_.phases.size())
         io.fail("trace phase %zu out of the profile's %zu", phaseIdx_,

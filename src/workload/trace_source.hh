@@ -57,7 +57,6 @@ class SyntheticTraceSource : public TraceSource
     std::uint64_t phaseInstr_ = 0;   ///< instructions into the phase
     std::uint64_t generated_ = 0;
     std::uint64_t streamLine_ = 0;   ///< streaming cursor
-    Addr lastMiss_ = 0;
     bool exhausted_ = false;
 };
 

@@ -373,3 +373,23 @@ TEST(Config, BadValuesFatal)
     EXPECT_THROW(c.getBool("b", false), FatalError);
 }
 
+
+TEST(Config, BoundsRefuseOutOfRangeValues)
+{
+    using B = Config::Bound;
+    Config c;
+    c.set("zero", "0");
+    c.set("neg", "-1");
+    c.set("nan", "nan");
+    c.set("inf", "inf");
+    c.set("half", "0.5");
+    EXPECT_DOUBLE_EQ(c.getDouble("zero", 1.0, B::NonNegative), 0.0);
+    EXPECT_DOUBLE_EQ(c.getDouble("half", 1.0, B::Positive), 0.5);
+    EXPECT_THROW(c.getDouble("zero", 1.0, B::Positive), FatalError);
+    EXPECT_THROW(c.getDouble("neg", 1.0, B::NonNegative), FatalError);
+    EXPECT_THROW(c.getDouble("nan", 1.0, B::NonNegative), FatalError);
+    EXPECT_THROW(c.getDouble("inf", 1.0, B::NonNegative), FatalError);
+    EXPECT_THROW(c.getInt("zero", 1, B::Positive), FatalError);
+    EXPECT_THROW(c.getInt("neg", 1, B::NonNegative), FatalError);
+    EXPECT_DOUBLE_EQ(c.getDouble("neg", 1.0), -1.0);
+}

@@ -410,12 +410,12 @@ struct SnapshotGolden
 
 // Regenerate: MEMSCALE_REGEN_GOLDENS=1 ./build/tests/test_golden
 const SnapshotGolden kSnapshotGoldens[] = {
-    {"MID3/memscale", 0x95d542685967d03cull},
-    {"MID1/memscale-ladder", 0xae45ea3a115572c3ull},
-    {"OPENLOOP/slo", 0x9f72bf65c96cf480ull},
-    {"fleet", 0x69740a3cbb2c8f87ull},
-    {"fleet.server0", 0x9a732678f9cc125bull},
-    {"fleet.server1", 0x60692d411cdc669bull},
+    {"MID3/memscale", 0x2101e40b5cfadbe4ull},
+    {"MID1/memscale-ladder", 0x68abbf423b117fb8ull},
+    {"OPENLOOP/slo", 0x0bad4b3752d34a7aull},
+    {"fleet", 0x45ac2ed268f8448dull},
+    {"fleet.server0", 0x28f04e3fa44921efull},
+    {"fleet.server1", 0xfc4d4a160277ad6eull},
 };
 
 } // namespace

@@ -29,6 +29,7 @@
 #include "common/rng.hh"
 #include "mem/client.hh"
 #include "mem/controller.hh"
+#include "mem/migration.hh"
 #include "power/dram_power.hh"
 #include "sim/event_queue.hh"
 
@@ -636,4 +637,14 @@ TEST(IdleLadderPlan, RungOnAReadTickAppliesFirst)
             << "read scheduled at " << sched_at;
         EXPECT_EQ(log.pc.violations(), 0u);
     }
+}
+
+TEST(PageMigrator, ZeroIntervalIsFatal)
+{
+    // A zero period would re-arm the consolidation pass at one tick
+    // forever, so the run would never end.
+    MemConfig cfg;
+    cfg.ladder.migrate = true;
+    cfg.ladder.migrateInterval = 0;
+    EXPECT_THROW(PageMigrator{cfg}, FatalError);
 }

@@ -248,15 +248,12 @@ servingLadderConfig(Rng &rng)
 
 TEST(Interaction, ServingLadderMigrationStrictMatrix)
 {
-    // 6 fuzzed episodes cycling arrival processes and demand mixes;
-    // rates low enough that idle gaps let ranks demote all the way
-    // down while requests keep arriving and frames keep migrating.
+    // 6 fuzzed episodes cycling arrival processes; rates low enough
+    // that idle gaps let ranks demote all the way down while requests
+    // keep arriving and frames keep migrating.
     const ArrivalKind kinds[] = {ArrivalKind::Poisson,
                                  ArrivalKind::Bursty,
                                  ArrivalKind::Diurnal};
-    const DemandMix mixes[] = {DemandMix::Geometric,
-                               DemandMix::LogNormal,
-                               DemandMix::TwoClass};
     std::uint64_t demotions = 0;
     std::uint64_t swaps = 0;
     for (std::uint64_t ep = 0; ep < 6; ++ep) {
@@ -274,7 +271,6 @@ TEST(Interaction, ServingLadderMigrationStrictMatrix)
         cfg.serving.arrival.kind = kinds[ep % 3];
         cfg.serving.arrival.ratePerSec =
             0.1e6 * (1.0 + double(rng.next() % 4));
-        cfg.serving.demandMix = mixes[ep % 3];
         cfg.serving.horizon = msToTick(0.5);
 
         auto policy = makePolicy("memscale-ladder");

@@ -8,14 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/log.hh"
-#include "common/rng.hh"
 #include "harness/differential.hh"
-#include "harness/serving.hh"
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "snapshot/serializer.hh"
@@ -95,7 +91,7 @@ TEST(ArrivalRate, DiurnalMatchesLambdaOverWholePeriods)
     // Over an integer number of periods the sinusoid integrates out.
     const double rate = 2.0e6;
     ArrivalConfig cfg = arrivalConfig(ArrivalKind::Diurnal, rate);
-    double got = empiricalRate(cfg, 5 * cfg.diurnalPeriod);
+    double got = empiricalRate(cfg, 5 * diurnalDay);
     EXPECT_NEAR(got, rate, 0.05 * rate);
 }
 
@@ -199,7 +195,7 @@ TEST(ArrivalShape, DiurnalPeakOverTrough)
     // quarter ~0.33λ — a ratio of ~5, far outside Poisson noise.
     ArrivalConfig cfg = arrivalConfig(ArrivalKind::Diurnal);
     ArrivalGenerator gen(cfg);
-    const Tick T = cfg.diurnalPeriod;
+    const Tick T = diurnalDay;
     const int periods = 8;
     std::uint64_t peak = 0, trough = 0;
     for (Tick t : drawUntil(gen, periods * T)) {
@@ -222,19 +218,7 @@ TEST(ArrivalShape, DiurnalPeakOverTrough)
 
 TEST(ArrivalValidation, BadConfigsAreFatal)
 {
-    ArrivalConfig cfg = arrivalConfig(ArrivalKind::Poisson, 0.0);
-    EXPECT_THROW(ArrivalGenerator{cfg}, FatalError);
-
-    cfg = arrivalConfig(ArrivalKind::Bursty);
-    cfg.burstFraction = 1.5;
-    EXPECT_THROW(ArrivalGenerator{cfg}, FatalError);
-
-    cfg = arrivalConfig(ArrivalKind::Bursty);
-    cfg.burstFactor = 0.5;
-    EXPECT_THROW(ArrivalGenerator{cfg}, FatalError);
-
-    cfg = arrivalConfig(ArrivalKind::Diurnal);
-    cfg.diurnalDepth = 1.0;   // rate would touch zero
+    const ArrivalConfig cfg = arrivalConfig(ArrivalKind::Poisson, 0.0);
     EXPECT_THROW(ArrivalGenerator{cfg}, FatalError);
 
     EXPECT_THROW(parseArrivalKind("weekly"), FatalError);
@@ -304,139 +288,4 @@ TEST(ServingSweep, JobsOneVsManyHashIdentical)
     ASSERT_EQ(serial.size(), fanned.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_EQ(serial[i], fanned[i]) << "config " << i;
-}
-
-// ---------------------------------------------------------------------
-// Service-demand mixes: every distribution must keep the configured
-// mean (so the offered *work* is shape-independent), differ only in
-// spread, and stay deterministic per seed.
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-struct DemandSample
-{
-    double mean = 0.0;
-    double variance = 0.0;
-    std::uint64_t min = ~0ull;
-    std::uint64_t max = 0;
-};
-
-DemandSample
-sampleDemand(const ServingOptions &opts, std::size_t n = 200'000,
-             std::uint64_t seed = 777)
-{
-    Rng rng(seed);
-    DemandSample s;
-    double sum = 0.0;
-    double sumsq = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t d = drawServingDemand(opts, rng);
-        sum += static_cast<double>(d);
-        sumsq += static_cast<double>(d) * static_cast<double>(d);
-        s.min = std::min(s.min, d);
-        s.max = std::max(s.max, d);
-    }
-    s.mean = sum / static_cast<double>(n);
-    s.variance = sumsq / static_cast<double>(n) - s.mean * s.mean;
-    return s;
-}
-
-ServingOptions
-demandOpts(DemandMix mix)
-{
-    ServingOptions o;
-    o.missesPerRequest = 8.0;
-    o.demandMix = mix;
-    return o;
-}
-
-} // namespace
-
-TEST(DemandMix, EveryMixPreservesTheMean)
-{
-    for (DemandMix mix :
-         {DemandMix::Geometric, DemandMix::Fixed, DemandMix::LogNormal,
-          DemandMix::TwoClass}) {
-        DemandSample s = sampleDemand(demandOpts(mix));
-        // 200k draws: even the heavy-tailed shapes estimate the mean
-        // to well under 5%.
-        EXPECT_NEAR(s.mean, 8.0, 0.4) << demandMixName(mix);
-        EXPECT_GE(s.min, 1u) << demandMixName(mix);
-    }
-}
-
-TEST(DemandMix, ShapesOrderBySpread)
-{
-    DemandSample fixed = sampleDemand(demandOpts(DemandMix::Fixed));
-    DemandSample geo = sampleDemand(demandOpts(DemandMix::Geometric));
-    ServingOptions two = demandOpts(DemandMix::TwoClass);
-    DemandSample twoc = sampleDemand(two);
-
-    EXPECT_DOUBLE_EQ(fixed.variance, 0.0);
-    EXPECT_EQ(fixed.min, fixed.max);
-    // Two-class piles mass at ~6 and ~47 misses, so it is strictly
-    // more dispersed than the memoryless mix at the same mean.
-    EXPECT_GT(geo.variance, 0.0);
-    EXPECT_GT(twoc.variance, 2.0 * geo.variance);
-}
-
-TEST(DemandMix, LogNormalSpreadGrowsWithSigma)
-{
-    ServingOptions narrow = demandOpts(DemandMix::LogNormal);
-    narrow.demandSigma = 0.4;
-    ServingOptions wide = demandOpts(DemandMix::LogNormal);
-    wide.demandSigma = 1.2;
-
-    DemandSample n = sampleDemand(narrow);
-    DemandSample w = sampleDemand(wide);
-    // Same mean by construction (mu = ln(mean) - sigma^2/2) ...
-    EXPECT_NEAR(n.mean, 8.0, 0.4);
-    EXPECT_NEAR(w.mean, 8.0, 0.8);
-    // ... but the multiplicative spread is sigma's knob alone.
-    EXPECT_GT(w.variance, 3.0 * n.variance);
-    EXPECT_GT(w.max, n.max);
-}
-
-TEST(DemandMix, TwoClassHeavyFractionRealized)
-{
-    ServingOptions o = demandOpts(DemandMix::TwoClass);
-    o.heavyFraction = 0.05;
-    o.heavyMultiplier = 8.0;
-    // light mean = 8/1.35 ~ 5.9, heavy mean ~ 47.4: a threshold at
-    // 4x the light mean cleanly separates the classes.
-    Rng rng(31337);
-    const std::size_t n = 200'000;
-    std::size_t heavy = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        if (drawServingDemand(o, rng) > 24)
-            ++heavy;
-    const double frac = static_cast<double>(heavy) /
-                        static_cast<double>(n);
-    // The heavy class lands above the threshold with prob ~0.6 and
-    // the light class below with prob ~0.98; the observed fraction
-    // sits near p * P(heavy above) ~ 0.03.
-    EXPECT_GT(frac, 0.015);
-    EXPECT_LT(frac, 0.05);
-}
-
-TEST(DemandMix, DeterministicPerSeedAndNamedRoundTrip)
-{
-    for (DemandMix mix :
-         {DemandMix::Geometric, DemandMix::Fixed, DemandMix::LogNormal,
-          DemandMix::TwoClass}) {
-        ServingOptions o = demandOpts(mix);
-        Rng a(9), b(9);
-        for (int i = 0; i < 1000; ++i)
-            ASSERT_EQ(drawServingDemand(o, a), drawServingDemand(o, b))
-                << demandMixName(mix) << " diverged at " << i;
-        EXPECT_EQ(parseDemandMix(demandMixName(mix)), mix);
-    }
-    // Fixed ignores the other shapes' knobs.
-    ServingOptions fixed = demandOpts(DemandMix::LogNormal);
-    fixed.demandMix = DemandMix::Fixed;
-    Rng rng(5);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(drawServingDemand(fixed, rng), 8u);
 }

@@ -48,17 +48,17 @@ at(const MemoryController &mc, std::uint32_t bank, std::uint64_t row,
  * Deterministic heavy traffic: reads and writebacks concentrated on
  * two banks so the write queue hits its drain threshold and FR-FCFS
  * finds promotable row hits.  Returns the read completion order as
- * (seq, tick) pairs.
+ * (address, tick) pairs.
  */
-std::vector<std::pair<std::uint64_t, Tick>>
+std::vector<std::pair<Addr, Tick>>
 runHeavyTraffic(SchedulerPolicy sched, std::uint64_t seed)
 {
     EventQueue eq;
     MemConfig cfg = oneChannel(sched);
     MemoryController mc(eq, cfg);
-    std::vector<std::pair<std::uint64_t, Tick>> order;
+    std::vector<std::pair<Addr, Tick>> order;
     FnClient client([&](Tick when, const MemRequest &req) {
-        order.emplace_back(req.seq, when);
+        order.emplace_back(req.addr, when);
     });
     Rng rng(seed);
     Tick t = 0;
@@ -122,7 +122,6 @@ TEST(RequestPool, RecycledRequestEqualsValueInitialised)
     r->isWrite = true;
     r->core = 7;
     r->arrival = 11;
-    r->seq = 13;
     r->loc.channel = 3;
     r->loc.rank = 1;
     r->loc.bank = 5;
@@ -147,7 +146,6 @@ TEST(RequestPool, RecycledRequestEqualsValueInitialised)
     EXPECT_EQ(again->isWrite, want.isWrite);
     EXPECT_EQ(again->core, want.core);
     EXPECT_EQ(again->arrival, want.arrival);
-    EXPECT_EQ(again->seq, want.seq);
     EXPECT_EQ(again->loc, want.loc);
     EXPECT_EQ(again->serviceStart, want.serviceStart);
     EXPECT_EQ(again->dataReady, want.dataReady);
@@ -266,7 +264,7 @@ TEST(RequestPool, InUseTracksControllerPending)
 TEST(RequestPool, CompletionOrderDeterministicUnderDrainAndPromotion)
 {
     // Identical traffic into fresh controllers must complete in the
-    // identical (seq, tick) order: pool recycling (same storage, new
+    // identical (address, tick) order: pool recycling (same storage, new
     // identity) must not perturb FR-FCFS promotion or write drain.
     auto a = runHeavyTraffic(SchedulerPolicy::FrFcfs, 0xabcde);
     auto b = runHeavyTraffic(SchedulerPolicy::FrFcfs, 0xabcde);
@@ -283,15 +281,18 @@ TEST(RequestPool, FrFcfsPromotionOrderPreserved)
     EventQueue eq;
     MemConfig cfg = oneChannel(SchedulerPolicy::FrFcfs);
     MemoryController mc(eq, cfg);
-    std::vector<std::uint64_t> seqs;
+    std::vector<Addr> done;
     FnClient client([&](Tick, const MemRequest &req) {
-        seqs.push_back(req.seq);
+        done.push_back(req.addr);
     });
-    mc.read(at(mc, 0, 1, 0), 0, &client);
-    mc.read(at(mc, 0, 2, 0), 1, &client);
-    mc.read(at(mc, 0, 1, 1), 2, &client);
+    const Addr a = at(mc, 0, 1, 0);
+    const Addr b = at(mc, 0, 2, 0);
+    const Addr c = at(mc, 0, 1, 1);
+    mc.read(a, 0, &client);
+    mc.read(b, 1, &client);
+    mc.read(c, 2, &client);
     eq.runUntil();
-    EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 3, 2}));
+    EXPECT_EQ(done, (std::vector<Addr>{a, c, b}));
 }
 
 TEST(RequestPool, WriteDrainInterleavesDeterministically)

@@ -4,7 +4,8 @@
  * accounting under Poisson load, the SLO policy meeting a p99 target
  * the CPI-bound policy misses at lower-than-baseline energy, graceful
  * degradation to the nominal frequency under overload, bounded-queue
- * drop accounting, and observability integration.
+ * drop accounting, observability integration, and a 150 ms run under
+ * the idle ladder with migration that resumes bit-identically.
  *
  * All runs are deterministic (fixed seeds, bit-reproducible kernel),
  * so the latency assertions are exact, not statistical.
@@ -14,9 +15,11 @@
 
 #include <algorithm>
 
+#include "harness/differential.hh"
 #include "harness/experiment.hh"
 #include "harness/system.hh"
 #include "memscale/policies/policy.hh"
+#include "temp_dir.hh"
 
 using namespace memscale;
 
@@ -145,25 +148,7 @@ TEST(Serving, BoundedQueueDropsAndConserves)
     EXPECT_LE(s.queuedAtEnd, 8u);
     // The bounded queue caps waiting time, so the tail stays finite
     // even at 3x overload.
-    EXPECT_LT(s.p99Us, cfg.serving.histMaxUs);
-}
-
-TEST(Serving, FixedDemandStillConserves)
-{
-    SystemConfig cfg = serveConfig();
-    cfg.serving.demandMix = DemandMix::Fixed;
-    Watts rest = 0.0;
-    RunResult r = runBaseline(cfg, rest);
-    expectConservation(r.serving);
-    EXPECT_GT(r.serving.completed, 0u);
-    // Every request costs exactly 8 misses; with a fixed per-request
-    // compute segment the latency spread collapses vs. geometric
-    // demand (same seed, same arrivals).
-    SystemConfig geo = serveConfig();
-    Watts rest2 = 0.0;
-    RunResult g = runBaseline(geo, rest2);
-    EXPECT_LT(r.serving.p999Us - r.serving.p50Us,
-              g.serving.p999Us - g.serving.p50Us);
+    EXPECT_LT(s.p99Us, latencyHistMaxUs);
 }
 
 TEST(Serving, ObservabilityRecordsServingColumns)
@@ -219,31 +204,39 @@ TEST(Serving, CpuPowerModelChargesWorkers)
     EXPECT_DOUBLE_EQ(r.energy.dram(), p.energy.dram());
 }
 
-TEST(Serving, DemandMixesServeEndToEnd)
+TEST(Serving, LongHorizonLadderMigrationResumes)
 {
-    // The demand shape only rebundles work into requests: the same
-    // offered load must conserve requests under every mix, and the
-    // heavier-tailed shapes pay for it in tail latency.
-    auto run_mix = [&](DemandMix mix) {
-        SystemConfig cfg = serveConfig();
-        cfg.serving.demandMix = mix;
-        Watts rest = 0.0;
-        RunResult r = runBaseline(cfg, rest);
-        expectConservation(r.serving);
-        EXPECT_GT(r.serving.completed, 0u) << demandMixName(mix);
-        return r;
-    };
+    // 150 ms of open-loop traffic, far past the few-ms horizons above:
+    // at 0.02 Mreq/s ranks idle long enough to sink down the ladder
+    // between requests, while refresh, the consolidation pass and the
+    // epoch loop run for thousands of periods under the strict
+    // checker.  Cut at 120 ms, the resumed run must land on the
+    // uninterrupted run's result bit for bit.
+    SystemConfig cfg;
+    cfg.mixName = "OPENLOOP-LADDER";
+    cfg.numCores = 4;
+    cfg.epochLen = msToTick(1.0);
+    cfg.profileLen = usToTick(100.0);
+    cfg.seed = 4242;
+    cfg.protocolCheck = true;
+    cfg.strictCheck = true;
+    cfg.mem.ladder.migrate = true;
+    cfg.serving.enabled = true;
+    cfg.serving.arrival.kind = ArrivalKind::Poisson;
+    cfg.serving.arrival.ratePerSec = 0.02e6;
+    cfg.serving.horizon = msToTick(150.0);
 
-    RunResult geo = run_mix(DemandMix::Geometric);
-    RunResult logn = run_mix(DemandMix::LogNormal);
-    RunResult two = run_mix(DemandMix::TwoClass);
+    const RunResult whole = runPolicy(cfg, "memscale-ladder", 150.0);
+    EXPECT_GT(whole.commandsChecked, 0u);
+    EXPECT_EQ(whole.protocolViolations, 0u);
+    expectConservation(whole.serving);
+    EXPECT_GT(whole.serving.completed, 2500u);
+    EXPECT_GT(whole.counters.pdDemotions, 0u);
+    EXPECT_GT(whole.counters.migrations, 0u);
 
-    // Same arrival stream in all three runs (the demand Rng is a
-    // separate derived stream), so arrivals match exactly.
-    EXPECT_EQ(logn.serving.arrived, geo.serving.arrived);
-    EXPECT_EQ(two.serving.arrived, geo.serving.arrived);
-    // The rare ~6x-mean heavy requests of the two-class mix stretch
-    // the extreme tail beyond the memoryless shape's.
-    EXPECT_GT(two.serving.p999Us, geo.serving.p999Us);
-    EXPECT_GT(two.serving.maxUs, geo.serving.maxUs);
+    const RunResult resumed =
+        runPolicySharded(cfg, "memscale-ladder", 150.0,
+                         {msToTick(120.0)}, test::tempPath("long_horizon"));
+    EXPECT_EQ(resumed.protocolViolations, 0u);
+    EXPECT_EQ(hashRunResult(resumed), hashRunResult(whole));
 }

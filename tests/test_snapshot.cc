@@ -906,38 +906,12 @@ fieldMismatches()
          [](C &c, P &) { c.serving.arrival.ratePerSec = 2.0e6; }},
         {"serving.arrival.seed",
          [](C &c, P &) { c.serving.arrival.seed = 2; }},
-        {"serving.arrival.burstFactor",
-         [](C &c, P &) { c.serving.arrival.burstFactor = 4.0; }},
-        {"serving.arrival.burstFraction",
-         [](C &c, P &) { c.serving.arrival.burstFraction = 0.2; }},
-        {"serving.arrival.meanBurstLen",
-         [](C &c, P &) { c.serving.arrival.meanBurstLen *= 2; }},
-        {"serving.arrival.diurnalPeriod",
-         [](C &c, P &) { c.serving.arrival.diurnalPeriod *= 2; }},
-        {"serving.arrival.diurnalDepth",
-         [](C &c, P &) { c.serving.arrival.diurnalDepth = 0.5; }},
         {"serving.missesPerRequest",
          [](C &c, P &) { c.serving.missesPerRequest = 4.0; }},
-        {"serving.demandMix",
-         [](C &c, P &) { c.serving.demandMix = DemandMix::LogNormal; }},
-        {"serving.demandSigma",
-         [](C &c, P &) { c.serving.demandSigma = 0.5; }},
-        {"serving.heavyFraction",
-         [](C &c, P &) { c.serving.heavyFraction = 0.1; }},
-        {"serving.heavyMultiplier",
-         [](C &c, P &) { c.serving.heavyMultiplier = 4.0; }},
-        {"serving.instrPerMiss",
-         [](C &c, P &) { c.serving.instrPerMiss = 100; }},
-        {"serving.computeCpi",
-         [](C &c, P &) { c.serving.computeCpi = 2.0; }},
         {"serving.horizon",
          [](C &c, P &) { c.serving.horizon = msToTick(4.0); }},
         {"serving.maxQueue", [](C &c, P &) { c.serving.maxQueue = 8; }},
         {"serving.sloP99Us", [](C &c, P &) { c.serving.sloP99Us = 3.0; }},
-        {"serving.histMaxUs",
-         [](C &c, P &) { c.serving.histMaxUs = 1000.0; }},
-        {"serving.histBuckets",
-         [](C &c, P &) { c.serving.histBuckets = 2000; }},
     };
     return rows;
 }
@@ -1132,9 +1106,11 @@ TEST(SnapshotChurn, OlderVersionsRejected)
     // kernel-mode byte and a serving-section fingerprint; version 3
     // kept idle-ladder demotion timers as pending events and stored no
     // demotion plans; version 4 stored each plan's next timer
-    // sequence.  None may resume.
+    // sequence; version 5 stored request sequence numbers, other state
+    // nothing read, and the serving knobs that are now constants.  None
+    // may resume.
     const std::string path = scratch("old_version.snap");
-    for (const std::uint32_t version : {1u, 2u, 3u, 4u}) {
+    for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
         cutCheckedRun(snapConfig("MID3"), "memscale", msToTick(0.13),
                       path);
         std::FILE *f = std::fopen(path.c_str(), "rb+");
@@ -1382,14 +1358,11 @@ writeChannelPrefix(SectionIO &io, const MemConfig &mem,
 {
     std::uint32_t nchan = 1;
     std::uint32_t freq = nominalFreqIndex;
-    std::uint64_t next_seq = 1;
     std::uint64_t zero = 0;
     std::uint32_t decoupled = 0;
     io(nchan);
     io(freq);
-    io(next_seq);
     io(zero);   // frequency transitions
-    io(zero);   // relock stall
     io(decoupled);
     McCounters counters;
     counters.transfer(io);
@@ -1564,7 +1537,6 @@ TEST(RestoreChecks, RowOutcomeOutOfRangeIsFatal)
             io(q.isWrite);
             io(q.core);
             io(q.arrival);
-            io(q.seq);
             io(q.loc.channel);
             io(q.loc.rank);
             io(q.loc.bank);
@@ -1616,8 +1588,8 @@ TEST(RestoreChecks, PowerdownModeOutOfRangeIsFatal)
             io.list<std::uint64_t>(empty);   // write queue
             bool drain = false;
             io(drain);
-            for (int i = 0; i < 5; ++i)
-                io(zero);   // bus/suspend/burst time, pending counts
+            for (int i = 0; i < 4; ++i)
+                io(zero);   // bus/suspend time, pending counts
             std::uint8_t mode = 9;
             io(mode);
         });
